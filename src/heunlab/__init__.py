@@ -44,7 +44,6 @@ from .ode import (  # noqa: F401
     ode_equal,
     singular_points,
 )
-from .outcome import VerificationOutcome  # noqa: F401
 from .painleve import (  # noqa: F401
     PainleveKind,
     PainleveLinearSpec,

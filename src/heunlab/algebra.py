@@ -1082,22 +1082,6 @@ def const(num, den: int = 1) -> RationalExpr:
 # ---------------------------------------------------------------------------
 
 
-def add(a: Coercible, b: Coercible) -> RationalExpr:
-    return as_rational(a) + as_rational(b)
-
-
-def sub(a: Coercible, b: Coercible) -> RationalExpr:
-    return as_rational(a) - as_rational(b)
-
-
-def mul(a: Coercible, b: Coercible) -> RationalExpr:
-    return as_rational(a) * as_rational(b)
-
-
-def div(a: Coercible, b: Coercible) -> RationalExpr:
-    return as_rational(a) / as_rational(b)
-
-
 def differentiate(e: Coercible, name: str) -> RationalExpr:
     return as_rational(e).derivative(name)
 

@@ -20,45 +20,42 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from fractions import Fraction
 
-from .algebra import const
+from .algebra import AlgebraError, const
+from .claims import FLAGS, run_claims
 from .heun import (
     FAMILY_PARAMS,
+    HeunError,
     HeunFamily,
     HeunSpec,
     build_heun,
     build_heun_derivative,
     fuchsian_epsilon,
 )
-from .matching import (
-    all_matching_cases,
-    matching_case,
-    verify_matching,
-    verify_obstruction,
-    verify_riccati,
-)
+from .matching import UnknownCase, matching_case
 from .numeric import (
     ComplexPath,
     IntegrationConfig,
+    NumericError,
     integrate_hamiltonian,
     integrate_linear,
     integrate_riccati,
-    painleve_residual,
-    verify_derivative_numeric,
 )
-from .ode import derivative_equation, ode_equal, singular_points
-from .outcome import VerificationOutcome
+from .ode import OdeError, singular_points
 from .painleve import (
     KIND_PARAMS,
+    InvalidSpec,
     PainleveKind,
     PainleveLinearSpec,
     build_painleve_linear,
-    verify_elimination,
-    verify_p3_substitution,
 )
-from .report import CaseRecord, Report
+from .report import Report
+
+#: Errors that mean the input cannot be verified or integrated as given:
+#: exit status 2 with a one-line message, never a traceback.
+INPUT_ERRORS = (ValueError, OSError, AlgebraError, HeunError, OdeError,
+                NumericError, InvalidSpec, UnknownCase)
 
 FAMILY_NAMES = {
     "general": HeunFamily.GENERAL,
@@ -82,6 +79,14 @@ KIND_NAMES = {
 
 SUITES = ("all", "matching", "riccati", "obstruction", "elimination",
           "derivative", "numeric")
+
+#: Options each ``integrate`` system cannot run without.
+SYSTEM_OPTIONS = {
+    "heun": ("family", "path"),
+    "heun-derivative": ("family", "path"),
+    "riccati": ("kind", "t_range"),
+    "hamiltonian": ("kind", "t_range"),
+}
 
 
 def parse_params_text(text: str, *, allow_decimal: bool = False) -> dict[str, Fraction]:
@@ -136,272 +141,16 @@ def _parse_trange(text: str) -> tuple[complex, complex]:
     return _parse_complex(a), _parse_complex(b)
 
 
-def _symbolic_family_spec(family: HeunFamily) -> HeunSpec:
-    from .algebra import var
-    if family is HeunFamily.GENERAL:
-        a, b, g, d = (var(n) for n in ("alpha", "beta", "gamma", "delta"))
-        return HeunSpec.of(HeunFamily.GENERAL, alpha=a, beta=b, gamma=g, delta=d,
-                           epsilon=fuchsian_epsilon(a, b, g, d),
-                           q=var("q"), t=var("t"))
-    return HeunSpec.symbolic(family)
-
-
-# ---------------------------------------------------------------------------
-# Suite runners
-# ---------------------------------------------------------------------------
-
-
-def _wanted(args, case_id: str) -> bool:
-    return args.case is None or args.case in case_id
-
-
-def _branches(args) -> tuple[int, ...]:
-    if args.branch == "+":
-        return (1,)
-    if args.branch == "-":
-        return (-1,)
-    return (1, -1)
-
-
-def _aggregate(case_id: str, claim: str, outs: list[VerificationOutcome],
-               *, expect_failure: bool = False, keep_time: bool = False) -> CaseRecord:
-    passed = all(o.passed for o in outs)
-    witness = next((o.witness for o in outs if not o.passed), None)
-    verdict = ("pass" if passed else "fail") if not expect_failure else (
-        "fail-as-predicted" if not passed else "fail")
-    return CaseRecord(
-        case=case_id, claim=claim, mode="exact", verdict=verdict,
-        witness=witness, residual=None,
-        wall_time=sum(o.wall_time for o in outs) if keep_time else None)
-
-
-def run_derivative_suite(args, report: Report) -> None:
-    for family in HeunFamily:
-        case_id = f"derivative/{family.value}"
-        if not _wanted(args, case_id):
-            continue
-        start = time.perf_counter()
-        spec = _symbolic_family_spec(family)
-        equal = ode_equal(build_heun_derivative(spec),
-                          derivative_equation(build_heun(spec)))
-        report.add(CaseRecord(
-            case=case_id,
-            claim=("closed-form equation for the derivative of a "
-                   f"{family.value} solution matches the re-derived equation "
-                   "at fully symbolic parameters"),
-            mode="exact",
-            verdict="pass" if equal else "fail",
-            wall_time=(time.perf_counter() - start) if args.timings else None))
-
-
-def run_matching_suite(args, report: Report) -> None:
-    for kind in PainleveKind:
-        case_id = f"matching/{kind.value}"
-        if not _wanted(args, case_id):
-            continue
-        literal = args.paper_literal_h2 and kind is PainleveKind.P2
-        outs = [verify_matching(case, h2_literal=literal)
-                for case in all_matching_cases(kind)
-                if case.sign_branch in _branches(args)]
-        claim = ("the mapped Heun derivative equation equals the deformation "
-                 "linear equation (all square-root branches)")
-        if literal:
-            claim = ("with the literal printed Hamiltonian the p2 matching "
-                     "breaks; the failure is the prediction")
-        report.add(_aggregate(case_id + (" [h2-literal]" if literal else ""),
-                              claim, outs, expect_failure=literal,
-                              keep_time=args.timings))
-    if getattr(args, "family_slip_check", False) and _wanted(args, "matching/p3prime"):
-        out = verify_matching(matching_case(PainleveKind.P3P),
-                              family_override=HeunFamily.BI_CONFLUENT)
-        report.add(CaseRecord(
-            case="matching/p3prime [bi-confluent slip]",
-            claim=("the p3prime reduction does not fit the bi-confluent "
-                   "family, confirming the double-confluent binding"),
-            mode="exact",
-            verdict="fail-as-predicted" if not out.passed else "fail",
-            witness=out.witness,
-            wall_time=out.wall_time if args.timings else None))
-
-
-def run_riccati_suite(args, report: Report) -> None:
-    for kind in PainleveKind:
-        case_id = f"riccati/{kind.value}"
-        if not _wanted(args, case_id):
-            continue
-        outs = [verify_riccati(case) for case in all_matching_cases(kind)
-                if case.sign_branch in _branches(args)]
-        report.add(_aggregate(
-            case_id,
-            ("substituting the deformation-variable constraint into the flow "
-             "gives the stated first-order equation; the consistency defect "
-             "factors exactly through the parameter condition"),
-            outs, keep_time=args.timings))
-
-
-def run_obstruction_suite(args, report: Report) -> None:
-    for kind in PainleveKind:
-        case_id = f"obstruction/{kind.value}"
-        if not _wanted(args, case_id):
-            continue
-        outs = [verify_obstruction(case) for case in all_matching_cases(kind)
-                if case.sign_branch in _branches(args)]
-        report.add(_aggregate(
-            case_id,
-            ("the classical-solution condition forces alpha (or alpha*beta) "
-             "and q to vanish"),
-            outs, keep_time=args.timings))
-
-
-def run_elimination_suite(args, report: Report) -> None:
-    for kind in PainleveKind:
-        case_id = f"elimination/{kind.value}"
-        if not _wanted(args, case_id):
-            continue
-        h2 = args.paper_literal_h2 and kind is PainleveKind.P2
-        p5 = args.paper_literal_p5 and kind is PainleveKind.P5
-        out = verify_elimination(kind, h2_literal=h2, p5_literal=p5)
-        report.add(CaseRecord.from_outcome(
-            out, expect_failure=h2 or p5, keep_time=args.timings))
-    if _wanted(args, "elimination/p3-substitution"):
-        report.add(CaseRecord.from_outcome(
-            verify_p3_substitution(), keep_time=args.timings))
-
-
-def _standard_derivative_witnesses():
-    vertical = ComplexPath.of(0.25 - 0.5j, 0.25 + 0.5j)
-    right = ComplexPath.of(0.5 + 0.25j, 1.5 + 0.25j)
-    return [
-        (HeunSpec.of(HeunFamily.GENERAL, alpha=2, beta=1, gamma=1, delta=1,
-                     epsilon=2, q=1, t=2), vertical),
-        (HeunSpec.of(HeunFamily.CONFLUENT, gamma=1, delta=1, epsilon=1,
-                     alpha=2, q=1), vertical),
-        (HeunSpec.of(HeunFamily.DOUBLE_CONFLUENT, gamma=1, delta=1, epsilon=1,
-                     alpha=1, q=1), right),
-        (HeunSpec.of(HeunFamily.BI_CONFLUENT, gamma=1, delta=1, epsilon=1,
-                     alpha=1, q=1), right),
-        (HeunSpec.of(HeunFamily.TRI_CONFLUENT, gamma=-1, delta=0, epsilon=-2,
-                     alpha=1, q=Fraction(1, 2)), ComplexPath.of(-1.0, 0.0)),
-    ]
-
-
-HAMILTONIAN_WITNESSES = {
-    PainleveKind.P2: ({"alpha2": Fraction(2)}, (0.25, 0.1), (0.0, 1.0)),
-    PainleveKind.P4: ({"kappa0": Fraction(1, 4), "thetainf": Fraction(2, 3)},
-                      (1.0, 0.5), (0.0, 1.0)),
-    PainleveKind.P3P: ({"eta0": Fraction(1), "etainf": Fraction(1),
-                        "theta0": Fraction(1, 3), "thetainf": Fraction(1, 2)},
-                       (1.0, 1.0), (1.0, 2.0)),
-    PainleveKind.P5: ({"kappa0": Fraction(1, 3), "theta": Fraction(1, 5),
-                       "kappainf": Fraction(1, 2), "eta": Fraction(1)},
-                      (2.0, 1 / 3), (1.0, 1.5)),
-    PainleveKind.P6: ({"kappa0": Fraction(1, 3), "kappa1": Fraction(1, 5),
-                       "theta": Fraction(1, 7), "kappainf": Fraction(1, 2)},
-                      (0.5, 0.0), (2.0, 2.2)),
-}
-
-
-def _numeric_record(case_id, claim, residual, bound, *, start,
-                    keep_time, above: bool = False) -> CaseRecord:
-    ok = residual > bound if above else residual <= bound
-    return CaseRecord(
-        case=case_id, claim=claim, mode="numeric",
-        verdict="pass" if ok else "fail",
-        residual=residual,
-        wall_time=(time.perf_counter() - start) if keep_time else None)
-
-
-def run_numeric_suite(args, report: Report) -> None:
-    for spec, path in _standard_derivative_witnesses():
-        case_id = f"numeric/derivative-{spec.family.value}"
-        if not _wanted(args, case_id):
-            continue
-        start = time.perf_counter()
-        residual = verify_derivative_numeric(spec, path)
-        report.add(_numeric_record(
-            case_id,
-            "the integrated solution's derivative satisfies the closed-form "
-            "equation to relative residual 1e-8",
-            residual, 1e-8, start=start, keep_time=args.timings))
-
-    dense = IntegrationConfig(max_step=1 / 512)
-    if _wanted(args, "numeric/riccati-p2"):
-        start = time.perf_counter()
-        case = matching_case(PainleveKind.P2)
-        traj = integrate_riccati(case, {"alpha2": Fraction(1, 2)}, (0.0, 1.0),
-                                 0.0, dense)
-        residual = painleve_residual(PainleveKind.P2, traj,
-                                     {"alpha2": Fraction(1, 2)})
-        report.add(_numeric_record(
-            "numeric/riccati-p2",
-            "the first-order trajectory satisfies the full nonlinear "
-            "equation to residual 1e-6",
-            residual, 1e-6, start=start, keep_time=args.timings))
-        if _wanted(args, "numeric/riccati-p2-perturbed"):
-            start = time.perf_counter()
-            perturbed = painleve_residual(PainleveKind.P2, traj,
-                                          {"alpha2": Fraction(51, 100)})
-            report.add(_numeric_record(
-                "numeric/riccati-p2-perturbed",
-                "perturbing the condition parameter by 1/100 drives the "
-                "residual above 1e-4",
-                perturbed, 1e-4, above=True, start=start,
-                keep_time=args.timings))
-
-    dense_h = IntegrationConfig(max_step=1 / 1024)
-    for kind in PainleveKind:
-        case_id = f"numeric/hamiltonian-{kind.value}"
-        if not _wanted(args, case_id):
-            continue
-        params, init, t_range = HAMILTONIAN_WITNESSES[kind]
-        start = time.perf_counter()
-        traj = integrate_hamiltonian(kind, params, init, t_range, dense_h)
-        residual = painleve_residual(kind, traj, params)
-        report.add(_numeric_record(
-            case_id,
-            "the flow's position component satisfies the nonlinear equation "
-            "to residual 1e-6",
-            residual, 1e-6, start=start, keep_time=args.timings))
-
-    if args.paper_literal_h2 and _wanted(args, "numeric/hamiltonian-p2-literal"):
-        start = time.perf_counter()
-        params = {"alpha2": Fraction(2)}
-        traj = integrate_hamiltonian(PainleveKind.P2, params, (0.25, 0.1),
-                                     (1.0, 2.0), dense_h, h2_literal=True)
-        residual = painleve_residual(PainleveKind.P2, traj, params)
-        exhibited = residual > 1e-2
-        report.add(CaseRecord(
-            case="numeric/hamiltonian-p2-literal",
-            claim=("with the literal printed Hamiltonian the flow's position "
-                   "misses the nonlinear equation by more than 1e-2; the "
-                   "failure is the prediction"),
-            mode="numeric",
-            verdict="fail-as-predicted" if exhibited else "fail",
-            residual=residual,
-            wall_time=(time.perf_counter() - start) if args.timings else None))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    report = Report(suite=args.suite, seed=args.seed)
-    runners = {
-        "derivative": run_derivative_suite,
-        "matching": run_matching_suite,
-        "riccati": run_riccati_suite,
-        "obstruction": run_obstruction_suite,
-        "elimination": run_elimination_suite,
-        "numeric": run_numeric_suite,
-    }
-    if args.suite == "all":
-        order = ("derivative", "matching", "riccati", "obstruction", "elimination")
-    else:
-        order = (args.suite,)
-    for name in order:
-        runners[name](args, report)
+    branches = {"+": (1,), "-": (-1,), "both": (1, -1)}[args.branch]
+    flags = frozenset(f for f in FLAGS if getattr(args, f))
+    report = Report(suite=args.suite, records=run_claims(
+        args.suite, case=args.case, branches=branches, flags=flags))
     text = (report.to_json(timings=args.timings) if args.format == "json"
             else report.to_text(timings=args.timings))
     _emit(text, args.out)
@@ -434,6 +183,9 @@ def cmd_singularities(args) -> int:
     else:
         kind = KIND_NAMES[args.kind]
         values = _load_params(args.params)
+        missing = [k for k in KIND_PARAMS[kind] if k not in values]
+        if missing:
+            raise ValueError(f"parameter file is missing {missing[0]}")
         params = {k: const(values[k]) for k in KIND_PARAMS[kind]}
         state = {k: const(values[k]) for k in ("lambda", "mu", "t") if k in values}
         spec = PainleveLinearSpec.of(
@@ -452,8 +204,11 @@ def cmd_integrate(args) -> int:
         abs_tol=args.abs_tol, rel_tol=args.rel_tol,
         max_step=args.max_step,
         min_singularity_distance=args.min_distance)
-    values = _load_params(args.params, allow_decimal=True) if args.params else {}
     system = args.system
+    missing = [o for o in SYSTEM_OPTIONS[system] if getattr(args, o) is None]
+    if missing:
+        raise ValueError(f"--system {system} needs --{missing[0].replace('_', '-')}")
+    values = _load_params(args.params, allow_decimal=True) if args.params else {}
     if system in ("heun", "heun-derivative"):
         family = FAMILY_NAMES[args.family]
         spec = _heun_spec(family, values)
@@ -466,14 +221,12 @@ def cmd_integrate(args) -> int:
         case = matching_case(kind, 1 if args.branch != "-" else -1)
         traj = integrate_riccati(case, values, _parse_trange(args.t_range),
                                  _parse_complex(args.lambda0), cfg)
-    elif system == "hamiltonian":
+    else:
         kind = KIND_NAMES[args.kind]
         init = tuple(_parse_complex(v) for v in args.init.split(","))
         traj = integrate_hamiltonian(kind, values, init,
                                      _parse_trange(args.t_range), cfg,
                                      h2_literal=args.paper_literal_h2)
-    else:
-        raise ValueError(f"unknown system {system}")
     _emit(traj.to_json() if args.format == "json" else traj.to_csv(), args.out)
     return 0
 
@@ -499,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="only run cases whose id contains this string")
     p_verify.add_argument("--branch", choices=["+", "-", "both"], default="both")
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
-    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--paper-literal-h2", action="store_true",
                           help="use the literal printed second-kind Hamiltonian "
                                "(its predicted failure is the claim)")
@@ -563,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -28,7 +28,8 @@ from .algebra import (
     substitute,
     var,
 )
-from .ode import LinearODE2, pole_order_at_zero, singular_points
+from .ode import LinearODE2, derivative_equation, infinity_chart, ode_equal
+from .report import CaseRecord
 
 
 class HeunError(Exception):
@@ -230,6 +231,23 @@ def build_heun_derivative(spec: HeunSpec, *, enforce_fuchsian: bool = True) -> L
     return LinearODE2(p1, p2, "z")
 
 
+def verify_derivative(family: HeunFamily) -> CaseRecord:
+    """The closed derivative form equals its oracle at fully symbolic parameters.
+
+    For the general family epsilon is bound by the Fuchsian relation, so that
+    the check covers every admissible parameter set.
+    """
+    if family is HeunFamily.GENERAL:
+        a, b, g, d = (var(n) for n in ("alpha", "beta", "gamma", "delta"))
+        spec = HeunSpec.of(family, alpha=a, beta=b, gamma=g, delta=d,
+                           epsilon=fuchsian_epsilon(a, b, g, d),
+                           q=var("q"), t=var("t"))
+    else:
+        spec = HeunSpec.symbolic(family)
+    return CaseRecord(passed=ode_equal(build_heun_derivative(spec),
+                                       derivative_equation(build_heun(spec))))
+
+
 # ---------------------------------------------------------------------------
 # Degenerations of the general derivative equation
 # ---------------------------------------------------------------------------
@@ -314,11 +332,8 @@ def _certify_singular_set(ode: LinearODE2, t: RationalExpr) -> bool:
         if all(exact_div(coeff.den, f) is None for coeff in (ode.p1, ode.p2)):
             return False
     # Infinity: the coefficients decay slowly enough to contribute a pole in
-    # the 1/w chart (compare the order test in singular_points).
-    w = var("_w")
-    p1w = substitute(ode.p1, {"z": 1 / w}) / w ** 2
-    p2w = substitute(ode.p2, {"z": 1 / w}) / w ** 4
-    return pole_order_at_zero(p1w, "_w") > 0 or pole_order_at_zero(p2w, "_w") > 0
+    # the 1/w chart.
+    return infinity_chart(ode) is not None
 
 
 def _match_general_template(ode: LinearODE2, t: RationalExpr) -> HeunSpec | None:
@@ -367,8 +382,3 @@ def _residue_at(expr: RationalExpr, point: RationalExpr) -> RationalExpr | None:
         return substitute(prod, {"z": point})
     except DegenerateSubstitution:
         return None
-
-
-def heun_singular_points(spec: HeunSpec, *, derivative: bool = False, symbolic: bool = False):
-    ode = build_heun_derivative(spec) if derivative else build_heun(spec)
-    return singular_points(ode, symbolic=symbolic)

@@ -22,7 +22,6 @@ Three verifiers certify the claims exactly:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .algebra import (
@@ -37,8 +36,8 @@ from .algebra import (
 )
 from .heun import HeunFamily, HeunSpec, build_heun_derivative, fuchsian_holds
 from .ode import GaugeSpec, LinearODE2, Mobius, coefficient_diff, gauge_mobius_transform
-from .outcome import VerificationOutcome
 from .painleve import PainleveKind, PainleveLinearSpec, build_painleve_linear, hamiltonian
+from .report import CaseRecord
 
 
 class UnknownCase(Exception):
@@ -61,10 +60,6 @@ class MatchingCase:
     obstruction: tuple[tuple[str, RationalExpr], ...]
     classical_branches: tuple[dict[str, RationalExpr], ...]
     riccati_claim: RationalExpr | None = None
-
-    @property
-    def case_id(self) -> str:
-        return f"{self.painleve_kind.value}"
 
 
 def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
@@ -206,11 +201,14 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
     raise UnknownCase(f"no matching case for {kind}")
 
 
+def sign_branches(kind: PainleveKind) -> tuple[int, ...]:
+    """Both square-root signs where the reduction involves one, else +1 only."""
+    return (1, -1) if kind in (PainleveKind.P6, PainleveKind.P5) else (1,)
+
+
 def all_matching_cases(kind: PainleveKind) -> list[MatchingCase]:
-    """Both sign branches where the reduction involves one, else one case."""
-    if kind in (PainleveKind.P6, PainleveKind.P5):
-        return [matching_case(kind, 1), matching_case(kind, -1)]
-    return [matching_case(kind, 1)]
+    """One case per sign branch of the kind."""
+    return [matching_case(kind, b) for b in sign_branches(kind)]
 
 
 def _mapped_heun_ode(case: MatchingCase, family: HeunFamily | None = None) -> LinearODE2:
@@ -223,9 +221,8 @@ def _mapped_heun_ode(case: MatchingCase, family: HeunFamily | None = None) -> Li
 
 
 def verify_matching(case: MatchingCase, *, h2_literal: bool = False,
-                    family_override: HeunFamily | None = None) -> VerificationOutcome:
+                    family_override: HeunFamily | None = None) -> CaseRecord:
     """Exact coefficient equality of the mapped Heun side and Painleve side."""
-    start = time.perf_counter()
     mapped = _mapped_heun_ode(case, family_override)
     pspec = PainleveLinearSpec.of(case.painleve_kind, mu=case.mu_constraint)
     pode = build_painleve_linear(pspec, h2_literal=h2_literal)
@@ -246,25 +243,10 @@ def verify_matching(case: MatchingCase, *, h2_literal: bool = False,
             point, value = found
             witness["point"] = {k: str(v) for k, v in point.items()}
             witness["difference"] = str(value)
-    fam = (family_override or case.heun_family).value
-    suffix = "" if family_override is None else f" [{fam}]"
-    if h2_literal:
-        suffix += " [h2-literal]"
-    branch_tag = {1: "+", -1: "-"}[case.sign_branch]
-    return VerificationOutcome(
-        case_id=f"matching/{case.case_id}{suffix} (branch {branch_tag})",
-        claim=(f"the {fam} derivative equation maps onto the "
-               f"{case.painleve_kind.value} linear equation under the stated "
-               "parameters and deformation-variable constraint"),
-        mode="exact",
-        passed=passed,
-        witness=witness,
-        details=details,
-        wall_time=time.perf_counter() - start,
-    )
+    return CaseRecord(passed=passed, witness=witness, details=details)
 
 
-def verify_riccati(case: MatchingCase) -> VerificationOutcome:
+def verify_riccati(case: MatchingCase) -> CaseRecord:
     """First-order reduction: substitution identity plus consistency defect.
 
     (a) Substituting the mu constraint into dH/dmu must reproduce the stated
@@ -275,7 +257,6 @@ def verify_riccati(case: MatchingCase) -> VerificationOutcome:
         exactly divisible by the condition and the cofactor shares no
         further factor with it.
     """
-    start = time.perf_counter()
     ham = hamiltonian(case.painleve_kind)
     mu_c = case.mu_constraint
     lam_dot = substitute(ham.dH_dmu, {"mu": mu_c})
@@ -307,22 +288,11 @@ def verify_riccati(case: MatchingCase) -> VerificationOutcome:
             point, value = found
             witness = {"point": {k: str(v) for k, v in point.items()},
                        "defect": str(value)}
-    branch_tag = {1: "+", -1: "-"}[case.sign_branch]
-    return VerificationOutcome(
-        case_id=f"riccati/{case.case_id} (branch {branch_tag})",
-        claim=("the constrained flow reduces to the stated first-order "
-               "equation exactly when the parameter condition vanishes"),
-        mode="exact",
-        passed=passed,
-        witness=witness,
-        details=details,
-        wall_time=time.perf_counter() - start,
-    )
+    return CaseRecord(passed=passed, witness=witness, details=details)
 
 
-def verify_obstruction(case: MatchingCase) -> VerificationOutcome:
+def verify_obstruction(case: MatchingCase) -> CaseRecord:
     """Classical-solution condition forces the accessory data to collapse."""
-    start = time.perf_counter()
     details: dict = {"branch": case.sign_branch}
     passed = True
     for i, bindings in enumerate(case.classical_branches):
@@ -333,13 +303,4 @@ def verify_obstruction(case: MatchingCase) -> VerificationOutcome:
             all_vanish = all_vanish and vanished
         details[f"branch {i} ({tag})"] = all_vanish
         passed = passed and all_vanish
-    branch_tag = {1: "+", -1: "-"}[case.sign_branch]
-    return VerificationOutcome(
-        case_id=f"obstruction/{case.case_id} (branch {branch_tag})",
-        claim=("under the classical-solution condition the mapped parameters "
-               "satisfy alpha (or alpha*beta) = 0 and q = 0"),
-        mode="exact",
-        passed=passed,
-        details=details,
-        wall_time=time.perf_counter() - start,
-    )
+    return CaseRecord(passed=passed, details=details)

@@ -397,19 +397,30 @@ def singular_points(ode: LinearODE2, *, symbolic: bool = False) -> list[Singular
             kind = "regular" if k2 <= 2 else "irregular"
             points.append(SingularPoint(f, kind))
 
-    # Point at infinity via z -> 1/w.
-    w = var("_w")
-    inv = 1 / w
-    p1w = substitute(ode.p1, {z: inv}) / (w * w)
-    p2w = substitute(ode.p2, {z: inv}) / (w ** 4)
-    contributes = pole_order_at_zero(p1w, "_w") > 0 or pole_order_at_zero(p2w, "_w") > 0
-    if contributes:
-        full_p1 = 2 / w - p1w
-        o1 = pole_order_at_zero(full_p1, "_w")
+    chart = infinity_chart(ode)
+    if chart is not None:
+        p1w, p2w = chart
+        o1 = pole_order_at_zero(2 / var("_w") - p1w, "_w")
         o2 = pole_order_at_zero(p2w, "_w")
         kind = "regular" if (o1 <= 1 and o2 <= 2) else "irregular"
         points.append(SingularPoint(INFINITY, kind))
     return points
+
+
+def infinity_chart(ode: LinearODE2) -> tuple[RationalExpr, RationalExpr] | None:
+    """The coefficients' parts p1(1/w)/w^2, p2(1/w)/w^4 in the chart w = 1/z.
+
+    None when neither has a pole at w = 0, that is when infinity is an
+    ordinary point (the homogeneous 2/w term of the chart alone does not make
+    it singular).
+    """
+    w = var("_w")
+    inv = 1 / w
+    p1w = substitute(ode.p1, {ode.var: inv}) / (w * w)
+    p2w = substitute(ode.p2, {ode.var: inv}) / (w ** 4)
+    if pole_order_at_zero(p1w, "_w") > 0 or pole_order_at_zero(p2w, "_w") > 0:
+        return p1w, p2w
+    return None
 
 
 def pole_order_at_zero(expr: RationalExpr, name: str) -> int:

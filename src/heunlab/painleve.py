@@ -23,7 +23,6 @@ fixed:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .algebra import (
     var,
 )
 from .ode import LinearODE2
-from .outcome import VerificationOutcome
+from .report import CaseRecord
 
 
 class InvalidSpec(Exception):
@@ -152,9 +151,6 @@ class HamiltonianSystem:
     H: RationalExpr
     dH_dmu: RationalExpr
     dH_dlam: RationalExpr
-
-    def flow(self) -> tuple[RationalExpr, RationalExpr]:
-        return self.dH_dmu, -self.dH_dlam
 
 
 def kappa_constant(kind: PainleveKind, params=None) -> RationalExpr:
@@ -390,14 +386,13 @@ def lambda_second_derivative_along_flow(ham: HamiltonianSystem,
 
 
 def verify_elimination(kind: PainleveKind, *, h2_literal: bool = False,
-                       p5_literal: bool = False) -> VerificationOutcome:
+                       p5_literal: bool = False) -> CaseRecord:
     """Check that eliminating mu from the flow yields the nonlinear equation.
 
     Fully symbolic: both sides become rational functions of
     (lambda, mu, t, parameters) once lambda' is replaced by dH/dmu in the
     right-hand side, and the two are compared exactly.
     """
-    start = time.perf_counter()
     ham = hamiltonian(kind, h2_literal=h2_literal)
     lhs = lambda_second_derivative_along_flow(ham)
     rhs = substitute(painleve_rhs(kind, p5_literal=p5_literal),
@@ -413,24 +408,10 @@ def verify_elimination(kind: PainleveKind, *, h2_literal: bool = False,
                 "point": {k: str(v) for k, v in point.items()},
                 "difference": str(value),
             }
-    variant = []
-    if h2_literal:
-        variant.append("h2-literal")
-    if p5_literal:
-        variant.append("p5-literal")
-    suffix = f" [{', '.join(variant)}]" if variant else ""
-    return VerificationOutcome(
-        case_id=f"elimination/{kind.value}{suffix}",
-        claim=("second derivative of lambda along the Hamiltonian flow equals "
-               "the nonlinear right-hand side with lambda' eliminated"),
-        mode="exact",
-        passed=passed,
-        witness=witness,
-        wall_time=time.perf_counter() - start,
-    )
+    return CaseRecord(passed=passed, witness=witness)
 
 
-def verify_p3_substitution() -> VerificationOutcome:
+def verify_p3_substitution() -> CaseRecord:
     """Check that lambda(t) -> lambda(t^2)/t turns P3 into the P3' form.
 
     Treats lambda as a formal jet: with w the new function of tau = s^2 and s
@@ -443,7 +424,6 @@ def verify_p3_substitution() -> VerificationOutcome:
     follow from the chain rule.  Substituting them into the standard P3
     residual must give exactly 4 s times the P3' residual at tau = s^2.
     """
-    start = time.perf_counter()
     s = var("t")
     w, wp, wpp = var("jw"), var("jwp"), var("jwpp")
     lam_sub = w / s
@@ -464,15 +444,7 @@ def verify_p3_substitution() -> VerificationOutcome:
             point, value = found
             witness = {"point": {k: str(v) for k, v in point.items()},
                        "difference": str(value)}
-    return VerificationOutcome(
-        case_id="elimination/p3-substitution",
-        claim="rescaling lambda(t) to lambda(t^2)/t carries the standard third "
-              "equation to its modified form",
-        mode="exact",
-        passed=passed,
-        witness=witness,
-        wall_time=time.perf_counter() - start,
-    )
+    return CaseRecord(passed=passed, witness=witness)
 
 
 def p3_substitution_roundtrip() -> bool:

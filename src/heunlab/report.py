@@ -1,13 +1,14 @@
-"""Machine-readable verification reports.
+"""Verification records and machine-readable reports.
 
-A report is a list of per-case records, one per verified claim, sorted by
-case identifier so that equal runs produce byte-identical JSON.  Records hold
-the verdict plus optional failure evidence (a witness point or coefficient
-difference) and, for numeric cases, the measured residual.
+A :class:`CaseRecord` is the outcome of one verified claim: whether it held,
+the failure evidence (a witness point or coefficient difference), and for
+numeric claims the measured residual.  Every verifier returns one, and a
+report is a list of them, sorted by case identifier so that equal runs
+produce byte-identical JSON.
 
-The verdict ``fail-as-predicted`` marks checks whose *claim* is that a
-printed-source variant fails: the check passes as a prediction, so it counts
-as success for the exit status.
+A record marked ``predicted_failure`` belongs to a printed-source variant
+whose *claim* is that it fails: its verdict is ``fail-as-predicted`` when the
+check fails, which counts as success for the exit status.
 """
 
 from __future__ import annotations
@@ -16,42 +17,41 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .outcome import VerificationOutcome
-
-PASSING_VERDICTS = ("pass", "fail-as-predicted", "not-applicable")
 
 
 @dataclass(frozen=True)
 class CaseRecord:
-    case: str
-    claim: str
-    mode: str  # "exact" | "randomized" | "numeric"
-    verdict: str  # "pass" | "fail" | "fail-as-predicted" | "not-applicable"
+    passed: bool
     witness: dict | None = None
     residual: float | None = None
+    details: dict = field(default_factory=dict)
+    predicted_failure: bool = False
+    mode: str = "exact"  # "exact" | "numeric"
+    case: str = ""
+    claim: str = ""
     wall_time: float | None = None
 
-    @staticmethod
-    def from_outcome(out: VerificationOutcome, *, expect_failure: bool = False,
-                     keep_time: bool = False) -> "CaseRecord":
-        return CaseRecord(
-            case=out.case_id,
-            claim=out.claim,
-            mode=out.mode,
-            verdict=out.verdict(expect_failure=expect_failure),
-            witness=out.witness,
-            residual=out.residual,
-            wall_time=out.wall_time if keep_time else None,
-        )
+    @property
+    def verdict(self) -> str:
+        if self.predicted_failure:
+            return "fail" if self.passed else "fail-as-predicted"
+        return "pass" if self.passed else "fail"
 
     def ok(self) -> bool:
-        return self.verdict in PASSING_VERDICTS
+        return self.passed != self.predicted_failure
+
+
+#: (passed, predicted_failure) of each verdict, for reading reports back.
+_VERDICT_FIELDS = {
+    "pass": (True, False),
+    "fail": (False, False),
+    "fail-as-predicted": (False, True),
+}
 
 
 @dataclass
 class Report:
     suite: str
-    seed: int = 0
     records: list[CaseRecord] = field(default_factory=list)
     tool: str = "heunlab"
     version: str = __version__
@@ -86,7 +86,9 @@ class Report:
             "tool": self.tool,
             "version": self.version,
             "suite": self.suite,
-            "seed": self.seed,
+            # Nothing is sampled at random; the key stays so that reports
+            # keep their schema.
+            "seed": 0,
             "all_pass": self.all_pass(),
             "records": records,
         }, indent=1)
@@ -94,14 +96,16 @@ class Report:
     @staticmethod
     def from_json(text: str) -> "Report":
         data = json.loads(text)
-        report = Report(suite=data["suite"], seed=data["seed"],
-                        tool=data["tool"], version=data["version"])
+        report = Report(suite=data["suite"], tool=data["tool"],
+                        version=data["version"])
         for item in data["records"]:
+            passed, predicted = _VERDICT_FIELDS[item["verdict"]]
             report.add(CaseRecord(
+                passed=passed,
+                predicted_failure=predicted,
                 case=item["case"],
                 claim=item["claim"],
                 mode=item["mode"],
-                verdict=item["verdict"],
                 witness=item.get("witness"),
                 residual=item.get("residual"),
                 wall_time=item.get("wall_time"),

@@ -64,7 +64,7 @@ class TestVerifyMatching:
     def test_all_cases_pass(self, kind):
         for case in all_matching_cases(kind):
             out = verify_matching(case)
-            assert out.passed, (out.case_id, out.witness)
+            assert out.passed, (case.sign_branch, out.witness)
 
     def test_p6_map_satisfies_fuchsian_relation(self):
         out = verify_matching(matching_case(PainleveKind.P6))
@@ -112,7 +112,7 @@ class TestVerifyRiccati:
     def test_all_cases_pass(self, kind):
         for case in all_matching_cases(kind):
             out = verify_riccati(case)
-            assert out.passed, (out.case_id, out.details)
+            assert out.passed, (case.sign_branch, out.details)
             assert out.details["substitution_identity"]
             assert out.details["defect_divisible_by_condition"]
             assert out.details["cofactor_coprime_to_condition"]
@@ -158,7 +158,7 @@ class TestVerifyObstruction:
     def test_all_cases_pass(self, kind):
         for case in all_matching_cases(kind):
             out = verify_obstruction(case)
-            assert out.passed, (out.case_id, out.details)
+            assert out.passed, (case.sign_branch, out.details)
 
     def test_p2_direct(self):
         case = matching_case(PainleveKind.P2)
