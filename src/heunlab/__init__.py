@@ -9,7 +9,6 @@ from .algebra import (  # noqa: F401
     MultiPoly,
     PoleAtPoint,
     RationalExpr,
-    SamplingExhausted,
     UnknownVariable,
     const,
     differentiate,

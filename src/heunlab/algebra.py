@@ -53,10 +53,6 @@ class PoleAtPoint(AlgebraError):
     """Exact evaluation hit a vanishing denominator."""
 
 
-class SamplingExhausted(AlgebraError):
-    """Randomized identity testing ran out of pole-free sample points."""
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -1094,71 +1090,23 @@ def eval_rational(e: Coercible, point: Mapping[str, Fraction]) -> Fraction:
     return as_rational(e).eval_exact(point)
 
 
-#: Half-width of the integer sampling box for randomized identity testing.
-IDENTITY_BOX = 10 ** 6
-#: Default number of random evaluation points.
-IDENTITY_TRIALS = 20
-#: Pole retries allowed, as a multiple of the trial count.
-IDENTITY_RETRY_FACTOR = 10
-
-
-def identity_test(
-    a: Coercible,
-    b: Coercible,
-    mode: str = "exact",
-    *,
-    trials: int = IDENTITY_TRIALS,
-    seed: int = 0,
-    box: int = IDENTITY_BOX,
-    retry_factor: int = IDENTITY_RETRY_FACTOR,
-) -> bool:
+def identity_test(a: Coercible, b: Coercible) -> bool:
     """Decide whether two rational expressions are identically equal.
 
-    ``exact`` cross-multiplies and tests the difference polynomial for zero,
-    which is sound and complete.  ``randomized`` evaluates both sides at
-    uniformly random integer points in ``[-box, box]``, retrying points that
-    hit a pole; it can only answer False on a witnessed unequal value, so a
-    False from this mode is always correct.
+    Cross-multiplies and tests the difference polynomial for zero, which is
+    sound and complete.
     """
     a = as_rational(a)
     b = as_rational(b)
-    if mode == "exact":
-        return (a.num * b.den - b.num * a.den).is_zero()
-    if mode != "randomized":
-        raise ValueError(f"unknown identity test mode {mode!r}")
-    names = sorted(a.names() | b.names())
-    if not names:
-        return a.const_value() == b.const_value()
-    rng = random.Random(seed)
-    retries = retry_factor * trials
-    done = 0
-    while done < trials:
-        point = {n: Fraction(rng.randint(-box, box)) for n in names}
-        try:
-            va = a.eval_exact(point)
-            vb = b.eval_exact(point)
-        except PoleAtPoint:
-            retries -= 1
-            if retries < 0:
-                raise SamplingExhausted(
-                    "too many sample points hit poles during randomized testing")
-            continue
-        if va != vb:
-            return False
-        done += 1
-    return True
+    return (a.num * b.den - b.num * a.den).is_zero()
 
 
-def find_witness(
-    diff: Coercible,
-    *,
-    seed: int = 0,
-    box: int = 50,
-    attempts: int = 400,
-) -> tuple[dict[str, Fraction], Fraction] | None:
-    """Search a small integer box for a point where ``diff`` is nonzero.
+def find_witness(diff: Coercible, *,
+                 seed: int = 0) -> tuple[dict[str, Fraction], Fraction] | None:
+    """Search the integer box [-50, 50] for a point where ``diff`` is nonzero.
 
-    Returns (point, value) or None; used to attach concrete counterexamples
+    Tries 400 seeded points and returns (point, value), or None when every
+    one is a zero or a pole; used to attach concrete counterexamples
     to failed identity verdicts.
     """
     d = as_rational(diff)
@@ -1168,8 +1116,8 @@ def find_witness(
     if not names:
         return {}, d.const_value()
     rng = random.Random(seed)
-    for _ in range(attempts):
-        point = {n: Fraction(rng.randint(-box, box)) for n in names}
+    for _ in range(400):
+        point = {n: Fraction(rng.randint(-50, 50)) for n in names}
         try:
             v = d.eval_exact(point)
         except PoleAtPoint:

@@ -136,9 +136,23 @@ def _parse_pathspec(text: str) -> ComplexPath:
     return ComplexPath.of(*(_parse_complex(p) for p in text.split("->")))
 
 
-def _parse_trange(text: str) -> tuple[complex, complex]:
-    a, b = text.split(":")
-    return _parse_complex(a), _parse_complex(b)
+def _parse_pair(text: str, sep: str, option: str) -> tuple[complex, complex]:
+    """The two numbers of an option value such as ``0:1`` or ``1,0``."""
+    parts = text.split(sep)
+    if len(parts) == 2:
+        try:
+            return _parse_complex(parts[0]), _parse_complex(parts[1])
+        except ValueError:
+            pass
+    raise ValueError(f"{option} needs two numbers separated by '{sep}', got {text!r}")
+
+
+def _kind_params(kind: PainleveKind, values: dict[str, Fraction]) -> dict[str, Fraction]:
+    """The kind's parameters from a parameter file, and no other key."""
+    missing = [k for k in KIND_PARAMS[kind] if k not in values]
+    if missing:
+        raise ValueError(f"parameter file is missing {missing[0]}")
+    return {k: values[k] for k in KIND_PARAMS[kind]}
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +197,7 @@ def cmd_singularities(args) -> int:
     else:
         kind = KIND_NAMES[args.kind]
         values = _load_params(args.params)
-        missing = [k for k in KIND_PARAMS[kind] if k not in values]
-        if missing:
-            raise ValueError(f"parameter file is missing {missing[0]}")
-        params = {k: const(values[k]) for k in KIND_PARAMS[kind]}
+        params = _kind_params(kind, values)
         state = {k: const(values[k]) for k in ("lambda", "mu", "t") if k in values}
         spec = PainleveLinearSpec.of(
             kind, params, lam=state.get("lambda"), mu=state.get("mu"),
@@ -214,18 +225,19 @@ def cmd_integrate(args) -> int:
         spec = _heun_spec(family, values)
         ode = (build_heun_derivative(spec) if system == "heun-derivative"
                else build_heun(spec))
-        init = tuple(_parse_complex(v) for v in args.init.split(","))
+        init = _parse_pair(args.init, ",", "--init")
         traj = integrate_linear(ode, _parse_pathspec(args.path), init, cfg)
     elif system == "riccati":
         kind = KIND_NAMES[args.kind]
         case = matching_case(kind, 1 if args.branch != "-" else -1)
-        traj = integrate_riccati(case, values, _parse_trange(args.t_range),
+        traj = integrate_riccati(case, _kind_params(kind, values),
+                                 _parse_pair(args.t_range, ":", "--t-range"),
                                  _parse_complex(args.lambda0), cfg)
     else:
         kind = KIND_NAMES[args.kind]
-        init = tuple(_parse_complex(v) for v in args.init.split(","))
-        traj = integrate_hamiltonian(kind, values, init,
-                                     _parse_trange(args.t_range), cfg,
+        traj = integrate_hamiltonian(kind, _kind_params(kind, values),
+                                     _parse_pair(args.init, ",", "--init"),
+                                     _parse_pair(args.t_range, ":", "--t-range"), cfg,
                                      h2_literal=args.paper_literal_h2)
     _emit(traj.to_json() if args.format == "json" else traj.to_csv(), args.out)
     return 0

@@ -35,7 +35,7 @@ from .algebra import (
     var,
 )
 from .heun import HeunFamily, HeunSpec, build_heun_derivative, fuchsian_holds
-from .ode import GaugeSpec, LinearODE2, Mobius, coefficient_diff, gauge_mobius_transform
+from .ode import GaugeSpec, Mobius, coefficient_diff, gauge_mobius_transform
 from .painleve import PainleveKind, PainleveLinearSpec, build_painleve_linear, hamiltonian
 from .report import CaseRecord
 
@@ -85,7 +85,7 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             sign_branch=branch,
             param_map={
                 "gamma": -k0, "delta": -k1, "epsilon": -th,
-                "alpha": alpha, "beta": beta, "q": ab * lam,
+                "alpha": alpha, "beta": beta, "q": ab * lam, "t": t,
             },
             gauge=None,
             mu_constraint=mu_c,
@@ -113,7 +113,7 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
         gauge = GaugeSpec(
             mobius=Mobius.of(1, 0, 1, -1),           # z -> z/(z-1)
             phi=1 - var("z") / (var("z") - 1),        # simplifies to -1/(z-1)
-            sigma=var("sigma"),
+            sigma=sigma,
         )
         return MatchingCase(
             heun_family=HeunFamily.CONFLUENT,
@@ -121,7 +121,7 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             sign_branch=branch,
             param_map={
                 "gamma": -k0, "delta": k0 + th + 2 * sigma, "epsilon": -t * eta,
-                "alpha": alpha, "q": alpha * lam / (lam - 1), "sigma": sigma,
+                "alpha": alpha, "q": alpha * lam / (lam - 1),
             },
             gauge=gauge,
             mu_constraint=mu_c,
@@ -211,29 +211,24 @@ def all_matching_cases(kind: PainleveKind) -> list[MatchingCase]:
     return [matching_case(kind, b) for b in sign_branches(kind)]
 
 
-def _mapped_heun_ode(case: MatchingCase, family: HeunFamily | None = None) -> LinearODE2:
-    family = family or case.heun_family
-    spec = HeunSpec.symbolic(family)
-    ode = build_heun_derivative(spec, enforce_fuchsian=False)
-    if case.gauge is not None:
-        ode = gauge_mobius_transform(ode, case.gauge)
-    return ode.substitute_params(case.param_map)
-
-
 def verify_matching(case: MatchingCase, *, h2_literal: bool = False,
                     family_override: HeunFamily | None = None) -> CaseRecord:
-    """Exact coefficient equality of the mapped Heun side and Painleve side."""
-    mapped = _mapped_heun_ode(case, family_override)
+    """Exact coefficient equality of the mapped Heun side and Painleve side.
+
+    The Heun side is the derivative equation built at the mapped parameters,
+    then gauge-transformed.
+    """
+    spec = HeunSpec.from_params(family_override or case.heun_family, case.param_map)
+    mapped = build_heun_derivative(spec, enforce_fuchsian=False)
+    if case.gauge is not None:
+        mapped = gauge_mobius_transform(mapped, case.gauge)
     pspec = PainleveLinearSpec.of(case.painleve_kind, mu=case.mu_constraint)
     pode = build_painleve_linear(pspec, h2_literal=h2_literal)
     diff = coefficient_diff(mapped, pode)
     passed = diff["p1"].is_zero() and diff["p2"].is_zero()
     details: dict = {"branch": case.sign_branch}
     if case.heun_family is HeunFamily.GENERAL and family_override is None:
-        spec = HeunSpec.symbolic(HeunFamily.GENERAL)
-        subbed = HeunSpec.of(HeunFamily.GENERAL, **{
-            k: substitute(v, case.param_map) for k, v in spec.params().items()})
-        details["fuchsian_relation_holds"] = fuchsian_holds(subbed)
+        details["fuchsian_relation_holds"] = fuchsian_holds(spec)
     witness = None
     if not passed:
         bad = "p1" if not diff["p1"].is_zero() else "p2"

@@ -19,12 +19,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import RationalExpr, substitute
+from .algebra import RationalExpr, const, substitute
 from .heun import HeunSpec, build_heun, build_heun_derivative
 from .matching import MatchingCase
 from .ode import INFINITY, LinearODE2, singular_points
 from .painleve import (
     FLOW_T_SINGULARITIES,
+    KIND_PARAMS,
     LAMBDA_LOCUS,
     PainleveKind,
     hamiltonian,
@@ -278,10 +279,6 @@ def compile_scalar(expr: RationalExpr, names: tuple[str, ...]):
     return full
 
 
-def _bind_params(expr: RationalExpr, params: dict[str, Fraction]) -> RationalExpr:
-    return substitute(expr, {k: RationalExpr.const(Fraction(v)) for k, v in params.items()})
-
-
 # ---------------------------------------------------------------------------
 # Singularity geometry
 # ---------------------------------------------------------------------------
@@ -426,18 +423,20 @@ def integrate_riccati(case: MatchingCase, params: dict[str, Fraction],
                       cfg: IntegrationConfig = IntegrationConfig()) -> ODETrajectory:
     """Integrate the case's first-order reduction with the condition enforced.
 
-    ``params`` must satisfy the case's parameter condition exactly; blow-up of
-    the solution (a movable pole) truncates the trajectory and sets the pole
-    flag instead of failing.
+    ``params`` must satisfy the case's parameter condition exactly; only the
+    kind's parameter keys are read from it.  Blow-up of the solution (a
+    movable pole) truncates the trajectory and sets the pole flag instead of
+    failing.
     """
-    cond = _bind_params(case.condition, params)
+    bind = {k: const(params[k]) for k in KIND_PARAMS[case.painleve_kind]}
+    cond = substitute(case.condition, bind)
     if not cond.is_zero():
         raise ConditionNotSatisfied(
             f"condition {case.condition} = {cond} does not vanish at {params}")
     path = _t_path(t_range)
     _check_t_range(case.painleve_kind, path, cfg)
     _check_lambda0(case.painleve_kind, complex(lam0), path, cfg)
-    rhs = compile_scalar(_bind_params(case.riccati_rhs, params), ("lambda", "t"))
+    rhs = compile_scalar(substitute(case.riccati_rhs, bind), ("lambda", "t"))
 
     def fieldfn(x: complex, y: tuple[complex, ...]) -> tuple[complex, ...]:
         return (rhs(y[0], x),)
@@ -452,13 +451,16 @@ def integrate_hamiltonian(kind: PainleveKind, params: dict[str, Fraction],
                           t_range: tuple[complex, complex],
                           cfg: IntegrationConfig = IntegrationConfig(),
                           *, h2_literal: bool = False) -> ODETrajectory:
-    """Integrate the Hamiltonian flow in (lambda, mu) over a t-range."""
-    ham = hamiltonian(kind, h2_literal=h2_literal)
+    """Integrate the Hamiltonian flow in (lambda, mu) over a t-range.
+
+    Only the kind's parameter keys are read from ``params``.
+    """
+    ham = hamiltonian(kind, params, h2_literal=h2_literal)
     path = _t_path(t_range)
     extra = (Fraction(0),) if (h2_literal and kind is PainleveKind.P2) else ()
     _check_t_range(kind, path, cfg, extra)
-    dmu = compile_scalar(_bind_params(ham.dH_dmu, params), ("lambda", "mu", "t"))
-    dlam = compile_scalar(_bind_params(ham.dH_dlam, params), ("lambda", "mu", "t"))
+    dmu = compile_scalar(ham.dH_dmu, ("lambda", "mu", "t"))
+    dlam = compile_scalar(ham.dH_dlam, ("lambda", "mu", "t"))
 
     def fieldfn(x: complex, y: tuple[complex, ...]) -> tuple[complex, ...]:
         lam, mu = y
@@ -484,8 +486,7 @@ def _neville(xs: list[float], ys: list[complex], x: float) -> complex:
 
 
 def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
-                      params: dict[str, Fraction], *,
-                      p5_literal: bool = False) -> float:
+                      params: dict[str, Fraction]) -> float:
     """Maximum residual of the nonlinear equation along a trajectory.
 
     The lambda component is resampled on a locally uniform grid by sliding
@@ -496,8 +497,7 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
     if len(traj.samples) < 5:
         raise InsufficientSamples(
             f"need at least 5 samples, got {len(traj.samples)}")
-    rhs = compile_scalar(_bind_params(painleve_rhs(kind, p5_literal=p5_literal), params),
-                         ("lambda", "lambdap", "t"))
+    rhs = compile_scalar(painleve_rhs(kind, params), ("lambda", "lambdap", "t"))
     ss = [smp.s for smp in traj.samples]
     lams = [smp.y[0] for smp in traj.samples]
     t0 = traj.samples[0].x

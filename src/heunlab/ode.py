@@ -51,11 +51,6 @@ class LinearODE2:
     def parameter_names(self) -> set[str]:
         return (self.p1.names() | self.p2.names()) - {self.var}
 
-    def substitute_params(self, bindings) -> "LinearODE2":
-        clean = {k: v for k, v in bindings.items() if k != self.var}
-        return LinearODE2(
-            substitute(self.p1, clean), substitute(self.p2, clean), self.var)
-
 
 def derivative_equation(ode: LinearODE2) -> LinearODE2:
     """ODE satisfied by v = u' when u solves the input equation.
@@ -437,12 +432,11 @@ def pole_order_at_zero(expr: RationalExpr, name: str) -> int:
     return max(0, val(expr.den) - val(expr.num))
 
 
-def ode_equal(a: LinearODE2, b: LinearODE2, mode: str = "exact", **kwargs) -> bool:
-    """Exact (or randomized) equality of two equations' coefficient pairs."""
+def ode_equal(a: LinearODE2, b: LinearODE2) -> bool:
+    """Exact equality of two equations' coefficient pairs."""
     if a.var != b.var:
         raise ValueError("equations use different independent variables")
-    return identity_test(a.p1, b.p1, mode, **kwargs) and identity_test(
-        a.p2, b.p2, mode, **kwargs)
+    return identity_test(a.p1, b.p1) and identity_test(a.p2, b.p2)
 
 
 def coefficient_diff(a: LinearODE2, b: LinearODE2) -> dict[str, RationalExpr]:

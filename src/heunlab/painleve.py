@@ -165,14 +165,9 @@ def kappa_constant(kind: PainleveKind, params=None) -> RationalExpr:
     raise InvalidSpec(f"kappa is defined for P6 and P5, not {kind.value}")
 
 
-def hamiltonian(kind: PainleveKind, params=None, *, h2_literal: bool = False,
-                lam_name: str = "lambda", mu_name: str = "mu",
-                t_name: str = "t") -> HamiltonianSystem:
-    """The kind's Hamiltonian and its exact flow fields."""
-    p = _fill_params(kind, params)
-    lam = var(lam_name)
-    mu = var(mu_name)
-    t = var(t_name)
+def _hamiltonian_at(kind: PainleveKind, p: dict[str, RationalExpr], lam: RationalExpr,
+                    mu: RationalExpr, t: RationalExpr, h2_literal: bool) -> RationalExpr:
+    """The kind's Hamiltonian at the given parameters and state."""
     if kind is PainleveKind.P6:
         k0, k1, th = p["kappa0"], p["kappa1"], p["theta"]
         kap = kappa_constant(kind, p)
@@ -180,28 +175,34 @@ def hamiltonian(kind: PainleveKind, params=None, *, h2_literal: bool = False,
                 - (k0 * (lam - 1) * (lam - t) + k1 * lam * (lam - t)
                    + (th - 1) * lam * (lam - 1)) * mu
                 + kap * (lam - t))
-        H = poly / (t * (t - 1))
-    elif kind is PainleveKind.P5:
+        return poly / (t * (t - 1))
+    if kind is PainleveKind.P5:
         k0, th, eta = p["kappa0"], p["theta"], p["eta"]
         kap = kappa_constant(kind, p)
         poly = (lam * (lam - 1) ** 2 * mu ** 2
                 - (k0 * (lam - 1) ** 2 + th * lam * (lam - 1) - eta * t * lam) * mu
                 + kap * (lam - 1))
-        H = poly / t
-    elif kind is PainleveKind.P4:
+        return poly / t
+    if kind is PainleveKind.P4:
         k0, thinf = p["kappa0"], p["thetainf"]
-        H = (2 * lam * mu ** 2 - (lam ** 2 + 2 * t * lam + 2 * k0) * mu
-             + thinf * lam)
-    elif kind is PainleveKind.P3P:
+        return (2 * lam * mu ** 2 - (lam ** 2 + 2 * t * lam + 2 * k0) * mu
+                + thinf * lam)
+    if kind is PainleveKind.P3P:
         e0, einf, t0, tinf = p["eta0"], p["etainf"], p["theta0"], p["thetainf"]
         poly = (lam ** 2 * mu ** 2 - (einf * lam ** 2 + t0 * lam - e0 * t) * mu
                 + einf * (t0 + tinf) * lam / 2)
-        H = poly / t
-    else:  # P2
-        a2 = p["alpha2"]
-        mu_coef = lam ** 2 + (1 / t if h2_literal else t / 2)
-        H = mu ** 2 / 2 - mu_coef * mu - (a2 + const(1, 2)) * lam
-    return HamiltonianSystem(H, H.derivative(mu_name), H.derivative(lam_name))
+        return poly / t
+    a2 = p["alpha2"]
+    mu_coef = lam ** 2 + (1 / t if h2_literal else t / 2)
+    return mu ** 2 / 2 - mu_coef * mu - (a2 + const(1, 2)) * lam
+
+
+def hamiltonian(kind: PainleveKind, params=None, *,
+                h2_literal: bool = False) -> HamiltonianSystem:
+    """The kind's Hamiltonian and its exact flow fields."""
+    H = _hamiltonian_at(kind, _fill_params(kind, params), var("lambda"), var("mu"),
+                        var("t"), h2_literal)
+    return HamiltonianSystem(H, H.derivative("mu"), H.derivative("lambda"))
 
 
 def build_painleve_linear(spec: PainleveLinearSpec, *, h2_literal: bool = False) -> LinearODE2:
@@ -210,8 +211,7 @@ def build_painleve_linear(spec: PainleveLinearSpec, *, h2_literal: bool = False)
     z = var("z")
     p = spec.params
     lam, mu, t = spec.lam, spec.mu, spec.t
-    ham = hamiltonian(spec.kind, p, h2_literal=h2_literal)
-    H = substitute(ham.H, {"lambda": lam, "mu": mu, "t": t})
+    H = _hamiltonian_at(spec.kind, p, lam, mu, t, h2_literal)
     kind = spec.kind
     if kind is PainleveKind.P6:
         k0, k1, th = p["kappa0"], p["kappa1"], p["theta"]
@@ -307,19 +307,18 @@ def bridge(kind: PainleveKind, params=None) -> dict[str, RationalExpr]:
     return {"alpha2": p["alpha2"]}
 
 
-def painleve_rhs(kind: PainleveKind, params=None, *, p5_literal: bool = False,
-                 lam_name: str = "lambda", lamp_name: str = "lambdap",
-                 t_name: str = "t") -> RationalExpr:
+def painleve_rhs(kind: PainleveKind, params=None, *,
+                 p5_literal: bool = False) -> RationalExpr:
     """Right-hand side of d^2 lambda / dt^2 for the kind.
 
-    ``lamp_name`` is the indeterminate standing for dlambda/dt.  For P5 the
-    default convention enters the last constant with a minus sign (the
-    literal printed sign fails the elimination identity; see
+    The indeterminate ``lambdap`` stands for dlambda/dt.  For P5 the default
+    convention enters the last constant with a minus sign (the literal
+    printed sign fails the elimination identity; see
     :func:`verify_elimination`).
     """
-    lam = var(lam_name)
-    lp = var(lamp_name)
-    t = var(t_name)
+    lam = var("lambda")
+    lp = var("lambdap")
+    t = var("t")
     br = bridge(kind, params)
     if kind is PainleveKind.P6:
         a6, b6, g6, d6 = br["alpha6"], br["beta6"], br["gamma6"], br["delta6"]
@@ -351,12 +350,11 @@ def painleve_rhs(kind: PainleveKind, params=None, *, p5_literal: bool = False,
     return 2 * lam ** 3 + t * lam + a2
 
 
-def painleve_rhs_p3_standard(params=None, *, lam_name: str = "lambda",
-                             lamp_name: str = "lambdap", t_name: str = "t") -> RationalExpr:
+def painleve_rhs_p3_standard(params=None) -> RationalExpr:
     """Right-hand side of the standard (un-rescaled) third Painleve equation."""
-    lam = var(lam_name)
-    lp = var(lamp_name)
-    t = var(t_name)
+    lam = var("lambda")
+    lp = var("lambdap")
+    t = var("t")
     br = bridge(PainleveKind.P3P, params)
     a3, b3, g3, d3 = br["alpha3"], br["beta3"], br["gamma3"], br["delta3"]
     return (lp ** 2 / lam - lp / t + (a3 * lam ** 2 + b3) / t
@@ -368,10 +366,7 @@ def painleve_rhs_p3_standard(params=None, *, lam_name: str = "lambda",
 # ---------------------------------------------------------------------------
 
 
-def lambda_second_derivative_along_flow(ham: HamiltonianSystem,
-                                        lam_name: str = "lambda",
-                                        mu_name: str = "mu",
-                                        t_name: str = "t") -> RationalExpr:
+def lambda_second_derivative_along_flow(ham: HamiltonianSystem) -> RationalExpr:
     """d^2 lambda / dt^2 along the Hamiltonian flow, as a function of (lambda, mu, t).
 
     Differentiates lambda' = dH/dmu once more along the flow:
@@ -380,9 +375,9 @@ def lambda_second_derivative_along_flow(ham: HamiltonianSystem,
                    - d/dmu(dH/dmu) * dH/dlam.
     """
     f = ham.dH_dmu
-    return (f.derivative(t_name)
-            + f.derivative(lam_name) * ham.dH_dmu
-            - f.derivative(mu_name) * ham.dH_dlam)
+    return (f.derivative("t")
+            + f.derivative("lambda") * ham.dH_dmu
+            - f.derivative("mu") * ham.dH_dlam)
 
 
 def verify_elimination(kind: PainleveKind, *, h2_literal: bool = False,

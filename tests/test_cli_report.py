@@ -205,18 +205,29 @@ class TestOtherCommands:
 class TestExitContract:
     """Bad input ends in exit status 2 and one ``error:`` line, never a traceback."""
 
-    @pytest.mark.parametrize("params, argv", [
+    @pytest.mark.parametrize("params, argv, message", [
         ("alpha = 2\nbeta = 1\ngamma = 1\ndelta = 1\nepsilon = 2\nq = 1\nt = 1\n",
-         ["derive", "--family", "general"]),
-        ("lambda = 1\n", ["singularities", "--kind", "p2"]),
-        (GENERAL_PARAMS, ["integrate", "--system", "heun", "--family", "general"]),
+         ["derive", "--family", "general"], "collides"),
+        ("lambda = 1\n", ["singularities", "--kind", "p2"], "missing alpha2"),
+        (GENERAL_PARAMS, ["integrate", "--system", "heun", "--family", "general"],
+         "--path"),
         (GENERAL_PARAMS, ["integrate", "--system", "heun", "--family", "general",
-                          "--path", "0.5 -> 1.5"]),
+                          "--path", "0.5 -> 1.5"], "singular point"),
         ("alpha2 = 1\n", ["integrate", "--system", "riccati", "--kind", "p2",
-                          "--t-range", "0:1"]),
+                          "--t-range", "0:1"], "does not vanish"),
+        ("alpha2 = 2\n", ["integrate", "--system", "hamiltonian", "--kind", "p2",
+                          "--t-range", "0:1", "--init", "1"], "--init"),
+        ("alpha2 = 1/2\n", ["integrate", "--system", "riccati", "--kind", "p2",
+                            "--t-range", "0"], "--t-range"),
+        ("alpha2 = 1/2\n", ["integrate", "--system", "riccati", "--kind", "p6",
+                            "--t-range", "2:3"], "missing kappa0"),
+        ("alpha2 = 1/2\n", ["integrate", "--system", "hamiltonian", "--kind", "p6",
+                            "--t-range", "2:3"], "missing kappa0"),
     ], ids=["singular-confluence", "missing-parameter", "missing-path",
-            "path-through-singular-point", "condition-not-satisfied"])
-    def test_input_errors_exit_2(self, capsys, tmp_path, params, argv):
+            "path-through-singular-point", "condition-not-satisfied",
+            "malformed-init", "malformed-t-range", "riccati-missing-parameter",
+            "hamiltonian-missing-parameter"])
+    def test_input_errors_exit_2(self, capsys, tmp_path, params, argv, message):
         p = tmp_path / "case.params"
         p.write_text(params)
         with pytest.raises(SystemExit) as info:
@@ -224,6 +235,27 @@ class TestExitContract:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
+class TestIntegrateReadsKindParameters:
+    """``integrate`` binds the kind's parameters only, never the state keys."""
+
+    @pytest.mark.parametrize("params, argv", [
+        ("alpha2 = 1/2\n", ["--system", "riccati", "--kind", "p2",
+                            "--t-range", "0:1", "--lambda0", "0.1"]),
+        ("kappa0 = 1/3\nkappa1 = 1/5\ntheta = 1/7\nkappainf = 1/2\n",
+         ["--system", "hamiltonian", "--kind", "p6", "--t-range", "2:2.2",
+          "--init", "0.5,0", "--max-step", "0.01"]),
+    ], ids=["riccati-p2", "hamiltonian-p6"])
+    def test_state_keys_leave_csv_unchanged(self, capsys, tmp_path, params, argv):
+        csv = []
+        for extra in ("", "lambda = 3\nmu = 2\nt = 1/2\n"):
+            p = tmp_path / "kind.params"
+            p.write_text(params + extra)
+            assert main(["integrate", *argv, "--params", str(p)]) == 0
+            csv.append(capsys.readouterr().out)
+        assert csv[0] == csv[1]
 
 
 class TestReportRoundTrip:

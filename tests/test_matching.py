@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import replace
+
 from heunlab.algebra import const, exact_div, identity_test, poly_gcd, substitute, var
-from heunlab.heun import HeunFamily
+from heunlab.heun import HeunFamily, HeunSpec, build_heun_derivative
 from heunlab.matching import (
     UnknownCase,
     all_matching_cases,
@@ -14,6 +16,7 @@ from heunlab.matching import (
     verify_obstruction,
     verify_riccati,
 )
+from heunlab.ode import gauge_mobius_transform
 from heunlab.painleve import PainleveKind, hamiltonian
 
 lam, t = var("lambda"), var("t")
@@ -65,6 +68,29 @@ class TestVerifyMatching:
         for case in all_matching_cases(kind):
             out = verify_matching(case)
             assert out.passed, (case.sign_branch, out.witness)
+
+    @pytest.mark.parametrize("case, family", [
+        *((case, case.heun_family)
+          for kind in PainleveKind for case in all_matching_cases(kind)),
+        (matching_case(PainleveKind.P3P), HeunFamily.BI_CONFLUENT),
+    ], ids=lambda v: v.value if isinstance(v, HeunFamily)
+        else f"{v.painleve_kind.value}{'+' if v.sign_branch > 0 else '-'}")
+    def test_mapped_spec_equals_substituted_symbolic_equation(self, case, family):
+        # The equation verify_matching compares is built at the mapped
+        # parameters.  It must be the one obtained by building at fully
+        # symbolic parameters, gauging with a free exponent and substituting
+        # the map (and the exponent) afterwards.
+        built = build_heun_derivative(HeunSpec.from_params(family, case.param_map),
+                                      enforce_fuchsian=False)
+        reference = build_heun_derivative(HeunSpec.symbolic(family), enforce_fuchsian=False)
+        bind = dict(case.param_map)
+        if case.gauge is not None:
+            built = gauge_mobius_transform(built, case.gauge)
+            reference = gauge_mobius_transform(
+                reference, replace(case.gauge, sigma=var("sigma")))
+            bind["sigma"] = case.gauge.sigma
+        assert built.p1 == substitute(reference.p1, bind)
+        assert built.p2 == substitute(reference.p2, bind)
 
     def test_p6_map_satisfies_fuchsian_relation(self):
         out = verify_matching(matching_case(PainleveKind.P6))

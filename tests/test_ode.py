@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from heunlab.algebra import const, var
+from heunlab.algebra import const, substitute, var
 from heunlab.ode import (
     INFINITY,
     DegenerateMobius,
@@ -44,11 +44,15 @@ class TestDerivativeEquation:
     def test_commutes_with_parameter_substitution(self):
         a, b = var("a"), var("b")
         ode = LinearODE2(a / z, (b * z - a) / (z * (z - 1)))
+
+        def bound(eq, bind):
+            return LinearODE2(substitute(eq.p1, bind), substitute(eq.p2, bind))
+
         rng = random.Random(4)
         for _ in range(6):
             bind = {"a": const(rng.randint(1, 9)), "b": const(rng.randint(1, 9))}
-            lhs = derivative_equation(ode.substitute_params(bind))
-            rhs = derivative_equation(ode).substitute_params(bind)
+            lhs = derivative_equation(bound(ode, bind))
+            rhs = bound(derivative_equation(ode), bind)
             assert ode_equal(lhs, rhs)
 
 
