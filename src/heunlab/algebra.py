@@ -1101,20 +1101,20 @@ def identity_test(a: Coercible, b: Coercible) -> bool:
     return (a.num * b.den - b.num * a.den).is_zero()
 
 
-def find_witness(diff: Coercible, *,
-                 seed: int = 0) -> tuple[dict[str, Fraction], Fraction] | None:
+def find_witness(diff: Coercible, *, seed: int = 0) -> dict | None:
     """Search the integer box [-50, 50] for a point where ``diff`` is nonzero.
 
-    Tries 400 seeded points and returns (point, value), or None when every
-    one is a zero or a pole; used to attach concrete counterexamples
-    to failed identity verdicts.
+    Tries 400 seeded points and returns the report-ready witness
+    ``{"point": {name: value}, "difference": value}`` with values as strings,
+    or None when every one is a zero or a pole; attached to failed identity
+    verdicts as a concrete counterexample.
     """
     d = as_rational(diff)
     if d.is_zero():
         return None
     names = sorted(d.names())
     if not names:
-        return {}, d.const_value()
+        return {"point": {}, "difference": str(d.const_value())}
     rng = random.Random(seed)
     for _ in range(400):
         point = {n: Fraction(rng.randint(-50, 50)) for n in names}
@@ -1123,5 +1123,6 @@ def find_witness(diff: Coercible, *,
         except PoleAtPoint:
             continue
         if v != 0:
-            return point, v
+            return {"point": {k: str(x) for k, x in point.items()},
+                    "difference": str(v)}
     return None

@@ -147,12 +147,15 @@ def _parse_pair(text: str, sep: str, option: str) -> tuple[complex, complex]:
     raise ValueError(f"{option} needs two numbers separated by '{sep}', got {text!r}")
 
 
-def _kind_params(kind: PainleveKind, values: dict[str, Fraction]) -> dict[str, Fraction]:
-    """The kind's parameters from a parameter file, and no other key."""
-    missing = [k for k in KIND_PARAMS[kind] if k not in values]
+def _kind_params(kind: PainleveKind, values: dict[str, Fraction],
+                 state: tuple[str, ...] = ()) -> dict[str, Fraction]:
+    """The kind's parameters and the named state keys from a parameter file,
+    and no other key."""
+    keys = KIND_PARAMS[kind] + state
+    missing = [k for k in keys if k not in values]
     if missing:
         raise ValueError(f"parameter file is missing {missing[0]}")
-    return {k: values[k] for k in KIND_PARAMS[kind]}
+    return {k: values[k] for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +199,9 @@ def cmd_singularities(args) -> int:
         ode = build_heun_derivative(spec) if args.derivative else build_heun(spec)
     else:
         kind = KIND_NAMES[args.kind]
-        values = _load_params(args.params)
-        params = _kind_params(kind, values)
-        state = {k: const(values[k]) for k in ("lambda", "mu", "t") if k in values}
-        spec = PainleveLinearSpec.of(
-            kind, params, lam=state.get("lambda"), mu=state.get("mu"),
-            t=state.get("t"))
+        values = _kind_params(kind, _load_params(args.params), ("lambda", "mu", "t"))
+        spec = PainleveLinearSpec.of(kind, values, lam=values["lambda"],
+                                     mu=values["mu"], t=values["t"])
         ode = build_painleve_linear(spec)
     lines = []
     for p in singular_points(ode):

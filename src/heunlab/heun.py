@@ -28,7 +28,7 @@ from .algebra import (
     substitute,
     var,
 )
-from .ode import LinearODE2, derivative_equation, infinity_chart, ode_equal
+from .ode import LinearODE2, derivative_equation, infinity_kind, ode_equal
 from .report import CaseRecord
 
 
@@ -331,9 +331,7 @@ def _certify_singular_set(ode: LinearODE2, t: RationalExpr) -> bool:
     for f in factors:
         if all(exact_div(coeff.den, f) is None for coeff in (ode.p1, ode.p2)):
             return False
-    # Infinity: the coefficients decay slowly enough to contribute a pole in
-    # the 1/w chart.
-    return infinity_chart(ode) is not None
+    return infinity_kind(ode) is not None
 
 
 def _match_general_template(ode: LinearODE2, t: RationalExpr) -> HeunSpec | None:

@@ -232,12 +232,7 @@ def verify_matching(case: MatchingCase, *, h2_literal: bool = False,
     witness = None
     if not passed:
         bad = "p1" if not diff["p1"].is_zero() else "p2"
-        found = find_witness(diff[bad], seed=29)
-        witness = {"coefficient": bad}
-        if found is not None:
-            point, value = found
-            witness["point"] = {k: str(v) for k, v in point.items()}
-            witness["difference"] = str(value)
+        witness = {"coefficient": bad, **(find_witness(diff[bad], seed=29) or {})}
     return CaseRecord(passed=passed, witness=witness, details=details)
 
 
@@ -276,13 +271,7 @@ def verify_riccati(case: MatchingCase) -> CaseRecord:
     }
     if claim_matches is not None:
         details["printed_display_matches_flow"] = claim_matches
-    witness = None
-    if not passed:
-        found = find_witness(defect, seed=31)
-        if found is not None:
-            point, value = found
-            witness = {"point": {k: str(v) for k, v in point.items()},
-                       "defect": str(value)}
+    witness = None if passed else find_witness(defect, seed=31)
     return CaseRecord(passed=passed, witness=witness, details=details)
 
 

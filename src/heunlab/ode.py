@@ -215,9 +215,6 @@ class SingularPoint:
     location: object
     kind: str  # "regular" | "irregular"
 
-    def is_resolved(self) -> bool:
-        return isinstance(self.location, (Fraction, int)) or self.location == INFINITY
-
 
 def _univar_fraction_coeffs(p: MultiPoly, name: str) -> list[Fraction]:
     out = [Fraction(0)] * (p.degree_in(name) + 1)
@@ -334,102 +331,73 @@ def _pole_orders(expr: RationalExpr, name: str) -> tuple[dict[Fraction, int], li
     return roots, unresolved
 
 
-def singular_points(ode: LinearODE2, *, symbolic: bool = False) -> list[SingularPoint]:
+def singular_points(ode: LinearODE2) -> list[SingularPoint]:
     """Singularities of the equation, classified regular/irregular.
 
     A finite point is regular-singular when p1 has a pole of order at most 1
-    and p2 of order at most 2 there.  The point at infinity is examined in
-    the chart w = 1/z, where the transformed coefficients are
+    and p2 of order at most 2 there.  Every pole is resolved exactly where
+    the denominator splits over Q; other factors come back unresolved.
 
-        P(w) = 2/w - p1(1/w)/w^2,      Q(w) = p2(1/w)/w^4;
-
-    infinity is reported when p1 or p2 themselves contribute a pole in that
-    chart (the homogeneous 2/w term alone does not make infinity singular),
-    and classified by the order test on the full P, Q.
-
-    With numeric (rational) parameters every pole is resolved exactly where
-    the denominator splits over Q; other factors come back unresolved.  With
-    ``symbolic=True`` the finite loci are reported as unresolved denominator
-    factors without root-finding.
+    The point at infinity is read off the degree excess deg N - deg D of each
+    coefficient p = N/D, since p(1/w) has w-valuation deg D - deg N (Fuchs:
+    regular when p1 = O(1/z) and p2 = O(1/z^2)).  Infinity is singular when
+    p1 has excess at least -1 or p2 at least -3, and a singular infinity is
+    regular when p1 has excess at most -1 and p2 at most -2; a zero
+    coefficient counts as minus infinity.  So p1 = 2/z, p2 = 0 reports a
+    regular point at infinity, although in the chart w = 1/z that equation
+    reads v'' = 0.
     """
     z = ode.var
-    if not symbolic:
-        extra = ode.parameter_names()
-        if extra:
-            raise ValueError(
-                f"coefficients still involve parameters {sorted(extra)}; "
-                "bind them or pass symbolic=True")
+    extra = ode.parameter_names()
+    if extra:
+        raise ValueError(
+            f"coefficients still involve parameters {sorted(extra)}; bind them")
 
     finite: dict[Fraction, tuple[int, int]] = {}
-    if symbolic:
-        points: list[SingularPoint] = []
-        seen: set[MultiPoly] = set()
-        for coeff in (ode.p1, ode.p2):
-            den = coeff.den
-            if den.is_const() or den.degree_in(z) == 0 or den in seen:
-                continue
-            seen.add(den)
-            points.append(SingularPoint(den, "unclassified"))
-    else:
-        r1, u1 = _pole_orders(ode.p1, z)
-        r2, u2 = _pole_orders(ode.p2, z)
-        for r, k in r1.items():
-            finite[r] = (k, finite.get(r, (0, 0))[1])
-        for r, k in r2.items():
-            finite[r] = (finite.get(r, (0, 0))[0], k)
-        points = []
-        for r in sorted(finite):
-            o1, o2 = finite[r]
-            kind = "regular" if (o1 <= 1 and o2 <= 2) else "irregular"
-            points.append(SingularPoint(r, kind))
-        for f, k1 in u1:
-            k2 = next((k for g, k in u2 if g == f), 0)
-            kind = "regular" if (k1 <= 1 and k2 <= 2) else "irregular"
-            points.append(SingularPoint(f, kind))
-        for f, k2 in u2:
-            if any(g == f for g, _ in u1):
-                continue
-            kind = "regular" if k2 <= 2 else "irregular"
-            points.append(SingularPoint(f, kind))
-
-    chart = infinity_chart(ode)
-    if chart is not None:
-        p1w, p2w = chart
-        o1 = pole_order_at_zero(2 / var("_w") - p1w, "_w")
-        o2 = pole_order_at_zero(p2w, "_w")
+    r1, u1 = _pole_orders(ode.p1, z)
+    r2, u2 = _pole_orders(ode.p2, z)
+    for r, k in r1.items():
+        finite[r] = (k, finite.get(r, (0, 0))[1])
+    for r, k in r2.items():
+        finite[r] = (finite.get(r, (0, 0))[0], k)
+    points = []
+    for r in sorted(finite):
+        o1, o2 = finite[r]
         kind = "regular" if (o1 <= 1 and o2 <= 2) else "irregular"
+        points.append(SingularPoint(r, kind))
+    for f, k1 in u1:
+        k2 = next((k for g, k in u2 if g == f), 0)
+        kind = "regular" if (k1 <= 1 and k2 <= 2) else "irregular"
+        points.append(SingularPoint(f, kind))
+    for f, k2 in u2:
+        if any(g == f for g, _ in u1):
+            continue
+        kind = "regular" if k2 <= 2 else "irregular"
+        points.append(SingularPoint(f, kind))
+
+    kind = infinity_kind(ode)
+    if kind is not None:
         points.append(SingularPoint(INFINITY, kind))
     return points
 
 
-def infinity_chart(ode: LinearODE2) -> tuple[RationalExpr, RationalExpr] | None:
-    """The coefficients' parts p1(1/w)/w^2, p2(1/w)/w^4 in the chart w = 1/z.
+def infinity_kind(ode: LinearODE2) -> str | None:
+    """Kind of the point at infinity, None when it is an ordinary point.
 
-    None when neither has a pole at w = 0, that is when infinity is an
-    ordinary point (the homogeneous 2/w term of the chart alone does not make
-    it singular).
+    Applies the degree rule stated in :func:`singular_points`.
     """
-    w = var("_w")
-    inv = 1 / w
-    p1w = substitute(ode.p1, {ode.var: inv}) / (w * w)
-    p2w = substitute(ode.p2, {ode.var: inv}) / (w ** 4)
-    if pole_order_at_zero(p1w, "_w") > 0 or pole_order_at_zero(p2w, "_w") > 0:
-        return p1w, p2w
-    return None
+    e1 = _degree_excess(ode.p1, ode.var)
+    e2 = _degree_excess(ode.p2, ode.var)
+    if e1 < -1 and e2 < -3:
+        return None
+    return "regular" if e1 <= -1 and e2 <= -2 else "irregular"
 
 
-def pole_order_at_zero(expr: RationalExpr, name: str) -> int:
-    """Pole order of a rational expression at name = 0 (0 when finite there)."""
-    if expr.is_zero():
-        return 0
-
-    def val(p: MultiPoly) -> int:
-        if name not in p.names:
-            return 0
-        i = p.names.index(name)
-        return min(e[i] for e in p.terms)
-
-    return max(0, val(expr.den) - val(expr.num))
+def _degree_excess(p: RationalExpr, name: str) -> float:
+    """deg N - deg D in ``name`` for p = N/D; minus infinity when p = 0."""
+    if p.is_zero():
+        return -math.inf
+    return p.num.degree_in(name) - p.den.degree_in(name)
 
 
 def ode_equal(a: LinearODE2, b: LinearODE2) -> bool:

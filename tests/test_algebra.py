@@ -153,8 +153,10 @@ class TestIdentity:
         a = z ** 2
         b = z ** 2 + z
         assert not identity_test(a, b)
-        point, value = find_witness(a - b, seed=3)
-        assert value != 0
+        witness = find_witness(a - b, seed=3)
+        point = {k: Fraction(v) for k, v in witness["point"].items()}
+        assert set(point) == {"z"}
+        assert Fraction(witness["difference"]) == (a - b).eval_exact(point) != 0
 
 
 class TestAlgebraLaws:

@@ -183,6 +183,24 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "1/2" in out and "inf" in out
 
+    @pytest.mark.parametrize("kind, params, expected", [
+        ("p2", "alpha2 = 1/2\n", ["3  [regular]", "inf  [irregular]"]),
+        ("p3prime", "eta0 = 1/3\netainf = 1/5\ntheta0 = 1/7\nthetainf = 1/2\n",
+         ["0  [irregular]", "3  [regular]", "inf  [irregular]"]),
+        ("p4", "kappa0 = 1/3\nthetainf = 1/2\n",
+         ["0  [regular]", "3  [regular]", "inf  [irregular]"]),
+        ("p5", "kappa0 = 1/3\ntheta = 1/7\nkappainf = 1/2\neta = 1/5\n",
+         ["0  [regular]", "1  [irregular]", "3  [regular]", "inf  [regular]"]),
+        ("p6", "kappa0 = 1/3\nkappa1 = 1/5\ntheta = 1/7\nkappainf = 1/2\n",
+         ["0  [regular]", "1  [regular]", "2  [regular]", "3  [regular]",
+          "inf  [regular]"]),
+    ])
+    def test_singularities_kind(self, capsys, tmp_path, kind, params, expected):
+        p = tmp_path / "state.params"
+        p.write_text(params + "lambda = 3\nmu = 2\nt = 2\n")
+        assert main(["singularities", "--kind", kind, "--params", str(p)]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_integrate_csv(self, capsys, general_params):
         rc = main(["integrate", "--system", "heun", "--family", "general",
                    "--params", general_params,
@@ -223,10 +241,12 @@ class TestExitContract:
                             "--t-range", "2:3"], "missing kappa0"),
         ("alpha2 = 1/2\n", ["integrate", "--system", "hamiltonian", "--kind", "p6",
                             "--t-range", "2:3"], "missing kappa0"),
+        ("kappa0 = 1/3\nkappa1 = 1/5\ntheta = 1/7\nkappainf = 1/2\nlambda = 3\nmu = 2\n",
+         ["singularities", "--kind", "p6"], "parameter file is missing t"),
     ], ids=["singular-confluence", "missing-parameter", "missing-path",
             "path-through-singular-point", "condition-not-satisfied",
             "malformed-init", "malformed-t-range", "riccati-missing-parameter",
-            "hamiltonian-missing-parameter"])
+            "hamiltonian-missing-parameter", "missing-state"])
     def test_input_errors_exit_2(self, capsys, tmp_path, params, argv, message):
         p = tmp_path / "case.params"
         p.write_text(params)

@@ -16,13 +16,20 @@ from heunlab.heun import (
     HeunFamily,
     HeunSpec,
     SingularConfluence,
+    _certify_singular_set,
     build_heun,
     build_heun_derivative,
     degeneration_case,
     fuchsian_epsilon,
     fuchsian_holds,
 )
-from heunlab.ode import INFINITY, derivative_equation, ode_equal, singular_points
+from heunlab.ode import (
+    INFINITY,
+    LinearODE2,
+    derivative_equation,
+    ode_equal,
+    singular_points,
+)
 
 z = var("z")
 
@@ -234,6 +241,25 @@ class TestDegenerations:
             for coeff in (res.ode.p1, res.ode.p2):
                 roots = {p.location for p in singular_points(res.ode)} - {INFINITY}
                 assert roots <= {Fraction(0), Fraction(1), Fraction(2)}
+
+
+class TestSingularSetCertificate:
+    """The certificate accepts exactly the singular set {0, 1, t, infinity}."""
+
+    def test_accepts_four_point_equation(self):
+        t = var("t")
+        ode = LinearODE2(1 / z + 1 / (z - 1) + 1 / (z - t), 1 / (z * (z - 1) * (z - t)))
+        assert _certify_singular_set(ode, t)
+
+    @pytest.mark.parametrize("ode, t", [
+        (build_heun_derivative(general_spec()), const(2)),
+        (LinearODE2(1 / z + 1 / (z - 1), 1 / (z * (z - 1))), var("t")),
+        (LinearODE2(const(1), const(1)), var("t")),
+        (LinearODE2(const(0), 1 / (z ** 2 * (z - 1) * (z - var("t")))), var("t")),
+    ], ids=["extra-point-survives", "no-pole-at-t", "no-finite-pole",
+            "ordinary-infinity"])
+    def test_refuses(self, ode, t):
+        assert not _certify_singular_set(ode, t)
 
 
 class TestSerialization:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from heunlab.algebra import const, substitute, var
+from heunlab.algebra import MultiPoly, const, substitute, var
 from heunlab.ode import (
     INFINITY,
     DegenerateMobius,
@@ -116,7 +116,7 @@ class TestSingularPoints:
 
     def test_unresolved_quadratic_factor(self):
         pts = singular_points(LinearODE2(1 / (z * z - 2), const(0)))
-        assert any(not p.is_resolved() and p.location != INFINITY for p in pts)
+        assert any(isinstance(p.location, MultiPoly) for p in pts)
 
     def test_infinity_irregular_for_constant_p1(self):
         # v'' + v' = 0 has an irregular point at infinity (exponential growth).
@@ -126,10 +126,26 @@ class TestSingularPoints:
     def test_symbolic_mode_reports_denominators(self):
         t = var("t")
         ode = LinearODE2(1 / (z - t), const(0))
-        pts = singular_points(ode, symbolic=True)
-        assert len(pts) >= 1
         with pytest.raises(ValueError):
             singular_points(ode)
+
+    @pytest.mark.parametrize("p1, p2, expected", [
+        (2 / z, const(0), ["regular"]),
+        (3 / z, 1 / z ** 4, ["regular"]),
+        (const(0), 1 / z ** 2, ["regular"]),
+        (const(0), 1 / z ** 3, ["regular"]),
+        (const(0), 1 / z, ["irregular"]),
+        (const(1), const(0), ["irregular"]),
+        (1 / z ** 2, const(0), []),
+        (const(0), 1 / z ** 4, []),
+        (const(0), const(0), []),
+    ], ids=["2/z,0", "3/z,1/z^4", "0,1/z^2", "0,1/z^3", "0,1/z", "1,0",
+            "1/z^2,0", "0,1/z^4", "0,0"])
+    def test_infinity_degree_rule_boundaries(self, p1, p2, expected):
+        # Infinity is singular when p1 decays no faster than 1/z or p2 no
+        # faster than 1/z^3, and regular when p1 = O(1/z) and p2 = O(1/z^2).
+        pts = singular_points(LinearODE2(p1, p2))
+        assert [p.kind for p in pts if p.location == INFINITY] == expected
 
 
 class TestOdeEqual:
