@@ -8,7 +8,10 @@ nonlinear equations along trajectories with finite differences.
 
 Integrator: the Dormand-Prince embedded 5(4) pair with PI step-size control.
 All state is held as plain complex scalars (the systems here have one or two
-components), so no array machinery is needed.
+components), so no array machinery is needed.  The step is unrolled into
+straight-line stage sums that round bit for bit as the tableau rows summed
+term by term would, and exact coefficients are compiled into generated
+straight-line evaluators, one statement per sum of terms.
 """
 
 from __future__ import annotations
@@ -158,30 +161,39 @@ _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
                         cfg: IntegrationConfig) -> ODETrajectory:
-    """Adaptive integration along a polyline; field_fn(x, y) -> dy/dx."""
+    """Adaptive integration along a polyline; field_fn(x, y) -> dy/dx.
+
+    One step is written out stage by stage over the state's components.  Each
+    stage sum starts from ``0 +`` and keeps the tableau's zero entries, as a
+    ``sum`` over the tableau row would, so every rounding and the sign of
+    every zero are those of the row-by-row form.  The fifth-order solution
+    reuses the last stage's sum, whose weights are the same numbers.
+    """
+    c2, c3, c4, c5, c6, c7 = _DP_C[1:]
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = _DP_A[1:]
+    b7 = _DP_B5[6]
+    e1, e2, e3, e4, e5, e6, e7 = _DP_E
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
     samples: list[Sample] = []
     y = tuple(complex(v) for v in y0)
+    n = len(y)
     s_off = 0.0
     steps = 0
     max_err = 0.0
     truncated = False
-    k1 = None
     for a, b in path.segments():
         seg = b - a
         seg_len = abs(seg)
-
-        def f(s: float, ys: tuple[complex, ...]) -> tuple[complex, ...]:
-            dy = field_fn(a + s * seg, ys)
-            return tuple(seg * c for c in dy)
-
         s = 0.0
-        h = min(1e-3, 1.0)
+        h = 1e-3
         if cfg.max_step is not None:
             h = min(h, cfg.max_step / seg_len)
         err_old = 1e-4
-        k1 = f(s, y)
+        # Stages are d y / d s = seg * d y / d x along the segment.
+        k1 = [seg * c for c in field_fn(a + s * seg, y)]
         if not samples:
-            samples.append(Sample(0.0, a, y, tuple(c / seg for c in k1)))
+            samples.append(Sample(0.0, a, y, tuple([c / seg for c in k1])))
         while s < 1.0:
             if steps >= cfg.max_steps:
                 raise StiffnessAbort("step budget exhausted")
@@ -189,30 +201,41 @@ def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
             h = min(h, 1.0 - s)
             if h < 1e-13:
                 raise StiffnessAbort(f"step size underflow at s = {s:.6f}")
-            k = [k1]
-            for i in range(1, 7):
-                yi = tuple(
-                    yv + h * sum(_DP_A[i][j] * k[j][m] for j in range(i))
-                    for m, yv in enumerate(y))
-                k.append(f(s + _DP_C[i] * h, yi))
-            y_new = tuple(
-                yv + h * sum(_DP_B5[j] * k[j][m] for j in range(7))
-                for m, yv in enumerate(y))
-            err_terms = [
-                abs(h * sum(_DP_E[j] * k[j][m] for j in range(7)))
-                / (cfg.abs_tol + cfg.rel_tol * max(abs(y[m]), abs(y_new[m])))
-                for m in range(len(y))
-            ]
-            err = math.sqrt(sum(e * e for e in err_terms) / len(err_terms))
+            k2 = [seg * c for c in field_fn(a + (s + c2 * h) * seg, tuple([
+                yv + h * (0 + a21 * p1) for yv, p1 in zip(y, k1)]))]
+            k3 = [seg * c for c in field_fn(a + (s + c3 * h) * seg, tuple([
+                yv + h * (0 + a31 * p1 + a32 * p2)
+                for yv, p1, p2 in zip(y, k1, k2)]))]
+            k4 = [seg * c for c in field_fn(a + (s + c4 * h) * seg, tuple([
+                yv + h * (0 + a41 * p1 + a42 * p2 + a43 * p3)
+                for yv, p1, p2, p3 in zip(y, k1, k2, k3)]))]
+            k5 = [seg * c for c in field_fn(a + (s + c5 * h) * seg, tuple([
+                yv + h * (0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+                for yv, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]))]
+            k6 = [seg * c for c in field_fn(a + (s + c6 * h) * seg, tuple([
+                yv + h * (0 + a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+                for yv, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)]))]
+            sum7 = [0 + a71 * p1 + a72 * p2 + a73 * p3 + a74 * p4 + a75 * p5 + a76 * p6
+                    for p1, p2, p3, p4, p5, p6 in zip(k1, k2, k3, k4, k5, k6)]
+            k7 = [seg * c for c in field_fn(a + (s + c7 * h) * seg, tuple([
+                yv + h * q for yv, q in zip(y, sum7)]))]
+            y_new = tuple([yv + h * (q + b7 * p7) for yv, q, p7 in zip(y, sum7, k7)])
+            sq = 0
+            for yv, yn, p1, p2, p3, p4, p5, p6, p7 in zip(
+                    y, y_new, k1, k2, k3, k4, k5, k6, k7):
+                e = (abs(h * (0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5
+                              + e6 * p6 + e7 * p7))
+                     / (atol + rtol * max(abs(yv), abs(yn))))
+                sq += e * e
+            err = math.sqrt(sq / n)
             if err <= 1.0:
                 s += h
                 y = y_new
-                k1 = k[6]  # first-same-as-last
+                k1 = k7  # first-same-as-last
                 max_err = max(max_err, err)
-                x_here = a + s * seg
                 samples.append(Sample(
-                    s_off + s * seg_len, x_here, y,
-                    tuple(c / seg for c in k1)))
+                    s_off + s * seg_len, a + s * seg, y,
+                    tuple([c / seg for c in k1])))
                 if any(abs(c) > cfg.pole_threshold for c in y):
                     samples.pop()
                     truncated = True
@@ -236,47 +259,50 @@ def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
 # ---------------------------------------------------------------------------
 
 
+#: Terms per generated statement.  One statement is one left-nested sum, and
+#: the compiler's recursion limit bounds how many terms that sum may hold.
+_TERMS_PER_STATEMENT = 200
+
+
 def compile_scalar(expr: RationalExpr, names: tuple[str, ...]):
     """Compile a rational expression into a complex-valued function.
 
     The expression may only involve the given indeterminates; parameters must
-    already be bound exactly.
+    already be bound exactly.  The function takes one positional argument per
+    name.  Numerator and denominator become generated straight-line code that
+    adds the terms, in order, onto ``0j``, each term its coefficient times
+    ``x ** k`` for every nonzero exponent.  The coefficients reach the
+    generated code as objects in its namespace, never as printed numbers.
     """
     extra = expr.names() - set(names)
     if extra:
         raise ValueError(f"expression still involves {sorted(extra)}")
-    pos = {n: i for i, n in enumerate(names)}
+    arg = {n: f"x{i}" for i, n in enumerate(names)}
+    env: dict = {}
 
-    def compile_poly(p):
-        idx = [pos[n] for n in p.names]
-        terms = [(complex(c), tuple(zip(idx, e))) for e, c in p.terms.items()]
+    def assign(target: str, p) -> list[str]:
+        terms = []
+        for e, c in p.terms.items():
+            key = f"c{len(env)}"
+            env[key] = complex(c)
+            terms.append(key + "".join(
+                f" * {arg[n]} ** {k}" for n, k in zip(p.names, e) if k))
+        lines, acc = [], "0j"
+        for i in range(0, len(terms), _TERMS_PER_STATEMENT):
+            chunk = terms[i:i + _TERMS_PER_STATEMENT]
+            lines.append(f"    {target} = {' + '.join([acc, *chunk])}")
+            acc = target
+        return lines or [f"    {target} = 0j"]
 
-        def ev(args: tuple[complex, ...]) -> complex:
-            total = 0j
-            for c, packed in terms:
-                v = c
-                for i, k in packed:
-                    if k:
-                        v *= args[i] ** k
-                total += v
-            return total
-
-        return ev
-
-    num = compile_poly(expr.num)
-    den = compile_poly(expr.den)
+    body = assign("num", expr.num)
     if expr.den.is_const():
-        d = complex(expr.den.const_value())
-
-        def fast(*args: complex) -> complex:
-            return num(args) / d
-
-        return fast
-
-    def full(*args: complex) -> complex:
-        return num(args) / den(args)
-
-    return full
+        env["den"] = complex(expr.den.const_value())
+    else:
+        body += assign("den", expr.den)
+    source = "\n".join([f"def scalar({', '.join(arg.values())}):", *body,
+                        "    return num / den\n"])
+    exec(source, env)
+    return env["scalar"]
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +503,37 @@ def integrate_hamiltonian(kind: PainleveKind, params: dict[str, Fraction],
 
 
 def _neville(xs: list[float], ys: list[complex], x: float) -> complex:
-    p = list(ys)
-    n = len(p)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            p[i] = ((x - xs[i - j]) * p[i] - (x - xs[i]) * p[i - 1]) / (xs[i] - xs[i - j])
-    return p[-1]
+    """Value at x of the polynomial through the points, by Neville's tableau.
+
+    Six points, every window of a trajectory with six or more samples, take
+    the unrolled tableau: the same operations in the same order as the loop
+    (columns j = 1..5, rows from the last down to j).
+    """
+    if len(xs) != 6:
+        p = list(ys)
+        n = len(p)
+        for j in range(1, n):
+            for i in range(n - 1, j - 1, -1):
+                p[i] = ((x - xs[i - j]) * p[i] - (x - xs[i]) * p[i - 1]) / (xs[i] - xs[i - j])
+        return p[-1]
+    x0, x1, x2, x3, x4, x5 = xs
+    p0, p1, p2, p3, p4, p5 = ys
+    d0, d1, d2, d3, d4, d5 = x - x0, x - x1, x - x2, x - x3, x - x4, x - x5
+    p5 = (d4 * p5 - d5 * p4) / (x5 - x4)
+    p4 = (d3 * p4 - d4 * p3) / (x4 - x3)
+    p3 = (d2 * p3 - d3 * p2) / (x3 - x2)
+    p2 = (d1 * p2 - d2 * p1) / (x2 - x1)
+    p1 = (d0 * p1 - d1 * p0) / (x1 - x0)
+    p5 = (d3 * p5 - d5 * p4) / (x5 - x3)
+    p4 = (d2 * p4 - d4 * p3) / (x4 - x2)
+    p3 = (d1 * p3 - d3 * p2) / (x3 - x1)
+    p2 = (d0 * p2 - d2 * p1) / (x2 - x0)
+    p5 = (d2 * p5 - d5 * p4) / (x5 - x2)
+    p4 = (d1 * p4 - d4 * p3) / (x4 - x1)
+    p3 = (d0 * p3 - d3 * p2) / (x3 - x0)
+    p5 = (d1 * p5 - d5 * p4) / (x5 - x1)
+    p4 = (d0 * p4 - d4 * p3) / (x4 - x0)
+    return (d0 * p5 - d5 * p4) / (x5 - x0)
 
 
 def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
@@ -506,21 +557,21 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
     n_grid = min(4097, max(513, 2 * len(ss)))
     h = (ss[-1] - ss[0]) / (n_grid - 1)
     grid = [ss[0] + i * h for i in range(n_grid)]
-
-    def interp(x: float) -> complex:
-        j = bisect.bisect_left(ss, x)
-        lo = max(0, min(j - 3, len(ss) - 6))
-        return _neville(ss[lo:lo + 6], lams[lo:lo + 6], x)
-
-    vals = [interp(x) for x in grid]
+    last = len(ss) - 6
+    vals = []
+    for x in grid:
+        lo = max(0, min(bisect.bisect_left(ss, x) - 3, last))
+        vals.append(_neville(ss[lo:lo + 6], lams[lo:lo + 6], x))
+    h12, h12h = 12 * h, 12 * h * h
+    dir2 = direction * direction
     worst = 0.0
     for i in range(2, n_grid - 2):
         lam = vals[i]
-        d1 = (-vals[i + 2] + 8 * vals[i + 1] - 8 * vals[i - 1] + vals[i - 2]) / (12 * h)
+        d1 = (-vals[i + 2] + 8 * vals[i + 1] - 8 * vals[i - 1] + vals[i - 2]) / h12
         d2 = (-vals[i + 2] + 16 * vals[i + 1] - 30 * vals[i] + 16 * vals[i - 1]
-              - vals[i - 2]) / (12 * h * h)
+              - vals[i - 2]) / h12h
         lam_t = d1 / direction
-        lam_tt = d2 / (direction * direction)
+        lam_tt = d2 / dir2
         t_here = t0 + (grid[i] - ss[0]) * direction
         res = abs(lam_tt - rhs(lam, lam_t, t_here))
         worst = max(worst, res)

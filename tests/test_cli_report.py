@@ -82,6 +82,17 @@ class TestVerifyCommand:
         assert rc == 0
         assert capsys.readouterr().out == golden(name)
 
+    @pytest.mark.parametrize("name, argv", [
+        ("verify_numeric.json", ["--suite", "numeric", "--format", "json"]),
+        ("verify_numeric_h2_literal.txt", ["--suite", "numeric", "--paper-literal-h2"]),
+    ])
+    def test_numeric_report_matches_golden(self, capsys, name, argv):
+        # The JSON prints every residual at full precision, so this pins the
+        # integrator and the residual meters to the last bit.
+        rc = main(["verify", *argv])
+        assert rc == 0
+        assert capsys.readouterr().out == golden(name)
+
     def test_exit_status_pure_function_of_verdicts(self, capsys):
         rc = main(["verify", "--suite", "obstruction", "--format", "json"])
         data = json.loads(capsys.readouterr().out)

@@ -282,3 +282,44 @@ class TestTrajectoryExport:
         data = json.loads(traj.to_json())
         assert data["pole_truncated"] is False
         assert len(data["samples"]) == len(traj.samples)
+
+
+class TestWorkCounts:
+    """Work of the integrator on the numeric suite, pinned exactly.
+
+    Integration is deterministic, so the number of samples (accepted steps
+    plus one) of every witness trajectory repeats to the unit.  A change to
+    the step or the controller that moves any of them shows here even when
+    wall time is too noisy to show it.
+    """
+
+    SUITE_TRAJECTORIES = [
+        # (samples, pole_truncated), in the order the suite integrates them
+        (104, False),   # derivative-general
+        (121, False),   # derivative-confluent
+        (111, False),   # derivative-doubleconfluent
+        (97, False),    # derivative-biconfluent
+        (78, False),    # derivative-triconfluent
+        (514, False),   # riccati-p2 (shared by riccati-p2-perturbed)
+        (1025, False),  # hamiltonian-p2
+        (1025, False),  # hamiltonian-p3prime
+        (1025, False),  # hamiltonian-p4
+        (514, False),   # hamiltonian-p5
+        (207, False),   # hamiltonian-p6
+        (1025, False),  # hamiltonian-p2-literal
+    ]
+
+    def test_numeric_suite_trajectories(self, monkeypatch):
+        from heunlab import numeric
+        from heunlab.claims import run_claims
+        integrate = numeric._integrate_segments
+        seen = []
+
+        def spy(*args):
+            traj = integrate(*args)
+            seen.append((len(traj.samples), traj.pole_truncated))
+            return traj
+
+        monkeypatch.setattr(numeric, "_integrate_segments", spy)
+        run_claims("numeric", flags=frozenset({"paper_literal_h2"}))
+        assert seen == self.SUITE_TRAJECTORIES
