@@ -240,7 +240,7 @@ def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
                     samples.pop()
                     truncated = True
                     break
-                fac = 0.9 * (err ** -0.14 if err > 0 else 5.0) * err_old ** 0.08
+                fac = 0.9 * err ** -0.14 * err_old ** 0.08 if err > 0 else 5.0
                 err_old = max(err, 1e-10)
             else:
                 fac = max(0.2, 0.9 * err ** -0.2)

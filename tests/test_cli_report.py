@@ -220,6 +220,20 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("s,re_x,im_x")
 
+    def test_integrate_degenerate_constant_solution(self, capsys, tmp_path):
+        # ab = 0 and q = 0: u = 1 solves the equation, so the integrator
+        # makes exact steps all the way.
+        p = tmp_path / "ab0.params"
+        p.write_text("alpha = 0\nbeta = 1\ngamma = 1\ndelta = 1\nepsilon = 0\n"
+                     "q = 0\nt = 2\n")
+        rc = main(["integrate", "--system", "heun", "--family", "general",
+                   "--params", str(p),
+                   "--path", "0.25-0.5j -> 0.25+0.5j", "--init", "1,0"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[-1].split(",")[:3] == ["1.0", "0.25", "0.5"]
+        assert all(row.split(",")[3:] == ["1.0", "0.0", "0.0", "0.0"] for row in rows)
+
     def test_integrate_riccati_json(self, capsys, tmp_path):
         p = tmp_path / "p2.params"
         p.write_text("alpha2 = 1/2\n")

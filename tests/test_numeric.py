@@ -80,6 +80,15 @@ class TestIntegrateLinear:
         assert abs(end.y[0]) < 1e-9
         assert abs(end.y[1] + 1) < 1e-9
 
+    def test_exact_steps_grow(self):
+        # v'' = 0 with v = 1: every step has error estimate 0 and must grow
+        # the next one fivefold, not shrink it until the step underflows.
+        traj = integrate_linear(LinearODE2(const(0), const(0)),
+                                ComplexPath.of(0, 1), (1.0, 0.0))
+        assert [smp.s for smp in traj.samples] == pytest.approx(
+            [0.0, 0.001, 0.006, 0.031, 0.156, 0.781, 1.0])
+        assert all(smp.y == (1, 0) for smp in traj.samples)
+
     def test_general_heun_self_residual(self):
         from heunlab.heun import build_heun
         ode = build_heun(GENERAL)

@@ -32,6 +32,7 @@ from heunlab.numeric import (
     integrate_linear,
     integrate_riccati,
 )
+from heunlab.ode import LinearODE2
 from heunlab.painleve import PainleveKind, painleve_rhs
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,7 @@ def reference_integrate_segments(field_fn, path, y0, cfg):
                     samples.pop()
                     truncated = True
                     break
-                fac = 0.9 * (err ** -0.14 if err > 0 else 5.0) * err_old ** 0.08
+                fac = 0.9 * err ** -0.14 * err_old ** 0.08 if err > 0 else 5.0
                 err_old = max(err, 1e-10)
             else:
                 fac = max(0.2, 0.9 * err ** -0.2)
@@ -156,6 +157,10 @@ TRAJECTORIES = {
         ComplexPath.of(0.25 - 0.5j, 0.1 - 0.2j, 0.25 + 0.5j), (1.0, 0.5)),
     # a movable pole truncates the trajectory
     "riccati-p2-pole": _riccati_p2(2.0, IntegrationConfig()),
+    # v'' = 0: every step is exact, and the state holds signed zeros
+    "exact-steps": lambda: integrate_linear(
+        LinearODE2(const(0), const(0)), ComplexPath.of(0, 1j, 2 - 1j),
+        (1.0, complex(-0.0, -0.0))),
 }
 
 
@@ -174,7 +179,7 @@ class TestStepper:
         got = TRAJECTORIES[name]()
         monkeypatch.setattr(numeric, "_integrate_segments", reference_integrate_segments)
         ref = TRAJECTORIES[name]()
-        assert len(ref.samples) > 10
+        assert len(ref.samples) > 5
         _assert_same_trajectory(got, ref)
 
     def test_pole_case_truncates(self):
