@@ -18,6 +18,11 @@ A ``RationalExpr`` ``num/den`` keeps ``gcd(num, den)`` trivial and scales the
 denominator so that its graded-lexicographic leading coefficient is 1.  Two
 values are equal exactly when their canonical forms coincide term by term.
 
+The gcd and exact division work over the integers underneath the rational
+surface: the gcd's univariate images are evaluated in ints at integer sample
+points after clearing denominators, and exact division divides
+integer-primitive parts (Gauss's lemma), rescaling the quotient once.
+
 The monomial order used everywhere is graded lexicographic over the sorted
 name tuple: compare total degree first, then the exponent vectors.
 """
@@ -326,10 +331,14 @@ def _as_poly(x) -> MultiPoly:
 def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     """Return ``p / d`` when the division is exact, else ``None``.
 
-    Single-divisor division under graded lex.  Whenever the divisor's leading
-    monomial fails to divide the running remainder's, the division cannot be
-    exact (leading terms multiply monotonically in a graded order), so we
-    abort immediately.
+    Single-divisor division under graded lex, run in ints on the
+    integer-primitive parts ``p/cont(p)`` and ``d/cont(d)``; the quotient is
+    scaled once by ``cont(p)/cont(d)`` at the end.  By Gauss's lemma the
+    primitive quotient has integer coefficients whenever it exists, so the
+    division is inexact as soon as the divisor's leading coefficient fails to
+    divide the running remainder's, and likewise as soon as the divisor's
+    leading monomial fails to divide the remainder's (leading terms multiply
+    monotonically in a graded order).  Either way we abort immediately.
     """
     d = _as_poly(d)
     if d.is_zero():
@@ -339,46 +348,49 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     if d.is_const():
         return p.scale(1 / d.const_value())
     names = MultiPoly._union_names(p, d)
-    rem = dict(p._aligned_to(names))
-    dt = d._aligned_to(names)
+    rem, cp = _int_terms(p._aligned_to(names))
+    dt, cd = _int_terms(d._aligned_to(names))
     de = max(dt, key=lambda e: (sum(e), e))
     dc = dt[de]
-    quot: dict[Exponents, Fraction] = {}
+    quot: dict[Exponents, int] = {}
     while rem:
         re = max(rem, key=lambda e: (sum(e), e))
         qe = tuple(a - b for a, b in zip(re, de))
         if any(k < 0 for k in qe):
             return None
-        qc = rem[re] / dc
+        qc, r = divmod(rem[re], dc)
+        if r:
+            return None
         quot[qe] = qc
         for e, c in dt.items():
             ne = tuple(a + b for a, b in zip(qe, e))
-            v = rem.get(ne, Fraction(0)) - qc * c
+            v = rem.get(ne, 0) - qc * c
             if v:
                 rem[ne] = v
             else:
                 rem.pop(ne, None)
-    return MultiPoly(names, quot)
+    scale = cp / cd
+    return MultiPoly(names, {e: q * scale for e, q in quot.items()})
 
 
-def _int_content(p: MultiPoly) -> Fraction:
-    """Rational c > 0 such that p/c has coprime integer coefficients."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
+def _int_terms(terms: Mapping[Exponents, Fraction]) -> tuple[dict[Exponents, int], Fraction]:
+    """Coprime integer coefficients and the content c > 0 with terms = c * ints.
+
+    c is the gcd of the numerators over the lcm of the denominators.
+    """
+    num = math.gcd(*(c.numerator for c in terms.values()))
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator // num * (den // c.denominator) for e, c in terms.items()}
+    return ints, Fraction(num, den)
 
 
 def _canon_primitive(p: MultiPoly) -> MultiPoly:
     """Integer-primitive scalar multiple of p with positive leading coefficient."""
     if p.is_zero():
         return _ZERO
-    c = _int_content(p)
-    if p.leading()[1] < 0:
-        c = -c
-    return p.scale(1 / c)
+    ints, _ = _int_terms(p.terms)
+    sign = -1 if p.leading()[1] < 0 else 1
+    return MultiPoly(p.names, {e: Fraction(sign * k) for e, k in ints.items()})
 
 
 def _univar_view(p: MultiPoly, name: str) -> dict[int, MultiPoly]:
@@ -437,23 +449,6 @@ def _prem(f: dict[int, MultiPoly], g: dict[int, MultiPoly], name: str) -> MultiP
     return _from_univar(name, r)
 
 
-def _int_coeff_list(p: MultiPoly, name: str) -> list[int]:
-    """Primitive integer coefficient list of a univariate polynomial."""
-    deg = p.degree_in(name)
-    coeffs = [Fraction(0)] * (deg + 1)
-    if name in p.names:
-        i = p.names.index(name)
-        for e, c in p.terms.items():
-            coeffs[e[i]] = c
-    else:
-        coeffs[0] = p.const_value()
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in coeffs]
-    return _int_primitive(ints)
-
-
 def _int_primitive(v: list[int]) -> list[int]:
     g = 0
     for x in v:
@@ -501,7 +496,7 @@ def _int_gcd_lists(f: list[int], g: list[int]) -> list[int]:
 
 def _gcd_univar(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
     """Fast primitive PRS for two univariate polynomials over the rationals."""
-    f = _int_gcd_lists(_int_coeff_list(a, name), _int_coeff_list(b, name))
+    f = _int_gcd_lists(_image_coeff_list(a, name, {}), _image_coeff_list(b, name, {}))
     if len(f) == 1:
         return _ONE
     out = MultiPoly((name,), {(k,): Fraction(c) for k, c in enumerate(f) if c})
@@ -523,7 +518,7 @@ def _image_gcd_degree(a: MultiPoly, b: MultiPoly, name: str) -> int | None:
     rng = random.Random(20250808)
     best: int | None = None
     for _ in range(4):
-        point = {n: Fraction(rng.randint(-997, 997)) for n in others}
+        point = {n: rng.randint(-997, 997) for n in others}
         ia = _image_coeff_list(a, name, point)
         ib = _image_coeff_list(b, name, point)
         if ia is None or ib is None:
@@ -539,23 +534,41 @@ def _image_gcd_degree(a: MultiPoly, b: MultiPoly, name: str) -> int | None:
     return best
 
 
-def _image_coeff_list(p: MultiPoly, name: str, point: dict[str, Fraction]) -> list[int] | None:
-    """Primitive integer coefficients of p's univariate image at ``point``."""
-    view = _univar_view(p, name)
-    out = [Fraction(0)] * (p.degree_in(name) + 1)
-    try:
-        for k, c in view.items():
-            out[k] = c.eval_exact(point)
-    except UnknownVariable:
+def _image_coeff_list(p: MultiPoly, name: str, point: Mapping[str, int]) -> list[int] | None:
+    """Primitive integer coefficients of p's univariate image in ``name``.
+
+    Every other indeterminate of p takes its integer value from ``point``.
+    The image is computed over the integers: the coefficients' denominators
+    are cleared once by their lcm, the sample values are raised to powers in
+    ints (one cache per indeterminate), and each term lands in the bucket of
+    its exponent of ``name``.  Returned low-to-high, trimmed, divided by its
+    content and with a positive leading entry; None when an indeterminate has
+    no value in ``point`` or the image is zero.
+    """
+    names = p.names
+    main = names.index(name) if name in names else -1
+    others = [j for j in range(len(names)) if j != main]
+    if any(names[j] not in point for j in others):
         return None
+    vals = [point.get(n, 0) for n in names]
+    powers: list[dict[int, int]] = [{} for _ in names]
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    out = [0] * (p.degree_in(name) + 1)
+    for e, c in p.terms.items():
+        term = c.numerator * (den // c.denominator)
+        for j in others:
+            k = e[j]
+            if k:
+                pw = powers[j].get(k)
+                if pw is None:
+                    pw = powers[j][k] = vals[j] ** k
+                term *= pw
+        out[e[main] if main >= 0 else 0] += term
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    if all(c == 0 for c in out):
+    if out == [0]:
         return None
-    den_lcm = 1
-    for c in out:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    return _int_primitive([int(c * den_lcm) for c in out])
+    return _int_primitive(out)
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -569,7 +582,9 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     variable image-gcd degrees, which prove coprimality outright when all
     zero; evaluation-interpolation over just the variables the gcd actually
     involves, certified by exact division; and a primitive PRS as the sound
-    fallback when interpolation keeps hitting unlucky points.
+    fallback when interpolation keeps hitting unlucky points.  The images
+    that the degree bounds and the interpolation read are computed over the
+    integers, at integer sample points (see ``_image_coeff_list``).
     """
     a = _as_poly(a)
     b = _as_poly(b)
@@ -627,7 +642,7 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
     all_names = sorted(set(a.names) | set(b.names))
     frozen_names = [n for n in all_names if n not in support]
     rng = random.Random(0x5EED + 7919 * salt)
-    frozen = {n: Fraction(rng.randint(-997, 997)) for n in frozen_names}
+    frozen = {n: rng.randint(-997, 997) for n in frozen_names}
     da, db = a.degree_in(x), b.degree_in(x)
     lc_a = _univar_view(a, x).get(da, _ONE)
     lc_b = _univar_view(b, x).get(db, _ONE)
@@ -647,7 +662,7 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
     expected_dx = exp_deg.get(x)
     state = {"dx": expected_dx}
 
-    def univar_image(point: dict[str, Fraction]) -> MultiPoly | None:
+    def univar_image(point: dict[str, int]) -> MultiPoly | None:
         ia = _image_coeff_list(a, x, point)
         ib = _image_coeff_list(b, x, point)
         if ia is None or ib is None:
@@ -666,17 +681,17 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
         scale = Fraction(gamma, g[-1])
         return MultiPoly((x,), {(k,): c * scale for k, c in enumerate(g) if c})
 
-    def interpolate(remaining: tuple[str, ...], point: dict[str, Fraction]) -> MultiPoly | None:
+    def interpolate(remaining: tuple[str, ...], point: dict[str, int]) -> MultiPoly | None:
         if not remaining:
             return univar_image(point)
         y = remaining[-1]
         inner = remaining[:-1]
         npts = bounds[y] + 1
-        nodes: list[Fraction] = []
+        nodes: list[int] = []
         values: list[MultiPoly] = []
         trial = 0
         while len(nodes) < npts and trial < 4 * npts + 12:
-            node = Fraction(rng.randint(-499, 499) + trial)
+            node = rng.randint(-499, 499) + trial
             trial += 1
             if node in nodes:
                 continue

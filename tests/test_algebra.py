@@ -295,6 +295,45 @@ class TestPolyHelpers:
         assert "z" in s and "/" in s
 
 
+class TestKernelWorkCounts:
+    """Work of the gcd kernel on the two largest claims, pinned exactly.
+
+    All sampling in the kernel is seeded, so the number of calls to each gcd
+    routine repeats to the unit.  A change that moves any of them changes
+    what the kernel computes, not only how fast: it shows here even when wall
+    time is too noisy to show it.  ``_image_coeff_list`` also serves
+    ``_gcd_univar``, two calls per univariate gcd.
+    """
+
+    COUNTED = ("poly_gcd", "_gcd_by_interpolation", "_image_gcd_degree", "exact_div",
+               "_gcd_prs", "_gcd_univar", "_image_coeff_list")
+    COUNTS = {
+        "matching/p5": {"poly_gcd": 704, "_gcd_by_interpolation": 36,
+                        "_image_gcd_degree": 276, "exact_div": 556, "_gcd_prs": 0,
+                        "_gcd_univar": 16, "_image_coeff_list": 1568},
+        "matching/p6": {"poly_gcd": 426, "_gcd_by_interpolation": 12,
+                        "_image_gcd_degree": 128, "exact_div": 200, "_gcd_prs": 0,
+                        "_gcd_univar": 6, "_image_coeff_list": 596},
+    }
+
+    @pytest.mark.parametrize("case", sorted(COUNTS))
+    def test_matching_claims(self, monkeypatch, capsys, case):
+        from heunlab.cli import main
+        counts = dict.fromkeys(self.COUNTED, 0)
+
+        def spy(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in self.COUNTED:
+            monkeypatch.setattr(algebra, name, spy(name, getattr(algebra, name)))
+        assert main(["verify", "--suite", "all", "--case", case]) == 0
+        capsys.readouterr()
+        assert counts == self.COUNTS[case]
+
+
 class TestImmutability:
     def test_shared_values_unchanged_by_use(self):
         e = (z + 1) / (z - 1)

@@ -1,0 +1,203 @@
+"""``poly_gcd`` and ``exact_div`` against sympy, an independent oracle.
+
+``poly_gcd`` picks one of four strategies: trial division, the univariate
+integer PRS (``_gcd_univar``), evaluation-interpolation, and the primitive
+PRS fallback (``_gcd_prs``), which no suite input reaches and which is forced
+here by making every interpolation attempt fail.  Each strategy gets inputs
+built to reach it, a spy confirms that it decided, and the result must equal
+``sympy.gcd`` up to a nonzero constant while being integer-primitive with a
+positive leading coefficient.  ``exact_div`` must return None exactly when
+``sympy.div`` leaves a remainder, and sympy's quotient otherwise.
+"""
+
+from __future__ import annotations
+
+import collections
+import contextlib
+import math
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from heunlab import algebra
+from heunlab.algebra import MultiPoly, exact_div, poly_gcd
+
+sympy = pytest.importorskip("sympy")
+
+NAMES = ("x", "y", "z")
+NONZERO_SMALL = st.sampled_from([-3, -2, -1, 1, 2, 3])
+NONZERO_COEFF = st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6])
+X, Y, Z = (MultiPoly.variable(n) for n in NAMES)
+SYMBOLS = sympy.symbols(NAMES)
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.filter_too_much])
+
+
+def to_sympy(p: MultiPoly):
+    syms = [sympy.Symbol(n) for n in p.names]
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(s ** k for s, k in zip(syms, e)))
+        for e, c in p.terms.items()))
+
+
+STRATEGIES = ("_gcd_univar", "_image_gcd_degree", "_gcd_by_interpolation", "_gcd_prs")
+
+
+@contextlib.contextmanager
+def spying(**replacements):
+    """Count calls to the gcd strategies, optionally replacing some of them."""
+    calls = collections.Counter()
+    saved = {n: getattr(algebra, n) for n in STRATEGIES}
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    try:
+        for n, fn in saved.items():
+            setattr(algebra, n, spy(n, replacements.get(n, fn)))
+        yield calls
+    finally:
+        for n, fn in saved.items():
+            setattr(algebra, n, fn)
+
+
+def strategy_of(calls) -> str:
+    if calls["_gcd_prs"]:
+        return "prs"
+    if calls["_gcd_by_interpolation"]:
+        return "interpolation"
+    if calls["_image_gcd_degree"]:
+        return "degree-bound"
+    if calls["_gcd_univar"]:
+        return "univar"
+    return "trial"
+
+
+def check_against_sympy(a: MultiPoly, b: MultiPoly, g: MultiPoly) -> None:
+    expected = sympy.gcd(to_sympy(a), to_sympy(b))
+    ratio = sympy.cancel(to_sympy(g) / expected)
+    assert ratio.is_number and ratio != 0, (g, expected)
+    coeffs = list(g.terms.values())
+    assert all(c.denominator == 1 for c in coeffs)
+    assert math.gcd(*(c.numerator for c in coeffs)) == 1
+    assert g.leading()[1] > 0
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+small = st.integers(-5, 5)
+
+
+@st.composite
+def univariate(draw, name="x", min_deg=1, max_deg=3):
+    v = MultiPoly.variable(name)
+    p = MultiPoly.const(draw(st.integers(1, 4)))
+    for _ in range(draw(st.integers(min_deg, max_deg))):
+        p = p * v + MultiPoly.const(draw(small))
+    return p
+
+
+@st.composite
+def linear_factors(draw):
+    p = MultiPoly.const(draw(st.integers(-4, 4)))
+    for v in draw(st.lists(st.sampled_from([X, Y, Z]), min_size=1, max_size=3, unique=True)):
+        p = p + v.scale(draw(NONZERO_SMALL))
+    return p
+
+
+@st.composite
+def products(draw, min_factors=1, max_factors=3):
+    p = MultiPoly.const(1)
+    for _ in range(draw(st.integers(min_factors, max_factors))):
+        p = p * draw(linear_factors())
+    return p
+
+
+@st.composite
+def polys(draw, max_terms=4, max_deg=2):
+    exps = draw(st.lists(
+        st.tuples(*(st.integers(0, max_deg) for _ in NAMES)),
+        min_size=1, max_size=max_terms, unique=True))
+    return MultiPoly(NAMES, {e: draw(NONZERO_COEFF) for e in exps})
+
+
+@st.composite
+def multivariate_pairs(draw):
+    shared = draw(products())
+    r1 = draw(polys()) + MultiPoly.const(draw(st.integers(1, 3)))
+    r2 = draw(polys()) + MultiPoly.const(draw(st.integers(1, 3)))
+    return shared * r1, shared * r2
+
+
+class TestGcdOracle:
+    @SETTINGS
+    @given(products(), polys())
+    def test_trial_division(self, d, q):
+        a = d * q
+        assume(not a.is_const() and a != d and len(a.terms) >= len(d.terms))
+        with spying() as calls:
+            g = poly_gcd(a, d)
+        assert strategy_of(calls) == "trial"
+        check_against_sympy(a, d, g)
+
+    @SETTINGS
+    @given(univariate(min_deg=0, max_deg=2), univariate(), univariate())
+    def test_univariate(self, shared, r1, r2):
+        a, b = shared * r1, shared * r2
+        with spying() as calls:
+            g = poly_gcd(a, b)
+        assume(strategy_of(calls) == "univar")
+        check_against_sympy(a, b, g)
+
+    @SETTINGS
+    @given(multivariate_pairs())
+    def test_interpolation(self, pair):
+        a, b = pair
+        with spying() as calls:
+            g = poly_gcd(a, b)
+        assume(strategy_of(calls) == "interpolation")
+        check_against_sympy(a, b, g)
+
+    @SETTINGS
+    @given(multivariate_pairs())
+    def test_forced_prs(self, pair):
+        a, b = pair
+        with spying(_gcd_by_interpolation=lambda *args: None) as calls:
+            g = poly_gcd(a, b)
+        assume(strategy_of(calls) == "prs")
+        check_against_sympy(a, b, g)
+
+
+class TestExactDivOracle:
+    @staticmethod
+    def check(p: MultiPoly, d: MultiPoly) -> None:
+        q, r = sympy.div(to_sympy(p), to_sympy(d), *SYMBOLS, domain=sympy.QQ)
+        got = exact_div(p, d)
+        if r == 0:
+            assert got is not None and sympy.expand(to_sympy(got) - q) == 0
+        else:
+            assert got is None
+
+    @SETTINGS
+    @given(products(), polys())
+    def test_multiples(self, d, q):
+        self.check(d * q, d)
+
+    @SETTINGS
+    @given(products(), polys(), polys(max_terms=2))
+    def test_near_multiples(self, d, q, r):
+        self.check(d * q + r, d)
+
+    @SETTINGS
+    @given(polys(), products(max_factors=2))
+    def test_arbitrary_pairs(self, p, d):
+        self.check(p, d)
+        self.check(p.scale(2) + d, d.scale(3))

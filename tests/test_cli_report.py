@@ -21,6 +21,8 @@ def golden(name: str) -> str:
 
 
 GENERAL_PARAMS = "alpha = 2\nbeta = 1\ngamma = 1\ndelta = 1\nepsilon = 2\nq = 1\nt = 2\n"
+HEUN_RUN = ["integrate", "--system", "heun", "--family", "general",
+            "--path", "0.25-0.5j -> 0.25+0.5j", "--init", "1,0"]
 
 
 @pytest.fixture()
@@ -268,10 +270,18 @@ class TestExitContract:
                             "--t-range", "2:3"], "missing kappa0"),
         ("kappa0 = 1/3\nkappa1 = 1/5\ntheta = 1/7\nkappainf = 1/2\nlambda = 3\nmu = 2\n",
          ["singularities", "--kind", "p6"], "parameter file is missing t"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--init", "0,0", "--abs-tol", "0"], "--abs-tol"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--abs-tol=-1e-12"], "--abs-tol"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--abs-tol", "nan"], "--abs-tol"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--rel-tol=-1e-10"], "--rel-tol"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--max-step", "0"], "--max-step"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--max-step", "-0.5"], "--max-step"),
     ], ids=["singular-confluence", "missing-parameter", "missing-path",
             "path-through-singular-point", "condition-not-satisfied",
             "malformed-init", "malformed-t-range", "riccati-missing-parameter",
-            "hamiltonian-missing-parameter", "missing-state"])
+            "hamiltonian-missing-parameter", "missing-state", "abs-tol-zero",
+            "abs-tol-negative", "abs-tol-nan", "rel-tol-negative", "max-step-zero",
+            "max-step-negative"])
     def test_input_errors_exit_2(self, capsys, tmp_path, params, argv, message):
         p = tmp_path / "case.params"
         p.write_text(params)
