@@ -211,17 +211,15 @@ def cmd_singularities(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    # Written as `not x > 0` so that a NaN is refused too.
-    if not args.abs_tol > 0:
-        raise ValueError(f"--abs-tol must be positive, got {args.abs_tol}")
-    if not args.rel_tol >= 0:
-        raise ValueError(f"--rel-tol must be non-negative, got {args.rel_tol}")
-    if args.max_step is not None and not args.max_step > 0:
-        raise ValueError(f"--max-step must be positive, got {args.max_step}")
-    cfg = IntegrationConfig(
-        abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-        max_step=args.max_step,
-        min_singularity_distance=args.min_distance)
+    try:
+        cfg = IntegrationConfig(
+            abs_tol=args.abs_tol, rel_tol=args.rel_tol,
+            max_step=args.max_step,
+            min_singularity_distance=args.min_distance)
+    except ValueError as exc:
+        # The message starts with the field's name, and the option that
+        # sets the field has the same name.
+        raise ValueError(f"--{exc}".replace("_", "-")) from None
     system = args.system
     missing = [o for o in SYSTEM_OPTIONS[system] if getattr(args, o) is None]
     if missing:

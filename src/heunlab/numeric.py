@@ -8,10 +8,13 @@ nonlinear equations along trajectories with finite differences.
 
 Integrator: the Dormand-Prince embedded 5(4) pair with PI step-size control.
 All state is held as plain complex scalars (the systems here have one or two
-components), so no array machinery is needed.  The step is unrolled into
-straight-line stage sums that round bit for bit as the tableau rows summed
-term by term would, and exact coefficients are compiled into generated
-straight-line evaluators, one statement per sum of terms.
+components), so no array machinery is needed.  A field is one generated
+function ``field(x, y0, ..., y{n-1})`` that returns the tuple dy/dx, its
+exact coefficients compiled into straight-line code, one statement per sum
+of terms.  The stepper is generated from the tableau for each state size n,
+on the first integration of that size: its state components and stage values
+are scalar locals, each stage calls the field once, and its stage sums round
+bit for bit as the tableau rows summed term by term would.
 """
 
 from __future__ import annotations
@@ -99,6 +102,15 @@ class IntegrationConfig:
     max_step: float | None = None  # in units of the independent variable
     pole_threshold: float = 1e8
 
+    def __post_init__(self) -> None:
+        # Written as `not x > 0` so that a NaN is refused too.
+        if not self.abs_tol > 0:
+            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not self.rel_tol >= 0:
+            raise ValueError(f"rel_tol must be non-negative, got {self.rel_tol}")
+        if self.max_step is not None and not self.max_step > 0:
+            raise ValueError(f"max_step must be positive, got {self.max_step}")
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -159,25 +171,82 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
+#: Generated steppers by state size, each built on first use.
+_STEPPERS: dict = {}
+
+
 def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
                         cfg: IntegrationConfig) -> ODETrajectory:
-    """Adaptive integration along a polyline; field_fn(x, y) -> dy/dx.
+    """Adaptive integration along a polyline; field_fn(x, *y) -> dy/dx.
 
-    One step is written out stage by stage over the state's components.  Each
-    stage sum starts from ``0 +`` and keeps the tableau's zero entries, as a
-    ``sum`` over the tableau row would, so every rounding and the sign of
-    every zero are those of the row-by-row form.  The fifth-order solution
-    reuses the last stage's sum, whose weights are the same numbers.
+    The field takes the independent variable and one argument per state
+    component and returns a tuple.  The step runs in a stepper generated for
+    the state's size (see ``_build_stepper``), built on the first integration
+    of that size and kept for the next.
     """
-    c2, c3, c4, c5, c6, c7 = _DP_C[1:]
-    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = _DP_A[1:]
-    b7 = _DP_B5[6]
-    e1, e2, e3, e4, e5, e6, e7 = _DP_E
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    samples: list[Sample] = []
-    y = tuple(complex(v) for v in y0)
-    n = len(y)
+    n = len(y0)
+    stepper = _STEPPERS.get(n)
+    if stepper is None:
+        stepper = _STEPPERS[n] = _build_stepper(n)
+    return stepper(field_fn, path, y0, cfg)
+
+
+def _build_stepper(n: int):
+    """Generate the Dormand-Prince stepper for states of ``n`` components.
+
+    The stages are written out from the tableau with every state component
+    and every stage value a scalar local, and each stage calls the field
+    once.  Each stage sum starts from ``0 +`` and keeps the tableau's zero
+    entries, as a ``sum`` over the tableau row would, so every rounding and
+    the sign of every zero are those of the row-by-row form.  The last row
+    of ``_DP_A`` is the fifth-order weights (first same as last): the new
+    state reuses that stage's sum, and the last stage's value is the next
+    step's first.
+    """
+    ms = range(n)
+    env = {"Sample": Sample, "ODETrajectory": ODETrajectory,
+           "StiffnessAbort": StiffnessAbort, "sqrt": math.sqrt}
+    env.update({f"c{i + 1}": c for i, c in enumerate(_DP_C)})
+    env.update({f"a{i + 1}{j + 1}": v for i, row in enumerate(_DP_A)
+                for j, v in enumerate(row)})
+    env.update({f"b{j + 1}": v for j, v in enumerate(_DP_B5)})
+    env.update({f"e{j + 1}": v for j, v in enumerate(_DP_E)})
+
+    def tup(fmt: str) -> str:
+        # a tuple display over the components, a trailing comma for n = 1
+        return "".join(["(", *(fmt.format(m=m) + ", " for m in ms), ")"])
+
+    def stage_sum(coeff: str, row, m: int) -> str:
+        # coeff names the row's entries: coeff + "1", coeff + "2", ...
+        return " + ".join(["0", *(f"{coeff}{j + 1} * k{j + 1}_{m}"
+                                  for j in range(len(row)))])
+
+    def call(i: int, x: str, args) -> list[str]:
+        ks = [f"k{i}_{m}" for m in ms]
+        return [f"{', '.join(ks)}, = field_fn({x}, {', '.join(args)})",
+                *(f"{k} = seg * {k}" for k in ks)]
+
+    last = len(_DP_A)
+    step = []
+    for i in range(2, last):
+        step += call(i, f"a + (s + c{i} * h) * seg",
+                     [f"y{m} + h * ({stage_sum(f'a{i}', _DP_A[i - 1], m)})" for m in ms])
+    step += [f"q{m} = {stage_sum(f'a{last}', _DP_A[-1], m)}" for m in ms]
+    step += call(last, f"a + (s + c{last} * h) * seg", [f"y{m} + h * q{m}" for m in ms])
+    for m in ms:
+        tail = [f"b{j + 1} * k{j + 1}_{m}" for j in range(len(_DP_A[-1]), len(_DP_B5))]
+        step.append(f"z{m} = y{m} + h * ({' + '.join([f'q{m}', *tail])})")
+    for m in ms:
+        # v if v > u else u is max(u, v), without the call
+        step += [f"u = abs(y{m})", f"v = abs(z{m})",
+                 f"d{m} = abs(h * ({stage_sum('e', _DP_E, m)}))"
+                 f" / (atol + rtol * (v if v > u else u))"]
+    ys, dys = tup("y{m}"), tup("k1_{m} / seg")
+    source = f"""\
+def stepper(field_fn, path, state, cfg):
+    atol, rtol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
+    samples = []
+    {', '.join(f"y{m}" for m in ms)}, = [complex(v) for v in state]
     s_off = 0.0
     steps = 0
     max_err = 0.0
@@ -187,56 +256,29 @@ def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
         seg_len = abs(seg)
         s = 0.0
         h = 1e-3
-        if cfg.max_step is not None:
-            h = min(h, cfg.max_step / seg_len)
+        if max_step is not None:
+            h = min(h, max_step / seg_len)
         err_old = 1e-4
         # Stages are d y / d s = seg * d y / d x along the segment.
-        k1 = [seg * c for c in field_fn(a + s * seg, y)]
+{_indent(call(1, "a + s * seg", [f"y{m}" for m in ms]), 8)}
         if not samples:
-            samples.append(Sample(0.0, a, y, tuple([c / seg for c in k1])))
+            samples.append(Sample(0.0, a, {ys}, {dys}))
         while s < 1.0:
             if steps >= cfg.max_steps:
                 raise StiffnessAbort("step budget exhausted")
             steps += 1
             h = min(h, 1.0 - s)
             if h < 1e-13:
-                raise StiffnessAbort(f"step size underflow at s = {s:.6f}")
-            k2 = [seg * c for c in field_fn(a + (s + c2 * h) * seg, tuple([
-                yv + h * (0 + a21 * p1) for yv, p1 in zip(y, k1)]))]
-            k3 = [seg * c for c in field_fn(a + (s + c3 * h) * seg, tuple([
-                yv + h * (0 + a31 * p1 + a32 * p2)
-                for yv, p1, p2 in zip(y, k1, k2)]))]
-            k4 = [seg * c for c in field_fn(a + (s + c4 * h) * seg, tuple([
-                yv + h * (0 + a41 * p1 + a42 * p2 + a43 * p3)
-                for yv, p1, p2, p3 in zip(y, k1, k2, k3)]))]
-            k5 = [seg * c for c in field_fn(a + (s + c5 * h) * seg, tuple([
-                yv + h * (0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                for yv, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]))]
-            k6 = [seg * c for c in field_fn(a + (s + c6 * h) * seg, tuple([
-                yv + h * (0 + a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-                for yv, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)]))]
-            sum7 = [0 + a71 * p1 + a72 * p2 + a73 * p3 + a74 * p4 + a75 * p5 + a76 * p6
-                    for p1, p2, p3, p4, p5, p6 in zip(k1, k2, k3, k4, k5, k6)]
-            k7 = [seg * c for c in field_fn(a + (s + c7 * h) * seg, tuple([
-                yv + h * q for yv, q in zip(y, sum7)]))]
-            y_new = tuple([yv + h * (q + b7 * p7) for yv, q, p7 in zip(y, sum7, k7)])
-            sq = 0
-            for yv, yn, p1, p2, p3, p4, p5, p6, p7 in zip(
-                    y, y_new, k1, k2, k3, k4, k5, k6, k7):
-                e = (abs(h * (0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5
-                              + e6 * p6 + e7 * p7))
-                     / (atol + rtol * max(abs(yv), abs(yn))))
-                sq += e * e
-            err = math.sqrt(sq / n)
+                raise StiffnessAbort(f"step size underflow at s = {{s:.6f}}")
+{_indent(step, 12)}
+            err = sqrt(({' + '.join(['0', *(f'd{m} * d{m}' for m in ms)])}) / {n})
             if err <= 1.0:
                 s += h
-                y = y_new
-                k1 = k7  # first-same-as-last
+{_indent([f"y{m} = z{m}" for m in ms], 16)}
+{_indent([f"k1_{m} = k{last}_{m}" for m in ms], 16)}
                 max_err = max(max_err, err)
-                samples.append(Sample(
-                    s_off + s * seg_len, a + s * seg, y,
-                    tuple([c / seg for c in k1])))
-                if any(abs(c) > cfg.pole_threshold for c in y):
+                samples.append(Sample(s_off + s * seg_len, a + s * seg, {ys}, {dys}))
+                if {' or '.join(f"abs(y{m}) > cfg.pole_threshold" for m in ms)}:
                     samples.pop()
                     truncated = True
                     break
@@ -245,13 +287,20 @@ def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
             else:
                 fac = max(0.2, 0.9 * err ** -0.2)
             h *= min(5.0, max(0.2, fac))
-            if cfg.max_step is not None:
-                h = min(h, cfg.max_step / seg_len)
+            if max_step is not None:
+                h = min(h, max_step / seg_len)
         if truncated:
             break
         s_off += seg_len
     return ODETrajectory(samples, pole_truncated=truncated,
                          max_error_estimate=max_err)
+"""
+    exec(source, env)
+    return env["stepper"]
+
+
+def _indent(lines: list[str], width: int) -> str:
+    return "\n".join(" " * width + line for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +313,20 @@ def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
 _TERMS_PER_STATEMENT = 200
 
 
-def compile_scalar(expr: RationalExpr, names: tuple[str, ...]):
-    """Compile a rational expression into a complex-valued function.
+def _emit_quotient(expr: RationalExpr, arg: dict[str, str],
+                   env: dict) -> tuple[list[str], str]:
+    """Generated lines that evaluate ``expr``, and the quotient that ends it.
 
-    The expression may only involve the given indeterminates; parameters must
-    already be bound exactly.  The function takes one positional argument per
-    name.  Numerator and denominator become generated straight-line code that
-    adds the terms, in order, onto ``0j``, each term its coefficient times
-    ``x ** k`` for every nonzero exponent.  The coefficients reach the
-    generated code as objects in its namespace, never as printed numbers.
+    ``arg`` maps each indeterminate to the name it has in the generated
+    code.  The lines leave the numerator in ``num`` and the denominator in
+    ``den`` (a constant denominator stays a name in ``env``); each is a sum of
+    the polynomial's terms, in order, onto ``0j``, each term its coefficient
+    times ``x ** k`` for every nonzero exponent.  The coefficients reach the
+    generated code as objects in ``env``, never as printed numbers.
     """
-    extra = expr.names() - set(names)
+    extra = expr.names() - set(arg)
     if extra:
         raise ValueError(f"expression still involves {sorted(extra)}")
-    arg = {n: f"x{i}" for i, n in enumerate(names)}
-    env: dict = {}
 
     def assign(target: str, p) -> list[str]:
         terms = []
@@ -290,19 +338,71 @@ def compile_scalar(expr: RationalExpr, names: tuple[str, ...]):
         lines, acc = [], "0j"
         for i in range(0, len(terms), _TERMS_PER_STATEMENT):
             chunk = terms[i:i + _TERMS_PER_STATEMENT]
-            lines.append(f"    {target} = {' + '.join([acc, *chunk])}")
+            lines.append(f"{target} = {' + '.join([acc, *chunk])}")
             acc = target
-        return lines or [f"    {target} = 0j"]
+        return lines or [f"{target} = 0j"]
 
-    body = assign("num", expr.num)
+    lines = assign("num", expr.num)
     if expr.den.is_const():
-        env["den"] = complex(expr.den.const_value())
-    else:
-        body += assign("den", expr.den)
-    source = "\n".join([f"def scalar({', '.join(arg.values())}):", *body,
-                        "    return num / den\n"])
+        den = f"c{len(env)}"
+        env[den] = complex(expr.den.const_value())
+        return lines, f"num / {den}"
+    return lines + assign("den", expr.den), "num / den"
+
+
+def compile_scalar(expr: RationalExpr, names: tuple[str, ...]):
+    """Compile a rational expression into a complex-valued function.
+
+    The expression may only involve the given indeterminates; parameters must
+    already be bound exactly.  The function takes one positional argument per
+    name and returns ``num / den`` evaluated by generated straight-line code
+    (``_emit_quotient``).
+    """
+    arg = {n: f"x{i}" for i, n in enumerate(names)}
+    env: dict = {}
+    lines, quotient = _emit_quotient(expr, arg, env)
+    source = "\n".join([f"def scalar({', '.join(arg.values())}):",
+                        _indent([*lines, f"return {quotient}"], 4)])
     exec(source, env)
     return env["scalar"]
+
+
+def _compile_field(n: int, arg: dict[str, str], values: dict[str, RationalExpr],
+                   result: str):
+    """Compile a vector field into one function ``field(x, y0, ..., y{n-1})``.
+
+    Each entry of ``values`` binds a name to the quotient of its expression,
+    evaluated exactly as ``compile_scalar`` evaluates it; ``arg`` maps the
+    expressions' indeterminates to ``x`` and the state names.  The function
+    returns ``result``, a tuple over those names and the state.
+    """
+    env: dict = {}
+    body = []
+    for name, expr in values.items():
+        lines, quotient = _emit_quotient(expr, arg, env)
+        body += [*lines, f"{name} = {quotient}"]
+    params = ", ".join(["x", *(f"y{m}" for m in range(n))])
+    source = "\n".join([f"def field({params}):",
+                        _indent([*body, f"return {result}"], 4)])
+    exec(source, env)
+    return env["field"]
+
+
+def _linear_field(ode: LinearODE2):
+    """The field of v'' + p1 v' + p2 v = 0 in the state (v, v')."""
+    return _compile_field(2, {ode.var: "x"}, {"P1": ode.p1, "P2": ode.p2},
+                          "(y1, -P1 * y1 - P2 * y0)")
+
+
+def _riccati_field(rhs: RationalExpr):
+    """The field of lambda' = rhs(lambda, t) in the state (lambda,)."""
+    return _compile_field(1, {"lambda": "y0", "t": "x"}, {"R": rhs}, "(R,)")
+
+
+def _hamiltonian_field(dh_dmu: RationalExpr, dh_dlam: RationalExpr):
+    """The flow lambda' = dH/dmu, mu' = -dH/dlambda in the state (lambda, mu)."""
+    return _compile_field(2, {"lambda": "y0", "mu": "y1", "t": "x"},
+                          {"DMU": dh_dmu, "DLAM": dh_dlam}, "(DMU, -DLAM)")
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +474,7 @@ def integrate_linear(ode: LinearODE2, path: ComplexPath,
                      cfg: IntegrationConfig = IntegrationConfig()) -> ODETrajectory:
     """Integrate v'' + p1 v' + p2 v = 0 along a path avoiding singularities."""
     _check_path_distance(path, ode_singularities(ode), cfg.min_singularity_distance)
-    p1 = compile_scalar(ode.p1, (ode.var,))
-    p2 = compile_scalar(ode.p2, (ode.var,))
-
-    def fieldfn(x: complex, y: tuple[complex, ...]) -> tuple[complex, ...]:
-        v, vp = y
-        return (vp, -p1(x) * vp - p2(x) * v)
-
-    return _integrate_segments(fieldfn, path, init, cfg)
+    return _integrate_segments(_linear_field(ode), path, init, cfg)
 
 
 def verify_derivative_numeric(spec: HeunSpec, path: ComplexPath,
@@ -462,12 +555,8 @@ def integrate_riccati(case: MatchingCase, params: dict[str, Fraction],
     path = _t_path(t_range)
     _check_t_range(case.painleve_kind, path, cfg)
     _check_lambda0(case.painleve_kind, complex(lam0), path, cfg)
-    rhs = compile_scalar(substitute(case.riccati_rhs, bind), ("lambda", "t"))
-
-    def fieldfn(x: complex, y: tuple[complex, ...]) -> tuple[complex, ...]:
-        return (rhs(y[0], x),)
-
-    traj = _integrate_segments(fieldfn, path, (complex(lam0),), cfg)
+    field_fn = _riccati_field(substitute(case.riccati_rhs, bind))
+    traj = _integrate_segments(field_fn, path, (complex(lam0),), cfg)
     traj.meta["kind"] = case.painleve_kind.value
     return traj
 
@@ -485,14 +574,8 @@ def integrate_hamiltonian(kind: PainleveKind, params: dict[str, Fraction],
     path = _t_path(t_range)
     extra = (Fraction(0),) if (h2_literal and kind is PainleveKind.P2) else ()
     _check_t_range(kind, path, cfg, extra)
-    dmu = compile_scalar(ham.dH_dmu, ("lambda", "mu", "t"))
-    dlam = compile_scalar(ham.dH_dlam, ("lambda", "mu", "t"))
-
-    def fieldfn(x: complex, y: tuple[complex, ...]) -> tuple[complex, ...]:
-        lam, mu = y
-        return (dmu(lam, mu, x), -dlam(lam, mu, x))
-
-    traj = _integrate_segments(fieldfn, path, init, cfg)
+    traj = _integrate_segments(_hamiltonian_field(ham.dH_dmu, ham.dH_dlam),
+                               path, init, cfg)
     traj.meta["kind"] = kind.value
     return traj
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -245,6 +246,32 @@ class TestOtherCommands:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["pole_truncated"] is False
+
+
+class TestIntegrateCsvPinned:
+    """The CSV of one small ``integrate`` run per system, pinned by its sha256.
+
+    Any change to a sample, to the steps taken or to the number format shows
+    as a different digest.
+    """
+
+    @pytest.mark.parametrize("params, argv, digest", [
+        (GENERAL_PARAMS, HEUN_RUN,
+         "328c047c33dc3b7f1386ce7e932da919775d3afb256af1b196b7c4879482be91"),
+        ("alpha2 = 1/2\n", ["integrate", "--system", "riccati", "--kind", "p2",
+                            "--t-range", "0:1", "--lambda0", "0"],
+         "939adfc5915a6a62681d33078c24d7b2295b571de0c456dc7ec913071a9025cf"),
+        ("kappa0 = 1/3\nkappa1 = 1/5\ntheta = 1/7\nkappainf = 1/2\n",
+         ["integrate", "--system", "hamiltonian", "--kind", "p6", "--t-range", "2:2.2",
+          "--init", "0.5,0", "--max-step", "0.01"],
+         "10964af12ece73f1a9f55be7b86efc1f8b0c983aec3020ca4dfbdea9db6704b7"),
+    ], ids=["heun", "riccati", "hamiltonian"])
+    def test_csv_digest(self, capsys, tmp_path, params, argv, digest):
+        p = tmp_path / "run.params"
+        p.write_text(params)
+        assert main([*argv, "--params", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestExitContract:

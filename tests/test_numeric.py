@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from heunlab import numeric
 from heunlab.heun import HeunFamily, HeunSpec
 from heunlab.matching import matching_case
 from heunlab.numeric import (
@@ -70,6 +75,64 @@ class TestPath:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             ComplexPath.of(1.0, 1.0)
+
+
+class TestIntegrationConfig:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"abs_tol": 0}, "abs_tol"),
+        ({"abs_tol": -1e-12}, "abs_tol"),
+        ({"abs_tol": math.nan}, "abs_tol"),
+        ({"rel_tol": -1e-10}, "rel_tol"),
+        ({"rel_tol": math.nan}, "rel_tol"),
+        ({"max_step": 0.0}, "max_step"),
+        ({"max_step": -0.5}, "max_step"),
+        ({"max_step": math.nan}, "max_step"),
+    ], ids=["abs-tol-zero", "abs-tol-negative", "abs-tol-nan", "rel-tol-negative",
+            "rel-tol-nan", "max-step-zero", "max-step-negative", "max-step-nan"])
+    def test_invalid_field_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            IntegrationConfig(**kwargs)
+
+    def test_zero_abs_tol_refused_before_integrating(self):
+        # With a zero state, abs_tol = 0 used to divide by zero in the error norm.
+        with pytest.raises(ValueError, match="abs_tol"):
+            integrate_linear(LinearODE2(const(0), const(0)), ComplexPath.of(0, 1),
+                             (0.0, 0.0), IntegrationConfig(abs_tol=0))
+
+    def test_zero_rel_tol_accepted(self):
+        traj = integrate_linear(LinearODE2(const(0), const(1)), ComplexPath.of(0, 1),
+                                (0.0, 1.0), IntegrationConfig(abs_tol=1e-10, rel_tol=0))
+        assert abs(traj.samples[-1].y[0] - math.sin(1)) < 1e-8
+
+
+class TestStepperBuild:
+    """Steppers are generated per state size on first use, never at import."""
+
+    def test_import_builds_no_stepper(self):
+        src = Path(numeric.__file__).resolve().parents[1]
+        code = "import heunlab.cli, heunlab.numeric as m; print(len(m._STEPPERS))"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert run.stdout == "0\n"
+
+    def test_one_build_per_state_size(self, monkeypatch):
+        build = numeric._build_stepper
+        built = []
+
+        def spy(n):
+            built.append(n)
+            return build(n)
+
+        monkeypatch.setattr(numeric, "_STEPPERS", {})
+        monkeypatch.setattr(numeric, "_build_stepper", spy)
+        ode = LinearODE2(const(0), const(1))
+        first, second = (integrate_linear(ode, ComplexPath.of(0, 1), (0.0, 1.0))
+                         for _ in range(2))
+        assert built == [2]
+        assert first.samples == second.samples
+        integrate_riccati(matching_case(PainleveKind.P2), {"alpha2": F(1, 2)},
+                          (0.0, 0.5), 0.0)
+        assert built == [2, 1]
 
 
 class TestIntegrateLinear:

@@ -15,6 +15,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heunlab import claims, numeric
 from heunlab.algebra import MultiPoly, RationalExpr, const, var
@@ -68,7 +70,7 @@ def reference_integrate_segments(field_fn, path, y0, cfg):
         seg_len = abs(seg)
 
         def f(s, ys):
-            dy = field_fn(a + s * seg, ys)
+            dy = field_fn(a + s * seg, *ys)
             return tuple(seg * c for c in dy)
 
         s = 0.0
@@ -275,6 +277,108 @@ class TestCompiledEvaluator:
     def test_unbound_name_rejected(self):
         with pytest.raises(ValueError):
             compile_scalar(lam * mu, ("lambda",))
+
+
+# ---------------------------------------------------------------------------
+# Compiled fields: one generated function per field against the closures over
+# reference evaluators that the integrators used to build.
+# ---------------------------------------------------------------------------
+
+
+def reference_linear_field(ode):
+    p1 = reference_compile_scalar(ode.p1, (ode.var,))
+    p2 = reference_compile_scalar(ode.p2, (ode.var,))
+
+    def fieldfn(x, y):
+        v, vp = y
+        return (vp, -p1(x) * vp - p2(x) * v)
+
+    return fieldfn
+
+
+def reference_riccati_field(rhs_expr):
+    rhs = reference_compile_scalar(rhs_expr, ("lambda", "t"))
+
+    def fieldfn(x, y):
+        return (rhs(y[0], x),)
+
+    return fieldfn
+
+
+def reference_hamiltonian_field(dh_dmu, dh_dlam):
+    dmu = reference_compile_scalar(dh_dmu, ("lambda", "mu", "t"))
+    dlam = reference_compile_scalar(dh_dlam, ("lambda", "mu", "t"))
+
+    def fieldfn(x, y):
+        lam, mu = y
+        return (dmu(lam, mu, x), -dlam(lam, mu, x))
+
+    return fieldfn
+
+
+coefficients = st.builds(F, st.integers(-12, 12).filter(bool),
+                         st.sampled_from([1, 1, 2, 3, 7, 10]))
+
+
+@st.composite
+def rationals(draw, names):
+    """A rational expression in ``names``: the numerator may vanish, and the
+    denominator is a constant or a polynomial of up to four terms."""
+
+    def poly(min_terms):
+        exps = draw(st.lists(st.tuples(*(st.integers(0, 3) for _ in names)),
+                             min_size=min_terms, max_size=4, unique=True))
+        return MultiPoly(names, {e: draw(coefficients) for e in exps})
+
+    den = poly(1) if draw(st.booleans()) else MultiPoly.const(draw(coefficients))
+    return RationalExpr(poly(0), den)
+
+
+# Real and imaginary parts: signed zeros, small integers and halves, where
+# powers and products round exactly and the sign of a zero shows, infinities,
+# where x ** 1 is not x, and any other float in range.
+parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, math.inf, -math.inf]),
+                  st.floats(-4, 4, allow_nan=False))
+complexes = st.builds(complex, parts, parts)
+
+FIELD_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                          database=None)
+
+
+def _assert_same_field(got, ref, x, ys):
+    try:
+        want = ref(x, ys)
+    except ArithmeticError as exc:  # a denominator vanishing at the point
+        with pytest.raises(type(exc)):
+            got(x, *ys)
+        return
+    assert repr(got(x, *ys)) == repr(want)
+
+
+class TestCompiledField:
+    @FIELD_SETTINGS
+    @given(rationals(("z",)), rationals(("z",)), complexes, complexes, complexes)
+    def test_linear(self, p1, p2, x, v, vp):
+        ode = LinearODE2(p1, p2)
+        _assert_same_field(numeric._linear_field(ode), reference_linear_field(ode),
+                           x, (v, vp))
+
+    @FIELD_SETTINGS
+    @given(rationals(("lambda", "t")), complexes, complexes)
+    def test_riccati(self, rhs, x, lam0):
+        _assert_same_field(numeric._riccati_field(rhs), reference_riccati_field(rhs),
+                           x, (lam0,))
+
+    @FIELD_SETTINGS
+    @given(rationals(("lambda", "mu", "t")), rationals(("lambda", "mu", "t")),
+           complexes, complexes, complexes)
+    def test_hamiltonian(self, dh_dmu, dh_dlam, x, lam0, mu0):
+        _assert_same_field(numeric._hamiltonian_field(dh_dmu, dh_dlam),
+                           reference_hamiltonian_field(dh_dmu, dh_dlam), x, (lam0, mu0))
+
+    def test_unbound_name_rejected(self):
+        with pytest.raises(ValueError):
+            numeric._riccati_field(lam * mu)
 
 
 # ---------------------------------------------------------------------------
