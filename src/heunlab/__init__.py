@@ -11,8 +11,6 @@ from .algebra import (  # noqa: F401
     RationalExpr,
     UnknownVariable,
     const,
-    differentiate,
-    eval_rational,
     identity_test,
     substitute,
     var,

@@ -96,10 +96,6 @@ class MultiPoly:
     # ---- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "MultiPoly":
-        return _ZERO
-
-    @staticmethod
     def const(c) -> "MultiPoly":
         c = _as_fraction(c)
         return MultiPoly((), {(): c}) if c else _ZERO
@@ -121,14 +117,20 @@ class MultiPoly:
             raise ValueError("not a constant polynomial")
         return self.terms.get((), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         if name not in self.names:
             return 0
         i = self.names.index(name)
         return max(e[i] for e in self.terms)
+
+    def coeffs_in(self, name: str) -> list[Fraction]:
+        """Dense coefficients ``[c0, c1, ..., cd]`` of a polynomial in ``name`` alone."""
+        if self.names not in ((), (name,)):
+            raise ValueError(f"{self} is not a polynomial in {name} alone")
+        out = [Fraction(0)] * (self.degree_in(name) + 1)
+        for e, c in self.terms.items():
+            out[sum(e)] = c
+        return out
 
     def leading(self) -> tuple[Exponents, Fraction]:
         """Leading (exponents, coefficient) under graded lex order."""
@@ -253,20 +255,6 @@ class MultiPoly:
                         p = vals[i] ** k
                         cache[i][k] = p
                     term *= p
-            total += term
-        return total
-
-    def eval_complex(self, point: Mapping[str, complex]) -> complex:
-        missing = [n for n in self.names if n not in point]
-        if missing:
-            raise UnknownVariable(f"no value supplied for {missing}")
-        vals = [complex(point[n]) for n in self.names]
-        total = 0j
-        for e, c in self.terms.items():
-            term = complex(c)
-            for i, k in enumerate(e):
-                if k:
-                    term *= vals[i] ** k
             total += term
         return total
 
@@ -959,12 +947,6 @@ class RationalExpr:
             raise PoleAtPoint(f"denominator vanishes at {dict(point)!r}")
         return self.num.eval_exact(point) / d
 
-    def eval_complex(self, point: Mapping[str, complex]) -> complex:
-        d = self.den.eval_complex(point)
-        if d == 0:
-            raise PoleAtPoint(f"denominator vanishes at {dict(point)!r}")
-        return self.num.eval_complex(point) / d
-
     # ---- structure -----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -1093,16 +1075,8 @@ def const(num, den: int = 1) -> RationalExpr:
 # ---------------------------------------------------------------------------
 
 
-def differentiate(e: Coercible, name: str) -> RationalExpr:
-    return as_rational(e).derivative(name)
-
-
 def substitute(e: Coercible, bindings: Mapping[str, Coercible]) -> RationalExpr:
     return as_rational(e).substitute(bindings)
-
-
-def eval_rational(e: Coercible, point: Mapping[str, Fraction]) -> Fraction:
-    return as_rational(e).eval_exact(point)
 
 
 def identity_test(a: Coercible, b: Coercible) -> bool:

@@ -214,8 +214,7 @@ def cmd_integrate(args) -> int:
     try:
         cfg = IntegrationConfig(
             abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-            max_step=args.max_step,
-            min_singularity_distance=args.min_distance)
+            max_step=args.max_step, min_distance=args.min_distance)
     except ValueError as exc:
         # The message starts with the field's name, and the option that
         # sets the field has the same name.

@@ -109,27 +109,11 @@ class HeunSpec:
         """Fully symbolic spec with parameters named after their keys."""
         return HeunSpec.of(family, **{k: var(k) for k in FAMILY_PARAMS[family]})
 
-    def params(self) -> dict[str, RationalExpr]:
-        out = {"gamma": self.gamma, "delta": self.delta, "epsilon": self.epsilon,
-               "alpha": self.alpha, "q": self.q}
-        if self.family is HeunFamily.GENERAL:
-            out["beta"] = self.beta
-            out["t"] = self.t
-        return out
-
     def alphabeta(self) -> RationalExpr:
         """The coefficient product entering the general equation; alpha otherwise."""
         if self.family is HeunFamily.GENERAL:
             return self.alpha * self.beta
         return self.alpha
-
-    def to_params_text(self) -> str:
-        lines = []
-        for k, v in self.params().items():
-            if not v.is_const():
-                raise ValueError(f"parameter {k} is symbolic; cannot serialize")
-            lines.append(f"{k} = {v.const_value()}")
-        return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_params(family: HeunFamily, mapping: Mapping[str, Coercible]) -> "HeunSpec":
@@ -161,13 +145,13 @@ def _check_general(spec: HeunSpec, enforce_fuchsian: bool) -> None:
             "1 + alpha + beta = gamma + delta + epsilon fails for these parameters")
 
 
-def build_heun(spec: HeunSpec, *, enforce_fuchsian: bool = True) -> LinearODE2:
+def build_heun(spec: HeunSpec) -> LinearODE2:
     """The equation of the named family with the spec's parameters."""
     z = var("z")
     g, d, e, a, q = spec.gamma, spec.delta, spec.epsilon, spec.alpha, spec.q
     fam = spec.family
     if fam is HeunFamily.GENERAL:
-        _check_general(spec, enforce_fuchsian)
+        _check_general(spec, True)
         b, t = spec.beta, spec.t
         p1 = g / z + d / (z - 1) + e / (z - t)
         p2 = (a * b * z - q) / (z * (z - 1) * (z - t))

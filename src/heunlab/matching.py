@@ -56,7 +56,6 @@ class MatchingCase:
     mu_constraint: RationalExpr
     riccati_rhs: RationalExpr
     condition: RationalExpr
-    condition_factors: tuple[RationalExpr, ...]
     obstruction: tuple[tuple[str, RationalExpr], ...]
     classical_branches: tuple[dict[str, RationalExpr], ...]
     riccati_claim: RationalExpr | None = None
@@ -92,7 +91,6 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             riccati_rhs=rhs,
             riccati_claim=claim,
             condition=ab,
-            condition_factors=((1 + K - kinf) / 2, (1 + K + kinf) / 2),
             obstruction=(("alpha*beta", ab), ("q", ab * lam)),
             classical_branches=(
                 {"kappa0": kinf - th - k1 - 1},
@@ -128,7 +126,6 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             riccati_rhs=rhs,
             riccati_claim=claim,
             condition=eta * (2 + k0 + s * kinf + th),
-            condition_factors=(eta, 2 + k0 + s * kinf + th),
             obstruction=(("alpha", alpha), ("q", alpha * lam / (lam - 1))),
             classical_branches=(
                 {"eta": const(0)},
@@ -151,7 +148,6 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             mu_constraint=mu_c,
             riccati_rhs=lam ** 2 + 2 * t * lam + 2 * k0,
             condition=thinf + 1,
-            condition_factors=(thinf + 1,),
             obstruction=(("alpha", alpha), ("q", alpha * lam)),
             classical_branches=({"thetainf": const(-1)},),
         )
@@ -171,7 +167,6 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             mu_constraint=mu_c,
             riccati_rhs=(einf * lam ** 2 + (t0 + 2) * lam - t * e0) / t,
             condition=einf * (t0 + tinf + 2),
-            condition_factors=(einf, t0 + tinf + 2),
             obstruction=(("alpha", alpha), ("q", alpha * lam)),
             classical_branches=(
                 {"etainf": const(0)},
@@ -194,7 +189,6 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             mu_constraint=mu_c,
             riccati_rhs=lam ** 2 + t / 2,
             condition=2 * a2 - 1,
-            condition_factors=(2 * a2 - 1,),
             obstruction=(("alpha", alpha), ("q", alpha * lam)),
             classical_branches=({"alpha2": const(1, 2)},),
         )

@@ -15,6 +15,12 @@ of terms.  The stepper is generated from the tableau for each state size n,
 on the first integration of that size: its state components and stage values
 are scalar locals, each stage calls the field once, and its stage sums round
 bit for bit as the tableau rows summed term by term would.
+
+A trajectory is a list of samples (s, x, y): the arc length along the path,
+the independent variable and the state at each accepted step.  The settings
+of one integration are its tolerances, the distance the path keeps from every
+singular point and an optional step cap (:class:`IntegrationConfig`); the step
+budget and the modulus taken for a pole are module constants.
 """
 
 from __future__ import annotations
@@ -93,14 +99,18 @@ def _segment_distance(a: complex, b: complex, p: complex) -> float:
     return abs(a + s * d - p)
 
 
+#: Accepted and rejected steps one integration may take in all.
+_MAX_STEPS = 200_000
+#: A state component larger than this in modulus is taken for a pole.
+_POLE_THRESHOLD = 1e8
+
+
 @dataclass(frozen=True)
 class IntegrationConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_steps: int = 200_000
-    min_singularity_distance: float = 1e-2
+    min_distance: float = 1e-2  # from the path to every singular point
     max_step: float | None = None  # in units of the independent variable
-    pole_threshold: float = 1e8
 
     def __post_init__(self) -> None:
         # Written as `not x > 0` so that a NaN is refused too.
@@ -108,6 +118,9 @@ class IntegrationConfig:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
         if not self.rel_tol >= 0:
             raise ValueError(f"rel_tol must be non-negative, got {self.rel_tol}")
+        if not self.min_distance > 0:
+            raise ValueError(
+                f"min_distance must be positive, got {self.min_distance}")
         if self.max_step is not None and not self.max_step > 0:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
 
@@ -117,7 +130,6 @@ class Sample:
     s: float                      # cumulative parameter along the path
     x: complex                    # independent variable value
     y: tuple[complex, ...]        # state
-    dy: tuple[complex, ...]       # state derivative d y / d x
 
 
 @dataclass
@@ -205,16 +217,13 @@ def _build_stepper(n: int):
     """
     ms = range(n)
     env = {"Sample": Sample, "ODETrajectory": ODETrajectory,
-           "StiffnessAbort": StiffnessAbort, "sqrt": math.sqrt}
+           "StiffnessAbort": StiffnessAbort, "sqrt": math.sqrt,
+           "_MAX_STEPS": _MAX_STEPS, "_POLE_THRESHOLD": _POLE_THRESHOLD}
     env.update({f"c{i + 1}": c for i, c in enumerate(_DP_C)})
     env.update({f"a{i + 1}{j + 1}": v for i, row in enumerate(_DP_A)
                 for j, v in enumerate(row)})
     env.update({f"b{j + 1}": v for j, v in enumerate(_DP_B5)})
     env.update({f"e{j + 1}": v for j, v in enumerate(_DP_E)})
-
-    def tup(fmt: str) -> str:
-        # a tuple display over the components, a trailing comma for n = 1
-        return "".join(["(", *(fmt.format(m=m) + ", " for m in ms), ")"])
 
     def stage_sum(coeff: str, row, m: int) -> str:
         # coeff names the row's entries: coeff + "1", coeff + "2", ...
@@ -241,7 +250,8 @@ def _build_stepper(n: int):
         step += [f"u = abs(y{m})", f"v = abs(z{m})",
                  f"d{m} = abs(h * ({stage_sum('e', _DP_E, m)}))"
                  f" / (atol + rtol * (v if v > u else u))"]
-    ys, dys = tup("y{m}"), tup("k1_{m} / seg")
+    # a tuple display over the components, a trailing comma for n = 1
+    ys = "".join(["(", *(f"y{m}, " for m in ms), ")"])
     source = f"""\
 def stepper(field_fn, path, state, cfg):
     atol, rtol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
@@ -262,9 +272,9 @@ def stepper(field_fn, path, state, cfg):
         # Stages are d y / d s = seg * d y / d x along the segment.
 {_indent(call(1, "a + s * seg", [f"y{m}" for m in ms]), 8)}
         if not samples:
-            samples.append(Sample(0.0, a, {ys}, {dys}))
+            samples.append(Sample(0.0, a, {ys}))
         while s < 1.0:
-            if steps >= cfg.max_steps:
+            if steps >= _MAX_STEPS:
                 raise StiffnessAbort("step budget exhausted")
             steps += 1
             h = min(h, 1.0 - s)
@@ -277,8 +287,8 @@ def stepper(field_fn, path, state, cfg):
 {_indent([f"y{m} = z{m}" for m in ms], 16)}
 {_indent([f"k1_{m} = k{last}_{m}" for m in ms], 16)}
                 max_err = max(max_err, err)
-                samples.append(Sample(s_off + s * seg_len, a + s * seg, {ys}, {dys}))
-                if {' or '.join(f"abs(y{m}) > cfg.pole_threshold" for m in ms)}:
+                samples.append(Sample(s_off + s * seg_len, a + s * seg, {ys}))
+                if {' or '.join(f"abs(y{m}) > _POLE_THRESHOLD" for m in ms)}:
                     samples.pop()
                     truncated = True
                     break
@@ -415,10 +425,7 @@ def _roots_of_poly(mp, name: str) -> list[complex]:
     deg = mp.degree_in(name)
     if deg == 0:
         return []
-    coeffs = [0j] * (deg + 1)
-    i = mp.names.index(name)
-    for e, c in mp.terms.items():
-        coeffs[e[i]] += complex(c)
+    coeffs = [complex(c) for c in mp.coeffs_in(name)]
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
     roots = [(0.4 + 0.9j) ** k for k in range(deg)]
@@ -473,25 +480,25 @@ def integrate_linear(ode: LinearODE2, path: ComplexPath,
                      init: tuple[complex, complex],
                      cfg: IntegrationConfig = IntegrationConfig()) -> ODETrajectory:
     """Integrate v'' + p1 v' + p2 v = 0 along a path avoiding singularities."""
-    _check_path_distance(path, ode_singularities(ode), cfg.min_singularity_distance)
+    _check_path_distance(path, ode_singularities(ode), cfg.min_distance)
     return _integrate_segments(_linear_field(ode), path, init, cfg)
 
 
 def verify_derivative_numeric(spec: HeunSpec, path: ComplexPath,
-                              cfg: IntegrationConfig = IntegrationConfig(),
-                              init: tuple[complex, complex] = (1.0, 1.0)) -> float:
+                              cfg: IntegrationConfig = IntegrationConfig()) -> float:
     """Numeric witness that u' solves the closed-form derivative equation.
 
-    Integrates the base equation for u, forms the derivative-equation
-    residual pointwise using v = u', v' = u'' and v'' = u''' (both obtained
-    by differentiating the base equation, never by finite differences), and
-    returns the maximum relative residual along the path.
+    Integrates the base equation for u from u = u' = 1 at the path's start,
+    forms the derivative-equation residual pointwise using v = u', v' = u''
+    and v'' = u''' (both obtained by differentiating the base equation, never
+    by finite differences), and returns the maximum relative residual along
+    the path.
     """
     base = build_heun(spec)
     derived = build_heun_derivative(spec)
     # The base equation's singular points are checked by integrate_linear.
-    _check_path_distance(path, ode_singularities(derived), cfg.min_singularity_distance)
-    traj = integrate_linear(base, path, init, cfg)
+    _check_path_distance(path, ode_singularities(derived), cfg.min_distance)
+    traj = integrate_linear(base, path, (1.0, 1.0), cfg)
     z = base.var
     p1 = compile_scalar(base.p1, (z,))
     p2 = compile_scalar(base.p2, (z,))
@@ -522,18 +529,17 @@ def _t_path(t_range: tuple[complex, complex]) -> ComplexPath:
 def _check_t_range(kind: PainleveKind, path: ComplexPath, cfg: IntegrationConfig,
                    extra: tuple[Fraction, ...] = ()) -> None:
     fixed = list(FLOW_T_SINGULARITIES[kind]) + list(extra)
-    _check_path_distance(path, [complex(v) for v in fixed],
-                         cfg.min_singularity_distance)
+    _check_path_distance(path, [complex(v) for v in fixed], cfg.min_distance)
 
 
 def _check_lambda0(kind: PainleveKind, lam0: complex, path: ComplexPath,
                    cfg: IntegrationConfig) -> None:
     for s in LAMBDA_LOCUS[kind]:
         if s == "t":
-            if path.min_distance_to(lam0) < cfg.min_singularity_distance:
+            if path.min_distance_to(lam0) < cfg.min_distance:
                 raise PathTooClose(
                     "initial position sits on the moving singular value t")
-        elif abs(lam0 - complex(Fraction(s))) < cfg.min_singularity_distance:
+        elif abs(lam0 - complex(Fraction(s))) < cfg.min_distance:
             raise PathTooClose(f"initial position too close to {s}")
 
 

@@ -216,17 +216,6 @@ class SingularPoint:
     kind: str  # "regular" | "irregular"
 
 
-def _univar_fraction_coeffs(p: MultiPoly, name: str) -> list[Fraction]:
-    out = [Fraction(0)] * (p.degree_in(name) + 1)
-    if name not in p.names:
-        out[0] = p.const_value()
-        return out
-    i = p.names.index(name)
-    for e, c in p.terms.items():
-        out[e[i]] += c
-    return out
-
-
 def _divisors(n: int, limit: int = 10 ** 6) -> list[int] | None:
     """All positive divisors of n, or None when n has a factor we refuse to find."""
     n = abs(n)
@@ -322,8 +311,7 @@ def _pole_orders(expr: RationalExpr, name: str) -> tuple[dict[Fraction, int], li
     den = expr.den
     if den.is_const():
         return {}, []
-    coeffs = _univar_fraction_coeffs(den, name)
-    roots, leftover = _rational_roots(coeffs)
+    roots, leftover = _rational_roots(den.coeffs_in(name))
     unresolved: list[tuple[MultiPoly, int]] = []
     if len(leftover) > 1:
         rest = MultiPoly((name,), {(k,): c for k, c in enumerate(leftover) if c})
@@ -338,14 +326,16 @@ def singular_points(ode: LinearODE2) -> list[SingularPoint]:
     and p2 of order at most 2 there.  Every pole is resolved exactly where
     the denominator splits over Q; other factors come back unresolved.
 
-    The point at infinity is read off the degree excess deg N - deg D of each
-    coefficient p = N/D, since p(1/w) has w-valuation deg D - deg N (Fuchs:
-    regular when p1 = O(1/z) and p2 = O(1/z^2)).  Infinity is singular when
-    p1 has excess at least -1 or p2 at least -3, and a singular infinity is
-    regular when p1 has excess at most -1 and p2 at most -2; a zero
-    coefficient counts as minus infinity.  So p1 = 2/z, p2 = 0 reports a
-    regular point at infinity, although in the chart w = 1/z that equation
-    reads v'' = 0.
+    The point at infinity is read off the degree excess deg N - deg D of
+    coefficients p = N/D, since p(1/w) has w-valuation deg D - deg N; a zero
+    coefficient counts as minus infinity.  In the chart w = 1/z the equation
+    reads y'' + (2/w - p1(1/w)/w^2) y' + p2(1/w)/w^4 y = 0 (Ince, Ordinary
+    Differential Equations, ch. XV), so infinity is ordinary exactly when
+    p1 - 2/z has excess at most -2 and p2 at most -4.  A singular infinity is
+    regular (Fuchs) when p1 = O(1/z) and p2 = O(1/z^2), that is when p1 has
+    excess at most -1 and p2 at most -2.  So v'' = 0 has a regular singular
+    point at infinity (its solution z is not analytic there), and
+    v'' + (2/z) v' = 0, whose solutions are 1 and 1/z, has none.
     """
     z = ode.var
     extra = ode.parameter_names()
@@ -386,10 +376,11 @@ def infinity_kind(ode: LinearODE2) -> str | None:
 
     Applies the degree rule stated in :func:`singular_points`.
     """
-    e1 = _degree_excess(ode.p1, ode.var)
-    e2 = _degree_excess(ode.p2, ode.var)
-    if e1 < -1 and e2 < -3:
+    z = ode.var
+    e2 = _degree_excess(ode.p2, z)
+    if e2 < -3 and _degree_excess(ode.p1 - 2 / var(z), z) < -1:
         return None
+    e1 = _degree_excess(ode.p1, z)
     return "regular" if e1 <= -1 and e2 <= -2 else "irregular"
 
 

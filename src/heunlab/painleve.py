@@ -32,7 +32,6 @@ from .algebra import (
     as_rational,
     const,
     find_witness,
-    identity_test,
     substitute,
     var,
 )
@@ -80,13 +79,9 @@ FLOW_T_SINGULARITIES = {
 }
 
 
-def symbolic_params(kind: PainleveKind) -> dict[str, RationalExpr]:
-    return {k: var(k) for k in KIND_PARAMS[kind]}
-
-
 def _fill_params(kind: PainleveKind, params) -> dict[str, RationalExpr]:
     if params is None:
-        return symbolic_params(kind)
+        return {k: var(k) for k in KIND_PARAMS[kind]}
     out = {}
     for k in KIND_PARAMS[kind]:
         if k not in params:
@@ -402,27 +397,3 @@ def verify_p3_substitution() -> CaseRecord:
         {"lambda": w, "lambdap": wp, "lambdapp": wpp, "t": s ** 2})
     diff = transported - 4 * s * res3p
     return CaseRecord(passed=diff.is_zero(), witness=find_witness(diff, seed=23))
-
-
-def p3_substitution_roundtrip() -> bool:
-    """Composing the rescaling with its inverse is the identity on jets."""
-    s = var("t")
-    w, wp, wpp = var("jw"), var("jwp"), var("jwpp")
-    # Forward: (lambda, lambda', lambda'') in terms of the new jet.
-    forward = {
-        "lambda": w / s,
-        "lambdap": 2 * wp - w / s ** 2,
-        "lambdapp": 4 * s * wpp - 2 * wp / s + 2 * w / s ** 3,
-    }
-    lam, lamp, lampp = var("lambda"), var("lambdap"), var("lambdapp")
-    # Inverse relations obtained by differentiating w(s^2) = s * lambda(s).
-    inverse = {
-        "jw": s * lam,
-        "jwp": (lam + s * lamp) / (2 * s),
-        "jwpp": (2 * lamp + s * lampp - (lam + s * lamp) / s) / (4 * s ** 2),
-    }
-    for name, expr in forward.items():
-        back = substitute(expr, inverse)
-        if not identity_test(back, var(name)):
-            return False
-    return True

@@ -9,6 +9,9 @@ produce byte-identical JSON.
 A record marked ``predicted_failure`` belongs to a printed-source variant
 whose *claim* is that it fails: its verdict is ``fail-as-predicted`` when the
 check fails, which counts as success for the exit status.
+
+A :class:`Report` is output only: ``to_json`` and ``to_text`` write it,
+headed by the package name and ``__version__``, and nothing reads it back.
 """
 
 from __future__ import annotations
@@ -41,23 +44,10 @@ class CaseRecord:
         return self.passed != self.predicted_failure
 
 
-#: (passed, predicted_failure) of each verdict, for reading reports back.
-_VERDICT_FIELDS = {
-    "pass": (True, False),
-    "fail": (False, False),
-    "fail-as-predicted": (False, True),
-}
-
-
 @dataclass
 class Report:
     suite: str
-    records: list[CaseRecord] = field(default_factory=list)
-    tool: str = "heunlab"
-    version: str = __version__
-
-    def add(self, record: CaseRecord) -> None:
-        self.records.append(record)
+    records: list[CaseRecord]
 
     def sorted_records(self) -> list[CaseRecord]:
         return sorted(self.records, key=lambda r: r.case)
@@ -83,8 +73,8 @@ class Report:
                 item["wall_time"] = r.wall_time
             records.append(item)
         return json.dumps({
-            "tool": self.tool,
-            "version": self.version,
+            "tool": "heunlab",
+            "version": __version__,
             "suite": self.suite,
             # Nothing is sampled at random; the key stays so that reports
             # keep their schema.
@@ -93,27 +83,8 @@ class Report:
             "records": records,
         }, indent=1)
 
-    @staticmethod
-    def from_json(text: str) -> "Report":
-        data = json.loads(text)
-        report = Report(suite=data["suite"], tool=data["tool"],
-                        version=data["version"])
-        for item in data["records"]:
-            passed, predicted = _VERDICT_FIELDS[item["verdict"]]
-            report.add(CaseRecord(
-                passed=passed,
-                predicted_failure=predicted,
-                case=item["case"],
-                claim=item["claim"],
-                mode=item["mode"],
-                witness=item.get("witness"),
-                residual=item.get("residual"),
-                wall_time=item.get("wall_time"),
-            ))
-        return report
-
     def to_text(self, *, timings: bool = False) -> str:
-        lines = [f"{self.tool} {self.version} - suite: {self.suite}"]
+        lines = [f"heunlab {__version__} - suite: {self.suite}"]
         width = max((len(r.case) for r in self.records), default=4)
         for r in self.sorted_records():
             mark = "ok " if r.ok() else "FAIL"

@@ -15,8 +15,6 @@ from heunlab.algebra import (
     RationalExpr,
     UnknownVariable,
     const,
-    differentiate,
-    eval_rational,
     exact_div,
     find_witness,
     identity_test,
@@ -82,18 +80,18 @@ class TestDifferentiate:
     def test_simple_pole(self):
         lam = var("lambda")
         e = 1 / (z - lam)
-        assert differentiate(e, "z") == -1 / (z - lam) ** 2
+        assert e.derivative("z") == -1 / (z - lam) ** 2
 
     def test_constant_in_var(self):
-        assert differentiate(t ** 3 + 2, "z").is_zero()
+        assert (t ** 3 + 2).derivative("z").is_zero()
 
     def test_unknown_variable_name(self):
         with pytest.raises(UnknownVariable):
-            differentiate(z, "not a name!")
+            z.derivative("not a name!")
 
     def test_quotient_rule(self):
         e = (z ** 2 + 1) / (z - 3)
-        d = differentiate(e, "z")
+        d = e.derivative("z")
         expect = ((2 * z) * (z - 3) - (z ** 2 + 1)) / (z - 3) ** 2
         assert d == expect
 
@@ -128,15 +126,15 @@ class TestSubstitute:
 class TestEval:
     def test_plain_value(self):
         e = (z ** 2 - 1) / (z - 1)
-        assert eval_rational(e, {"z": Fraction(3)}) == 4
+        assert e.eval_exact({"z": Fraction(3)}) == 4
 
     def test_pole(self):
         with pytest.raises(PoleAtPoint):
-            eval_rational(1 / z, {"z": Fraction(0)})
+            (1 / z).eval_exact({"z": Fraction(0)})
 
     def test_missing_value(self):
         with pytest.raises(UnknownVariable):
-            eval_rational(z + t, {"z": Fraction(1)})
+            (z + t).eval_exact({"z": Fraction(1)})
 
 
 class TestIdentity:
@@ -215,7 +213,7 @@ class TestPolyHelpers:
         a = ((z - lam) ** 2 * (z + 1)).num
         b = ((z - lam) * (z - 3)).num
         g = poly_gcd(a, b)
-        assert g.total_degree() == 1
+        assert g == (lam - z).num
         assert exact_div(a, g) is not None and exact_div(b, g) is not None
 
     def test_gcd_coprime(self):
@@ -308,10 +306,10 @@ class TestKernelWorkCounts:
     COUNTED = ("poly_gcd", "_gcd_by_interpolation", "_image_gcd_degree", "exact_div",
                "_gcd_prs", "_gcd_univar", "_image_coeff_list")
     COUNTS = {
-        "matching/p5": {"poly_gcd": 704, "_gcd_by_interpolation": 36,
+        "matching/p5": {"poly_gcd": 700, "_gcd_by_interpolation": 36,
                         "_image_gcd_degree": 276, "exact_div": 556, "_gcd_prs": 0,
                         "_gcd_univar": 16, "_image_coeff_list": 1568},
-        "matching/p6": {"poly_gcd": 426, "_gcd_by_interpolation": 12,
+        "matching/p6": {"poly_gcd": 418, "_gcd_by_interpolation": 12,
                         "_image_gcd_degree": 128, "exact_div": 200, "_gcd_prs": 0,
                         "_gcd_univar": 6, "_image_coeff_list": 596},
     }

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from heunlab import algebra
-from heunlab.algebra import MultiPoly, exact_div, poly_gcd
+from heunlab.algebra import MultiPoly, RationalExpr, exact_div, poly_gcd
 
 sympy = pytest.importorskip("sympy")
 
@@ -201,3 +201,82 @@ class TestExactDivOracle:
     def test_arbitrary_pairs(self, p, d):
         self.check(p, d)
         self.check(p.scale(2) + d, d.scale(3))
+
+
+# ---------------------------------------------------------------------------
+# Canonical form of rational functions
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_polys(draw, names):
+    exps = draw(st.lists(
+        st.tuples(*(st.integers(0, 2) for _ in names)),
+        min_size=1, max_size=3, unique=True))
+    return MultiPoly(names, {e: draw(NONZERO_COEFF) for e in exps})
+
+
+def poly_sympy(p: MultiPoly):
+    return to_sympy(p) if p.terms else sympy.Integer(0)
+
+
+def rational_sympy(e: RationalExpr):
+    return poly_sympy(e.num) / poly_sympy(e.den)
+
+
+#: Factors shared between operands, so that sums and quotients cancel.
+#: Their leading coefficients are not all 1.
+SHARED = (X, Y, X + 1, X.scale(2) - 1, X - Y, Y.scale(3) + 2)
+
+
+@st.composite
+def rationals(draw, max_ops=3):
+    """A rational function in two or three variables and the same in sympy.
+
+    Built from a small polynomial by up to ``max_ops`` of +, -, * and / (on
+    either side) with further small polynomials, each step done in both
+    systems.  Every operand is a small polynomial times one of ``SHARED``.
+    """
+    names = draw(st.sampled_from([NAMES[:2], NAMES]))
+    p = draw(small_polys(names)) * draw(st.sampled_from(SHARED))
+    expr, sym = RationalExpr(p), to_sympy(p)
+    for _ in range(draw(st.integers(1, max_ops))):
+        q = draw(small_polys(names)) * draw(st.sampled_from(SHARED))
+        rq, sq = RationalExpr(q), to_sympy(q)
+        op = draw(st.sampled_from(["+", "-", "*", "/", "\\"]))
+        if op == "\\" and expr.is_zero():
+            op = "*"
+        expr, sym = {
+            "+": lambda: (expr + rq, sym + sq),
+            "-": lambda: (expr - rq, sym - sq),
+            "*": lambda: (expr * rq, sym * sq),
+            "/": lambda: (expr / rq, sym / sq),
+            "\\": lambda: (rq / expr, sq / sym),
+        }[op]()
+    return expr, sym
+
+
+class TestCanonicalFormOracle:
+    """Each ``RationalExpr`` is sympy's value in lowest terms, monic below."""
+
+    @SETTINGS
+    @given(rationals())
+    def test_value_matches_sympy(self, pair):
+        expr, sym = pair
+        assert sympy.cancel(rational_sympy(expr) - sym) == 0
+
+    @SETTINGS
+    @given(rationals())
+    def test_lowest_terms_and_monic_denominator(self, pair):
+        expr, _ = pair
+        assert sympy.gcd(poly_sympy(expr.num), poly_sympy(expr.den)).is_number
+        assert expr.den.leading()[1] == 1
+
+    @SETTINGS
+    @given(rationals(max_ops=2), rationals(max_ops=2))
+    def test_inverse_operations_restore_structure(self, pa, pb):
+        (a, _), (b, _) = pa, pb
+        # RationalExpr equality compares the canonical num and den term maps.
+        assert (a + b) - b == a
+        if not b.is_zero():
+            assert (a * b) / b == a

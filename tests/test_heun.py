@@ -73,10 +73,6 @@ class TestBuildHeun:
         with pytest.raises(FuchsianViolation):
             build_heun(general_spec(epsilon=5))
 
-    def test_fuchsian_enforcement_toggle(self):
-        ode = build_heun(general_spec(epsilon=5), enforce_fuchsian=False)
-        assert ode.p1 is not None
-
     def test_singular_confluence(self):
         with pytest.raises(SingularConfluence):
             build_heun(general_spec(t=1, epsilon=2))
@@ -250,25 +246,17 @@ class TestSingularSetCertificate:
         t = var("t")
         ode = LinearODE2(1 / z + 1 / (z - 1) + 1 / (z - t), 1 / (z * (z - 1) * (z - t)))
         assert _certify_singular_set(ode, t)
+        # p1 = 0 is not 2/z + O(1/z^2), so infinity is (regular) singular.
+        assert _certify_singular_set(
+            LinearODE2(const(0), 1 / (z ** 2 * (z - 1) * (z - t))), t)
 
     @pytest.mark.parametrize("ode, t", [
         (build_heun_derivative(general_spec()), const(2)),
         (LinearODE2(1 / z + 1 / (z - 1), 1 / (z * (z - 1))), var("t")),
         (LinearODE2(const(1), const(1)), var("t")),
-        (LinearODE2(const(0), 1 / (z ** 2 * (z - 1) * (z - var("t")))), var("t")),
+        (LinearODE2(1 / z + 1 / (z - 1), 1 / (z ** 2 * (z - 1) * (z - var("t")))),
+         var("t")),
     ], ids=["extra-point-survives", "no-pole-at-t", "no-finite-pole",
             "ordinary-infinity"])
     def test_refuses(self, ode, t):
         assert not _certify_singular_set(ode, t)
-
-
-class TestSerialization:
-    def test_params_roundtrip(self):
-        spec = general_spec()
-        text = spec.to_params_text()
-        mapping = {}
-        for line in text.splitlines():
-            k, v = (part.strip() for part in line.split("="))
-            mapping[k] = const(Fraction(v))
-        again = HeunSpec.from_params(HeunFamily.GENERAL, mapping)
-        assert again == spec

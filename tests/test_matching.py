@@ -6,7 +6,7 @@ import pytest
 
 from dataclasses import replace
 
-from heunlab.algebra import const, exact_div, identity_test, poly_gcd, substitute, var
+from heunlab.algebra import const, identity_test, substitute, var
 from heunlab.heun import HeunFamily, HeunSpec, build_heun_derivative
 from heunlab.matching import (
     UnknownCase,
@@ -167,16 +167,6 @@ class TestVerifyRiccati:
         case = matching_case(PainleveKind.P4)
         k0 = var("kappa0")
         assert identity_test(case.riccati_rhs, lam ** 2 + 2 * t * lam + 2 * k0)
-
-    def test_condition_factors_multiply_to_condition(self):
-        for kind in PainleveKind:
-            case = matching_case(kind)
-            prod = const(1)
-            for f in case.condition_factors:
-                prod = prod * f
-            g = poly_gcd(case.condition.num, prod.num)
-            assert exact_div(case.condition.num, g) is not None
-            assert poly_gcd(exact_div(case.condition.num, g), const(1).num).is_const()
 
 
 class TestVerifyObstruction:

@@ -87,8 +87,12 @@ class TestIntegrationConfig:
         ({"max_step": 0.0}, "max_step"),
         ({"max_step": -0.5}, "max_step"),
         ({"max_step": math.nan}, "max_step"),
+        ({"min_distance": 0.0}, "min_distance"),
+        ({"min_distance": -1.0}, "min_distance"),
+        ({"min_distance": math.nan}, "min_distance"),
     ], ids=["abs-tol-zero", "abs-tol-negative", "abs-tol-nan", "rel-tol-negative",
-            "rel-tol-nan", "max-step-zero", "max-step-negative", "max-step-nan"])
+            "rel-tol-nan", "max-step-zero", "max-step-negative", "max-step-nan",
+            "min-distance-zero", "min-distance-negative", "min-distance-nan"])
     def test_invalid_field_rejected(self, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             IntegrationConfig(**kwargs)
@@ -298,14 +302,14 @@ class TestRiccati:
     def test_constant_function_is_not_a_solution(self):
         # A constant trajectory gives residual |2 c^3 + t c + alpha2| > 0,
         # confirming the meter is not identically zero.
-        samples = [Sample(s, complex(s), (0.5 + 0j,), (0j,))
+        samples = [Sample(s, complex(s), (0.5 + 0j,))
                    for s in [i / 100 for i in range(101)]]
         traj = ODETrajectory(samples)
         r = painleve_residual(PainleveKind.P2, traj, {"alpha2": F(2)})
         assert r > 1.0
 
     def test_insufficient_samples(self):
-        samples = [Sample(i / 3, complex(i / 3), (0j,), (0j,)) for i in range(4)]
+        samples = [Sample(i / 3, complex(i / 3), (0j,)) for i in range(4)]
         with pytest.raises(InsufficientSamples):
             painleve_residual(PainleveKind.P2, ODETrajectory(samples), {"alpha2": F(2)})
 

@@ -28,6 +28,8 @@ from heunlab.numeric import (
     ODETrajectory,
     Sample,
     StiffnessAbort,
+    _MAX_STEPS,
+    _POLE_THRESHOLD,
     _neville,
     compile_scalar,
     integrate_hamiltonian,
@@ -80,9 +82,9 @@ def reference_integrate_segments(field_fn, path, y0, cfg):
         err_old = 1e-4
         k1 = f(s, y)
         if not samples:
-            samples.append(Sample(0.0, a, y, tuple(c / seg for c in k1)))
+            samples.append(Sample(0.0, a, y))
         while s < 1.0:
-            if steps >= cfg.max_steps:
+            if steps >= _MAX_STEPS:
                 raise StiffnessAbort("step budget exhausted")
             steps += 1
             h = min(h, 1.0 - s)
@@ -108,10 +110,8 @@ def reference_integrate_segments(field_fn, path, y0, cfg):
                 y = y_new
                 k1 = k[6]
                 max_err = max(max_err, err)
-                samples.append(Sample(
-                    s_off + s * seg_len, a + s * seg, y,
-                    tuple(c / seg for c in k1)))
-                if any(abs(c) > cfg.pole_threshold for c in y):
+                samples.append(Sample(s_off + s * seg_len, a + s * seg, y))
+                if any(abs(c) > _POLE_THRESHOLD for c in y):
                     samples.pop()
                     truncated = True
                     break

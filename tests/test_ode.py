@@ -15,6 +15,7 @@ from heunlab.ode import (
     LinearODE2,
     Mobius,
     NoDerivativeEquation,
+    SingularPoint,
     coefficient_diff,
     derivative_equation,
     gauge_mobius_transform,
@@ -96,7 +97,10 @@ class TestMobiusGauge:
 
 class TestSingularPoints:
     def test_no_coefficients_no_singularities(self):
-        assert singular_points(LinearODE2(const(0), const(0))) == []
+        # No finite singular point; infinity is regular singular, because
+        # the solution z of v'' = 0 is not analytic there.
+        assert singular_points(LinearODE2(const(0), const(0))) == [
+            SingularPoint(INFINITY, "regular")]
 
     def test_regular_points_of_simple_fuchsian(self):
         # gamma/z + delta/(z-1) style equation with poles at 0, 1 and infinity.
@@ -130,20 +134,22 @@ class TestSingularPoints:
             singular_points(ode)
 
     @pytest.mark.parametrize("p1, p2, expected", [
-        (2 / z, const(0), ["regular"]),
+        (2 / z, const(0), []),
         (3 / z, 1 / z ** 4, ["regular"]),
         (const(0), 1 / z ** 2, ["regular"]),
         (const(0), 1 / z ** 3, ["regular"]),
         (const(0), 1 / z, ["irregular"]),
         (const(1), const(0), ["irregular"]),
-        (1 / z ** 2, const(0), []),
-        (const(0), 1 / z ** 4, []),
-        (const(0), const(0), []),
+        (1 / z ** 2, const(0), ["regular"]),
+        (const(0), 1 / z ** 4, ["regular"]),
+        (const(0), const(0), ["regular"]),
+        (1 / z + 1 / (z - 1), 1 / (z ** 2 * (z - 1) * (z - 2)), []),
     ], ids=["2/z,0", "3/z,1/z^4", "0,1/z^2", "0,1/z^3", "0,1/z", "1,0",
-            "1/z^2,0", "0,1/z^4", "0,0"])
+            "1/z^2,0", "0,1/z^4", "0,0", "1/z+1/(z-1),1/(z^2(z-1)(z-2))"])
     def test_infinity_degree_rule_boundaries(self, p1, p2, expected):
-        # Infinity is singular when p1 decays no faster than 1/z or p2 no
-        # faster than 1/z^3, and regular when p1 = O(1/z) and p2 = O(1/z^2).
+        # In the chart w = 1/z, infinity is ordinary exactly when
+        # p1 = 2/z + O(1/z^2) and p2 = O(1/z^4); a singular infinity is
+        # regular when p1 = O(1/z) and p2 = O(1/z^2).
         pts = singular_points(LinearODE2(p1, p2))
         assert [p.kind for p in pts if p.location == INFINITY] == expected
 

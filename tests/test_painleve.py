@@ -14,7 +14,6 @@ from heunlab.painleve import (
     hamiltonian,
     kappa_constant,
     lambda_second_derivative_along_flow,
-    p3_substitution_roundtrip,
     painleve_rhs,
     recover_hamiltonian,
     verify_elimination,
@@ -167,9 +166,6 @@ class TestElimination:
 class TestP3Substitution:
     def test_forward(self):
         assert verify_p3_substitution().passed
-
-    def test_roundtrip(self):
-        assert p3_substitution_roundtrip()
 
     def test_perturbed_constant_fails(self):
         # Breaking delta3 on one side must break the identity.
