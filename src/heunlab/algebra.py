@@ -394,16 +394,8 @@ def _univar_view(p: MultiPoly, name: str) -> dict[int, MultiPoly]:
     return {k: MultiPoly(rest, t) for k, t in buckets.items()}
 
 
-def _from_univar(name: str, coeffs: Mapping[int, MultiPoly]) -> MultiPoly:
-    out = _ZERO
-    x = MultiPoly.variable(name)
-    for k, c in coeffs.items():
-        out = out + c * x ** k
-    return out
-
-
-def _content_pp(p: MultiPoly, name: str) -> tuple[MultiPoly, MultiPoly]:
-    """(content, primitive part) of p with respect to ``name``."""
+def _primitive_part(p: MultiPoly, name: str) -> MultiPoly:
+    """p divided by its content, the gcd of its coefficients in ``name``."""
     coeffs = list(_univar_view(p, name).values())
     cont = coeffs[0]
     for c in coeffs[1:]:
@@ -413,28 +405,7 @@ def _content_pp(p: MultiPoly, name: str) -> tuple[MultiPoly, MultiPoly]:
     cont = _canon_primitive(cont)
     pp = exact_div(p, cont)
     assert pp is not None
-    return cont, pp
-
-
-def _prem(f: dict[int, MultiPoly], g: dict[int, MultiPoly], name: str) -> MultiPoly:
-    """Pseudo-remainder of f by g, both univariate views in ``name``."""
-    df = max(f)
-    dg = max(g)
-    lg = g[dg]
-    r = dict(f)
-    while r and max(r) >= dg:
-        dr = max(r)
-        lr = r[dr]
-        shift = dr - dg
-        nr: dict[int, MultiPoly] = {}
-        for k, c in r.items():
-            nr[k] = c * lg
-        for k, c in g.items():
-            kk = k + shift
-            v = nr.get(kk, _ZERO) - lr * c
-            nr[kk] = v
-        r = {k: c for k, c in nr.items() if not c.is_zero()}
-    return _from_univar(name, r)
+    return pp
 
 
 def _int_primitive(v: list[int]) -> list[int]:
@@ -491,20 +462,21 @@ def _gcd_univar(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
     return _canon_primitive(out)
 
 
-def _image_gcd_degree(a: MultiPoly, b: MultiPoly, name: str) -> int | None:
-    """Upper bound for the degree of gcd(a, b) in ``name``; None if inconclusive.
+def _image_gcd_degree(a: MultiPoly, b: MultiPoly, name: str) -> int:
+    """Upper bound for the degree of gcd(a, b) in ``name``.
 
     Substitutes fixed pseudo-random integers for every other indeterminate and
     takes the gcd of the two univariate images.  Whenever the substitution
     preserves the degree of one input it also preserves the degree of the true
     gcd's image, which divides the image gcd, so the returned degree is never
     smaller than the true one.  In particular a return of 0 proves the gcd is
-    free of ``name``.
+    free of ``name``.  When no sample point is conclusive the bound is the
+    smaller input degree.
     """
     others = sorted((set(a.names) | set(b.names)) - {name})
     da, db = a.degree_in(name), b.degree_in(name)
     rng = random.Random(20250808)
-    best: int | None = None
+    best = min(da, db)
     for _ in range(4):
         point = {n: rng.randint(-997, 997) for n in others}
         ia = _image_coeff_list(a, name, point)
@@ -513,8 +485,7 @@ def _image_gcd_degree(a: MultiPoly, b: MultiPoly, name: str) -> int | None:
             continue
         if len(ia) - 1 != da and len(ib) - 1 != db:
             continue
-        d = len(_int_gcd_lists(ia, ib)) - 1
-        best = d if best is None else min(best, d)
+        best = min(best, len(_int_gcd_lists(ia, ib)) - 1)
         if best == 0:
             return 0
         if not others:
@@ -565,14 +536,21 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     Returned integer-primitive with positive leading coefficient; constants
     count as units, so coprime inputs give 1.
 
-    Strategy, cheapest first: trial exact divisions (denominators in this
-    package are mostly nested products of the same linear factors); per
-    variable image-gcd degrees, which prove coprimality outright when all
-    zero; evaluation-interpolation over just the variables the gcd actually
-    involves, certified by exact division; and a primitive PRS as the sound
-    fallback when interpolation keeps hitting unlucky points.  The images
-    that the degree bounds and the interpolation read are computed over the
-    integers, at integer sample points (see ``_image_coeff_list``).
+    Three strategies, cheapest first: trial exact divisions (denominators in
+    this package are mostly nested products of the same linear factors); the
+    univariate integer PRS when both inputs are in one shared variable; and,
+    otherwise, per variable image-gcd degree bounds, which prove coprimality
+    outright when all zero, followed by evaluation-interpolation over just the
+    variables the gcd actually involves, certified by exact division.  The
+    images that the degree bounds and the interpolation read are computed over
+    the integers, at integer sample points (see ``_image_coeff_list``).
+
+    A degree bound read at unlucky points is too high.  Interpolation lowers
+    it by Brown's rule as soon as an image of lower degree shows up, and the
+    attempt is repeated without counting against the three salted attempts;
+    since each lowering reduces a finite sum of degrees, this ends.  Three
+    attempts that fail without lowering anything raise ``AlgebraError``
+    rather than return an uncertified gcd.
     """
     a = _as_poly(a)
     b = _as_poly(b)
@@ -597,10 +575,12 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _gcd_univar(a, b, common_sorted[0])
     # Expected gcd degree per variable; all zero proves the inputs coprime.
     exp_deg = {n: _image_gcd_degree(a, b, n) for n in common_sorted}
-    support = [n for n in common_sorted if exp_deg[n] != 0]
-    if not support:
-        return _ONE
-    for salt in range(3):
+    salt = 0
+    while salt < 3:
+        support = [n for n in common_sorted if exp_deg[n]]
+        if not support:
+            return _ONE
+        bound = exp_deg[support[0]]
         g = _gcd_by_interpolation(a, b, support, exp_deg, salt)
         if g is not None:
             if g.is_const():
@@ -609,11 +589,13 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             qb = exact_div(b, g)
             leftover = poly_gcd(qa, qb)
             return _canon_primitive(g * leftover)
-    return _gcd_prs(a, b, support, exp_deg)
+        if exp_deg[support[0]] == bound:
+            salt += 1
+    raise AlgebraError("gcd interpolation failed on three salted attempts")
 
 
 def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
-                          exp_deg: dict[str, int | None], salt: int) -> MultiPoly | None:
+                          exp_deg: dict[str, int], salt: int) -> MultiPoly | None:
     """Interpolation gcd candidate over the gcd's support variables, verified.
 
     Every variable outside ``support`` is frozen at a random integer (the gcd
@@ -624,6 +606,10 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
     taking the primitive part in the main variable isolates the gcd
     candidate.  The candidate is accepted only when it exactly divides both
     inputs.
+
+    Images of higher degree in the main variable than ``exp_deg`` expects are
+    skipped as unlucky.  An image of lower degree proves the expectation too
+    high (Brown's rule): it is lowered in ``exp_deg`` and the attempt ends.
     """
     x = support[0]
     yvars = support[1:]
@@ -640,15 +626,9 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
 
     # Interpolation degree bound per remaining variable: the normalised image
     # is (gamma/lc(gcd)) * gcd, so its y-degree is bounded by the gamma degree
-    # plus the expected gcd degree (input degree when no estimate exists).
-    bounds = {}
-    for y in yvars:
-        est = exp_deg.get(y)
-        if est is None:
-            est = min(a.degree_in(y), b.degree_in(y))
-        bounds[y] = gamma_poly.degree_in(y) + est
-    expected_dx = exp_deg.get(x)
-    state = {"dx": expected_dx}
+    # plus the expected gcd degree.
+    bounds = {y: gamma_poly.degree_in(y) + exp_deg[y] for y in yvars}
+    dx = exp_deg[x]
 
     def univar_image(point: dict[str, int]) -> MultiPoly | None:
         ia = _image_coeff_list(a, x, point)
@@ -659,9 +639,10 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
             return None
         g = _int_gcd_lists(ia, ib)
         dg = len(g) - 1
-        if state["dx"] is None:
-            state["dx"] = dg
-        if dg != state["dx"]:
+        # One input keeps its degree here, so dg bounds the gcd's degree.
+        if dg < dx:
+            exp_deg[x] = dg
+        if dg != dx:
             return None
         gamma = gamma_poly.eval_exact(point)
         if gamma == 0:
@@ -678,7 +659,7 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
         nodes: list[int] = []
         values: list[MultiPoly] = []
         trial = 0
-        while len(nodes) < npts and trial < 4 * npts + 12:
+        while len(nodes) < npts and trial < 4 * npts + 12 and exp_deg[x] == dx:
             node = rng.randint(-499, 499) + trial
             trial += 1
             if node in nodes:
@@ -709,56 +690,10 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
     cand = interpolate(tuple(yvars), dict(frozen))
     if cand is None or cand.is_zero():
         return None
-    cont, pp = _content_pp(cand, x)
-    pp = _canon_primitive(pp)
+    pp = _canon_primitive(_primitive_part(cand, x))
     if exact_div(a, pp) is None or exact_div(b, pp) is None:
         return None
     return pp
-
-
-def _gcd_prs(a: MultiPoly, b: MultiPoly, support: list[str],
-             exp_deg: dict[str, int | None]) -> MultiPoly:
-    """Primitive PRS fallback, with early division-verified termination."""
-    name = min(support, key=lambda n: (
-        exp_deg[n] if exp_deg[n] is not None else 1 << 30,
-        min(a.degree_in(n), b.degree_in(n)),
-        n,
-    ))
-    expected = exp_deg[name]
-    ca, pa = _content_pp(a, name)
-    cb, pb = _content_pp(b, name)
-    cg = poly_gcd(ca, cb)
-    pa = _canon_primitive(pa)
-    pb = _canon_primitive(pb)
-    f = _univar_view(pa, name)
-    g = _univar_view(pb, name)
-    if max(f) < max(g):
-        f, g = g, f
-    last_tried = None
-    while True:
-        dg = max(g)
-        if expected is not None and dg <= expected and dg != last_tried:
-            # Every PRS member is a multiple of the gcd; the one at the
-            # expected degree usually is the gcd, so try it by division.
-            last_tried = dg
-            cand = _from_univar(name, g)
-            _, cand = _content_pp(cand, name)
-            cand = _canon_primitive(cand)
-            if exact_div(pa, cand) is not None and exact_div(pb, cand) is not None:
-                return _canon_primitive(cg * cand)
-        r = _prem(f, g, name)
-        if r.is_zero():
-            gp = _from_univar(name, g)
-            break
-        if r.degree_in(name) == 0:
-            gp = _ONE
-            break
-        _, r = _content_pp(r, name)
-        f, g = g, _univar_view(_canon_primitive(r), name)
-    if gp.is_const():
-        return _canon_primitive(cg)
-    _, gp = _content_pp(gp, name)
-    return _canon_primitive(cg * gp)
 
 
 def poly_sqrt(p: MultiPoly) -> MultiPoly | None:
@@ -854,11 +789,15 @@ class RationalExpr:
     def __add__(self, other) -> "RationalExpr":
         other = as_rational(other)
         if self.den == other.den:
+            # The sum of the numerators can share a factor with the denominator.
             return RationalExpr(self.num + other.num, self.den)
+        # Otherwise the pairs built below are already reduced: no factor of
+        # self.den/g or other.den/g divides the new numerator, and h removes
+        # what it shares with g.
         g = poly_gcd(self.den, other.den)
         if g.is_const():
             num = self.num * other.den + other.num * self.den
-            return RationalExpr(num, self.den * other.den)
+            return RationalExpr._monic(num, self.den * other.den)
         db = exact_div(self.den, g)
         dd = exact_div(other.den, g)
         num = self.num * dd + other.num * db
@@ -866,7 +805,7 @@ class RationalExpr:
         if not h.is_const():
             num = exact_div(num, h)
             g = exact_div(g, h)
-        return RationalExpr(num, g * db * dd)
+        return RationalExpr._monic(num, g * db * dd)
 
     __radd__ = __add__
 
@@ -892,7 +831,7 @@ class RationalExpr:
         other = as_rational(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero expression")
-        return self * RationalExpr(other.den, other.num)
+        return self * RationalExpr._monic(other.den, other.num)
 
     def __rtruediv__(self, other) -> "RationalExpr":
         return as_rational(other) / self
@@ -903,7 +842,7 @@ class RationalExpr:
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")
-            return RationalExpr(self.den ** (-n), self.num ** (-n))
+            return RationalExpr._monic(self.den ** (-n), self.num ** (-n))
         return RationalExpr._monic(self.num ** n, self.den ** n)
 
     @staticmethod

@@ -19,6 +19,7 @@ Parameter files are UTF-8 ``key = value`` lines with exact rational values
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 from fractions import Fraction
 
@@ -128,12 +129,19 @@ def _heun_spec(family: HeunFamily, values: dict[str, Fraction]) -> HeunSpec:
     return HeunSpec.of(family, **wanted)
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
+def _parse_complex(text: str, option: str) -> complex:
+    """The finite complex number ``text`` (``0.25-0.5i``) given to ``option``."""
+    try:
+        value = complex(text.replace(" ", "").replace("i", "j"))
+        if cmath.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{option} needs a finite number, got {text.strip()!r}")
 
 
 def _parse_pathspec(text: str) -> ComplexPath:
-    return ComplexPath.of(*(_parse_complex(p) for p in text.split("->")))
+    return ComplexPath.of(*(_parse_complex(p, "--path") for p in text.split("->")))
 
 
 def _parse_pair(text: str, sep: str, option: str) -> tuple[complex, complex]:
@@ -141,10 +149,11 @@ def _parse_pair(text: str, sep: str, option: str) -> tuple[complex, complex]:
     parts = text.split(sep)
     if len(parts) == 2:
         try:
-            return _parse_complex(parts[0]), _parse_complex(parts[1])
+            return _parse_complex(parts[0], option), _parse_complex(parts[1], option)
         except ValueError:
             pass
-    raise ValueError(f"{option} needs two numbers separated by '{sep}', got {text!r}")
+    raise ValueError(
+        f"{option} needs two finite numbers separated by '{sep}', got {text!r}")
 
 
 def _kind_params(kind: PainleveKind, values: dict[str, Fraction],
@@ -236,7 +245,7 @@ def cmd_integrate(args) -> int:
         case = matching_case(kind, 1 if args.branch != "-" else -1)
         traj = integrate_riccati(case, _kind_params(kind, values),
                                  _parse_pair(args.t_range, ":", "--t-range"),
-                                 _parse_complex(args.lambda0), cfg)
+                                 _parse_complex(args.lambda0, "--lambda0"), cfg)
     else:
         kind = KIND_NAMES[args.kind]
         traj = integrate_hamiltonian(kind, _kind_params(kind, values),

@@ -26,6 +26,7 @@ budget and the modulus taken for a pole are module constants.
 from __future__ import annotations
 
 import bisect
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -74,6 +75,8 @@ class ComplexPath:
     @staticmethod
     def of(*points) -> "ComplexPath":
         pts = tuple(complex(p) for p in points)
+        if not all(cmath.isfinite(p) for p in pts):
+            raise ValueError(f"waypoints must be finite, got {pts}")
         if len(pts) < 2:
             raise ValueError("a path needs at least two waypoints")
         for a, b in zip(pts, pts[1:]):
@@ -113,11 +116,12 @@ class IntegrationConfig:
     max_step: float | None = None  # in units of the independent variable
 
     def __post_init__(self) -> None:
-        # Written as `not x > 0` so that a NaN is refused too.
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not self.rel_tol >= 0:
-            raise ValueError(f"rel_tol must be non-negative, got {self.rel_tol}")
+        # Written as negated comparisons so that a NaN is refused too.
+        if not 0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
+        if not 0 <= self.rel_tol < math.inf:
+            raise ValueError(
+                f"rel_tol must be non-negative and finite, got {self.rel_tol}")
         if not self.min_distance > 0:
             raise ValueError(
                 f"min_distance must be positive, got {self.min_distance}")

@@ -89,10 +89,6 @@ class Mobius:
     def of(a, b, c, d) -> "Mobius":
         return Mobius(as_rational(a), as_rational(b), as_rational(c), as_rational(d))
 
-    @staticmethod
-    def identity() -> "Mobius":
-        return Mobius.of(1, 0, 0, 1)
-
     def det(self) -> RationalExpr:
         return self.a * self.d - self.b * self.c
 
@@ -103,18 +99,6 @@ class Mobius:
     def expr(self, name: str = "z") -> RationalExpr:
         z = var(name)
         return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        """self after other: (self . other)(z) = self(other(z))."""
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
 
 @dataclass(frozen=True)
@@ -130,42 +114,10 @@ class GaugeSpec:
     phi: RationalExpr
     sigma: RationalExpr
 
-    @staticmethod
-    def identity() -> "GaugeSpec":
-        return GaugeSpec(Mobius.identity(), as_rational(1), as_rational(0))
-
     def check(self) -> None:
         self.mobius.check()
         if self.phi.is_zero():
             raise ValueError("gauge prefactor must not be identically zero")
-
-    def inverse(self, name: str = "z") -> "GaugeSpec":
-        inv = self.mobius.inverse()
-        phi_back = substitute(self.phi, {name: inv.expr(name)})
-        return GaugeSpec(inv, phi_back, -self.sigma)
-
-    def compose(self, first: "GaugeSpec", name: str = "z") -> "GaugeSpec":
-        """Gauge equivalent to applying ``first`` and then ``self``.
-
-        Defined when both stages share the same exponent (or one prefactor is
-        trivial), which keeps the combined prefactor a single sigma-power.
-        """
-        trivial_self = self.sigma.is_zero() or self.phi == as_rational(1)
-        trivial_first = first.sigma.is_zero() or first.phi == as_rational(1)
-        if not (self.sigma == first.sigma or trivial_self or trivial_first):
-            raise ValueError("cannot compose gauges with distinct exponents")
-        m2 = self.mobius.expr(name)
-        phi1_m2 = substitute(first.phi, {name: m2})
-        if trivial_first and not first.sigma.is_zero():
-            combined_phi = self.phi
-            sigma = self.sigma
-        elif trivial_self and not self.sigma.is_zero():
-            combined_phi = phi1_m2
-            sigma = first.sigma
-        else:
-            combined_phi = self.phi * phi1_m2
-            sigma = first.sigma if self.sigma.is_zero() else self.sigma
-        return GaugeSpec(first.mobius.compose(self.mobius), combined_phi, sigma)
 
 
 def gauge_mobius_transform(ode: LinearODE2, g: GaugeSpec) -> LinearODE2:

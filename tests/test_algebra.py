@@ -259,33 +259,33 @@ class TestPolyHelpers:
             assert exact_div(g, shared.num) is not None  # shared | gcd
             assert poly_gcd(qa, qb).is_const()           # nothing left over
 
-    def test_gcd_falls_back_to_prs(self, monkeypatch):
+    def test_unlucky_degree_bound_is_lowered(self, monkeypatch):
         # y = -101, -696, 246, 876 are the four values _image_gcd_degree
         # samples for y.  At each of them b equals a, so every image in x has
         # the false gcd degree 1, while the images at the values interpolation
-        # freezes y at have degree 0: all three salted attempts fail and only
-        # the PRS fallback decides.
+        # freezes y at have degree 0.  The first such image lowers the bound
+        # (Brown's rule), and interpolation alone decides.
         y = var("y")
         a = x - y ** 5
         b = a - (y + 101) * (y + 696) * (y - 246) * (y - 876)
-        attempts, prs_calls = [], []
-        interpolate, prs = algebra._gcd_by_interpolation, algebra._gcd_prs
+        attempts = []
+        interpolate = algebra._gcd_by_interpolation
 
-        def spy_interpolate(*args):
-            attempts.append(interpolate(*args))
-            return attempts[-1]
-
-        def spy_prs(*args):
-            prs_calls.append(args)
-            return prs(*args)
+        def spy_interpolate(a, b, support, exp_deg, salt):
+            before = dict(exp_deg)
+            result = interpolate(a, b, support, exp_deg, salt)
+            attempts.append((before, dict(exp_deg), result))
+            return result
 
         monkeypatch.setattr(algebra, "_gcd_by_interpolation", spy_interpolate)
-        monkeypatch.setattr(algebra, "_gcd_prs", spy_prs)
         assert poly_gcd(a.num, b.num).is_const()
-        assert attempts == [None, None, None] and len(prs_calls) == 1
+        assert attempts == [({"x": 1, "y": 0}, {"x": 0, "y": 0}, None)]
         h = x * y + 3
+        del attempts[:]
         assert poly_gcd((a * h).num, (b * h).num) == h.num
-        assert attempts[3:] == [None, None, None] and len(prs_calls) == 2
+        # The third attempt is the leftover gcd of the two cofactors.
+        assert attempts[:2] == [({"x": 2, "y": 1}, {"x": 1, "y": 1}, None),
+                                ({"x": 1, "y": 1}, {"x": 1, "y": 1}, h.num)]
 
     def test_str_roundtrip_smoke(self):
         e = (z ** 2 - t) / (3 * z * (z - 1))
@@ -300,18 +300,20 @@ class TestKernelWorkCounts:
     routine repeats to the unit.  A change that moves any of them changes
     what the kernel computes, not only how fast: it shows here even when wall
     time is too noisy to show it.  ``_image_coeff_list`` also serves
-    ``_gcd_univar``, two calls per univariate gcd.
+    ``_gcd_univar``, two calls per univariate gcd.  Every interpolation
+    attempt here decides on its first salt: a count of 36 or 12 that rises
+    means some attempt met an unlucky point.
     """
 
     COUNTED = ("poly_gcd", "_gcd_by_interpolation", "_image_gcd_degree", "exact_div",
-               "_gcd_prs", "_gcd_univar", "_image_coeff_list")
+               "_gcd_univar", "_image_coeff_list")
     COUNTS = {
-        "matching/p5": {"poly_gcd": 700, "_gcd_by_interpolation": 36,
-                        "_image_gcd_degree": 276, "exact_div": 556, "_gcd_prs": 0,
-                        "_gcd_univar": 16, "_image_coeff_list": 1568},
-        "matching/p6": {"poly_gcd": 418, "_gcd_by_interpolation": 12,
-                        "_image_gcd_degree": 128, "exact_div": 200, "_gcd_prs": 0,
-                        "_gcd_univar": 6, "_image_coeff_list": 596},
+        "matching/p5": {"poly_gcd": 586, "_gcd_by_interpolation": 36,
+                        "_image_gcd_degree": 206, "exact_div": 502,
+                        "_gcd_univar": 16, "_image_coeff_list": 1428},
+        "matching/p6": {"poly_gcd": 360, "_gcd_by_interpolation": 12,
+                        "_image_gcd_degree": 82, "exact_div": 178,
+                        "_gcd_univar": 6, "_image_coeff_list": 504},
     }
 
     @pytest.mark.parametrize("case", sorted(COUNTS))

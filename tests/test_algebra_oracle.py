@@ -1,13 +1,14 @@
 """``poly_gcd`` and ``exact_div`` against sympy, an independent oracle.
 
-``poly_gcd`` picks one of four strategies: trial division, the univariate
-integer PRS (``_gcd_univar``), evaluation-interpolation, and the primitive
-PRS fallback (``_gcd_prs``), which no suite input reaches and which is forced
-here by making every interpolation attempt fail.  Each strategy gets inputs
-built to reach it, a spy confirms that it decided, and the result must equal
-``sympy.gcd`` up to a nonzero constant while being integer-primitive with a
-positive leading coefficient.  ``exact_div`` must return None exactly when
-``sympy.div`` leaves a remainder, and sympy's quotient otherwise.
+``poly_gcd`` picks one of three strategies: trial division, the univariate
+integer PRS (``_gcd_univar``) and evaluation-interpolation.  Each strategy
+gets inputs built to reach it, a spy confirms that it decided, and the result
+must equal ``sympy.gcd`` up to a nonzero constant while being
+integer-primitive with a positive leading coefficient.  Interpolation also
+gets pairs aimed at the sample points of its degree bound, which make that
+bound too high, and must raise ``AlgebraError`` rather than answer when every
+attempt fails.  ``exact_div`` must return None exactly when ``sympy.div``
+leaves a remainder, and sympy's quotient otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from heunlab import algebra
-from heunlab.algebra import MultiPoly, RationalExpr, exact_div, poly_gcd
+from heunlab.algebra import AlgebraError, MultiPoly, RationalExpr, exact_div, poly_gcd
 
 sympy = pytest.importorskip("sympy")
 
@@ -43,7 +44,7 @@ def to_sympy(p: MultiPoly):
         for e, c in p.terms.items()))
 
 
-STRATEGIES = ("_gcd_univar", "_image_gcd_degree", "_gcd_by_interpolation", "_gcd_prs")
+STRATEGIES = ("_gcd_univar", "_image_gcd_degree", "_gcd_by_interpolation")
 
 
 @contextlib.contextmanager
@@ -68,8 +69,6 @@ def spying(**replacements):
 
 
 def strategy_of(calls) -> str:
-    if calls["_gcd_prs"]:
-        return "prs"
     if calls["_gcd_by_interpolation"]:
         return "interpolation"
     if calls["_image_gcd_degree"]:
@@ -137,6 +136,44 @@ def multivariate_pairs(draw):
     return shared * r1, shared * r2
 
 
+def degree_bound_samples() -> list[int]:
+    """The values of y at which ``_image_gcd_degree`` bounds a degree in x."""
+    seen = []
+    image = algebra._image_coeff_list
+
+    def spy(p, name, point):
+        seen.append(point["y"])
+        return image(p, name, point)
+
+    algebra._image_coeff_list = spy
+    try:
+        algebra._image_gcd_degree(X + Y, X + Y, "x")
+    finally:
+        algebra._image_coeff_list = image
+    return sorted(set(seen))
+
+
+@st.composite
+def unlucky_pairs(draw):
+    """s*a and s*b with b = a + c * prod(y - y_i) over the sampled y_i.
+
+    At each sample point b's image in x equals a's, so the degree bound in x
+    reads the whole degree of s*a, while gcd(s*a, s*b) is usually just s.
+    """
+    exps = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         min_size=1, max_size=4, unique=True))
+    a = MultiPoly(("x", "y"), {e: draw(NONZERO_COEFF) for e in exps})
+    a = a + X.scale(draw(NONZERO_SMALL)) ** draw(st.integers(1, 3))
+    spoiler = MultiPoly.const(draw(NONZERO_SMALL))
+    for v in degree_bound_samples():
+        spoiler = spoiler * (Y - v)
+    shared = MultiPoly.const(1)
+    for _ in range(draw(st.integers(0, 2))):
+        shared = shared * (X.scale(draw(NONZERO_SMALL)) + Y.scale(draw(small))
+                           + MultiPoly.const(draw(small)))
+    return shared * a, shared * (a + spoiler)
+
+
 class TestGcdOracle:
     @SETTINGS
     @given(products(), polys())
@@ -167,13 +204,26 @@ class TestGcdOracle:
         check_against_sympy(a, b, g)
 
     @SETTINGS
+    @given(unlucky_pairs())
+    def test_unlucky_sample_points(self, pair):
+        a, b = pair
+        with spying() as calls:
+            g = poly_gcd(a, b)
+        assume(strategy_of(calls) == "interpolation")
+        check_against_sympy(a, b, g)
+
+    @SETTINGS
     @given(multivariate_pairs())
-    def test_forced_prs(self, pair):
+    def test_failed_interpolation_raises(self, pair):
         a, b = pair
         with spying(_gcd_by_interpolation=lambda *args: None) as calls:
-            g = poly_gcd(a, b)
-        assume(strategy_of(calls) == "prs")
-        check_against_sympy(a, b, g)
+            try:
+                poly_gcd(a, b)
+            except AlgebraError:
+                assert calls["_gcd_by_interpolation"] == 3
+            else:
+                assert not calls["_gcd_by_interpolation"]
+        assume(calls["_gcd_by_interpolation"])
 
 
 class TestExactDivOracle:

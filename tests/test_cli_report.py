@@ -309,13 +309,23 @@ class TestExitContract:
         (GENERAL_PARAMS, [*HEUN_FROM_POLE, "--min-distance", "0"], "--min-distance"),
         (GENERAL_PARAMS, [*HEUN_FROM_POLE, "--min-distance=-1"], "--min-distance"),
         (GENERAL_PARAMS, [*HEUN_FROM_POLE, "--min-distance", "nan"], "--min-distance"),
+        ("alpha2 = 1/2\n", ["integrate", "--system", "riccati", "--kind", "p2",
+                            "--t-range", "0:1", "--lambda0", "abc"], "--lambda0"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--path", "0.25-0.5j -> abc"], "--path"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--path", "0.25-0.5j -> nan -> 0.25+0.5j"], "--path"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--init", "nan,0"], "--init"),
+        ("alpha2 = 1/2\n", ["integrate", "--system", "riccati", "--kind", "p2",
+                            "--t-range", "0:nan"], "--t-range"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--abs-tol", "inf", "--rel-tol", "inf"], "--abs-tol"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--rel-tol", "inf"], "--rel-tol"),
     ], ids=["singular-confluence", "missing-parameter", "missing-path",
             "path-through-singular-point", "condition-not-satisfied",
             "malformed-init", "malformed-t-range", "riccati-missing-parameter",
             "hamiltonian-missing-parameter", "missing-state", "abs-tol-zero",
             "abs-tol-negative", "abs-tol-nan", "rel-tol-negative", "max-step-zero",
             "max-step-negative", "min-distance-zero", "min-distance-negative",
-            "min-distance-nan"])
+            "min-distance-nan", "malformed-lambda0", "malformed-waypoint",
+            "nan-waypoint", "nan-init", "nan-t-range", "abs-tol-inf", "rel-tol-inf"])
     def test_input_errors_exit_2(self, capsys, tmp_path, params, argv, message):
         p = tmp_path / "case.params"
         p.write_text(params)

@@ -76,22 +76,29 @@ class TestPath:
         with pytest.raises(ValueError):
             ComplexPath.of(1.0, 1.0)
 
+    @pytest.mark.parametrize("waypoint", [math.nan, complex(0, math.inf)])
+    def test_non_finite_waypoint_rejected(self, waypoint):
+        with pytest.raises(ValueError, match="finite"):
+            ComplexPath.of(0, waypoint, 1)
+
 
 class TestIntegrationConfig:
     @pytest.mark.parametrize("kwargs, name", [
         ({"abs_tol": 0}, "abs_tol"),
         ({"abs_tol": -1e-12}, "abs_tol"),
         ({"abs_tol": math.nan}, "abs_tol"),
+        ({"abs_tol": math.inf, "rel_tol": math.inf}, "abs_tol"),
         ({"rel_tol": -1e-10}, "rel_tol"),
         ({"rel_tol": math.nan}, "rel_tol"),
+        ({"rel_tol": math.inf}, "rel_tol"),
         ({"max_step": 0.0}, "max_step"),
         ({"max_step": -0.5}, "max_step"),
         ({"max_step": math.nan}, "max_step"),
         ({"min_distance": 0.0}, "min_distance"),
         ({"min_distance": -1.0}, "min_distance"),
         ({"min_distance": math.nan}, "min_distance"),
-    ], ids=["abs-tol-zero", "abs-tol-negative", "abs-tol-nan", "rel-tol-negative",
-            "rel-tol-nan", "max-step-zero", "max-step-negative", "max-step-nan",
+    ], ids=["abs-tol-zero", "abs-tol-negative", "abs-tol-nan", "abs-tol-inf",
+            "rel-tol-negative", "rel-tol-nan", "rel-tol-inf", "max-step-zero", "max-step-negative", "max-step-nan",
             "min-distance-zero", "min-distance-negative", "min-distance-nan"])
     def test_invalid_field_rejected(self, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):

@@ -60,7 +60,8 @@ class TestDerivativeEquation:
 class TestMobiusGauge:
     def test_identity_gauge_is_noop(self):
         ode = LinearODE2(1 / z, (2 * z - 1) / (z * (z - 1)))
-        out = gauge_mobius_transform(ode, GaugeSpec.identity())
+        identity = GaugeSpec(Mobius.of(1, 0, 0, 1), const(1), const(0))
+        out = gauge_mobius_transform(ode, identity)
         assert ode_equal(out, ode)
 
     def test_degenerate_mobius_rejected(self):
@@ -74,7 +75,9 @@ class TestMobiusGauge:
         g = GaugeSpec(m, 1 / (z - 1), sigma)
         ode = LinearODE2(1 / z, (2 * z - 1) / (z * (z - 1)))
         once = gauge_mobius_transform(ode, g)
-        back = gauge_mobius_transform(once, g.inverse())
+        # w(z) = phi(z)^sigma v(1/z) gives back v(z) = phi(1/z)^-sigma w(1/z).
+        inverse = GaugeSpec(m, z / (1 - z), -sigma)
+        back = gauge_mobius_transform(once, inverse)
         assert ode_equal(back, ode)
 
     def test_group_action_shared_exponent(self):
@@ -83,7 +86,9 @@ class TestMobiusGauge:
         g2 = GaugeSpec(Mobius.of(2, 0, 0, 1), z - 3, sigma)
         ode = LinearODE2(1 / z, (z + 1) / (z * (z - 5)))
         stepwise = gauge_mobius_transform(gauge_mobius_transform(ode, g1), g2)
-        combined = gauge_mobius_transform(ode, g2.compose(g1))
+        # (z - 3)^sigma (2z + 2)^sigma v(2z + 1): g1 at 2z, times g2's prefactor.
+        g2_after_g1 = GaugeSpec(Mobius.of(2, 1, 0, 1), (z - 3) * (2 * z + 2), sigma)
+        combined = gauge_mobius_transform(ode, g2_after_g1)
         assert ode_equal(stepwise, combined)
 
     def test_pure_mobius_composition(self):
@@ -91,7 +96,9 @@ class TestMobiusGauge:
         g2 = GaugeSpec(Mobius.of(0, 1, 1, 0), const(1), const(0))
         ode = LinearODE2(1 / z, (z + 1) / (z * (z - 5)))
         stepwise = gauge_mobius_transform(gauge_mobius_transform(ode, g1), g2)
-        combined = gauge_mobius_transform(ode, g2.compose(g1))
+        # v(1/z + 2) = v((2z + 1)/z).
+        g2_after_g1 = GaugeSpec(Mobius.of(2, 1, 1, 0), const(1), const(0))
+        combined = gauge_mobius_transform(ode, g2_after_g1)
         assert ode_equal(stepwise, combined)
 
 
