@@ -26,7 +26,6 @@ from .heun import (  # noqa: F401
 )
 from .matching import (  # noqa: F401
     MatchingCase,
-    all_matching_cases,
     matching_case,
     verify_matching,
     verify_obstruction,

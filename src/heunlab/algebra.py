@@ -21,10 +21,21 @@ values are equal exactly when their canonical forms coincide term by term.
 The gcd and exact division work over the integers underneath the rational
 surface: the gcd's univariate images are evaluated in ints at integer sample
 points after clearing denominators, and exact division divides
-integer-primitive parts (Gauss's lemma), rescaling the quotient once.
+integer-primitive parts (Gauss's lemma), rescaling the quotient once.  Each
+rule has one home:
+
+* ``_image_coeff_list`` reads every univariate image, and
+  ``MultiPoly.primitive_int_coeffs`` is the same read-out at no sample point,
+  the one form in which a univariate polynomial leaves the kernel;
+* ``_image_gcd`` takes every image gcd and applies Brown's rule there: an
+  image gcd counts only where one image keeps its input's degree;
+* the interpolation gcd's certificate, exact division of both inputs,
+  returns its quotients, and ``poly_gcd`` reuses them;
+* ``_cancel`` and ``_rescale`` make every canonical pair.
 
 The monomial order used everywhere is graded lexicographic over the sorted
-name tuple: compare total degree first, then the exponent vectors.
+name tuple (``_grlex``): compare total degree first, then the exponent
+vectors.
 """
 
 from __future__ import annotations
@@ -64,6 +75,11 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _grlex(e: Exponents) -> tuple[int, Exponents]:
+    """Sort key of the graded lexicographic monomial order."""
+    return sum(e), e
 
 
 def _check_name(name: str) -> str:
@@ -123,20 +139,23 @@ class MultiPoly:
         i = self.names.index(name)
         return max(e[i] for e in self.terms)
 
-    def coeffs_in(self, name: str) -> list[Fraction]:
-        """Dense coefficients ``[c0, c1, ..., cd]`` of a polynomial in ``name`` alone."""
-        if self.names not in ((), (name,)):
-            raise ValueError(f"{self} is not a polynomial in {name} alone")
-        out = [Fraction(0)] * (self.degree_in(name) + 1)
-        for e, c in self.terms.items():
-            out[sum(e)] = c
-        return out
+    def primitive_int_coeffs(self, name: str) -> list[int]:
+        """Primitive integer coefficients ``[c0, c1, ..., cd]`` of a polynomial in ``name`` alone.
+
+        The dense list, low to high, of the polynomial scaled to coprime
+        integers with ``cd > 0``: the one form in which a univariate
+        polynomial leaves the kernel, the same list the univariate gcd reads
+        (``_image_coeff_list`` at the empty point).
+        """
+        if self.is_zero() or self.names not in ((), (name,)):
+            raise ValueError(f"{self} is not a nonzero polynomial in {name} alone")
+        return _image_coeff_list(self, name, {})
 
     def leading(self) -> tuple[Exponents, Fraction]:
         """Leading (exponents, coefficient) under graded lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=lambda e: (sum(e), e))
+        e = max(self.terms, key=_grlex)
         return e, self.terms[e]
 
     # ---- alignment of indeterminate registries -------------------------
@@ -189,11 +208,9 @@ class MultiPoly:
         if self.is_zero() or other.is_zero():
             return _ZERO
         if other.is_const():
-            c = other.const_value()
-            return MultiPoly(self.names, {e: k * c for e, k in self.terms.items()})
+            return self.scale(other.const_value())
         if self.is_const():
-            c = self.const_value()
-            return MultiPoly(other.names, {e: k * c for e, k in other.terms.items()})
+            return other.scale(self.const_value())
         names = MultiPoly._union_names(self, other)
         ta = self._aligned_to(names)
         tb = other._aligned_to(names)
@@ -279,7 +296,7 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+        for e in sorted(self.terms, key=_grlex, reverse=True):
             c = self.terms[e]
             mono = "*".join(
                 n if k == 1 else f"{n}^{k}"
@@ -338,11 +355,11 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     names = MultiPoly._union_names(p, d)
     rem, cp = _int_terms(p._aligned_to(names))
     dt, cd = _int_terms(d._aligned_to(names))
-    de = max(dt, key=lambda e: (sum(e), e))
+    de = max(dt, key=_grlex)
     dc = dt[de]
     quot: dict[Exponents, int] = {}
     while rem:
-        re = max(rem, key=lambda e: (sum(e), e))
+        re = max(rem, key=_grlex)
         qe = tuple(a - b for a, b in zip(re, de))
         if any(k < 0 for k in qe):
             return None
@@ -453,9 +470,27 @@ def _int_gcd_lists(f: list[int], g: list[int]) -> list[int]:
     return f
 
 
+def _image_gcd(a: MultiPoly, b: MultiPoly, name: str, point: Mapping[str, int],
+               da: int, db: int) -> list[int] | None:
+    """Integer gcd of the univariate images of a and b in ``name`` at ``point``.
+
+    ``da`` and ``db`` are the degrees of a and b in ``name``.  The image gcd
+    bounds the degree of the true gcd's image only where one image keeps its
+    input's degree (Brown, JACM 1971), so the result is None unless one does,
+    and also when either image is missing or zero (see ``_image_coeff_list``).
+    """
+    ia = _image_coeff_list(a, name, point)
+    ib = _image_coeff_list(b, name, point)
+    if ia is None or ib is None:
+        return None
+    if len(ia) - 1 != da and len(ib) - 1 != db:
+        return None
+    return _int_gcd_lists(ia, ib)
+
+
 def _gcd_univar(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
     """Fast primitive PRS for two univariate polynomials over the rationals."""
-    f = _int_gcd_lists(_image_coeff_list(a, name, {}), _image_coeff_list(b, name, {}))
+    f = _image_gcd(a, b, name, {}, a.degree_in(name), b.degree_in(name))
     if len(f) == 1:
         return _ONE
     out = MultiPoly((name,), {(k,): Fraction(c) for k, c in enumerate(f) if c})
@@ -479,13 +514,10 @@ def _image_gcd_degree(a: MultiPoly, b: MultiPoly, name: str) -> int:
     best = min(da, db)
     for _ in range(4):
         point = {n: rng.randint(-997, 997) for n in others}
-        ia = _image_coeff_list(a, name, point)
-        ib = _image_coeff_list(b, name, point)
-        if ia is None or ib is None:
+        g = _image_gcd(a, b, name, point, da, db)
+        if g is None:
             continue
-        if len(ia) - 1 != da and len(ib) - 1 != db:
-            continue
-        best = min(best, len(_int_gcd_lists(ia, ib)) - 1)
+        best = min(best, len(g) - 1)
         if best == 0:
             return 0
         if not others:
@@ -581,21 +613,20 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         if not support:
             return _ONE
         bound = exp_deg[support[0]]
-        g = _gcd_by_interpolation(a, b, support, exp_deg, salt)
-        if g is not None:
-            if g.is_const():
-                return _ONE
-            qa = exact_div(a, g)
-            qb = exact_div(b, g)
-            leftover = poly_gcd(qa, qb)
-            return _canon_primitive(g * leftover)
+        found = _gcd_by_interpolation(a, b, support, exp_deg, salt)
+        if found is not None:
+            # g is primitive in the main variable: a common factor free of
+            # it is still in both quotients.
+            g, qa, qb = found
+            return _canon_primitive(g * poly_gcd(qa, qb))
         if exp_deg[support[0]] == bound:
             salt += 1
     raise AlgebraError("gcd interpolation failed on three salted attempts")
 
 
 def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
-                          exp_deg: dict[str, int], salt: int) -> MultiPoly | None:
+                          exp_deg: dict[str, int], salt: int
+                          ) -> tuple[MultiPoly, MultiPoly, MultiPoly] | None:
     """Interpolation gcd candidate over the gcd's support variables, verified.
 
     Every variable outside ``support`` is frozen at a random integer (the gcd
@@ -604,8 +635,9 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
     image of gcd(lc(a), lc(b)); the interpolated object is then a polynomial
     multiple of the gcd whose extra factor is free of the main variable, so
     taking the primitive part in the main variable isolates the gcd
-    candidate.  The candidate is accepted only when it exactly divides both
-    inputs.
+    candidate.  The candidate g is accepted only when it exactly divides both
+    inputs, and ``(g, a/g, b/g)`` is returned: the quotients of that
+    certificate, so that the caller need not divide again.
 
     Images of higher degree in the main variable than ``exp_deg`` expects are
     skipped as unlucky.  An image of lower degree proves the expectation too
@@ -631,13 +663,9 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
     dx = exp_deg[x]
 
     def univar_image(point: dict[str, int]) -> MultiPoly | None:
-        ia = _image_coeff_list(a, x, point)
-        ib = _image_coeff_list(b, x, point)
-        if ia is None or ib is None:
+        g = _image_gcd(a, b, x, point, da, db)
+        if g is None:
             return None
-        if len(ia) - 1 != da and len(ib) - 1 != db:
-            return None
-        g = _int_gcd_lists(ia, ib)
         dg = len(g) - 1
         # One input keeps its degree here, so dg bounds the gcd's degree.
         if dg < dx:
@@ -691,9 +719,11 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
     if cand is None or cand.is_zero():
         return None
     pp = _canon_primitive(_primitive_part(cand, x))
-    if exact_div(a, pp) is None or exact_div(b, pp) is None:
+    qa = exact_div(a, pp)
+    qb = None if qa is None else exact_div(b, pp)
+    if qb is None:
         return None
-    return pp
+    return pp, qa, qb
 
 
 def poly_sqrt(p: MultiPoly) -> MultiPoly | None:
@@ -722,8 +752,8 @@ def poly_sqrt(p: MultiPoly) -> MultiPoly | None:
         names = MultiPoly._union_names(rem, root)
         rt = rem._aligned_to(names)
         qt = root._aligned_to(names)
-        re = max(rt, key=lambda e: (sum(e), e))
-        qe = max(qt, key=lambda e: (sum(e), e))
+        re = max(rt, key=_grlex)
+        qe = max(qt, key=_grlex)
         de = tuple(a - b for a, b in zip(re, qe))
         if any(k < 0 for k in de):
             return None
@@ -746,10 +776,14 @@ class RationalExpr:
     def __init__(self, num, den=_ONE, *, _canonical: bool = False):
         num = _as_poly(num)
         den = _as_poly(den)
-        if _canonical:
-            self.num, self.den = num, den
-        else:
-            self.num, self.den = _normalize(num, den)
+        if not _canonical:
+            if den.is_zero():
+                raise DivisionByZero("denominator is the zero polynomial")
+            # A constant denominator shares no factor with the numerator.
+            if not den.is_const():
+                num, den = _cancel(num, den)
+            num, den = _rescale(num, den)
+        self.num, self.den = num, den
         self._hash = None
 
     # ---- constructors ----------------------------------------------------
@@ -847,14 +881,8 @@ class RationalExpr:
 
     @staticmethod
     def _monic(num: MultiPoly, den: MultiPoly) -> "RationalExpr":
-        """Rescale an already-reduced pair so the denominator is monic."""
-        if num.is_zero():
-            return RationalExpr(_ZERO, _ONE, _canonical=True)
-        lc = den.leading()[1]
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        return RationalExpr(num, den, _canonical=True)
+        """An already-reduced pair, rescaled so the denominator is monic."""
+        return RationalExpr(*_rescale(num, den), _canonical=True)
 
     # ---- calculus ---------------------------------------------------------------
 
@@ -915,24 +943,14 @@ class RationalExpr:
         return f"{n}/{d}"
 
 
-def _normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    if den.is_zero():
-        raise DivisionByZero("denominator is the zero polynomial")
+def _rescale(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """num/den scaled so that the denominator's leading coefficient is 1."""
     if num.is_zero():
         return _ZERO, _ONE
-    if den.is_const():
-        return num.scale(1 / den.const_value()), _ONE
-    g = poly_gcd(num, den)
-    if not g.is_const():
-        num = exact_div(num, g)
-        den = exact_div(den, g)
-        if den.is_const():
-            return num.scale(1 / den.const_value()), _ONE
     lc = den.leading()[1]
-    if lc != 1:
-        num = num.scale(1 / lc)
-        den = den.scale(1 / lc)
-    return num, den
+    if lc == 1:
+        return num, den
+    return num.scale(1 / lc), den.scale(1 / lc)
 
 
 def _cancel(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly]:

@@ -186,8 +186,8 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("matching/p3prime [bi-confluent slip]", "matching",
           "the p3prime reduction does not fit the bi-confluent family, "
           "confirming the double-confluent binding",
-          lambda _b, _s: [verify_matching(matching_case(PainleveKind.P3P),
-                                          family_override=HeunFamily.BI_CONFLUENT)],
+          lambda _b, _s: [verify_matching(replace(matching_case(PainleveKind.P3P),
+                                                  heun_family=HeunFamily.BI_CONFLUENT))],
           flag="family_slip_check"),
 
     *(Claim(f"riccati/{kind.value}", "riccati",

@@ -36,7 +36,13 @@ from .algebra import (
 )
 from .heun import HeunFamily, HeunSpec, build_heun_derivative, fuchsian_holds
 from .ode import GaugeSpec, Mobius, coefficient_diff, gauge_mobius_transform
-from .painleve import PainleveKind, PainleveLinearSpec, build_painleve_linear, hamiltonian
+from .painleve import (
+    PainleveKind,
+    PainleveLinearSpec,
+    build_painleve_linear,
+    hamiltonian,
+    kappa_constant,
+)
 from .report import CaseRecord
 
 
@@ -70,8 +76,7 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
     if kind is PainleveKind.P6:
         k0, k1, th, kinf = (var(n) for n in ("kappa0", "kappa1", "theta", "kappainf"))
         K = k0 + k1 + th
-        kappa = ((K - 1) ** 2 - kinf ** 2) / 4
-        ab = k0 + k1 + th + kappa
+        ab = K + kappa_constant(kind)
         beta = (s * kinf - 1 - K) / 2
         alpha = (-s * kinf - 1 - K) / 2
         mu_c = k0 / lam + k1 / (lam - 1) + th / (lam - t)
@@ -200,19 +205,13 @@ def sign_branches(kind: PainleveKind) -> tuple[int, ...]:
     return (1, -1) if kind in (PainleveKind.P6, PainleveKind.P5) else (1,)
 
 
-def all_matching_cases(kind: PainleveKind) -> list[MatchingCase]:
-    """One case per sign branch of the kind."""
-    return [matching_case(kind, b) for b in sign_branches(kind)]
-
-
-def verify_matching(case: MatchingCase, *, h2_literal: bool = False,
-                    family_override: HeunFamily | None = None) -> CaseRecord:
+def verify_matching(case: MatchingCase, *, h2_literal: bool = False) -> CaseRecord:
     """Exact coefficient equality of the mapped Heun side and Painleve side.
 
     The Heun side is the derivative equation built at the mapped parameters,
     then gauge-transformed.
     """
-    spec = HeunSpec.from_params(family_override or case.heun_family, case.param_map)
+    spec = HeunSpec.from_params(case.heun_family, case.param_map)
     mapped = build_heun_derivative(spec, enforce_fuchsian=False)
     if case.gauge is not None:
         mapped = gauge_mobius_transform(mapped, case.gauge)
@@ -221,7 +220,7 @@ def verify_matching(case: MatchingCase, *, h2_literal: bool = False,
     diff = coefficient_diff(mapped, pode)
     passed = diff["p1"].is_zero() and diff["p2"].is_zero()
     details: dict = {"branch": case.sign_branch}
-    if case.heun_family is HeunFamily.GENERAL and family_override is None:
+    if case.heun_family is HeunFamily.GENERAL:
         details["fuchsian_relation_holds"] = fuchsian_holds(spec)
     witness = None
     if not passed:

@@ -429,7 +429,7 @@ def _roots_of_poly(mp, name: str) -> list[complex]:
     deg = mp.degree_in(name)
     if deg == 0:
         return []
-    coeffs = [complex(c) for c in mp.coeffs_in(name)]
+    coeffs = [complex(c) for c in mp.primitive_int_coeffs(name)]
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
     roots = [(0.4 + 0.9j) ** k for k in range(deg)]

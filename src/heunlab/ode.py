@@ -191,51 +191,52 @@ def _divisors(n: int, limit: int = 10 ** 6) -> list[int] | None:
     return sorted(set(divs))
 
 
-def _rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], list[Fraction]]:
-    """Rational roots with multiplicities, plus any unresolved cofactor.
+def _rational_roots(coeffs: list[int]) -> tuple[dict[Fraction, int], list[int]]:
+    """Rational roots with multiplicities, plus the rootless cofactor.
 
-    Returns (roots, leftover) where leftover is the coefficient list of the
-    rootless cofactor (constant when the polynomial splits over Q).
+    ``coeffs`` are primitive integer coefficients, low to high, as
+    ``MultiPoly.primitive_int_coeffs`` reads them.  A root p/q in lowest terms
+    has p dividing the lowest nonzero coefficient and q the leading one, and
+    then q z - p divides the polynomial in Z[z] (Gauss's lemma), so each
+    candidate is divided out exactly in integers.  Returns (roots, leftover):
+    leftover is the primitive integer list of the cofactor, constant when the
+    polynomial splits over Q, and the whole input, zero roots removed, when a
+    coefficient has a prime factor that ``_divisors`` refuses to find.
     """
-    work = list(coeffs)
-    while len(work) > 1 and work[-1] == 0:
-        work.pop()
     roots: dict[Fraction, int] = {}
-    # Factor out powers of the variable first.
-    while len(work) > 1 and work[0] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-        work = work[1:]
+    zeros = next(k for k, c in enumerate(coeffs) if c)
+    if zeros:
+        roots[Fraction(0)] = zeros
+    work = coeffs[zeros:]
     if len(work) == 1:
         return roots, work
-    den_lcm = 1
-    for c in work:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    iw = [int(c * den_lcm) for c in work]
-    g = 0
-    for c in iw:
-        g = math.gcd(g, c)
-    iw = [c // g for c in iw]
-    p_divs = _divisors(iw[0])
-    q_divs = _divisors(iw[-1])
+    p_divs = _divisors(work[0])
+    q_divs = _divisors(work[-1])
     if p_divs is None or q_divs is None:
         return roots, work
     candidates = sorted(
         {Fraction(sp * p, q) for p in p_divs for q in q_divs for sp in (1, -1)})
-    frac = [Fraction(c) for c in iw]
     for r in candidates:
-        while len(frac) > 1:
-            # Synthetic division by (x - r); keep the root only when exact.
-            deg = len(frac) - 1
-            quot = [Fraction(0)] * deg
-            quot[deg - 1] = frac[deg]
-            for k in range(deg - 1, 0, -1):
-                quot[k - 1] = frac[k] + r * quot[k]
-            rem = frac[0] + r * quot[0]
-            if rem != 0:
+        while len(work) > 1:
+            quot = _divide_linear(work, r.denominator, r.numerator)
+            if quot is None:
                 break
             roots[r] = roots.get(r, 0) + 1
-            frac = quot
-    return roots, frac
+            work = quot
+    return roots, work
+
+
+def _divide_linear(coeffs: list[int], q: int, p: int) -> list[int] | None:
+    """The quotient of the polynomial by q z - p when it is exact in Z[z], else None."""
+    quot = [0] * (len(coeffs) - 1)
+    carry = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        b, r = divmod(carry, q)
+        if r:
+            return None
+        quot[k] = b
+        carry = coeffs[k] + p * b
+    return None if carry else quot
 
 
 def squarefree_decomposition(p: MultiPoly, name: str) -> list[tuple[MultiPoly, int]]:
@@ -258,17 +259,20 @@ def squarefree_decomposition(p: MultiPoly, name: str) -> list[tuple[MultiPoly, i
     return out
 
 
-def _pole_orders(expr: RationalExpr, name: str) -> tuple[dict[Fraction, int], list[tuple[MultiPoly, int]]]:
-    """Orders of the finite poles of a univariate rational expression."""
+def _pole_orders(expr: RationalExpr, name: str) -> dict[object, int]:
+    """Orders of the finite poles of a univariate rational expression.
+
+    Keyed by the exact rational pole, or by a squarefree factor of the
+    denominator that does not split over Q.
+    """
     den = expr.den
     if den.is_const():
-        return {}, []
-    roots, leftover = _rational_roots(den.coeffs_in(name))
-    unresolved: list[tuple[MultiPoly, int]] = []
+        return {}
+    roots, leftover = _rational_roots(den.primitive_int_coeffs(name))
     if len(leftover) > 1:
         rest = MultiPoly((name,), {(k,): c for k, c in enumerate(leftover) if c})
-        unresolved = squarefree_decomposition(rest, name)
-    return roots, unresolved
+        roots.update(squarefree_decomposition(rest, name))
+    return roots
 
 
 def singular_points(ode: LinearODE2) -> list[SingularPoint]:
@@ -295,28 +299,15 @@ def singular_points(ode: LinearODE2) -> list[SingularPoint]:
         raise ValueError(
             f"coefficients still involve parameters {sorted(extra)}; bind them")
 
-    finite: dict[Fraction, tuple[int, int]] = {}
-    r1, u1 = _pole_orders(ode.p1, z)
-    r2, u2 = _pole_orders(ode.p2, z)
-    for r, k in r1.items():
-        finite[r] = (k, finite.get(r, (0, 0))[1])
-    for r, k in r2.items():
-        finite[r] = (finite.get(r, (0, 0))[0], k)
-    points = []
-    for r in sorted(finite):
-        o1, o2 = finite[r]
-        kind = "regular" if (o1 <= 1 and o2 <= 2) else "irregular"
-        points.append(SingularPoint(r, kind))
-    for f, k1 in u1:
-        k2 = next((k for g, k in u2 if g == f), 0)
-        kind = "regular" if (k1 <= 1 and k2 <= 2) else "irregular"
-        points.append(SingularPoint(f, kind))
-    for f, k2 in u2:
-        if any(g == f for g, _ in u1):
-            continue
-        kind = "regular" if k2 <= 2 else "irregular"
-        points.append(SingularPoint(f, kind))
-
+    o1, o2 = _pole_orders(ode.p1, z), _pole_orders(ode.p2, z)
+    # Rational points in increasing order, then the unresolved factors of p1,
+    # then those of p2 alone.
+    poles = {**o1, **o2}
+    rational = sorted(r for r in poles if isinstance(r, Fraction))
+    factors = [f for f in poles if not isinstance(f, Fraction)]
+    orders = {x: (o1.get(x, 0), o2.get(x, 0)) for x in rational + factors}
+    points = [SingularPoint(x, "regular" if k1 <= 1 and k2 <= 2 else "irregular")
+              for x, (k1, k2) in orders.items()]
     kind = infinity_kind(ode)
     if kind is not None:
         points.append(SingularPoint(INFINITY, kind))

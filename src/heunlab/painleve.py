@@ -218,36 +218,6 @@ def build_painleve_linear(spec: PainleveLinearSpec, *, h2_literal: bool = False)
     return LinearODE2(p1, p2, "z")
 
 
-def recover_hamiltonian(kind: PainleveKind, ode: LinearODE2, spec: PainleveLinearSpec) -> RationalExpr:
-    """Extract H back out of the designated pole term of the linear equation.
-
-    Subtracting the displayed non-Hamiltonian terms of p2 and scaling by the
-    designated pole factor must reproduce the Hamiltonian exactly, with no z
-    dependence left over; comparing the returned expression with
-    ``hamiltonian(kind).H`` therefore pins the structural role of each pole.
-    """
-    z = var("z")
-    p = spec.params
-    lam, mu, t = spec.lam, spec.mu, spec.t
-    if kind is PainleveKind.P6:
-        kap = kappa_constant(kind, p)
-        rest = kap / (z * (z - 1)) + lam * (lam - 1) * mu / (z * (z - 1) * (z - lam))
-        return (rest - ode.p2) * z * (z - 1) * (z - t) / (t * (t - 1))
-    if kind is PainleveKind.P5:
-        kap = kappa_constant(kind, p)
-        rest = kap / (z * (z - 1)) + lam * (lam - 1) * mu / (z * (z - 1) * (z - lam))
-        return (rest - ode.p2) * z * (z - 1) ** 2 / t
-    if kind is PainleveKind.P4:
-        rest = p["thetainf"] / 2 + lam * mu / (z * (z - lam))
-        return (rest - ode.p2) * 2 * z
-    if kind is PainleveKind.P3P:
-        rest = (p["etainf"] * (p["theta0"] + p["thetainf"]) / (2 * z)
-                + lam * mu / (z * (z - lam)))
-        return (rest - ode.p2) * z ** 2 / t
-    rest = -(2 * p["alpha2"] + 1) * z + mu / (z - lam)
-    return (rest - ode.p2) / 2
-
-
 def bridge(kind: PainleveKind, params=None) -> dict[str, RationalExpr]:
     """Constants of the nonlinear equation, from the linear data's parameters."""
     p = _fill_params(kind, params)

@@ -32,7 +32,7 @@ from heunlab.heun import (
     degeneration_case,
     fuchsian_epsilon,
 )
-from heunlab.matching import all_matching_cases, matching_case, verify_matching, \
+from heunlab.matching import matching_case, sign_branches, verify_matching, \
     verify_obstruction, verify_riccati
 from heunlab.numeric import (
     IntegrationConfig,
@@ -111,8 +111,8 @@ def test_c04_p3_substitution():
 def test_c05_matchings_all_branches():
     ok = True
     for kind in PainleveKind:
-        for case in all_matching_cases(kind):
-            ok = ok and verify_matching(case).passed
+        for b in sign_branches(kind):
+            ok = ok and verify_matching(matching_case(kind, b)).passed
     announce(5, ok, "all five matchings hold exactly on every square-root "
                     "branch (gauge-transformed fifth case included)")
 
@@ -120,8 +120,8 @@ def test_c05_matchings_all_branches():
 def test_c06_riccati_reductions():
     ok = True
     for kind in PainleveKind:
-        for case in all_matching_cases(kind):
-            out = verify_riccati(case)
+        for b in sign_branches(kind):
+            out = verify_riccati(matching_case(kind, b))
             ok = (ok and out.passed
                   and out.details["defect_divisible_by_condition"]
                   and out.details["cofactor_coprime_to_condition"])
@@ -132,8 +132,8 @@ def test_c06_riccati_reductions():
 def test_c07_obstructions():
     ok = True
     for kind in PainleveKind:
-        for case in all_matching_cases(kind):
-            ok = ok and verify_obstruction(case).passed
+        for b in sign_branches(kind):
+            ok = ok and verify_obstruction(matching_case(kind, b)).passed
     announce(7, ok, "classical-solution conditions force alpha (or "
                     "alpha*beta) = 0 and q = 0 exactly")
 

@@ -75,6 +75,24 @@ class TestBasicArithmetic:
         e = (1 / z + 1 / (z - 1)) / (1 / (z * (z - 1)))
         assert e == 2 * z - 1
 
+    def test_negative_power(self):
+        e = (2 * z) / (z - 1)
+        inv = e ** -2
+        assert inv == (z - 1) ** 2 / (4 * z ** 2)
+        assert inv.den == (z ** 2).num  # monic after the swap
+        assert inv * e ** 2 == const(1)
+        with pytest.raises(DivisionByZero):
+            const(0) ** -1
+
+    def test_primitive_int_coeffs(self):
+        p = (z ** 3 / 6 - z / 4 + const(1, 2)).num
+        assert p.primitive_int_coeffs("z") == [6, -3, 0, 2]
+        assert (-p).primitive_int_coeffs("z") == [6, -3, 0, 2]
+        assert const(-3).num.primitive_int_coeffs("z") == [1]
+        for bad in ((z * t).num, const(0).num):
+            with pytest.raises(ValueError):
+                bad.primitive_int_coeffs("z")
+
 
 class TestDifferentiate:
     def test_simple_pole(self):
@@ -283,9 +301,11 @@ class TestPolyHelpers:
         h = x * y + 3
         del attempts[:]
         assert poly_gcd((a * h).num, (b * h).num) == h.num
-        # The third attempt is the leftover gcd of the two cofactors.
+        # A found gcd comes with the two quotients that certified it.  The
+        # third attempt is the leftover gcd of those cofactors.
         assert attempts[:2] == [({"x": 2, "y": 1}, {"x": 1, "y": 1}, None),
-                                ({"x": 1, "y": 1}, {"x": 1, "y": 1}, h.num)]
+                                ({"x": 1, "y": 1}, {"x": 1, "y": 1},
+                                 (h.num, a.num, b.num))]
 
     def test_str_roundtrip_smoke(self):
         e = (z ** 2 - t) / (3 * z * (z - 1))
@@ -300,19 +320,23 @@ class TestKernelWorkCounts:
     routine repeats to the unit.  A change that moves any of them changes
     what the kernel computes, not only how fast: it shows here even when wall
     time is too noisy to show it.  ``_image_coeff_list`` also serves
-    ``_gcd_univar``, two calls per univariate gcd.  Every interpolation
-    attempt here decides on its first salt: a count of 36 or 12 that rises
-    means some attempt met an unlucky point.
+    ``_gcd_univar``, two calls per univariate gcd (both through the one
+    image-gcd helper, ``_image_gcd``).  Every interpolation attempt here
+    decides on its first salt: a count of 36 or 12 that rises means some
+    attempt met an unlucky point.  Each of them also succeeds, and its
+    certificate makes the only two exact divisions of both inputs by the gcd:
+    ``poly_gcd`` reuses the quotients it returns.  Calls of ``poly_gcd`` with
+    a constant operand return at once, but they count too.
     """
 
     COUNTED = ("poly_gcd", "_gcd_by_interpolation", "_image_gcd_degree", "exact_div",
                "_gcd_univar", "_image_coeff_list")
     COUNTS = {
         "matching/p5": {"poly_gcd": 586, "_gcd_by_interpolation": 36,
-                        "_image_gcd_degree": 206, "exact_div": 502,
+                        "_image_gcd_degree": 206, "exact_div": 430,
                         "_gcd_univar": 16, "_image_coeff_list": 1428},
-        "matching/p6": {"poly_gcd": 360, "_gcd_by_interpolation": 12,
-                        "_image_gcd_degree": 82, "exact_div": 178,
+        "matching/p6": {"poly_gcd": 368, "_gcd_by_interpolation": 12,
+                        "_image_gcd_degree": 82, "exact_div": 154,
                         "_gcd_univar": 6, "_image_coeff_list": 504},
     }
 

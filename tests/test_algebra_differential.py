@@ -215,6 +215,44 @@ class TestImageCoeffList:
         assert algebra._image_coeff_list(p, name, {}) == reference_int_coeff_list(p, name)
 
 
+class TestImageGcd:
+    @SETTINGS
+    @given(st.data())
+    def test_none_exactly_when_no_image_keeps_its_degree(self, data):
+        # Each input's top x-coefficient is lc(g) or (y - v) * lc(g), so at
+        # y = v an input may keep its degree or lose it; the helper reads an
+        # image gcd only where one of them keeps it.
+        v = data.draw(st.integers(-3, 3))
+        point = {"y": v, "z": data.draw(st.integers(-3, 3))}
+        shift = Y - MultiPoly.const(v)
+
+        def operand():
+            f, g = data.draw(polys()), data.draw(polys())
+            return f + X ** 4 * g * (shift if data.draw(st.booleans()) else MultiPoly.const(1))
+
+        a, b = operand(), operand()
+        keeps = []
+        for p in (a, b):
+            view = algebra._univar_view(p, "x")
+            keeps.append(view[max(view)].eval_exact(point) != 0)
+        ia, ib = (reference_image_coeff_list(p, "x", point) for p in (a, b))
+        got = algebra._image_gcd(a, b, "x", point, a.degree_in("x"), b.degree_in("x"))
+        if ia is None or ib is None or not any(keeps):
+            assert got is None
+        else:
+            assert got == algebra._int_gcd_lists(ia, ib)
+
+    def test_degree_loss_cases(self):
+        # a = x + y and b = y*x^2 + 1 at y = 0: only a keeps its degree.
+        a, b = X + Y, Y * X ** 2 + MultiPoly.const(1)
+        assert algebra._image_gcd(a, b, "x", {"y": 0}, 1, 2) == [1]
+        # Both lose it: no bound can be read there.
+        assert algebra._image_gcd(Y * X + MultiPoly.const(1), b, "x", {"y": 0}, 1, 2) is None
+        # An image that vanishes, or an unbound variable, reads nothing.
+        assert algebra._image_gcd(Y * X, a, "x", {"y": 0}, 1, 1) is None
+        assert algebra._image_gcd(a, b, "x", {}, 1, 2) is None
+
+
 class TestExactDiv:
     @SETTINGS
     @given(polys(), st.one_of(polys(), products()))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from heunlab import __version__
 from heunlab.cli import main, parse_params_text
 from heunlab.report import CaseRecord, Report
 
@@ -186,6 +187,27 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "p1 =" in out and "p2 =" in out
 
+    def test_derive_json_to_file(self, capsys, tmp_path, general_params):
+        assert main(["derive", "--family", "general", "--params", general_params]) == 0
+        text = capsys.readouterr().out.splitlines()
+        out = tmp_path / "derive.json"
+        assert main(["derive", "--family", "general", "--params", general_params,
+                     "--format", "json", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["family"] == "general" and data["equation"] == "derivative"
+        assert text[1:] == [f"p1 = {data['p1']}", f"p2 = {data['p2']}"]
+
+    def test_derive_fills_fuchsian_epsilon(self, capsys, tmp_path, general_params):
+        # Without epsilon, the general family takes the Fuchsian value
+        # alpha + beta + 1 - gamma - delta, which is 2 in GENERAL_PARAMS.
+        p = tmp_path / "no-epsilon.params"
+        p.write_text(GENERAL_PARAMS.replace("epsilon = 2\n", ""))
+        assert main(["derive", "--family", "general", "--params", str(p)]) == 0
+        filled = capsys.readouterr().out
+        assert main(["derive", "--family", "general", "--params", general_params]) == 0
+        assert filled == capsys.readouterr().out
+
     def test_derive_missing_param(self, tmp_path):
         p = tmp_path / "broken.params"
         p.write_text("alpha = 2\n")
@@ -357,7 +379,40 @@ class TestIntegrateReadsKindParameters:
         assert csv[0] == csv[1]
 
 
+class TestVerifyTimings:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_timings_option(self, capsys, fmt):
+        assert main(["verify", "--case", "elimination/p2", "--timings",
+                     "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            (record,) = json.loads(out)["records"]
+            assert record["case"] == "elimination/p2" and record["wall_time"] > 0
+        else:
+            line = out.splitlines()[1]
+            assert line.startswith("  [ok ] elimination/p2  pass  ") and line.endswith("s")
+
+
 class TestReportRoundTrip:
+    def test_text_shows_witness_of_failure_only(self):
+        witness = {"point": {"z": "2"}, "difference": "1/3"}
+        r = Report(suite="x", records=[
+            CaseRecord(passed=False, case="a", witness=witness, wall_time=0.25),
+            CaseRecord(passed=False, case="b", witness=witness, predicted_failure=True),
+        ])
+        assert r.to_text().splitlines() == [
+            f"heunlab {__version__} - suite: x",
+            "  [FAIL] a  fail",
+            f"         witness: {witness}",
+            "  [ok ] b  fail-as-predicted",
+            "FAILURES PRESENT",
+        ]
+        assert r.to_text(timings=True).splitlines()[1] == "  [FAIL] a  fail  0.250s"
+        assert [rec.get("wall_time", "absent") for rec in json.loads(r.to_json())["records"]] \
+            == ["absent", "absent"]
+        assert [rec["wall_time"] for rec in json.loads(r.to_json(timings=True))["records"]] \
+            == [0.25, None]
+
     def test_sorted_by_case_id(self):
         r = Report(suite="x", records=[CaseRecord(passed=True, case="b"),
                                        CaseRecord(passed=True, case="a")])

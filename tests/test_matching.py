@@ -10,8 +10,8 @@ from heunlab.algebra import const, identity_test, substitute, var
 from heunlab.heun import HeunFamily, HeunSpec, build_heun_derivative
 from heunlab.matching import (
     UnknownCase,
-    all_matching_cases,
     matching_case,
+    sign_branches,
     verify_matching,
     verify_obstruction,
     verify_riccati,
@@ -57,21 +57,22 @@ class TestCaseData:
         assert {"gamma", "delta", "epsilon", "alpha", "beta", "q"} <= set(case.param_map)
 
     def test_branch_count(self):
-        assert len(all_matching_cases(PainleveKind.P6)) == 2
-        assert len(all_matching_cases(PainleveKind.P5)) == 2
-        assert len(all_matching_cases(PainleveKind.P4)) == 1
+        assert sign_branches(PainleveKind.P6) == (1, -1)
+        assert sign_branches(PainleveKind.P5) == (1, -1)
+        assert sign_branches(PainleveKind.P4) == (1,)
 
 
 class TestVerifyMatching:
     @pytest.mark.parametrize("kind", list(PainleveKind))
     def test_all_cases_pass(self, kind):
-        for case in all_matching_cases(kind):
+        for b in sign_branches(kind):
+            case = matching_case(kind, b)
             out = verify_matching(case)
             assert out.passed, (case.sign_branch, out.witness)
 
     @pytest.mark.parametrize("case, family", [
-        *((case, case.heun_family)
-          for kind in PainleveKind for case in all_matching_cases(kind)),
+        *((case, case.heun_family) for case in (
+            matching_case(kind, b) for kind in PainleveKind for b in sign_branches(kind))),
         (matching_case(PainleveKind.P3P), HeunFamily.BI_CONFLUENT),
     ], ids=lambda v: v.value if isinstance(v, HeunFamily)
         else f"{v.painleve_kind.value}{'+' if v.sign_branch > 0 else '-'}")
@@ -116,7 +117,7 @@ class TestVerifyMatching:
         # double-confluent binding.
         case = matching_case(PainleveKind.P3P)
         good = verify_matching(case)
-        bad = verify_matching(case, family_override=HeunFamily.BI_CONFLUENT)
+        bad = verify_matching(replace(case, heun_family=HeunFamily.BI_CONFLUENT))
         assert good.passed and not bad.passed
 
     def test_alpha_renaming_safety(self):
@@ -136,7 +137,8 @@ class TestVerifyMatching:
 class TestVerifyRiccati:
     @pytest.mark.parametrize("kind", list(PainleveKind))
     def test_all_cases_pass(self, kind):
-        for case in all_matching_cases(kind):
+        for b in sign_branches(kind):
+            case = matching_case(kind, b)
             out = verify_riccati(case)
             assert out.passed, (case.sign_branch, out.details)
             assert out.details["substitution_identity"]
@@ -172,7 +174,8 @@ class TestVerifyRiccati:
 class TestVerifyObstruction:
     @pytest.mark.parametrize("kind", list(PainleveKind))
     def test_all_cases_pass(self, kind):
-        for case in all_matching_cases(kind):
+        for b in sign_branches(kind):
+            case = matching_case(kind, b)
             out = verify_obstruction(case)
             assert out.passed, (case.sign_branch, out.details)
 

@@ -300,6 +300,18 @@ class TestRiccati:
         assert not traj.pole_truncated
         assert painleve_residual(PainleveKind.P5, traj, params) <= 1e-6
 
+    @pytest.mark.parametrize("lam0, message", [
+        (0.0, "^initial position too close to 0$"),
+        (1.005, "^initial position too close to 1$"),
+        (2.5, "^initial position sits on the moving singular value t$"),
+    ])
+    def test_lambda0_on_the_singular_locus_refused(self, lam0, message):
+        # For p6 lambda must avoid 0, 1 and t; t runs over 2..3 here.
+        params = {"kappa0": F(1, 4), "kappa1": F(1, 3), "theta": F(1, 5),
+                  "kappainf": F(107, 60)}
+        with pytest.raises(PathTooClose, match=message):
+            integrate_riccati(matching_case(PainleveKind.P6), params, (2.0, 3.0), lam0)
+
     def test_movable_pole_truncates_with_flag(self):
         case = matching_case(PainleveKind.P2)
         traj = integrate_riccati(case, {"alpha2": F(1, 2)}, (0.0, 1.0), 2.0)

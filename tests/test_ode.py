@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heunlab.algebra import MultiPoly, const, substitute, var
+from heunlab import ode
+from heunlab.algebra import MultiPoly, _int_primitive, const, substitute, var
 from heunlab.ode import (
     INFINITY,
     DegenerateMobius,
@@ -129,6 +133,24 @@ class TestSingularPoints:
         pts = singular_points(LinearODE2(1 / (z * z - 2), const(0)))
         assert any(isinstance(p.location, MultiPoly) for p in pts)
 
+    def test_unresolved_factors_in_p2_only(self):
+        # z^2 - 2 and z^2 + 1 do not split over Q and are poles of p2 alone:
+        # of order 3 (irregular) and 2 (regular).  They follow the rational
+        # points, in the order of p2's squarefree decomposition.
+        q, r = (z * z - 2).num, (z * z + 1).num
+        pts = singular_points(LinearODE2(1 / z, 1 / ((z * z + 1) ** 2 * (z * z - 2) ** 3)))
+        assert pts == [SingularPoint(Fraction(0), "regular"),
+                       SingularPoint(r, "regular"),
+                       SingularPoint(q, "irregular"),
+                       SingularPoint(INFINITY, "regular")]
+
+    def test_unresolved_factor_in_both_coefficients(self):
+        q = (z * z - 2).num
+        pts = singular_points(LinearODE2(1 / (z * z - 2), 1 / (z * z - 2) ** 2))
+        assert pts == [SingularPoint(q, "regular"), SingularPoint(INFINITY, "regular")]
+        pts = singular_points(LinearODE2(1 / (z * z - 2) ** 2, 1 / (z * z - 2)))
+        assert pts[0] == SingularPoint(q, "irregular")
+
     def test_infinity_irregular_for_constant_p1(self):
         # v'' + v' = 0 has an irregular point at infinity (exponential growth).
         pts = singular_points(LinearODE2(const(1), const(0)))
@@ -174,3 +196,107 @@ class TestOdeEqual:
         with pytest.raises(ValueError):
             ode_equal(LinearODE2(const(0), const(1)),
                       LinearODE2(const(0), const(1), var="t"))
+
+
+def reference_rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], list[Fraction]]:
+    """Rational roots by Fraction synthetic division: the form that
+    ``ode._rational_roots`` replaced with exact integer division."""
+    work = list(coeffs)
+    while len(work) > 1 and work[-1] == 0:
+        work.pop()
+    roots: dict[Fraction, int] = {}
+    while len(work) > 1 and work[0] == 0:
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        work = work[1:]
+    if len(work) == 1:
+        return roots, work
+    den_lcm = 1
+    for c in work:
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    iw = [int(c * den_lcm) for c in work]
+    g = 0
+    for c in iw:
+        g = math.gcd(g, c)
+    iw = [c // g for c in iw]
+    p_divs = ode._divisors(iw[0])
+    q_divs = ode._divisors(iw[-1])
+    if p_divs is None or q_divs is None:
+        return roots, work
+    candidates = sorted(
+        {Fraction(sp * p, q) for p in p_divs for q in q_divs for sp in (1, -1)})
+    frac = [Fraction(c) for c in iw]
+    for r in candidates:
+        while len(frac) > 1:
+            deg = len(frac) - 1
+            quot = [Fraction(0)] * deg
+            quot[deg - 1] = frac[deg]
+            for k in range(deg - 1, 0, -1):
+                quot[k - 1] = frac[k] + r * quot[k]
+            rem = frac[0] + r * quot[0]
+            if rem != 0:
+                break
+            roots[r] = roots.get(r, 0) + 1
+            frac = quot
+    return roots, frac
+
+
+def dense_fractions(p: MultiPoly) -> list[Fraction]:
+    out = [Fraction(0)] * (p.degree_in("z") + 1)
+    for e, c in p.terms.items():
+        out[sum(e)] = c
+    return out
+
+
+def primitive(coeffs: list[Fraction]) -> list[int]:
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _int_primitive([int(c * den) for c in coeffs])
+
+
+ZP = z.num
+# Two products of primes above the trial-division limit of ode._divisors.
+PAST_DIVISORS_LIMIT = [1000003 ** 2, 1000003 * 1000033]
+IRREDUCIBLE_QUADRATICS = [ZP * ZP + 1, ZP * ZP - 2, ZP * ZP + ZP + 1,
+                          (ZP * ZP).scale(3) + ZP + 1, (ZP * ZP).scale(5) - 7]
+
+
+@st.composite
+def root_products(draw):
+    """A rational multiple of a product of (q z - p)^k, z^k and irreducible
+    quadratics."""
+    p = MultiPoly.const(draw(st.sampled_from(
+        [Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(-5, 12)])))
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["linear", "linear", "zero", "quadratic", "big"]))
+        if shape == "zero":
+            factor = ZP
+        elif shape == "quadratic":
+            factor = draw(st.sampled_from(IRREDUCIBLE_QUADRATICS))
+        else:
+            num = draw(st.sampled_from(PAST_DIVISORS_LIMIT) if shape == "big"
+                       else st.integers(-6, 6).filter(bool))
+            factor = ZP.scale(draw(st.integers(1, 6))) - MultiPoly.const(num)
+        p = p * factor ** draw(st.integers(1, 3))
+    return p
+
+
+class TestRationalRootsDifferential:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(root_products())
+    def test_matches_fraction_reference(self, p):
+        roots, leftover = ode._rational_roots(p.primitive_int_coeffs("z"))
+        ref_roots, ref_leftover = reference_rational_roots(dense_fractions(p))
+        assert list(roots.items()) == list(ref_roots.items())
+        assert leftover == primitive(ref_leftover)
+
+    def test_past_divisors_limit_keeps_the_polynomial(self):
+        # 1000003^2 has no divisor list, so only the root 0 is split off.
+        p = (ZP * (ZP - MultiPoly.const(1000003)) ** 2)
+        roots, leftover = ode._rational_roots(p.primitive_int_coeffs("z"))
+        assert roots == {Fraction(0): 1}
+        assert leftover == [1000003 ** 2, -2 * 1000003, 1]
+
+    def test_splits_with_repeated_roots(self):
+        p = (ZP.scale(3) - MultiPoly.const(2)) ** 2 * (ZP + MultiPoly.const(1)) * ZP ** 3
+        roots, leftover = ode._rational_roots(p.primitive_int_coeffs("z"))
+        assert roots == {Fraction(0): 3, Fraction(-1): 1, Fraction(2, 3): 2}
+        assert leftover == [1]
