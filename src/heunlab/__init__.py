@@ -34,7 +34,6 @@ from .matching import (  # noqa: F401
 from .ode import (  # noqa: F401
     GaugeSpec,
     LinearODE2,
-    Mobius,
     derivative_equation,
     gauge_mobius_transform,
     ode_equal,
@@ -42,7 +41,6 @@ from .ode import (  # noqa: F401
 )
 from .painleve import (  # noqa: F401
     PainleveKind,
-    PainleveLinearSpec,
     bridge,
     build_painleve_linear,
     hamiltonian,

@@ -48,7 +48,6 @@ from .painleve import (
     KIND_PARAMS,
     InvalidSpec,
     PainleveKind,
-    PainleveLinearSpec,
     build_painleve_linear,
 )
 from .report import Report
@@ -209,9 +208,8 @@ def cmd_singularities(args) -> int:
     else:
         kind = KIND_NAMES[args.kind]
         values = _kind_params(kind, _load_params(args.params), ("lambda", "mu", "t"))
-        spec = PainleveLinearSpec.of(kind, values, lam=values["lambda"],
-                                     mu=values["mu"], t=values["t"])
-        ode = build_painleve_linear(spec)
+        ode = build_painleve_linear(kind, values, lam=values["lambda"],
+                                    mu=values["mu"], t=values["t"])
     lines = []
     for p in singular_points(ode):
         lines.append(f"{p.location}  [{p.kind}]")

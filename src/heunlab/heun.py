@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .algebra import (
     Coercible,
@@ -114,11 +113,6 @@ class HeunSpec:
         if self.family is HeunFamily.GENERAL:
             return self.alpha * self.beta
         return self.alpha
-
-    @staticmethod
-    def from_params(family: HeunFamily, mapping: Mapping[str, Coercible]) -> "HeunSpec":
-        wanted = {k: mapping[k] for k in FAMILY_PARAMS[family]}
-        return HeunSpec.of(family, **wanted)
 
 
 def fuchsian_epsilon(alpha, beta, gamma, delta) -> RationalExpr:

@@ -2,9 +2,10 @@
 
 Each :class:`MatchingCase` packages one reduction: which Heun family feeds
 which Painleve kind, the parameter dictionary, the gauge transform (only the
-fifth kind uses one), the deformation-variable constraint eliminating mu, the
-first-order equation lambda then satisfies, and the parameter condition under
-which that first-order reduction is consistent with the full flow.
+fifth kind uses one, with the change of variable z / (z - 1)), the
+deformation-variable constraint eliminating mu, the first-order equation
+lambda then satisfies, and the parameter condition under which that
+first-order reduction is consistent with the full flow.
 
 Three verifiers certify the claims exactly:
 
@@ -15,9 +16,9 @@ Three verifiers certify the claims exactly:
   both the first-order equation and the exact factorisation of the
   consistency defect through the stated condition;
 * :func:`verify_obstruction` substitutes the classical-solution condition
-  into the parameter map and checks that the accessory data collapses
-  (alpha, or alpha*beta, and q vanish), which is why classical deformations
-  cannot be reached from Heun derivative equations.
+  into the Heun parameters the map produces and checks that the accessory
+  data collapses (alpha, or alpha*beta, and q vanish), which is why
+  classical deformations cannot be reached from Heun derivative equations.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from .algebra import (
     var,
 )
 from .heun import HeunFamily, HeunSpec, build_heun_derivative, fuchsian_holds
-from .ode import GaugeSpec, Mobius, coefficient_diff, gauge_mobius_transform
+from .ode import GaugeSpec, coefficient_diff, gauge_mobius_transform
 from .painleve import (
     PainleveKind,
-    PainleveLinearSpec,
     build_painleve_linear,
     hamiltonian,
     kappa_constant,
@@ -62,7 +62,6 @@ class MatchingCase:
     mu_constraint: RationalExpr
     riccati_rhs: RationalExpr
     condition: RationalExpr
-    obstruction: tuple[tuple[str, RationalExpr], ...]
     classical_branches: tuple[dict[str, RationalExpr], ...]
     riccati_claim: RationalExpr | None = None
 
@@ -96,7 +95,6 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             riccati_rhs=rhs,
             riccati_claim=claim,
             condition=ab,
-            obstruction=(("alpha*beta", ab), ("q", ab * lam)),
             classical_branches=(
                 {"kappa0": kinf - th - k1 - 1},
                 {"kappa0": -kinf - th - k1 - 1},
@@ -113,9 +111,10 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
         # Printed first-order display (a factor of lambda is dropped in the
         # middle term); kept as a claim so the defect itself is on record.
         claim = (-s * kinf * lam ** 2 + (s * kinf - k0 - t * eta) + k0) / t
+        z = var("z")
         gauge = GaugeSpec(
-            mobius=Mobius.of(1, 0, 1, -1),           # z -> z/(z-1)
-            phi=1 - var("z") / (var("z") - 1),        # simplifies to -1/(z-1)
+            m=z / (z - 1),
+            phi=1 - z / (z - 1),  # simplifies to -1/(z-1)
             sigma=sigma,
         )
         return MatchingCase(
@@ -131,7 +130,6 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             riccati_rhs=rhs,
             riccati_claim=claim,
             condition=eta * (2 + k0 + s * kinf + th),
-            obstruction=(("alpha", alpha), ("q", alpha * lam / (lam - 1))),
             classical_branches=(
                 {"eta": const(0)},
                 {"kappainf": -s * (2 + k0 + th)},
@@ -153,7 +151,6 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             mu_constraint=mu_c,
             riccati_rhs=lam ** 2 + 2 * t * lam + 2 * k0,
             condition=thinf + 1,
-            obstruction=(("alpha", alpha), ("q", alpha * lam)),
             classical_branches=({"thetainf": const(-1)},),
         )
     if kind is PainleveKind.P3P:
@@ -172,7 +169,6 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             mu_constraint=mu_c,
             riccati_rhs=(einf * lam ** 2 + (t0 + 2) * lam - t * e0) / t,
             condition=einf * (t0 + tinf + 2),
-            obstruction=(("alpha", alpha), ("q", alpha * lam)),
             classical_branches=(
                 {"etainf": const(0)},
                 {"thetainf": -t0 - 2},
@@ -194,7 +190,6 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             mu_constraint=mu_c,
             riccati_rhs=lam ** 2 + t / 2,
             condition=2 * a2 - 1,
-            obstruction=(("alpha", alpha), ("q", alpha * lam)),
             classical_branches=({"alpha2": const(1, 2)},),
         )
     raise UnknownCase(f"no matching case for {kind}")
@@ -211,12 +206,12 @@ def verify_matching(case: MatchingCase, *, h2_literal: bool = False) -> CaseReco
     The Heun side is the derivative equation built at the mapped parameters,
     then gauge-transformed.
     """
-    spec = HeunSpec.from_params(case.heun_family, case.param_map)
+    spec = HeunSpec.of(case.heun_family, **case.param_map)
     mapped = build_heun_derivative(spec, enforce_fuchsian=False)
     if case.gauge is not None:
         mapped = gauge_mobius_transform(mapped, case.gauge)
-    pspec = PainleveLinearSpec.of(case.painleve_kind, mu=case.mu_constraint)
-    pode = build_painleve_linear(pspec, h2_literal=h2_literal)
+    pode = build_painleve_linear(case.painleve_kind, mu=case.mu_constraint,
+                                 h2_literal=h2_literal)
     diff = coefficient_diff(mapped, pode)
     passed = diff["p1"].is_zero() and diff["p2"].is_zero()
     details: dict = {"branch": case.sign_branch}
@@ -269,15 +264,18 @@ def verify_riccati(case: MatchingCase) -> CaseRecord:
 
 
 def verify_obstruction(case: MatchingCase) -> CaseRecord:
-    """Classical-solution condition forces the accessory data to collapse."""
+    """Classical-solution condition forces the accessory data to collapse.
+
+    The accessory data are alpha (alpha*beta for the general family) and q
+    of the Heun equation at the mapped parameters.
+    """
+    spec = HeunSpec.of(case.heun_family, **case.param_map)
     details: dict = {"branch": case.sign_branch}
     passed = True
     for i, bindings in enumerate(case.classical_branches):
         tag = ", ".join(f"{k} -> {v}" for k, v in bindings.items())
-        all_vanish = True
-        for name, expr in case.obstruction:
-            vanished = substitute(expr, bindings).is_zero()
-            all_vanish = all_vanish and vanished
+        all_vanish = all(substitute(expr, bindings).is_zero()
+                         for expr in (spec.alphabeta(), spec.q))
         details[f"branch {i} ({tag})"] = all_vanish
         passed = passed and all_vanish
     return CaseRecord(passed=passed, details=details)

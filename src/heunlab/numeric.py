@@ -87,9 +87,6 @@ class ComplexPath:
     def segments(self) -> list[tuple[complex, complex]]:
         return list(zip(self.waypoints, self.waypoints[1:]))
 
-    def length(self) -> float:
-        return sum(abs(b - a) for a, b in self.segments())
-
     def min_distance_to(self, point: complex) -> float:
         return min(_segment_distance(a, b, point) for a, b in self.segments())
 

@@ -6,8 +6,9 @@ Everything here manipulates equations of the monic form
 
 with rational-function coefficients.  The module provides the derivative
 equation (the ODE satisfied by v = u' when u solves a given equation),
-power-prefactor Moebius changes of variable, singularity enumeration with
-the regular/irregular classification, and exact equality of equations.
+gauge transforms (a power prefactor times a rational change of variable),
+singularity enumeration with the regular/irregular classification, and
+exact equality of equations.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from fractions import Fraction
 from .algebra import (
     MultiPoly,
     RationalExpr,
-    as_rational,
     exact_div,
     identity_test,
     poly_gcd,
@@ -34,10 +34,6 @@ class OdeError(Exception):
 
 class NoDerivativeEquation(OdeError):
     """The derivative of a solution satisfies a first-order equation only."""
-
-
-class DegenerateMobius(OdeError):
-    """The Moebius map has vanishing determinant."""
 
 
 @dataclass(frozen=True)
@@ -77,53 +73,25 @@ def derivative_equation(ode: LinearODE2) -> LinearODE2:
 
 
 @dataclass(frozen=True)
-class Mobius:
-    """The map m(z) = (a z + b)/(c z + d) with constant coefficients."""
-
-    a: RationalExpr
-    b: RationalExpr
-    c: RationalExpr
-    d: RationalExpr
-
-    @staticmethod
-    def of(a, b, c, d) -> "Mobius":
-        return Mobius(as_rational(a), as_rational(b), as_rational(c), as_rational(d))
-
-    def det(self) -> RationalExpr:
-        return self.a * self.d - self.b * self.c
-
-    def check(self) -> None:
-        if self.det().is_zero():
-            raise DegenerateMobius("a d - b c = 0")
-
-    def expr(self, name: str = "z") -> RationalExpr:
-        z = var(name)
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-
-@dataclass(frozen=True)
 class GaugeSpec:
     """Change of unknown w(z) = phi(z)^sigma * v(m(z)).
 
-    The exponent sigma may be a free parameter; only the logarithmic
-    derivative sigma * phi'/phi ever enters the transformed coefficients, so
-    the result is rational in z and polynomial in sigma.
+    The change of variable m is a rational function of the equation's
+    variable, for instance z / (z - 1).  The exponent sigma may be a free
+    parameter; only the logarithmic derivative sigma * phi'/phi ever enters
+    the transformed coefficients, so the result is rational in z and
+    polynomial in sigma.
     """
 
-    mobius: Mobius
+    m: RationalExpr
     phi: RationalExpr
     sigma: RationalExpr
-
-    def check(self) -> None:
-        self.mobius.check()
-        if self.phi.is_zero():
-            raise ValueError("gauge prefactor must not be identically zero")
 
 
 def gauge_mobius_transform(ode: LinearODE2, g: GaugeSpec) -> LinearODE2:
     """ODE satisfied by w(z) = phi(z)^sigma v(m(z)) when v solves ``ode``.
 
-    With L = sigma phi'/phi and m the Moebius map,
+    With L = sigma phi'/phi and any rational change of variable m,
 
         w'  = phi^sigma [ L (v.m) + m' (v'.m) ]
         w'' = phi^sigma [ (L' + L^2)(v.m) + (2 L m' + m'')(v'.m)
@@ -134,15 +102,20 @@ def gauge_mobius_transform(ode: LinearODE2, g: GaugeSpec) -> LinearODE2:
 
         q1 = m' (p1.m) - 2 L - m''/m'
         q2 = m'^2 (p2.m) - L' - L^2 - q1 L.
+
+    A constant m (m' = 0) raises :class:`OdeError`, a zero prefactor
+    ``ValueError``.
     """
-    g.check()
     z = ode.var
-    m = g.mobius.expr(z)
-    mp = m.derivative(z)
+    mp = g.m.derivative(z)
+    if mp.is_zero():
+        raise OdeError("the change of variable is constant")
+    if g.phi.is_zero():
+        raise ValueError("gauge prefactor must not be identically zero")
     mpp = mp.derivative(z)
     L = g.sigma * g.phi.derivative(z) / g.phi
-    p1m = substitute(ode.p1, {z: m})
-    p2m = substitute(ode.p2, {z: m})
+    p1m = substitute(ode.p1, {z: g.m})
+    p2m = substitute(ode.p2, {z: g.m})
     q1 = mp * p1m - 2 * L - mpp / mp
     q2 = mp * mp * p2m - L.derivative(z) - L * L - q1 * L
     return LinearODE2(q1, q2, z)
@@ -168,7 +141,11 @@ class SingularPoint:
     kind: str  # "regular" | "irregular"
 
 
-def _divisors(n: int, limit: int = 10 ** 6) -> list[int] | None:
+#: Trial division stops at this prime; a cofactor above its square is refused.
+_TRIAL_LIMIT = 10 ** 6
+
+
+def _divisors(n: int) -> list[int] | None:
     """All positive divisors of n, or None when n has a factor we refuse to find."""
     n = abs(n)
     if n == 0:
@@ -176,13 +153,13 @@ def _divisors(n: int, limit: int = 10 ** 6) -> list[int] | None:
     factors: dict[int, int] = {}
     m = n
     p = 2
-    while p * p <= m and p <= limit:
+    while p * p <= m and p <= _TRIAL_LIMIT:
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
         p += 1 if p == 2 else 2
     if m > 1:
-        if m > limit * limit:
+        if m > _TRIAL_LIMIT * _TRIAL_LIMIT:
             return None
         factors[m] = factors.get(m, 0) + 1
     divs = [1]
@@ -191,17 +168,20 @@ def _divisors(n: int, limit: int = 10 ** 6) -> list[int] | None:
     return sorted(set(divs))
 
 
-def _rational_roots(coeffs: list[int]) -> tuple[dict[Fraction, int], list[int]]:
+def _rational_roots(coeffs: list[int], known=()) -> tuple[dict[Fraction, int], list[int]]:
     """Rational roots with multiplicities, plus the rootless cofactor.
 
     ``coeffs`` are primitive integer coefficients, low to high, as
     ``MultiPoly.primitive_int_coeffs`` reads them.  A root p/q in lowest terms
     has p dividing the lowest nonzero coefficient and q the leading one, and
     then q z - p divides the polynomial in Z[z] (Gauss's lemma), so each
-    candidate is divided out exactly in integers.  Returns (roots, leftover):
-    leftover is the primitive integer list of the cofactor, constant when the
-    polynomial splits over Q, and the whole input, zero roots removed, when a
-    coefficient has a prime factor that ``_divisors`` refuses to find.
+    candidate is divided out exactly in integers.  The ``known`` rationals
+    are tried as well: dividing needs no divisor list, so a root found
+    elsewhere is recognised even where ``_divisors`` gives up on this
+    polynomial.  Returns (roots, leftover): leftover is the primitive integer
+    list of the cofactor, constant when the polynomial splits over Q, and the
+    whole input, zero and known roots removed, when a coefficient has a prime
+    factor that ``_divisors`` refuses to find.
     """
     roots: dict[Fraction, int] = {}
     zeros = next(k for k, c in enumerate(coeffs) if c)
@@ -210,13 +190,13 @@ def _rational_roots(coeffs: list[int]) -> tuple[dict[Fraction, int], list[int]]:
     work = coeffs[zeros:]
     if len(work) == 1:
         return roots, work
+    candidates = set(known)
     p_divs = _divisors(work[0])
     q_divs = _divisors(work[-1])
-    if p_divs is None or q_divs is None:
-        return roots, work
-    candidates = sorted(
-        {Fraction(sp * p, q) for p in p_divs for q in q_divs for sp in (1, -1)})
-    for r in candidates:
+    if p_divs is not None and q_divs is not None:
+        candidates.update(
+            Fraction(sp * p, q) for p in p_divs for q in q_divs for sp in (1, -1))
+    for r in sorted(candidates):
         while len(work) > 1:
             quot = _divide_linear(work, r.denominator, r.numerator)
             if quot is None:
@@ -259,20 +239,47 @@ def squarefree_decomposition(p: MultiPoly, name: str) -> list[tuple[MultiPoly, i
     return out
 
 
-def _pole_orders(expr: RationalExpr, name: str) -> dict[object, int]:
-    """Orders of the finite poles of a univariate rational expression.
+def _finite_poles(ode: LinearODE2) -> dict[object, list[int]]:
+    """The finite poles of the equation with their orders [in p1, in p2].
 
-    Keyed by the exact rational pole, or by a squarefree factor of the
-    denominator that does not split over Q.
+    Keyed by the exact rational pole, or by a squarefree factor of a
+    denominator that does not split over Q.  Each denominator's rational
+    roots are found as far as ``_divisors`` reaches, and what is left is
+    split squarefree.  Then the roots of each leftover factor are searched
+    again, on its smaller coefficients and among the roots known so far,
+    until a round finds no root.  So a point is listed once, with its order
+    in both coefficients, even when only one denominator reveals it.
     """
-    den = expr.den
-    if den.is_const():
-        return {}
-    roots, leftover = _rational_roots(den.primitive_int_coeffs(name))
-    if len(leftover) > 1:
-        rest = MultiPoly((name,), {(k,): c for k, c in enumerate(leftover) if c})
-        roots.update(squarefree_decomposition(rest, name))
-    return roots
+    z = ode.var
+    orders: dict[object, list[int]] = {}
+    pieces = []  # (coefficient index, squarefree leftover, its multiplicity)
+    for i, p in enumerate((ode.p1, ode.p2)):
+        if p.den.is_const():
+            continue
+        roots, rest = _rational_roots(p.den.primitive_int_coeffs(z))
+        for r, k in roots.items():
+            orders.setdefault(r, [0, 0])[i] += k
+        if len(rest) > 1:
+            pieces += [(i, a.primitive_int_coeffs(z), k)
+                       for a, k in squarefree_decomposition(_univariate(rest, z), z)]
+    found = True
+    while pieces and found:
+        known, found, left = set(orders), False, []
+        for i, coeffs, k in pieces:
+            roots, coeffs = _rational_roots(coeffs, known)
+            for r in roots:  # a simple root of a squarefree factor
+                orders.setdefault(r, [0, 0])[i] += k
+                found = True
+            if len(coeffs) > 1:
+                left.append((i, coeffs, k))
+        pieces = left
+    for i, coeffs, k in pieces:
+        orders.setdefault(_univariate(coeffs, z), [0, 0])[i] = k
+    return orders
+
+
+def _univariate(coeffs: list[int], name: str) -> MultiPoly:
+    return MultiPoly((name,), {(k,): c for k, c in enumerate(coeffs) if c})
 
 
 def singular_points(ode: LinearODE2) -> list[SingularPoint]:
@@ -293,21 +300,20 @@ def singular_points(ode: LinearODE2) -> list[SingularPoint]:
     point at infinity (its solution z is not analytic there), and
     v'' + (2/z) v' = 0, whose solutions are 1 and 1/z, has none.
     """
-    z = ode.var
     extra = ode.parameter_names()
     if extra:
         raise ValueError(
             f"coefficients still involve parameters {sorted(extra)}; bind them")
 
-    o1, o2 = _pole_orders(ode.p1, z), _pole_orders(ode.p2, z)
+    poles = _finite_poles(ode)
     # Rational points in increasing order, then the unresolved factors of p1,
     # then those of p2 alone.
-    poles = {**o1, **o2}
     rational = sorted(r for r in poles if isinstance(r, Fraction))
     factors = [f for f in poles if not isinstance(f, Fraction)]
-    orders = {x: (o1.get(x, 0), o2.get(x, 0)) for x in rational + factors}
-    points = [SingularPoint(x, "regular" if k1 <= 1 and k2 <= 2 else "irregular")
-              for x, (k1, k2) in orders.items()]
+    points = []
+    for x in rational + factors:
+        k1, k2 = poles[x]
+        points.append(SingularPoint(x, "regular" if k1 <= 1 and k2 <= 2 else "irregular"))
     kind = infinity_kind(ode)
     if kind is not None:
         points.append(SingularPoint(INFINITY, kind))

@@ -91,35 +91,6 @@ def _fill_params(kind: PainleveKind, params) -> dict[str, RationalExpr]:
 
 
 @dataclass(frozen=True)
-class PainleveLinearSpec:
-    """Kind, parameter record and deformation state of one linear equation."""
-
-    kind: PainleveKind
-    params: dict[str, RationalExpr]
-    lam: RationalExpr
-    mu: RationalExpr
-    t: RationalExpr
-
-    @staticmethod
-    def of(kind: PainleveKind, params=None, lam=None, mu=None, t=None) -> "PainleveLinearSpec":
-        return PainleveLinearSpec(
-            kind=kind,
-            params=_fill_params(kind, params),
-            lam=as_rational(lam) if lam is not None else var("lambda"),
-            mu=as_rational(mu) if mu is not None else var("mu"),
-            t=as_rational(t) if t is not None else var("t"),
-        )
-
-    def check(self) -> None:
-        """Reject a t on the flow's fixed singular set, where the construction
-        would divide by zero.  A lambda on the kind's fixed singular locus
-        only merges two poles of the linear equation, so it is allowed."""
-        fixed = FLOW_T_SINGULARITIES[self.kind]
-        if self.t.is_const() and self.t.const_value() in fixed:
-            raise InvalidSpec(f"t must avoid {' and '.join(map(str, fixed))}")
-
-
-@dataclass(frozen=True)
 class HamiltonianSystem:
     """Hamiltonian with its flow fields dlam/dt = dH/dmu, dmu/dt = -dH/dlam."""
 
@@ -180,14 +151,25 @@ def hamiltonian(kind: PainleveKind, params=None, *,
     return HamiltonianSystem(H, H.derivative("mu"), H.derivative("lambda"))
 
 
-def build_painleve_linear(spec: PainleveLinearSpec, *, h2_literal: bool = False) -> LinearODE2:
-    """The linear equation whose deformation in t produces the kind."""
-    spec.check()
+def build_painleve_linear(kind: PainleveKind, params=None, *, lam=None, mu=None, t=None,
+                          h2_literal: bool = False) -> LinearODE2:
+    """The linear equation whose deformation in t produces the kind.
+
+    Parameters and the state (lam, mu, t) left out stay symbolic, named
+    after their keys and ``lambda``, ``mu``, ``t``.  A t on the flow's fixed
+    singular set, where the construction would divide by zero, raises
+    :class:`InvalidSpec`.  A lambda on the kind's fixed singular locus only
+    merges two poles of the linear equation, so it is allowed.
+    """
+    p = _fill_params(kind, params)
+    lam = var("lambda") if lam is None else as_rational(lam)
+    mu = var("mu") if mu is None else as_rational(mu)
+    t = var("t") if t is None else as_rational(t)
+    fixed = FLOW_T_SINGULARITIES[kind]
+    if t.is_const() and t.const_value() in fixed:
+        raise InvalidSpec(f"t must avoid {' and '.join(map(str, fixed))}")
     z = var("z")
-    p = spec.params
-    lam, mu, t = spec.lam, spec.mu, spec.t
-    H = _hamiltonian_at(spec.kind, p, lam, mu, t, h2_literal)
-    kind = spec.kind
+    H = _hamiltonian_at(kind, p, lam, mu, t, h2_literal)
     if kind is PainleveKind.P6:
         k0, k1, th = p["kappa0"], p["kappa1"], p["theta"]
         kap = kappa_constant(kind, p)

@@ -340,6 +340,8 @@ class TestExitContract:
                             "--t-range", "0:nan"], "--t-range"),
         (GENERAL_PARAMS, [*HEUN_RUN, "--abs-tol", "inf", "--rel-tol", "inf"], "--abs-tol"),
         (GENERAL_PARAMS, [*HEUN_RUN, "--rel-tol", "inf"], "--rel-tol"),
+        ("gamma = abc\n", ["derive", "--family", "general"], "line 1: bad value 'abc'"),
+        ("gamma = 1/0\n", ["derive", "--family", "general"], "line 1: bad value '1/0'"),
     ], ids=["singular-confluence", "missing-parameter", "missing-path",
             "path-through-singular-point", "condition-not-satisfied",
             "malformed-init", "malformed-t-range", "riccati-missing-parameter",
@@ -347,7 +349,8 @@ class TestExitContract:
             "abs-tol-negative", "abs-tol-nan", "rel-tol-negative", "max-step-zero",
             "max-step-negative", "min-distance-zero", "min-distance-negative",
             "min-distance-nan", "malformed-lambda0", "malformed-waypoint",
-            "nan-waypoint", "nan-init", "nan-t-range", "abs-tol-inf", "rel-tol-inf"])
+            "nan-waypoint", "nan-init", "nan-t-range", "abs-tol-inf", "rel-tol-inf",
+            "malformed-value", "zero-denominator"])
     def test_input_errors_exit_2(self, capsys, tmp_path, params, argv, message):
         p = tmp_path / "case.params"
         p.write_text(params)

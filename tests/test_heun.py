@@ -69,6 +69,15 @@ class TestBuildHeun:
         assert identity_test(ode.p1, g + d * z + e * z ** 2)
         assert identity_test(ode.p2, a * z - q)
 
+    def test_unknown_parameter_refused(self):
+        with pytest.raises(ValueError, match=r"^confluent family does not use \['beta'\]$"):
+            HeunSpec.of(HeunFamily.CONFLUENT, gamma=1, delta=1, epsilon=1, alpha=1, q=1,
+                        beta=1)
+
+    def test_missing_parameters_refused(self):
+        with pytest.raises(ValueError, match=r"^missing parameters \['q', 't'\]$"):
+            HeunSpec.of(HeunFamily.GENERAL, gamma=1, delta=1, epsilon=1, alpha=1, beta=1)
+
     def test_fuchsian_violation(self):
         with pytest.raises(FuchsianViolation):
             build_heun(general_spec(epsilon=5))

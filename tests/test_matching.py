@@ -81,7 +81,7 @@ class TestVerifyMatching:
         # parameters.  It must be the one obtained by building at fully
         # symbolic parameters, gauging with a free exponent and substituting
         # the map (and the exponent) afterwards.
-        built = build_heun_derivative(HeunSpec.from_params(family, case.param_map),
+        built = build_heun_derivative(HeunSpec.of(family, **case.param_map),
                                       enforce_fuchsian=False)
         reference = build_heun_derivative(HeunSpec.symbolic(family), enforce_fuchsian=False)
         bind = dict(case.param_map)

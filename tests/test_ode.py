@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from heunlab import ode
 from heunlab.algebra import MultiPoly, _int_primitive, const, substitute, var
+from heunlab.numeric import ode_singularities
 from heunlab.ode import (
     INFINITY,
-    DegenerateMobius,
     GaugeSpec,
     LinearODE2,
-    Mobius,
     NoDerivativeEquation,
+    OdeError,
     SingularPoint,
     coefficient_diff,
     derivative_equation,
@@ -64,18 +64,24 @@ class TestDerivativeEquation:
 class TestMobiusGauge:
     def test_identity_gauge_is_noop(self):
         ode = LinearODE2(1 / z, (2 * z - 1) / (z * (z - 1)))
-        identity = GaugeSpec(Mobius.of(1, 0, 0, 1), const(1), const(0))
+        identity = GaugeSpec(z, const(1), const(0))
         out = gauge_mobius_transform(ode, identity)
         assert ode_equal(out, ode)
 
     def test_degenerate_mobius_rejected(self):
-        g = GaugeSpec(Mobius.of(1, 2, 2, 4), const(1), const(0))
-        with pytest.raises(DegenerateMobius):
+        # (z + 2)/(2 z + 4) is the constant 1/2.
+        g = GaugeSpec((z + 2) / (2 * z + 4), const(1), const(0))
+        with pytest.raises(OdeError, match="^the change of variable is constant$"):
+            gauge_mobius_transform(LinearODE2(const(0), const(1)), g)
+
+    def test_zero_prefactor_rejected(self):
+        g = GaugeSpec(z, const(0), const(1))
+        with pytest.raises(ValueError, match="prefactor"):
             gauge_mobius_transform(LinearODE2(const(0), const(1)), g)
 
     def test_gauge_then_inverse_restores(self):
         sigma = var("sigma")
-        m = Mobius.of(0, 1, 1, 0)  # z -> 1/z (an involution)
+        m = 1 / z  # an involution
         g = GaugeSpec(m, 1 / (z - 1), sigma)
         ode = LinearODE2(1 / z, (2 * z - 1) / (z * (z - 1)))
         once = gauge_mobius_transform(ode, g)
@@ -86,22 +92,22 @@ class TestMobiusGauge:
 
     def test_group_action_shared_exponent(self):
         sigma = var("sigma")
-        g1 = GaugeSpec(Mobius.of(1, 1, 0, 1), z + 2, sigma)
-        g2 = GaugeSpec(Mobius.of(2, 0, 0, 1), z - 3, sigma)
+        g1 = GaugeSpec(z + 1, z + 2, sigma)
+        g2 = GaugeSpec(2 * z, z - 3, sigma)
         ode = LinearODE2(1 / z, (z + 1) / (z * (z - 5)))
         stepwise = gauge_mobius_transform(gauge_mobius_transform(ode, g1), g2)
         # (z - 3)^sigma (2z + 2)^sigma v(2z + 1): g1 at 2z, times g2's prefactor.
-        g2_after_g1 = GaugeSpec(Mobius.of(2, 1, 0, 1), (z - 3) * (2 * z + 2), sigma)
+        g2_after_g1 = GaugeSpec(2 * z + 1, (z - 3) * (2 * z + 2), sigma)
         combined = gauge_mobius_transform(ode, g2_after_g1)
         assert ode_equal(stepwise, combined)
 
     def test_pure_mobius_composition(self):
-        g1 = GaugeSpec(Mobius.of(1, 2, 0, 1), const(1), const(0))
-        g2 = GaugeSpec(Mobius.of(0, 1, 1, 0), const(1), const(0))
+        g1 = GaugeSpec(z + 2, const(1), const(0))
+        g2 = GaugeSpec(1 / z, const(1), const(0))
         ode = LinearODE2(1 / z, (z + 1) / (z * (z - 5)))
         stepwise = gauge_mobius_transform(gauge_mobius_transform(ode, g1), g2)
         # v(1/z + 2) = v((2z + 1)/z).
-        g2_after_g1 = GaugeSpec(Mobius.of(2, 1, 1, 0), const(1), const(0))
+        g2_after_g1 = GaugeSpec((2 * z + 1) / z, const(1), const(0))
         combined = gauge_mobius_transform(ode, g2_after_g1)
         assert ode_equal(stepwise, combined)
 
@@ -150,6 +156,25 @@ class TestSingularPoints:
         assert pts == [SingularPoint(q, "regular"), SingularPoint(INFINITY, "regular")]
         pts = singular_points(LinearODE2(1 / (z * z - 2) ** 2, 1 / (z * z - 2)))
         assert pts[0] == SingularPoint(q, "irregular")
+
+    def test_root_resolved_in_one_denominator_only(self):
+        # p1's denominator f yields the root 2/1000003; p2's f^3 has a
+        # leading coefficient past the trial-division limit.  The point is
+        # listed once, with its order 3 in p2.
+        f = 1000003 * z - 2
+        eq = LinearODE2(1 / f, 1 / f ** 3)
+        assert singular_points(eq) == [SingularPoint(Fraction(2, 1000003), "irregular"),
+                                       SingularPoint(INFINITY, "regular")]
+        assert ode_singularities(eq) == [complex(Fraction(2, 1000003))]
+
+    def test_root_resolved_through_the_other_denominator(self):
+        # Neither f g nor f^3 has a divisor list; the squarefree part f of
+        # f^3 yields 2/1000003, and dividing it out of f g leaves g.
+        f, g = 1000003 * z - 2, 1000033 * z - 3
+        pts = singular_points(LinearODE2(1 / (f * g), 1 / f ** 3))
+        assert pts == [SingularPoint(Fraction(2, 1000003), "irregular"),
+                       SingularPoint(Fraction(3, 1000033), "regular"),
+                       SingularPoint(INFINITY, "regular")]
 
     def test_infinity_irregular_for_constant_p1(self):
         # v'' + v' = 0 has an irregular point at infinity (exponential growth).

@@ -6,9 +6,9 @@ import pytest
 
 from heunlab.algebra import const, identity_test, substitute, var
 from heunlab.painleve import (
+    KIND_PARAMS,
     InvalidSpec,
     PainleveKind,
-    PainleveLinearSpec,
     bridge,
     build_painleve_linear,
     hamiltonian,
@@ -22,8 +22,9 @@ from heunlab.painleve import (
 lam, mu, t = var("lambda"), var("mu"), var("t")
 
 
-def recover_hamiltonian(kind, ode, spec):
-    """H taken back out of the designated pole term of the linear equation.
+def recover_hamiltonian(kind, ode):
+    """H taken back out of the designated pole term of the fully symbolic
+    linear equation.
 
     Subtracts the displayed non-Hamiltonian terms of p2 and scales by the
     designated pole factor: a second, independent copy of each kind's p2
@@ -31,8 +32,7 @@ def recover_hamiltonian(kind, ode, spec):
     structural role of each pole.
     """
     z = var("z")
-    p = spec.params
-    lam, mu, t = spec.lam, spec.mu, spec.t
+    p = {k: var(k) for k in KIND_PARAMS[kind]}
     if kind in (PainleveKind.P6, PainleveKind.P5):
         rest = (kappa_constant(kind, p) / (z * (z - 1))
                 + lam * (lam - 1) * mu / (z * (z - 1) * (z - lam)))
@@ -67,6 +67,10 @@ class TestHamiltonians:
         expected = 4 * lam * mu - (lam ** 2 + 2 * t * lam + 2 * k0)
         assert identity_test(ham.dH_dmu, expected)
 
+    def test_missing_parameter_refused(self):
+        with pytest.raises(InvalidSpec, match="^p6 needs parameter kappa0$"):
+            hamiltonian(PainleveKind.P6, {})
+
     def test_h2_mu_derivative_working_convention(self):
         ham = hamiltonian(PainleveKind.P2)
         assert identity_test(ham.dH_dmu, mu - lam ** 2 - t / 2)
@@ -83,14 +87,12 @@ class TestHamiltonians:
 
 class TestLinearEquations:
     def test_p2_p1_coefficient(self):
-        spec = PainleveLinearSpec.of(PainleveKind.P2)
-        ode = build_painleve_linear(spec)
+        ode = build_painleve_linear(PainleveKind.P2)
         z = var("z")
         assert identity_test(ode.p1, -2 * z ** 2 - t - 1 / (z - lam))
 
     def test_p6_residues(self):
-        spec = PainleveLinearSpec.of(PainleveKind.P6)
-        ode = build_painleve_linear(spec)
+        ode = build_painleve_linear(PainleveKind.P6)
         z = var("z")
         k0, k1, th = var("kappa0"), var("kappa1"), var("theta")
         for point, expected in [
@@ -103,22 +105,20 @@ class TestLinearEquations:
             assert identity_test(res, expected)
 
     def test_p4_zero_state_p2_coefficient(self):
-        spec = PainleveLinearSpec.of(
+        ode = build_painleve_linear(
             PainleveKind.P4, {"kappa0": 0, "thetainf": 0}, lam=0, mu=0)
-        ode = build_painleve_linear(spec)
         assert ode.p2.is_zero()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(InvalidSpec, match="^t must avoid 0 and 1$"):
-            PainleveLinearSpec.of(PainleveKind.P6, t=1).check()
+            build_painleve_linear(PainleveKind.P6, t=1)
         with pytest.raises(InvalidSpec, match="^t must avoid 0$"):
-            PainleveLinearSpec.of(PainleveKind.P3P, t=0).check()
+            build_painleve_linear(PainleveKind.P3P, t=0)
 
     @pytest.mark.parametrize("kind", list(PainleveKind))
     def test_hamiltonian_recovered_from_designated_pole(self, kind):
-        spec = PainleveLinearSpec.of(kind)
-        ode = build_painleve_linear(spec)
-        recovered = recover_hamiltonian(kind, ode, spec)
+        ode = build_painleve_linear(kind)
+        recovered = recover_hamiltonian(kind, ode)
         assert identity_test(recovered, hamiltonian(kind).H)
 
 
