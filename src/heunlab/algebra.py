@@ -5,24 +5,32 @@ equation, Hamiltonian, parameter map and verification identity is carried by
 :class:`RationalExpr`, a quotient of two :class:`MultiPoly` values kept in
 canonical form.
 
-Representation.  A ``MultiPoly`` is a sparse map from exponent vectors to
-``fractions.Fraction`` coefficients together with the tuple of indeterminate
-names the exponent positions refer to.  Canonical invariants:
+Representation.  A ``MultiPoly`` is a sparse map ``terms`` from exponent
+vectors to ``int`` numerators over one positive ``int`` denominator ``den``,
+together with the tuple of indeterminate names the exponent positions refer
+to.  Canonical invariants:
 
-* no stored coefficient is zero;
+* no stored coefficient is zero, and ``gcd(den, *terms.values()) == 1``;
 * the name tuple is sorted and contains only names that actually occur
-  (so equal polynomials are structurally equal dicts);
-* the zero polynomial has an empty term map and no names.
+  (so equal polynomials are structurally equal);
+* the zero polynomial has an empty term map, no names and ``den == 1``.
+
+Sums bring both operands over the lcm of their denominators, products
+multiply the denominators, and one normaliser (``_normal``) drops zero
+coefficients and divides out the content gcd, so arithmetic makes no
+``Fraction``.  ``MultiPoly(names, terms)`` also accepts ``Fraction``
+coefficients; the readers that hand single values out (``leading``,
+``const_value``, ``eval_exact``, ``str``) return ``Fraction`` values.
 
 A ``RationalExpr`` ``num/den`` keeps ``gcd(num, den)`` trivial and scales the
 denominator so that its graded-lexicographic leading coefficient is 1.  Two
 values are equal exactly when their canonical forms coincide term by term.
 
-The gcd and exact division work over the integers underneath the rational
-surface: the gcd's univariate images are evaluated in ints at integer sample
-points after clearing denominators, and exact division divides
-integer-primitive parts (Gauss's lemma), rescaling the quotient once.  Each
-rule has one home:
+The gcd and exact division read the integer numerators directly: the gcd's
+univariate images are evaluated in ints at integer sample points, and exact
+division divides by the integer-primitive part of the divisor (Gauss's
+lemma), taking each leading term of its remainder from a heap, and rescales
+the quotient once.  Each rule has one home:
 
 * ``_image_coeff_list`` reads every univariate image, and
   ``MultiPoly.primitive_int_coeffs`` is the same read-out at no sample point,
@@ -40,9 +48,11 @@ vectors.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Union
 
 Exponents = tuple[int, ...]
@@ -69,11 +79,9 @@ class PoleAtPoint(AlgebraError):
     """Exact evaluation hit a vanishing denominator."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_exact(x):
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -89,36 +97,38 @@ def _check_name(name: str) -> str:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact rational coefficients.
 
-    __slots__ = ("names", "terms", "_hash")
+    ``terms`` maps exponent vectors to nonzero ``int`` numerators over the one
+    positive denominator ``den``; ``MultiPoly(names, terms)`` also accepts
+    ``Fraction`` coefficients and brings them to that form.
+    """
 
-    def __init__(self, names: Iterable[str], terms: Mapping[Exponents, Fraction]):
+    __slots__ = ("names", "terms", "den", "_hash")
+
+    def __init__(self, names: Iterable[str], terms: Mapping[Exponents, int | Fraction]):
         names = tuple(names)
-        # Drop zero coefficients, then prune indeterminates that no longer occur
-        # and sort the registry so equal polynomials compare structurally equal.
-        nz = {e: _as_fraction(c) for e, c in terms.items() if c != 0}
-        if nz:
-            used = [i for i in range(len(names)) if any(e[i] for e in nz)]
-        else:
-            used = []
-        order = sorted(used, key=lambda i: names[i])
-        self.names: tuple[str, ...] = tuple(names[i] for i in order)
-        self.terms: dict[Exponents, Fraction] = {
-            tuple(e[i] for i in order): c for e, c in nz.items()
-        }
+        for c in terms.values():
+            _as_exact(c)
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        order = sorted(range(len(names)), key=names.__getitem__)
+        if order != list(range(len(names))):
+            names = tuple(names[i] for i in order)
+            ints = {tuple(e[i] for i in order): c for e, c in ints.items()}
+        self.names, self.terms, self.den = _normal(names, ints, den)
         self._hash = None
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
     def const(c) -> "MultiPoly":
-        c = _as_fraction(c)
-        return MultiPoly((), {(): c}) if c else _ZERO
+        c = _as_exact(c)
+        return _new((), {(): c.numerator}, c.denominator) if c else _ZERO
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return MultiPoly((_check_name(name),), {(1,): Fraction(1)})
+        return _new((_check_name(name),), {(1,): 1}, 1)
 
     # ---- basic queries ------------------------------------------------
 
@@ -131,7 +141,7 @@ class MultiPoly:
     def const_value(self) -> Fraction:
         if self.names:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0), self.den)
 
     def degree_in(self, name: str) -> int:
         if name not in self.names:
@@ -156,16 +166,17 @@ class MultiPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        return e, Fraction(self.terms[e], self.den)
 
     # ---- alignment of indeterminate registries -------------------------
 
-    def _aligned_to(self, names: tuple[str, ...]) -> dict[Exponents, Fraction]:
+    def _aligned_to(self, names: tuple[str, ...]) -> dict[Exponents, int]:
+        """The integer numerators with exponents re-indexed over ``names``."""
         if names == self.names:
             return self.terms
         pos = {n: i for i, n in enumerate(names)}
         idx = [pos[n] for n in self.names]
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, int] = {}
         width = len(names)
         for e, c in self.terms.items():
             ne = [0] * width
@@ -187,15 +198,17 @@ class MultiPoly:
         names = MultiPoly._union_names(self, other)
         ta = self._aligned_to(names)
         tb = other._aligned_to(names)
-        out = dict(ta)
+        den = math.lcm(self.den, other.den)
+        ma, mb = den // self.den, den // other.den
+        out = dict(ta) if ma == 1 else {e: c * ma for e, c in ta.items()}
         for e, c in tb.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(names, out)
+            out[e] = out.get(e, 0) + c * mb
+        return _make(names, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.names, {e: -c for e, c in self.terms.items()})
+        return _new(self.names, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-_as_poly(other))
@@ -208,19 +221,19 @@ class MultiPoly:
         if self.is_zero() or other.is_zero():
             return _ZERO
         if other.is_const():
-            return self.scale(other.const_value())
+            return self._scaled(other.terms[()], other.den)
         if self.is_const():
-            return other.scale(self.const_value())
+            return other._scaled(self.terms[()], self.den)
         names = MultiPoly._union_names(self, other)
         ta = self._aligned_to(names)
         tb = other._aligned_to(names)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, int] = {}
         for ea, ca in ta.items():
             for eb, cb in tb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(e)
-                out[e] = ca * cb if v is None else v + ca * cb
-        return MultiPoly(names, out)
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        # Over an integral domain no indeterminate of a product vanishes.
+        return _make(names, out, self.den * other.den, prune=False)
 
     __rmul__ = __mul__
 
@@ -237,10 +250,30 @@ class MultiPoly:
         return result
 
     def scale(self, c) -> "MultiPoly":
-        c = _as_fraction(c)
-        if c == 0:
+        c = _as_exact(c)
+        return self._scaled(c.numerator, c.denominator)
+
+    def _scaled(self, n: int, d: int) -> "MultiPoly":
+        """self * n/d for ints n and d != 0.
+
+        With n/d in lowest terms, the content gcd of the product is
+        gcd(n, den) * gcd(d, terms), so both are divided out up front.
+        """
+        if not n or not self.terms:
             return _ZERO
-        return MultiPoly(self.names, {e: k * c for e, k in self.terms.items()})
+        g = math.gcd(n, d)
+        if d < 0:
+            g = -g
+        n, d = n // g, d // g
+        g = math.gcd(n, self.den)
+        den = self.den // g
+        n //= g
+        h = math.gcd(d, *self.terms.values()) if d != 1 else 1
+        if h == 1 and n == 1:
+            terms = self.terms
+        else:
+            terms = {e: c // h * n for e, c in self.terms.items()}
+        return _new(self.names, terms, den * (d // h))
 
     # ---- calculus and evaluation ----------------------------------------
 
@@ -249,31 +282,39 @@ class MultiPoly:
         if name not in self.names:
             return _ZERO
         i = self.names.index(name)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, int] = {}
         for e, c in self.terms.items():
-            if e[i]:
-                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[ne] = out.get(ne, Fraction(0)) + c * e[i]
-        return MultiPoly(self.names, out)
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return _make(self.names, out, self.den)
 
     def eval_exact(self, point: Mapping[str, Fraction]) -> Fraction:
+        """The value at ``point``, summed in ints over the common denominator.
+
+        With x_i = p_i/q_i and D_i the degree in x_i, each term c * x^e is
+        summed as c * prod p_i^e_i q_i^(D_i - e_i) over den * prod q_i^D_i.
+        """
         missing = [n for n in self.names if n not in point]
         if missing:
             raise UnknownVariable(f"no value supplied for {missing}")
-        vals = [_as_fraction(point[n]) for n in self.names]
-        total = Fraction(0)
-        cache: list[dict[int, Fraction]] = [dict() for _ in self.names]
+        vals = [_as_exact(point[n]) for n in self.names]
+        tops = [max(col) for col in zip(*self.terms)]
+        scale = self.den
+        for v, top in zip(vals, tops):
+            scale *= v.denominator ** top
+        cache: list[dict[int, int]] = [dict() for _ in self.names]
+        total = 0
         for e, c in self.terms.items():
             term = c
             for i, k in enumerate(e):
-                if k:
-                    p = cache[i].get(k)
-                    if p is None:
-                        p = vals[i] ** k
-                        cache[i][k] = p
-                    term *= p
+                p = cache[i].get(k)
+                if p is None:
+                    v = vals[i]
+                    p = cache[i][k] = v.numerator ** k * v.denominator ** (tops[i] - k)
+                term *= p
             total += term
-        return total
+        return Fraction(total, scale)
 
     # ---- structure -------------------------------------------------------
 
@@ -282,11 +323,12 @@ class MultiPoly:
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.names == other.names and self.terms == other.terms
+        return (self.names == other.names and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.names, frozenset(self.terms.items())))
+            self._hash = hash((self.names, self.den, frozenset(self.terms.items())))
         return self._hash
 
     def __repr__(self):
@@ -297,7 +339,7 @@ class MultiPoly:
             return "0"
         parts = []
         for e in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[e]
+            c = Fraction(self.terms[e], self.den)
             mono = "*".join(
                 n if k == 1 else f"{n}^{k}"
                 for n, k in zip(self.names, e)
@@ -313,11 +355,44 @@ class MultiPoly:
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
-_ZERO = object.__new__(MultiPoly)
-_ZERO.names = ()
-_ZERO.terms = {}
-_ZERO._hash = None
-_ONE = MultiPoly((), {(): Fraction(1)})
+def _normal(names: tuple[str, ...], terms: dict[Exponents, int], den: int,
+            prune: bool = True) -> tuple[tuple[str, ...], dict[Exponents, int], int]:
+    """The canonical parts of ``terms / den`` over sorted ``names``, den > 0.
+
+    Drops zero coefficients and divides out gcd(den, *terms); with ``prune``,
+    also drops the names that no term uses any more.
+    """
+    terms = {e: c for e, c in terms.items() if c}
+    if not terms:
+        return (), {}, 1
+    g = math.gcd(den, *terms.values())
+    if g != 1:
+        den //= g
+        terms = {e: c // g for e, c in terms.items()}
+    if prune:
+        used = [any(col) for col in zip(*terms)]
+        if not all(used):
+            keep = [i for i, u in enumerate(used) if u]
+            names = tuple(names[i] for i in keep)
+            terms = {tuple(e[i] for i in keep): c for e, c in terms.items()}
+    return names, terms, den
+
+
+def _new(names: tuple[str, ...], terms: dict[Exponents, int], den: int) -> MultiPoly:
+    """A MultiPoly from parts already in canonical form."""
+    p = object.__new__(MultiPoly)
+    p.names, p.terms, p.den, p._hash = names, terms, den, None
+    return p
+
+
+def _make(names: tuple[str, ...], terms: dict[Exponents, int], den: int,
+          prune: bool = True) -> MultiPoly:
+    """The canonical MultiPoly of ``terms / den`` (see ``_normal``)."""
+    return _new(*_normal(names, terms, den, prune))
+
+
+_ZERO = _new((), {}, 1)
+_ONE = _new((), {(): 1}, 1)
 
 
 def _as_poly(x) -> MultiPoly:
@@ -336,14 +411,22 @@ def _as_poly(x) -> MultiPoly:
 def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     """Return ``p / d`` when the division is exact, else ``None``.
 
-    Single-divisor division under graded lex, run in ints on the
-    integer-primitive parts ``p/cont(p)`` and ``d/cont(d)``; the quotient is
-    scaled once by ``cont(p)/cont(d)`` at the end.  By Gauss's lemma the
-    primitive quotient has integer coefficients whenever it exists, so the
-    division is inexact as soon as the divisor's leading coefficient fails to
-    divide the running remainder's, and likewise as soon as the divisor's
-    leading monomial fails to divide the remainder's (leading terms multiply
-    monotonically in a graded order).  Either way we abort immediately.
+    Single-divisor division under graded lex, run in ints on p's numerators
+    and the integer-primitive part of d's; the quotient is rescaled once at
+    the end.  By Gauss's lemma that quotient has integer coefficients
+    whenever it exists, so the division is inexact as soon as the divisor's
+    leading coefficient fails to divide the running remainder's, and likewise
+    as soon as the divisor's leading monomial fails to divide the remainder's
+    (leading terms multiply monotonically in a graded order).  Either way we
+    abort immediately.
+
+    The remainder is a dict keyed by packed exponent vectors (total degree,
+    then the exponents, as the digits of one int in a base above p's total
+    degree, so that int order is graded lex order and packing is additive),
+    and its keys sit in a heap that yields the leading term without a
+    rescan; a key whose term cancelled is skipped when it surfaces (Johnson,
+    SIGSAM Bulletin 8, 1974; Monagan and Pearce, CASC 2007).  Quotient terms
+    come out in decreasing graded-lex order.
     """
     d = _as_poly(d)
     if d.is_zero():
@@ -351,51 +434,73 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     if p.is_zero():
         return _ZERO
     if d.is_const():
-        return p.scale(1 / d.const_value())
+        return p._scaled(d.den, d.terms[()])
     names = MultiPoly._union_names(p, d)
-    rem, cp = _int_terms(p._aligned_to(names))
-    dt, cd = _int_terms(d._aligned_to(names))
+    pt = p._aligned_to(names)
+    dt = d._aligned_to(names)
+    # Every exponent of every remainder term is at most p's total degree.
+    base = max(map(sum, pt)) + 1
+
+    def pack(e: Exponents) -> int:
+        k = sum(e)
+        for x in e:
+            k = k * base + x
+        return k
+
+    rem = {pack(e): c for e, c in pt.items()}
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    cd = math.gcd(*dt.values())
     de = max(dt, key=_grlex)
-    dc = dt[de]
+    dc = dt[de] // cd
+    dkey = pack(de)
+    tail = [(pack(e), c // cd) for e, c in dt.items() if e != de]
+    width = len(names)
     quot: dict[Exponents, int] = {}
-    while rem:
-        re = max(rem, key=_grlex)
-        qe = tuple(a - b for a, b in zip(re, de))
+    while heap:
+        key = -heapq.heappop(heap)
+        c = rem.pop(key, 0)
+        if not c:
+            continue
+        re = [0] * width
+        rest = key
+        for i in range(width - 1, -1, -1):
+            rest, re[i] = divmod(rest, base)
+        qe = tuple(map(sub, re, de))
         if any(k < 0 for k in qe):
             return None
-        qc, r = divmod(rem[re], dc)
+        qc, r = divmod(c, dc)
         if r:
             return None
         quot[qe] = qc
-        for e, c in dt.items():
-            ne = tuple(a + b for a, b in zip(qe, e))
-            v = rem.get(ne, 0) - qc * c
-            if v:
-                rem[ne] = v
+        qkey = key - dkey
+        for k, c in tail:
+            nk = qkey + k
+            t = qc * c
+            v = rem.get(nk)
+            if v is None:
+                rem[nk] = -t
+                heapq.heappush(heap, -nk)
+            elif v != t:
+                rem[nk] = v - t
             else:
-                rem.pop(ne, None)
-    scale = cp / cd
-    return MultiPoly(names, {e: q * scale for e, q in quot.items()})
-
-
-def _int_terms(terms: Mapping[Exponents, Fraction]) -> tuple[dict[Exponents, int], Fraction]:
-    """Coprime integer coefficients and the content c > 0 with terms = c * ints.
-
-    c is the gcd of the numerators over the lcm of the denominators.
-    """
-    num = math.gcd(*(c.numerator for c in terms.values()))
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    ints = {e: c.numerator // num * (den // c.denominator) for e, c in terms.items()}
-    return ints, Fraction(num, den)
+                del rem[nk]
+    # p/d = (pt / (dt/cd)) * d.den / (p.den * cd)
+    if d.den != 1:
+        quot = {e: q * d.den for e, q in quot.items()}
+    return _make(names, quot, p.den * cd)
 
 
 def _canon_primitive(p: MultiPoly) -> MultiPoly:
     """Integer-primitive scalar multiple of p with positive leading coefficient."""
     if p.is_zero():
         return _ZERO
-    ints, _ = _int_terms(p.terms)
-    sign = -1 if p.leading()[1] < 0 else 1
-    return MultiPoly(p.names, {e: Fraction(sign * k) for e, k in ints.items()})
+    g = math.gcd(*p.terms.values())
+    if p.terms[max(p.terms, key=_grlex)] < 0:
+        g = -g
+    if g == 1 and p.den == 1:
+        return p
+    return _new(p.names, {e: c // g for e, c in p.terms.items()}, 1)
 
 
 def _univar_view(p: MultiPoly, name: str) -> dict[int, MultiPoly]:
@@ -404,11 +509,11 @@ def _univar_view(p: MultiPoly, name: str) -> dict[int, MultiPoly]:
         return {0: p} if not p.is_zero() else {}
     i = p.names.index(name)
     rest = p.names[:i] + p.names[i + 1:]
-    buckets: dict[int, dict[Exponents, Fraction]] = {}
+    buckets: dict[int, dict[Exponents, int]] = {}
     for e, c in p.terms.items():
         k = e[i]
         buckets.setdefault(k, {})[e[:i] + e[i + 1:]] = c
-    return {k: MultiPoly(rest, t) for k, t in buckets.items()}
+    return {k: _make(rest, t, p.den) for k, t in buckets.items()}
 
 
 def _primitive_part(p: MultiPoly, name: str) -> MultiPoly:
@@ -493,8 +598,7 @@ def _gcd_univar(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
     f = _image_gcd(a, b, name, {}, a.degree_in(name), b.degree_in(name))
     if len(f) == 1:
         return _ONE
-    out = MultiPoly((name,), {(k,): Fraction(c) for k, c in enumerate(f) if c})
-    return _canon_primitive(out)
+    return _canon_primitive(_new((name,), {(k,): c for k, c in enumerate(f) if c}, 1))
 
 
 def _image_gcd_degree(a: MultiPoly, b: MultiPoly, name: str) -> int:
@@ -529,12 +633,12 @@ def _image_coeff_list(p: MultiPoly, name: str, point: Mapping[str, int]) -> list
     """Primitive integer coefficients of p's univariate image in ``name``.
 
     Every other indeterminate of p takes its integer value from ``point``.
-    The image is computed over the integers: the coefficients' denominators
-    are cleared once by their lcm, the sample values are raised to powers in
-    ints (one cache per indeterminate), and each term lands in the bucket of
-    its exponent of ``name``.  Returned low-to-high, trimmed, divided by its
-    content and with a positive leading entry; None when an indeterminate has
-    no value in ``point`` or the image is zero.
+    The image is computed over the integers, from p's numerators alone (its
+    one denominator only scales the image): the sample values are raised to
+    powers in ints (one cache per indeterminate), and each term lands in the
+    bucket of its exponent of ``name``.  Returned low-to-high, trimmed,
+    divided by its content and with a positive leading entry; None when an
+    indeterminate has no value in ``point`` or the image is zero.
     """
     names = p.names
     main = names.index(name) if name in names else -1
@@ -543,10 +647,9 @@ def _image_coeff_list(p: MultiPoly, name: str, point: Mapping[str, int]) -> list
         return None
     vals = [point.get(n, 0) for n in names]
     powers: list[dict[int, int]] = [{} for _ in names]
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
     out = [0] * (p.degree_in(name) + 1)
     for e, c in p.terms.items():
-        term = c.numerator * (den // c.denominator)
+        term = c
         for j in others:
             k = e[j]
             if k:
@@ -675,8 +778,8 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
         gamma = gamma_poly.eval_exact(point)
         if gamma == 0:
             return None
-        scale = Fraction(gamma, g[-1])
-        return MultiPoly((x,), {(k,): c * scale for k, c in enumerate(g) if c})
+        return _make((x,), {(k,): c * gamma.numerator for k, c in enumerate(g) if c},
+                     g[-1] * gamma.denominator)
 
     def interpolate(remaining: tuple[str, ...], point: dict[str, int]) -> MultiPoly | None:
         if not remaining:
@@ -705,8 +808,7 @@ def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
         dd = list(values)
         for j in range(1, npts):
             for i in range(npts - 1, j - 1, -1):
-                dd[i] = (dd[i] - dd[i - 1]).scale(
-                    Fraction(1, 1) / (nodes[i] - nodes[i - j]))
+                dd[i] = (dd[i] - dd[i - 1])._scaled(1, nodes[i] - nodes[i - j])
         yv = MultiPoly.variable(y)
         poly = _ZERO
         basis = _ONE
@@ -757,7 +859,7 @@ def poly_sqrt(p: MultiPoly) -> MultiPoly | None:
         de = tuple(a - b for a, b in zip(re, qe))
         if any(k < 0 for k in de):
             return None
-        cand = MultiPoly(names, {de: rt[re] / (2 * qt[qe])})
+        cand = MultiPoly(names, {de: Fraction(rt[re] * root.den, 2 * qt[qe] * rem.den)})
         root = root + cand
         rem = p - root * root
     return root if (root * root) == p else None
@@ -947,10 +1049,10 @@ def _rescale(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """num/den scaled so that the denominator's leading coefficient is 1."""
     if num.is_zero():
         return _ZERO, _ONE
-    lc = den.leading()[1]
-    if lc == 1:
+    lead = den.terms[max(den.terms, key=_grlex)]
+    if lead == den.den:
         return num, den
-    return num.scale(1 / lc), den.scale(1 / lc)
+    return num._scaled(den.den, lead), den._scaled(den.den, lead)
 
 
 def _cancel(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -987,13 +1089,14 @@ def _subst_poly(p: MultiPoly, bindings: Mapping[str, "RationalExpr"]) -> "Ration
     total = _ZERO
     keep = [i for i, n in enumerate(p.names) if n not in bindings]
     keep_names = tuple(p.names[i] for i in keep)
+    # The sum is taken over p's integer numerators and divided by p.den once.
     for e, c in p.terms.items():
-        mono = MultiPoly(keep_names, {tuple(e[i] for i in keep): c})
-        term = mono
+        term = _make(keep_names, {tuple(e[i] for i in keep): c}, 1)
         for n in active:
             k = e[idx[n]]
             term = term * num_pows[n][k] * den_pows[n][degs[n] - k]
         total = total + term
+    total = total._scaled(1, p.den)
     # Divide by one binding denominator at a time: each reduction is then a
     # gcd against a small structured factor instead of one big product.
     # (Canonical binding denominators are either 1 or monic non-constant.)

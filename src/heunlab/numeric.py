@@ -343,7 +343,7 @@ def _emit_quotient(expr: RationalExpr, arg: dict[str, str],
         terms = []
         for e, c in p.terms.items():
             key = f"c{len(env)}"
-            env[key] = complex(c)
+            env[key] = complex(c / p.den)
             terms.append(key + "".join(
                 f" * {arg[n]} ** {k}" for n, k in zip(p.names, e) if k))
         lines, acc = [], "0j"

@@ -245,14 +245,16 @@ def _finite_poles(ode: LinearODE2) -> dict[object, list[int]]:
     Keyed by the exact rational pole, or by a squarefree factor of a
     denominator that does not split over Q.  Each denominator's rational
     roots are found as far as ``_divisors`` reaches, and what is left is
-    split squarefree.  Then the roots of each leftover factor are searched
-    again, on its smaller coefficients and among the roots known so far,
-    until a round finds no root.  So a point is listed once, with its order
-    in both coefficients, even when only one denominator reveals it.
+    split squarefree.  The leftover factors of both coefficients are split
+    against each other into a gcd-free basis (``_refine``), so that each
+    factor carries its order in both.  Then the roots of each basis factor
+    are searched again, on its smaller coefficients and among the roots known
+    so far, until a round finds no root.  So a point is listed once, with its
+    order in both coefficients, even when only one denominator reveals it.
     """
     z = ode.var
     orders: dict[object, list[int]] = {}
-    pieces = []  # (coefficient index, squarefree leftover, its multiplicity)
+    basis: list[tuple[MultiPoly, list[int]]] = []
     for i, p in enumerate((ode.p1, ode.p2)):
         if p.den.is_const():
             continue
@@ -260,22 +262,50 @@ def _finite_poles(ode: LinearODE2) -> dict[object, list[int]]:
         for r, k in roots.items():
             orders.setdefault(r, [0, 0])[i] += k
         if len(rest) > 1:
-            pieces += [(i, a.primitive_int_coeffs(z), k)
-                       for a, k in squarefree_decomposition(_univariate(rest, z), z)]
+            for a, k in squarefree_decomposition(_univariate(rest, z), z):
+                basis = _refine(basis, a, [k, 0] if i == 0 else [0, k])
+    pieces = [(a.primitive_int_coeffs(z), ks) for a, ks in basis]
     found = True
     while pieces and found:
         known, found, left = set(orders), False, []
-        for i, coeffs, k in pieces:
+        for coeffs, ks in pieces:
             roots, coeffs = _rational_roots(coeffs, known)
             for r in roots:  # a simple root of a squarefree factor
-                orders.setdefault(r, [0, 0])[i] += k
+                order = orders.setdefault(r, [0, 0])
+                order[0] += ks[0]
+                order[1] += ks[1]
                 found = True
             if len(coeffs) > 1:
-                left.append((i, coeffs, k))
+                left.append((coeffs, ks))
         pieces = left
-    for i, coeffs, k in pieces:
-        orders.setdefault(_univariate(coeffs, z), [0, 0])[i] = k
+    for coeffs, ks in pieces:
+        orders[_univariate(coeffs, z)] = ks
     return orders
+
+
+def _refine(basis: list[tuple[MultiPoly, list[int]]], f: MultiPoly,
+            ks: list[int]) -> list[tuple[MultiPoly, list[int]]]:
+    """Add the squarefree factor f, with orders ``ks``, to a gcd-free basis.
+
+    The basis holds pairwise coprime squarefree factors with their orders
+    [in p1, in p2].  An element b that shares g = gcd(f, b) with f splits
+    into g, which carries the orders of both, and b/g; what is left of f,
+    coprime to every element, joins at the end.
+    """
+    out = []
+    for b, kb in basis:
+        g = poly_gcd(f, b)
+        if g.is_const():
+            out.append((b, kb))
+            continue
+        out.append((g, [kb[0] + ks[0], kb[1] + ks[1]]))
+        b = exact_div(b, g)
+        if not b.is_const():
+            out.append((b, kb))
+        f = exact_div(f, g)
+    if not f.is_const():
+        out.append((f, ks))
+    return out
 
 
 def _univariate(coeffs: list[int], name: str) -> MultiPoly:

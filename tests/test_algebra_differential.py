@@ -9,6 +9,12 @@ polynomials are evaluated with ``MultiPoly.eval_exact``, and a graded-lex
 division over ``Fraction``.  Images must agree as lists (or both be None);
 quotients must agree with ``==`` and in the order of their terms, which
 ``numeric.compile_scalar`` follows.
+
+A ``MultiPoly`` holds int numerators over one positive denominator; the
+references read each coefficient as ``Fraction(c, p.den)`` and align
+exponents themselves.  ``TestIntegerForm`` checks that every kernel result
+is in canonical integer form and equals the same operation done on
+``Fraction`` coefficients.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heunlab import algebra
-from heunlab.algebra import MultiPoly, UnknownVariable
+from heunlab.algebra import MultiPoly, PoleAtPoint, UnknownVariable
 
 # ---------------------------------------------------------------------------
 # References: the rational-arithmetic forms of the three routines.
@@ -51,7 +57,7 @@ def reference_int_coeff_list(p, name):
     if name in p.names:
         i = p.names.index(name)
         for e, c in p.terms.items():
-            coeffs[e[i]] = c
+            coeffs[e[i]] = Fraction(c, p.den)
     else:
         coeffs[0] = p.const_value()
     den_lcm = 1
@@ -60,12 +66,24 @@ def reference_int_coeff_list(p, name):
     return algebra._int_primitive([int(c * den_lcm) for c in coeffs])
 
 
+def fraction_terms(p, names):
+    """p's coefficients as Fractions, exponents re-indexed over ``names``."""
+    pos = [names.index(n) for n in p.names]
+    out = {}
+    for e, c in p.terms.items():
+        ne = [0] * len(names)
+        for j, k in zip(pos, e):
+            ne[j] = k
+        out[tuple(ne)] = Fraction(c, p.den)
+    return out
+
+
 def reference_exact_div(p, d):
     if d.is_const():
         return p.scale(1 / d.const_value())
     names = MultiPoly._union_names(p, d)
-    rem = dict(p._aligned_to(names))
-    dt = d._aligned_to(names)
+    rem = fraction_terms(p, names)
+    dt = fraction_terms(d, names)
     de = max(dt, key=lambda e: (sum(e), e))
     dc = dt[de]
     quot = {}
@@ -90,7 +108,7 @@ def reference_canon_primitive(p):
     if p.is_zero():
         return p
     num_gcd, den_lcm = 0, 1
-    for c in p.terms.values():
+    for c in fraction_terms(p, p.names).values():
         num_gcd = math.gcd(num_gcd, abs(c.numerator))
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
     c = Fraction(num_gcd, den_lcm)
@@ -327,3 +345,113 @@ class TestCanonPrimitive:
     @given(st.one_of(polys(), products()))
     def test_matches_reference(self, p):
         assert same_poly(algebra._canon_primitive(p), reference_canon_primitive(p))
+
+
+# ---------------------------------------------------------------------------
+# The integer form: every kernel result is canonical int numerators over one
+# positive denominator, equal to its Fraction-built twin and to the result of
+# the same operation done on Fraction coefficients.
+# ---------------------------------------------------------------------------
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.terms.values())
+    if p.terms:
+        assert math.gcd(p.den, *p.terms.values()) == 1
+    else:
+        assert (p.names, p.den) == ((), 1)
+    assert list(p.names) == sorted(p.names)
+    assert all(any(e[i] for e in p.terms) for i in range(len(p.names)))
+    assert same_poly(MultiPoly(p.names, fraction_terms(p, p.names)), p)
+
+
+def union(a, b):
+    return tuple(sorted(set(a.names) | set(b.names)))
+
+
+def reference_add(a, b):
+    names = union(a, b)
+    out = fraction_terms(a, names)
+    for e, c in fraction_terms(b, names).items():
+        out[e] = out.get(e, 0) + c
+    return MultiPoly(names, out)
+
+
+def reference_mul(a, b):
+    names = union(a, b)
+    out = {}
+    for ea, ca in fraction_terms(a, names).items():
+        for eb, cb in fraction_terms(b, names).items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return MultiPoly(names, out)
+
+
+def reference_derivative(p, name):
+    if name not in p.names:
+        return MultiPoly.const(0)
+    i = p.names.index(name)
+    return MultiPoly(p.names, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                               for e, c in fraction_terms(p, p.names).items() if e[i]})
+
+
+maybe_zero = st.one_of(polys(), products(), st.just(MultiPoly.const(0)))
+
+
+class TestIntegerForm:
+    @SETTINGS
+    @given(maybe_zero, maybe_zero, coefficients)
+    def test_arithmetic(self, a, b, c):
+        fa = fraction_terms(a, a.names)
+        for got, ref in ((a + b, reference_add(a, b)),
+                         (a - b, reference_add(a, -b)),
+                         (-a, MultiPoly(a.names, {e: -v for e, v in fa.items()})),
+                         (a * b, reference_mul(a, b)),
+                         (a.scale(c), MultiPoly(a.names, {e: v * c for e, v in fa.items()}))):
+            assert_canonical(got)
+            assert same_poly(got, ref)
+
+    @SETTINGS
+    @given(maybe_zero, st.sampled_from(NAMES))
+    def test_derivative_and_univar_view(self, p, name):
+        got = p.derivative(name)
+        assert_canonical(got)
+        assert same_poly(got, reference_derivative(p, name))
+        view = algebra._univar_view(p, name)
+        v = MultiPoly.variable(name)
+        for coeff in view.values():
+            assert_canonical(coeff)
+            assert name not in coeff.names
+        assert sum((coeff * v ** k for k, coeff in view.items()), MultiPoly.const(0)) == p
+
+    @SETTINGS
+    @given(polys(), st.one_of(polys(), products()), polys(max_terms=2))
+    def test_exact_div_and_canon_primitive(self, q, d, r):
+        exact = q * d
+        for p in (exact, exact + r):
+            got = algebra.exact_div(p, d)
+            assert got is not None or p is not exact
+            if got is not None:
+                assert_canonical(got)
+                assert same_poly(got, reference_exact_div(p, d))
+            got = algebra._canon_primitive(p)
+            assert_canonical(got)
+            assert same_poly(got, reference_canon_primitive(p))
+
+    @SETTINGS
+    @given(polys(), polys(), st.one_of(polys(), products()), st.sampled_from(NAMES))
+    def test_substitute(self, p, u, v, name):
+        value = algebra.RationalExpr(u, v)
+        got = algebra.RationalExpr(p).substitute({name: value})
+        assert_canonical(got.num)
+        assert_canonical(got.den)
+        assert got.den.leading()[1] == 1
+        # Substituting and evaluating agree with evaluating the value first.
+        point = {"x": Fraction(2), "y": Fraction(-3), "z": Fraction(5, 2)}
+        try:
+            inner = value.eval_exact(point)
+            want = p.eval_exact({**point, name: inner})
+        except PoleAtPoint:
+            return
+        assert got.eval_exact(point) == want

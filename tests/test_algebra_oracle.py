@@ -16,6 +16,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -39,7 +40,7 @@ SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=N
 def to_sympy(p: MultiPoly):
     syms = [sympy.Symbol(n) for n in p.names]
     return sympy.Add(*(
-        sympy.Rational(c.numerator, c.denominator)
+        sympy.Rational(c, p.den)
         * sympy.Mul(*(s ** k for s, k in zip(syms, e)))
         for e, c in p.terms.items()))
 
@@ -82,7 +83,7 @@ def check_against_sympy(a: MultiPoly, b: MultiPoly, g: MultiPoly) -> None:
     expected = sympy.gcd(to_sympy(a), to_sympy(b))
     ratio = sympy.cancel(to_sympy(g) / expected)
     assert ratio.is_number and ratio != 0, (g, expected)
-    coeffs = list(g.terms.values())
+    coeffs = [Fraction(c, g.den) for c in g.terms.values()]
     assert all(c.denominator == 1 for c in coeffs)
     assert math.gcd(*(c.numerator for c in coeffs)) == 1
     assert g.leading()[1] > 0

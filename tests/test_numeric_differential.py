@@ -199,7 +199,7 @@ def reference_compile_scalar(expr, names):
 
     def compile_poly(p):
         idx = [pos[n] for n in p.names]
-        terms = [(complex(c), tuple(zip(idx, e))) for e, c in p.terms.items()]
+        terms = [(complex(F(c, p.den)), tuple(zip(idx, e))) for e, c in p.terms.items()]
 
         def ev(args):
             total = 0j
@@ -241,6 +241,11 @@ EXPRESSIONS = {
         RationalExpr(MultiPoly.const(1),
                      MultiPoly(("z", "t"), {(k, k % 3): F(k % 7 - 3, k + 1)
                                             for k in range(450)})), ("t", "z")),
+    # numerators and a common denominator of 400 digits, each read as one float
+    "400-digit-coefficients": (
+        RationalExpr(MultiPoly(("z",), {(0,): F(10 ** 400 + 7, 3 * 10 ** 399 + 1),
+                                        (1,): F(-(10 ** 399), 7 * 10 ** 398 + 3),
+                                        (2,): F(1, 10 ** 400)})), ("z",)),
 }
 
 
@@ -277,6 +282,36 @@ class TestCompiledEvaluator:
     def test_unbound_name_rejected(self):
         with pytest.raises(ValueError):
             compile_scalar(lam * mu, ("lambda",))
+
+
+# A coefficient is held as an int numerator over its polynomial's common
+# denominator, and compiled as ``c / den``.  Int true division is correctly
+# rounded, as ``float(Fraction)`` is, whether or not the pair is reduced.
+huge = st.integers(-10 ** 400, 10 ** 400)
+
+
+class TestCoefficientRead:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.integers(-10 ** 6, 10 ** 6), huge),
+           st.one_of(st.integers(1, 10 ** 6), huge.filter(lambda d: d > 0)),
+           st.one_of(st.just(1), st.integers(2, 10 ** 6), huge.filter(lambda k: k > 0)))
+    def test_int_division_is_the_fraction_float(self, c, den, k):
+        # k * c / (k * den) is an unreduced pair of the same value.
+        for num, d in ((c, den), (k * c, k * den)):
+            try:
+                want = float(F(num, d))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    num / d
+                continue
+            assert repr(num / d) == repr(want)
+
+    def test_overflow(self):
+        for num, d in ((10 ** 400, 3), (-(10 ** 400) * 7, 7)):
+            with pytest.raises(OverflowError):
+                float(F(num, d))
+            with pytest.raises(OverflowError):
+                num / d
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,19 @@ class TestSingularPoints:
         pts = singular_points(LinearODE2(1 / (z * z - 2) ** 2, 1 / (z * z - 2)))
         assert pts[0] == SingularPoint(q, "irregular")
 
+    def test_unresolved_factors_that_differ_are_split(self):
+        # p1's squarefree z^4 - 5 z^2 + 6 and p2's z^2 - 2 share a factor:
+        # +-sqrt(2) is listed once, with order 1 in p1 and 3 in p2.
+        q, r = (z * z - 2).num, (z * z - 3).num
+        eq = LinearODE2(1 / ((z * z - 2) * (z * z - 3)), 1 / (z * z - 2) ** 3)
+        assert singular_points(eq) == [SingularPoint(q, "irregular"),
+                                       SingularPoint(r, "regular"),
+                                       SingularPoint(INFINITY, "regular")]
+        got = sorted(ode_singularities(eq), key=lambda w: w.real)
+        want = [-math.sqrt(3), -math.sqrt(2), math.sqrt(2), math.sqrt(3)]
+        assert len(got) == 4
+        assert all(abs(w - x) < 1e-12 for w, x in zip(got, want))
+
     def test_root_resolved_in_one_denominator_only(self):
         # p1's denominator f yields the root 2/1000003; p2's f^3 has a
         # leading coefficient past the trial-division limit.  The point is
@@ -268,7 +281,7 @@ def reference_rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int
 def dense_fractions(p: MultiPoly) -> list[Fraction]:
     out = [Fraction(0)] * (p.degree_in("z") + 1)
     for e, c in p.terms.items():
-        out[sum(e)] = c
+        out[sum(e)] = Fraction(c, p.den)
     return out
 
 
