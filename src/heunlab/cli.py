@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import sys
 from fractions import Fraction
 
@@ -262,7 +263,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``heunlab`` argument parser, built once per process on first use.
+
+    Every later call returns the same parser.  Parsing only reads it: no
+    option appends to a list or carries a mutable default, and each
+    subcommand's ``func`` default is only read, so one call's flags cannot
+    reach the next.  Nothing builds it at import.
+    """
     parser = argparse.ArgumentParser(
         prog="heunlab",
         description=("verification lab for Heun derivative equations and "
@@ -334,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one ``heunlab`` command; the parser is built on the first call only."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -175,13 +175,16 @@ def _rational_roots(coeffs: list[int], known=()) -> tuple[dict[Fraction, int], l
     ``MultiPoly.primitive_int_coeffs`` reads them.  A root p/q in lowest terms
     has p dividing the lowest nonzero coefficient and q the leading one, and
     then q z - p divides the polynomial in Z[z] (Gauss's lemma), so each
-    candidate is divided out exactly in integers.  The ``known`` rationals
-    are tried as well: dividing needs no divisor list, so a root found
-    elsewhere is recognised even where ``_divisors`` gives up on this
+    candidate is kept as the int pair (p, q) and divided out exactly in
+    integers; only a root that divides becomes a ``Fraction``.  The ``known``
+    rationals are tried as well: dividing needs no divisor list, so a root
+    found elsewhere is recognised even where ``_divisors`` gives up on this
     polynomial.  Returns (roots, leftover): leftover is the primitive integer
     list of the cofactor, constant when the polynomial splits over Q, and the
     whole input, zero and known roots removed, when a coefficient has a prime
-    factor that ``_divisors`` refuses to find.
+    factor that ``_divisors`` refuses to find.  The roots come 0 first, then
+    the others in ascending order; dividing out the primitive factors q z - p
+    in any order leaves the same cofactor, so only the roots found are sorted.
     """
     roots: dict[Fraction, int] = {}
     zeros = next(k for k, c in enumerate(coeffs) if c)
@@ -190,19 +193,24 @@ def _rational_roots(coeffs: list[int], known=()) -> tuple[dict[Fraction, int], l
     work = coeffs[zeros:]
     if len(work) == 1:
         return roots, work
-    candidates = set(known)
+    candidates = {(r.numerator, r.denominator) for r in known}
     p_divs = _divisors(work[0])
     q_divs = _divisors(work[-1])
     if p_divs is not None and q_divs is not None:
-        candidates.update(
-            Fraction(sp * p, q) for p in p_divs for q in q_divs for sp in (1, -1))
-    for r in sorted(candidates):
+        candidates.update((sp * p, q) for p in p_divs for q in q_divs
+                          if math.gcd(p, q) == 1 for sp in (1, -1))
+    found: dict[Fraction, int] = {}
+    for p, q in candidates:
+        k = 0
         while len(work) > 1:
-            quot = _divide_linear(work, r.denominator, r.numerator)
+            quot = _divide_linear(work, q, p)
             if quot is None:
                 break
-            roots[r] = roots.get(r, 0) + 1
+            k += 1
             work = quot
+        if k:
+            found[Fraction(p, q)] = k
+    roots.update(sorted(found.items()))
     return roots, work
 
 

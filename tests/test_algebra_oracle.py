@@ -8,7 +8,8 @@ integer-primitive with a positive leading coefficient.  Interpolation also
 gets pairs aimed at the sample points of its degree bound, which make that
 bound too high, and must raise ``AlgebraError`` rather than answer when every
 attempt fails.  ``exact_div`` must return None exactly when ``sympy.div``
-leaves a remainder, and sympy's quotient otherwise.
+leaves a remainder, and sympy's quotient otherwise.  Univariate products of
+degree 12 to 30 with shared factors go through both.
 """
 
 from __future__ import annotations
@@ -252,6 +253,57 @@ class TestExactDivOracle:
     def test_arbitrary_pairs(self, p, d):
         self.check(p, d)
         self.check(p.scale(2) + d, d.scale(3))
+
+
+# ---------------------------------------------------------------------------
+# High-degree univariate inputs
+# ---------------------------------------------------------------------------
+
+univariate_factors = st.one_of(
+    st.tuples(st.integers(1, 4), small).map(
+        lambda t: X.scale(t[0]) + MultiPoly.const(t[1])),
+    st.tuples(NONZERO_SMALL, small, small).map(
+        lambda t: (X * X).scale(t[0]) + X.scale(t[1]) + MultiPoly.const(t[2])),
+)
+
+
+@st.composite
+def high_degree_univariate(draw):
+    """(s, s*r1, s*r2): products in x of degree 12 to 30 sharing the factor s.
+
+    The factors are linear and quadratic with small coefficients, so roots,
+    repeated factors and irreducible quadratics all occur.
+    """
+    shared = MultiPoly.const(draw(st.integers(1, 4)))
+    for _ in range(draw(st.integers(1, 6))):
+        shared = shared * draw(univariate_factors)
+    out = [shared]
+    for _ in range(2):
+        p = shared
+        target = draw(st.integers(12, 29))
+        while p.degree_in("x") < target:
+            p = p * draw(univariate_factors)
+        out.append(p)
+    return tuple(out)
+
+
+class TestHighDegreeUnivariate:
+    @SETTINGS
+    @given(high_degree_univariate())
+    def test_gcd(self, triple):
+        _, a, b = triple
+        with spying() as calls:
+            g = poly_gcd(a, b)
+        assume(strategy_of(calls) == "univar")
+        check_against_sympy(a, b, g)
+
+    @SETTINGS
+    @given(high_degree_univariate())
+    def test_exact_div(self, triple):
+        shared, a, b = triple
+        TestExactDivOracle.check(a, shared)
+        TestExactDivOracle.check(a, b)
+        TestExactDivOracle.check(a + X ** 3, shared)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from heunlab import __version__
+from heunlab import __version__, cli
 from heunlab.cli import main, parse_params_text
 from heunlab.report import CaseRecord, Report
 
@@ -360,6 +364,61 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process and every call reuses it."""
+
+    SINGULARITIES = ["singularities", "--family", "general", "--derivative"]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @staticmethod
+    def fresh_stdout(*argv: str) -> str:
+        """The stdout of ``python argv`` in a new interpreter on this package."""
+        src = Path(cli.__file__).resolve().parents[1]
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+
+    def test_import_builds_no_parser(self):
+        code = "import heunlab.cli as c; print(c.build_parser.cache_info().currsize)"
+        assert self.fresh_stdout("-c", code) == "0\n"
+
+    def test_flag_does_not_leak_into_next_call(self, capsys):
+        assert main(["verify", "--suite", "elimination", "--case", "elimination/p2",
+                     "--paper-literal-h2", "--format", "json"]) == 0
+        assert capsys.readouterr().out == golden("elimination_p2_h2_literal.json")
+        assert main(["verify", "--suite", "all", "--format", "json"]) == 0
+        assert capsys.readouterr().out == golden("verify_all.json")
+
+    def test_usage_error_then_valid_call(self, capsys, general_params):
+        with pytest.raises(SystemExit) as info:
+            main(["singularities", "--family", "general", "--kind", "p2",
+                  "--params", general_params])
+        assert info.value.code == 2
+        capsys.readouterr()
+        argv = [*self.SINGULARITIES, "--params", general_params]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == self.fresh_stdout("-m", "heunlab", *argv)
+
+    def test_ten_calls_build_one_parser(self, capsys, monkeypatch, general_params):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            if kwargs.get("prog") == "heunlab":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        try:
+            for _ in range(10):
+                assert main([*self.SINGULARITIES, "--params", general_params]) == 0
+        finally:
+            cli.build_parser.cache_clear()
+        assert len(built) == 1
 
 
 class TestIntegrateReadsKindParameters:

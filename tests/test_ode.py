@@ -326,6 +326,25 @@ class TestRationalRootsDifferential:
         assert list(roots.items()) == list(ref_roots.items())
         assert leftover == primitive(ref_leftover)
 
+    @pytest.mark.parametrize("known", [
+        (), (Fraction(17, 19),), (Fraction(17, 19), Fraction(13, 16), Fraction(0))])
+    def test_many_candidates(self, known):
+        # The ends 720720 = 2^4 3^2 5 7 11 13 and 5040 = 2^4 3^2 5 7 have 240
+        # and 60 divisors, so 3,240 signed coprime pairs p/q are candidates;
+        # 17/19 lies outside both divisor lists and must be tried and refused.
+        # The root 0 comes first, ahead of the negative root, as in the reference.
+        p = (ZP ** 2 * (ZP.scale(16) - MultiPoly.const(13))
+             * (ZP.scale(9) + MultiPoly.const(11)) * (ZP.scale(5) - MultiPoly.const(7))
+             * ((ZP * ZP).scale(7) + ZP + MultiPoly.const(720)))
+        coeffs = p.primitive_int_coeffs("z")
+        assert (coeffs[2], coeffs[-1]) == (720720, 5040)
+        roots, leftover = ode._rational_roots(coeffs, known)
+        ref_roots, ref_leftover = reference_rational_roots(dense_fractions(p))
+        assert list(roots.items()) == list(ref_roots.items()) == [
+            (Fraction(0), 2), (Fraction(-11, 9), 1), (Fraction(13, 16), 1),
+            (Fraction(7, 5), 1)]
+        assert leftover == primitive(ref_leftover) == [720, 1, 7]
+
     def test_past_divisors_limit_keeps_the_polynomial(self):
         # 1000003^2 has no divisor list, so only the root 0 is split off.
         p = (ZP * (ZP - MultiPoly.const(1000003)) ** 2)
