@@ -26,19 +26,21 @@ A ``RationalExpr`` ``num/den`` keeps ``gcd(num, den)`` trivial and scales the
 denominator so that its graded-lexicographic leading coefficient is 1.  Two
 values are equal exactly when their canonical forms coincide term by term.
 
-The gcd and exact division read the integer numerators directly: the gcd's
-univariate images are evaluated in ints at integer sample points, and exact
-division divides by the integer-primitive part of the divisor (Gauss's
-lemma), taking each leading term of its remainder from a heap, and rescales
-the quotient once.  Each rule has one home:
+The gcd and exact division read the integer numerators directly: the gcd
+evaluates them at integer points, and exact division divides by the
+integer-primitive part of the divisor (Gauss's lemma), taking each leading
+term of its remainder from a heap, and rescales the quotient once.  Each rule
+has one home:
 
-* ``_image_coeff_list`` reads every univariate image, and
-  ``MultiPoly.primitive_int_coeffs`` is the same read-out at no sample point,
-  the one form in which a univariate polynomial leaves the kernel;
-* ``_image_gcd`` takes every image gcd and applies Brown's rule there: an
-  image gcd counts only where one image keeps its input's degree;
-* the interpolation gcd's certificate, exact division of both inputs,
-  returns its quotients, and ``poly_gcd`` reuses them;
+* ``poly_gcd`` runs the heuristic gcd, with the primitive PRS as its
+  certified fallback: ``_strip`` removes
+  every integer content and monomial factor it sees, ``_eval_at`` takes
+  every image, ``_heu_candidate`` reads every candidate off an image gcd's
+  digits, and ``_heu_gcd`` accepts a candidate only when ``exact_div``
+  divides both inputs by it, and hands the pair to the primitive PRS
+  (``_prs_gcd``) when six candidates fail;
+* ``MultiPoly.primitive_int_coeffs`` is the one form in which a univariate
+  polynomial leaves the kernel;
 * ``_cancel`` and ``_rescale`` make every canonical pair.
 
 The monomial order used everywhere is graded lexicographic over the sorted
@@ -52,6 +54,7 @@ import heapq
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from operator import add, sub
 from typing import Iterable, Mapping, Union
 
@@ -154,12 +157,14 @@ class MultiPoly:
 
         The dense list, low to high, of the polynomial scaled to coprime
         integers with ``cd > 0``: the one form in which a univariate
-        polynomial leaves the kernel, the same list the univariate gcd reads
-        (``_image_coeff_list`` at the empty point).
+        polynomial leaves the kernel.
         """
         if self.is_zero() or self.names not in ((), (name,)):
             raise ValueError(f"{self} is not a nonzero polynomial in {name} alone")
-        return _image_coeff_list(self, name, {})
+        out = [0] * (self.degree_in(name) + 1)
+        for e, c in self.terms.items():
+            out[e[0] if e else 0] = c
+        return _int_primitive(out)
 
     def leading(self) -> tuple[Exponents, Fraction]:
         """Leading (exponents, coefficient) under graded lex order."""
@@ -516,20 +521,6 @@ def _univar_view(p: MultiPoly, name: str) -> dict[int, MultiPoly]:
     return {k: _make(rest, t, p.den) for k, t in buckets.items()}
 
 
-def _primitive_part(p: MultiPoly, name: str) -> MultiPoly:
-    """p divided by its content, the gcd of its coefficients in ``name``."""
-    coeffs = list(_univar_view(p, name).values())
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        if cont.is_const():
-            break
-        cont = poly_gcd(cont, c)
-    cont = _canon_primitive(cont)
-    pp = exact_div(p, cont)
-    assert pp is not None
-    return pp
-
-
 def _int_primitive(v: list[int]) -> list[int]:
     g = 0
     for x in v:
@@ -541,128 +532,14 @@ def _int_primitive(v: list[int]) -> list[int]:
     return [x // g for x in v]
 
 
-def _int_prem(f: list[int], g: list[int]) -> list[int]:
-    """Integer pseudo-remainder of dense coefficient lists (low-to-high)."""
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(r) - 1 >= dg and any(r):
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        dr = len(r) - 1
-        if dr < dg:
-            break
-        lr = r[-1]
-        shift = dr - dg
-        r = [c * lg for c in r]
-        for k, c in enumerate(g):
-            r[k + shift] -= lr * c
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-    return r
+#: The heuristic gcd's evaluation points (Char, Geddes & Gonnet, 1989): the
+#: first lies this far above twice the smaller norm of the two inputs, each
+#: failed point is multiplied by 73794/27011, and six points are tried.
+_XI_OFFSET = 29
+_XI_GROWTH = (73794, 27011)
+_XI_POINTS = 6
 
-
-def _int_gcd_lists(f: list[int], g: list[int]) -> list[int]:
-    if len(f) < len(g):
-        f, g = g, f
-    while any(g):
-        r = _int_primitive(_int_prem(f, g))
-        f, g = g, r
-        if len(f) == 1:
-            break
-    return f
-
-
-def _image_gcd(a: MultiPoly, b: MultiPoly, name: str, point: Mapping[str, int],
-               da: int, db: int) -> list[int] | None:
-    """Integer gcd of the univariate images of a and b in ``name`` at ``point``.
-
-    ``da`` and ``db`` are the degrees of a and b in ``name``.  The image gcd
-    bounds the degree of the true gcd's image only where one image keeps its
-    input's degree (Brown, JACM 1971), so the result is None unless one does,
-    and also when either image is missing or zero (see ``_image_coeff_list``).
-    """
-    ia = _image_coeff_list(a, name, point)
-    ib = _image_coeff_list(b, name, point)
-    if ia is None or ib is None:
-        return None
-    if len(ia) - 1 != da and len(ib) - 1 != db:
-        return None
-    return _int_gcd_lists(ia, ib)
-
-
-def _gcd_univar(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
-    """Fast primitive PRS for two univariate polynomials over the rationals."""
-    f = _image_gcd(a, b, name, {}, a.degree_in(name), b.degree_in(name))
-    if len(f) == 1:
-        return _ONE
-    return _canon_primitive(_new((name,), {(k,): c for k, c in enumerate(f) if c}, 1))
-
-
-def _image_gcd_degree(a: MultiPoly, b: MultiPoly, name: str) -> int:
-    """Upper bound for the degree of gcd(a, b) in ``name``.
-
-    Substitutes fixed pseudo-random integers for every other indeterminate and
-    takes the gcd of the two univariate images.  Whenever the substitution
-    preserves the degree of one input it also preserves the degree of the true
-    gcd's image, which divides the image gcd, so the returned degree is never
-    smaller than the true one.  In particular a return of 0 proves the gcd is
-    free of ``name``.  When no sample point is conclusive the bound is the
-    smaller input degree.
-    """
-    others = sorted((set(a.names) | set(b.names)) - {name})
-    da, db = a.degree_in(name), b.degree_in(name)
-    rng = random.Random(20250808)
-    best = min(da, db)
-    for _ in range(4):
-        point = {n: rng.randint(-997, 997) for n in others}
-        g = _image_gcd(a, b, name, point, da, db)
-        if g is None:
-            continue
-        best = min(best, len(g) - 1)
-        if best == 0:
-            return 0
-        if not others:
-            break
-    return best
-
-
-def _image_coeff_list(p: MultiPoly, name: str, point: Mapping[str, int]) -> list[int] | None:
-    """Primitive integer coefficients of p's univariate image in ``name``.
-
-    Every other indeterminate of p takes its integer value from ``point``.
-    The image is computed over the integers, from p's numerators alone (its
-    one denominator only scales the image): the sample values are raised to
-    powers in ints (one cache per indeterminate), and each term lands in the
-    bucket of its exponent of ``name``.  Returned low-to-high, trimmed,
-    divided by its content and with a positive leading entry; None when an
-    indeterminate has no value in ``point`` or the image is zero.
-    """
-    names = p.names
-    main = names.index(name) if name in names else -1
-    others = [j for j in range(len(names)) if j != main]
-    if any(names[j] not in point for j in others):
-        return None
-    vals = [point.get(n, 0) for n in names]
-    powers: list[dict[int, int]] = [{} for _ in names]
-    out = [0] * (p.degree_in(name) + 1)
-    for e, c in p.terms.items():
-        term = c
-        for j in others:
-            k = e[j]
-            if k:
-                pw = powers[j].get(k)
-                if pw is None:
-                    pw = powers[j][k] = vals[j] ** k
-                term *= pw
-        out[e[main] if main >= 0 else 0] += term
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    if out == [0]:
-        return None
-    return _int_primitive(out)
+IntPoly = Union[int, MultiPoly]
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -671,21 +548,22 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     Returned integer-primitive with positive leading coefficient; constants
     count as units, so coprime inputs give 1.
 
-    Three strategies, cheapest first: trial exact divisions (denominators in
-    this package are mostly nested products of the same linear factors); the
-    univariate integer PRS when both inputs are in one shared variable; and,
-    otherwise, per variable image-gcd degree bounds, which prove coprimality
-    outright when all zero, followed by evaluation-interpolation over just the
-    variables the gcd actually involves, certified by exact division.  The
-    images that the degree bounds and the interpolation read are computed over
-    the integers, at integer sample points (see ``_image_coeff_list``).
-
-    A degree bound read at unlucky points is too high.  Interpolation lowers
-    it by Brown's rule as soon as an image of lower degree shows up, and the
-    attempt is repeated without counting against the three salted attempts;
-    since each lowering reduces a finite sum of degrees, this ends.  Three
-    attempts that fail without lowering anything raise ``AlgebraError``
-    rather than return an uncertified gcd.
+    After the trivial cases the heuristic gcd (GCDHEU: Char, Geddes and
+    Gonnet, J. Symbolic Comput. 7, 1989; Geddes, Czapor and Labahn,
+    *Algorithms for Computer Algebra*, section 7.7) decides, on the inputs'
+    integer numerators.  It strips the integer content and the monomial
+    factor x^m of each input, evaluates the first shared variable x at an
+    integer xi and takes the gcd gamma of the two images recursively, down to
+    a gcd of ints.  The symmetric xi-adic digits of gamma are the
+    coefficients of a candidate in x.  By the CGG theorem, when
+    xi >= 2 * min(|a|, |b|) + 2 in the max-norm of the stripped inputs, the
+    candidate's primitive part is their gcd as soon as it divides both; the
+    first point here is 2 * min(|a|, |b|) + 29, and every candidate is
+    checked by ``exact_div``, so each result is certified.  A candidate that
+    fails moves xi to xi * 73794 // 27011.  Six points can all fail, for
+    instance when the larger input vanishes at each of them; the primitive
+    PRS in x then decides (``_prs_gcd``).  So every result is the gcd, and
+    ``poly_gcd`` never raises ``AlgebraError``.
     """
     a = _as_poly(a)
     b = _as_poly(b)
@@ -693,139 +571,160 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _canon_primitive(b)
     if b.is_zero():
         return _canon_primitive(a)
-    if a.is_const() or b.is_const():
-        return _ONE
-    common = set(a.names) & set(b.names)
-    if not common:
+    if a.is_const() or b.is_const() or not set(a.names) & set(b.names):
         return _ONE
     if a == b:
         return _canon_primitive(a)
-    # Fast paths: one side divides the other.
-    if len(a.terms) >= len(b.terms) and exact_div(a, b) is not None:
-        return _canon_primitive(b)
-    if len(b.terms) >= len(a.terms) and exact_div(b, a) is not None:
-        return _canon_primitive(a)
-    common_sorted = sorted(common)
-    if len(common_sorted) == 1 and set(a.names) == common and set(b.names) == common:
-        return _gcd_univar(a, b, common_sorted[0])
-    # Expected gcd degree per variable; all zero proves the inputs coprime.
-    exp_deg = {n: _image_gcd_degree(a, b, n) for n in common_sorted}
-    salt = 0
-    while salt < 3:
-        support = [n for n in common_sorted if exp_deg[n]]
-        if not support:
-            return _ONE
-        bound = exp_deg[support[0]]
-        found = _gcd_by_interpolation(a, b, support, exp_deg, salt)
-        if found is not None:
-            # g is primitive in the main variable: a common factor free of
-            # it is still in both quotients.
-            g, qa, qb = found
-            return _canon_primitive(g * poly_gcd(qa, qb))
-        if exp_deg[support[0]] == bound:
-            salt += 1
-    raise AlgebraError("gcd interpolation failed on three salted attempts")
+    g = _canon_primitive(_as_poly(_gcd_z(a, b)))
+    # A gcd that is an input's primitive part is returned as that part, in
+    # the input's term order: the order in which numeric.compile_scalar sums.
+    for p in (b, a):
+        if len(p.terms) == len(g.terms) and p.names == g.names:
+            pp = _canon_primitive(p)
+            if pp == g:
+                return pp
+    return g
 
 
-def _gcd_by_interpolation(a: MultiPoly, b: MultiPoly, support: list[str],
-                          exp_deg: dict[str, int], salt: int
-                          ) -> tuple[MultiPoly, MultiPoly, MultiPoly] | None:
-    """Interpolation gcd candidate over the gcd's support variables, verified.
+def _gcd_z(a: IntPoly, b: IntPoly) -> IntPoly:
+    """gcd over the integers of two integer polynomials, an int for a constant.
 
-    Every variable outside ``support`` is frozen at a random integer (the gcd
-    provably does not involve it).  Univariate integer gcd images in the
-    first support variable are normalised so their leading coefficient is the
-    image of gcd(lc(a), lc(b)); the interpolated object is then a polynomial
-    multiple of the gcd whose extra factor is free of the main variable, so
-    taking the primitive part in the main variable isolates the gcd
-    candidate.  The candidate g is accepted only when it exactly divides both
-    inputs, and ``(g, a/g, b/g)`` is returned: the quotients of that
-    certificate, so that the caller need not divide again.
-
-    Images of higher degree in the main variable than ``exp_deg`` expects are
-    skipped as unlucky.  An image of lower degree proves the expectation too
-    high (Brown's rule): it is lowered in ``exp_deg`` and the attempt ends.
+    A ``MultiPoly`` is read through its integer numerators (its denominator
+    is ignored); the gcd is an int when it is constant, else a
+    ``MultiPoly`` over denominator 1.
     """
-    x = support[0]
-    yvars = support[1:]
-    all_names = sorted(set(a.names) | set(b.names))
-    frozen_names = [n for n in all_names if n not in support]
-    rng = random.Random(0x5EED + 7919 * salt)
-    frozen = {n: rng.randint(-997, 997) for n in frozen_names}
-    da, db = a.degree_in(x), b.degree_in(x)
-    lc_a = _univar_view(a, x).get(da, _ONE)
-    lc_b = _univar_view(b, x).get(db, _ONE)
-    # Normalising factor: any polynomial multiple of the gcd's leading
-    # x-coefficient works; gcd(lc_a, lc_b) keeps interpolation degrees low.
-    gamma_poly = poly_gcd(lc_a, lc_b)
+    if isinstance(a, int) or isinstance(b, int):
+        if not b:
+            return a
+        if not a:
+            return b
+        return math.gcd(_int_content(a), _int_content(b))
+    ca, ma, a = _strip(a)
+    cb, mb, b = _strip(b)
+    unit = math.gcd(ca, cb)
+    mono = {n: min(k, mb[n]) for n, k in ma.items() if n in mb}
+    shared = [n for n in a.names if n in b.names]
+    core = _heu_gcd(a, b, shared[0]) if shared else _ONE
+    if not mono and core.is_const():
+        return unit
+    names = tuple(sorted(mono))
+    return _new(names, {tuple(mono[n] for n in names): unit}, 1) * core
 
-    # Interpolation degree bound per remaining variable: the normalised image
-    # is (gamma/lc(gcd)) * gcd, so its y-degree is bounded by the gamma degree
-    # plus the expected gcd degree.
-    bounds = {y: gamma_poly.degree_in(y) + exp_deg[y] for y in yvars}
-    dx = exp_deg[x]
 
-    def univar_image(point: dict[str, int]) -> MultiPoly | None:
-        g = _image_gcd(a, b, x, point, da, db)
-        if g is None:
-            return None
-        dg = len(g) - 1
-        # One input keeps its degree here, so dg bounds the gcd's degree.
-        if dg < dx:
-            exp_deg[x] = dg
-        if dg != dx:
-            return None
-        gamma = gamma_poly.eval_exact(point)
-        if gamma == 0:
-            return None
-        return _make((x,), {(k,): c * gamma.numerator for k, c in enumerate(g) if c},
-                     g[-1] * gamma.denominator)
+def _int_content(p: IntPoly) -> int:
+    return abs(p) if isinstance(p, int) else math.gcd(*p.terms.values())
 
-    def interpolate(remaining: tuple[str, ...], point: dict[str, int]) -> MultiPoly | None:
-        if not remaining:
-            return univar_image(point)
-        y = remaining[-1]
-        inner = remaining[:-1]
-        npts = bounds[y] + 1
-        nodes: list[int] = []
-        values: list[MultiPoly] = []
-        trial = 0
-        while len(nodes) < npts and trial < 4 * npts + 12 and exp_deg[x] == dx:
-            node = rng.randint(-499, 499) + trial
-            trial += 1
-            if node in nodes:
-                continue
-            point[y] = node
-            val = interpolate(inner, point)
-            del point[y]
-            if val is None:
-                continue
-            nodes.append(node)
-            values.append(val)
-        if len(nodes) < npts:
-            return None
-        # Newton divided differences with polynomial values.
-        dd = list(values)
-        for j in range(1, npts):
-            for i in range(npts - 1, j - 1, -1):
-                dd[i] = (dd[i] - dd[i - 1])._scaled(1, nodes[i] - nodes[i - j])
-        yv = MultiPoly.variable(y)
-        poly = _ZERO
-        basis = _ONE
-        for k in range(npts):
-            poly = poly + dd[k] * basis
-            basis = basis * (yv - MultiPoly.const(nodes[k]))
-        return poly
 
-    cand = interpolate(tuple(yvars), dict(frozen))
-    if cand is None or cand.is_zero():
-        return None
-    pp = _canon_primitive(_primitive_part(cand, x))
-    qa = exact_div(a, pp)
-    qb = None if qa is None else exact_div(b, pp)
-    if qb is None:
-        return None
-    return pp, qa, qb
+def _strip(p: MultiPoly) -> tuple[int, dict[str, int], MultiPoly]:
+    """The integer content of p's numerators, its monomial factor and the rest.
+
+    The monomial is a map from each name to the power of it that divides p;
+    the rest is primitive over the integers, with denominator 1.
+    """
+    c = math.gcd(*p.terms.values())
+    low = [min(col) for col in zip(*p.terms)]
+    mono = {n: k for n, k in zip(p.names, low) if k}
+    if not mono:
+        if c == 1 and p.den == 1:
+            return c, mono, p
+        return c, mono, _new(p.names, {e: v // c for e, v in p.terms.items()}, 1)
+    return c, mono, _make(p.names, {tuple(map(sub, e, low)): v // c
+                                    for e, v in p.terms.items()}, 1)
+
+
+def _heu_gcd(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
+    """gcd of two primitive polynomials free of monomial factors, sharing ``x``.
+
+    The heuristic gcd at up to six points, then the primitive PRS.
+    """
+    norm = min(max(map(abs, a.terms.values())), max(map(abs, b.terms.values())))
+    xi = 2 * norm + _XI_OFFSET
+    for _ in range(_XI_POINTS):
+        g = _heu_candidate(a, b, x, xi)
+        if g.is_const() or (exact_div(a, g) is not None and exact_div(b, g) is not None):
+            return g
+        xi = xi * _XI_GROWTH[0] // _XI_GROWTH[1]
+    return _prs_gcd(a, b, x)
+
+
+def _prs_gcd(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
+    """gcd of a and b by the primitive PRS in x over Z[other names].
+
+    Certified for every input, and slower than a successful heuristic gcd:
+    the gcd of the contents in x (taken by ``poly_gcd`` one variable down)
+    times the last nonzero pseudo-remainder made primitive in x (Collins,
+    JACM 1967; Geddes, Czapor and Labahn, section 7.3).
+    """
+    ca, a = _content_in(a, x)
+    cb, b = _content_in(b, x)
+    while b.degree_in(x):
+        r = _prem(a, b, x)
+        if r.is_zero():
+            break
+        a, b = b, _content_in(r, x)[1]
+    return _canon_primitive(poly_gcd(ca, cb) * b)
+
+
+def _content_in(p: MultiPoly, x: str) -> tuple[MultiPoly, MultiPoly]:
+    """p's content in x, the gcd of its coefficients in x, and p divided by it.
+
+    Both are integer-primitive; the quotient is 1 when p is free of x.
+    """
+    cont = _canon_primitive(reduce(poly_gcd, _univar_view(p, x).values()))
+    return cont, _canon_primitive(exact_div(p, cont))
+
+
+def _prem(f: MultiPoly, g: MultiPoly, x: str) -> MultiPoly:
+    """Pseudo-remainder of f by g in x: lc(g)^k * f reduced below g's degree in x."""
+    dg = g.degree_in(x)
+    lg = _univar_view(g, x)[dg]
+    v = MultiPoly.variable(x)
+    while not f.is_zero() and f.degree_in(x) >= dg:
+        df = f.degree_in(x)
+        f = f * lg - _univar_view(f, x)[df] * g * v ** (df - dg)
+    return f
+
+
+def _heu_candidate(a: MultiPoly, b: MultiPoly, x: str, xi: int) -> MultiPoly:
+    """The primitive part of the polynomial in x whose xi-adic digits give gcd(a(xi), b(xi)).
+
+    Each coefficient of the image gcd, in the names other than x, is written
+    in base xi with digits in (-xi/2, xi/2]; digit k is the coefficient of
+    x^k.
+    """
+    gamma = _gcd_z(_eval_at(a, x, xi), _eval_at(b, x, xi))
+    rest, terms = ((), {(): gamma}) if isinstance(gamma, int) else (gamma.names, gamma.terms)
+    names = tuple(sorted(rest + (x,)))
+    i = names.index(x)
+    half = xi // 2
+    out: dict[Exponents, int] = {}
+    for e, c in terms.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[e[:i] + (k,) + e[i:]] = d
+            c = (c - d) // xi
+            k += 1
+    return _canon_primitive(_make(names, out, 1))
+
+
+def _eval_at(p: MultiPoly, x: str, xi: int) -> IntPoly:
+    """p's integer numerators at x = xi: an int when x is p's only name."""
+    i = p.names.index(x)
+    powers = [1]
+    for _ in range(max(e[i] for e in p.terms)):
+        powers.append(powers[-1] * xi)
+    if len(p.names) == 1:
+        return sum(c * powers[e[0]] for e, c in p.terms.items())
+    out: dict[Exponents, int] = {}
+    for e, c in p.terms.items():
+        r = e[:i] + e[i + 1:]
+        out[r] = out.get(r, 0) + c * powers[e[i]]
+    q = _make(p.names[:i] + p.names[i + 1:], out, 1)
+    return q if q.names else q.terms.get((), 0)
 
 
 def poly_sqrt(p: MultiPoly) -> MultiPoly | None:

@@ -99,7 +99,7 @@ def parse_params_text(text: str, *, allow_decimal: bool = False) -> dict[str, Fr
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if "." in value and not allow_decimal:
+        if not allow_decimal and any(ch in value for ch in ".eE"):
             raise ValueError(
                 f"line {lineno}: decimal literals are only accepted by numeric "
                 "commands; use an exact rational like 51/100")

@@ -277,35 +277,16 @@ class TestPolyHelpers:
             assert exact_div(g, shared.num) is not None  # shared | gcd
             assert poly_gcd(qa, qb).is_const()           # nothing left over
 
-    def test_unlucky_degree_bound_is_lowered(self, monkeypatch):
-        # y = -101, -696, 246, 876 are the four values _image_gcd_degree
-        # samples for y.  At each of them b equals a, so every image in x has
-        # the false gcd degree 1, while the images at the values interpolation
-        # freezes y at have degree 0.  The first such image lowers the bound
-        # (Brown's rule), and interpolation alone decides.
+    def test_unlucky_degree_bound_is_lowered(self):
+        # b agrees with a at y = -101, -696, 246, 876, so images in x taken
+        # at those values have the false gcd degree 1.  The gcd is constant,
+        # and it is h once both inputs are multiplied by h.
         y = var("y")
         a = x - y ** 5
         b = a - (y + 101) * (y + 696) * (y - 246) * (y - 876)
-        attempts = []
-        interpolate = algebra._gcd_by_interpolation
-
-        def spy_interpolate(a, b, support, exp_deg, salt):
-            before = dict(exp_deg)
-            result = interpolate(a, b, support, exp_deg, salt)
-            attempts.append((before, dict(exp_deg), result))
-            return result
-
-        monkeypatch.setattr(algebra, "_gcd_by_interpolation", spy_interpolate)
         assert poly_gcd(a.num, b.num).is_const()
-        assert attempts == [({"x": 1, "y": 0}, {"x": 0, "y": 0}, None)]
         h = x * y + 3
-        del attempts[:]
         assert poly_gcd((a * h).num, (b * h).num) == h.num
-        # A found gcd comes with the two quotients that certified it.  The
-        # third attempt is the leftover gcd of those cofactors.
-        assert attempts[:2] == [({"x": 2, "y": 1}, {"x": 1, "y": 1}, None),
-                                ({"x": 1, "y": 1}, {"x": 1, "y": 1},
-                                 (h.num, a.num, b.num))]
 
     def test_str_roundtrip_smoke(self):
         e = (z ** 2 - t) / (3 * z * (z - 1))
@@ -316,37 +297,23 @@ class TestPolyHelpers:
 class TestKernelWorkCounts:
     """Work of the gcd kernel on the two largest claims, pinned exactly.
 
-    All sampling in the kernel is seeded, so the number of calls to each gcd
-    routine repeats to the unit.  A change that moves any of them changes
-    what the kernel computes, not only how fast: it shows here even when wall
-    time is too noisy to show it.  ``_image_coeff_list`` also serves
-    ``_gcd_univar``, two calls per univariate gcd (both through the one
-    image-gcd helper, ``_image_gcd``).  Every interpolation attempt here
-    decides on its first salt: a count of 36 or 12 that rises means some
-    attempt met an unlucky point.  Each of them also succeeds, and its
-    certificate makes the only two exact divisions of both inputs by the gcd:
-    ``poly_gcd`` reuses the quotients it returns.  Calls of ``poly_gcd`` with
-    a constant operand return at once, but they count too.
-
-    Each branch of p5 builds its change of variable once, as the expression
-    z / (z - 1), where the gauge transform used to assemble it from four
-    coefficients and check their determinant; and neither p5 nor p6 builds
-    a second copy of q for the obstruction check any more.  That took
-    p5 from 586/206/430/1428 (``poly_gcd``, ``_image_gcd_degree``,
-    ``exact_div``, ``_image_coeff_list``) to 564/204/428/1424 and p6's
-    ``poly_gcd`` from 368 to 364.  ``_gcd_by_interpolation`` and
-    ``_gcd_univar`` did not move.
+    The gcd is deterministic, so the number of calls to each routine repeats
+    to the unit.  A change that moves any of them changes what the kernel
+    computes, not only how fast: it shows here even when wall time is too
+    noisy to show it.  ``_heu_gcd`` counts the heuristic gcds, at every
+    level of its recursion, and ``_heu_candidate`` their evaluation points:
+    p5 has six gcds and p6 two that need a second point, all of them inner
+    gcds of images.  ``exact_div`` counts the certificates of nonconstant
+    candidates along with every other exact division.  Calls of
+    ``poly_gcd`` with a constant operand return at once, but they count too.
     """
 
-    COUNTED = ("poly_gcd", "_gcd_by_interpolation", "_image_gcd_degree", "exact_div",
-               "_gcd_univar", "_image_coeff_list")
+    COUNTED = ("poly_gcd", "exact_div", "_heu_gcd", "_heu_candidate")
     COUNTS = {
-        "matching/p5": {"poly_gcd": 564, "_gcd_by_interpolation": 36,
-                        "_image_gcd_degree": 204, "exact_div": 428,
-                        "_gcd_univar": 16, "_image_coeff_list": 1424},
-        "matching/p6": {"poly_gcd": 364, "_gcd_by_interpolation": 12,
-                        "_image_gcd_degree": 82, "exact_div": 154,
-                        "_gcd_univar": 6, "_image_coeff_list": 504},
+        "matching/p5": {"poly_gcd": 482, "exact_div": 242,
+                        "_heu_gcd": 128, "_heu_candidate": 134},
+        "matching/p6": {"poly_gcd": 336, "exact_div": 122,
+                        "_heu_gcd": 74, "_heu_candidate": 76},
     }
 
     @pytest.mark.parametrize("case", sorted(COUNTS))

@@ -1,14 +1,12 @@
-"""Differential tests: the integer gcd images and exact division against
-their ``Fraction`` references.
+"""Differential tests: the integer kernel against its ``Fraction`` references.
 
-``algebra._image_coeff_list`` evaluates a polynomial's univariate image in
-ints after clearing denominators once, and ``algebra.exact_div`` divides
+``MultiPoly.primitive_int_coeffs`` reads a univariate polynomial's integer
+coefficient list from its numerators, and ``algebra.exact_div`` divides
 integer-primitive parts and rescales the quotient.  The references below are
-the plain rational forms they replace: a univariate view whose coefficient
-polynomials are evaluated with ``MultiPoly.eval_exact``, and a graded-lex
-division over ``Fraction``.  Images must agree as lists (or both be None);
-quotients must agree with ``==`` and in the order of their terms, which
-``numeric.compile_scalar`` follows.
+the plain rational forms they replace: a coefficient list over ``Fraction``
+cleared of denominators, and a graded-lex division over ``Fraction``.  Lists
+must agree; quotients must agree with ``==`` and in the order of their terms,
+which ``numeric.compile_scalar`` follows.
 
 A ``MultiPoly`` holds int numerators over one positive denominator; the
 references read each coefficient as ``Fraction(c, p.den)`` and align
@@ -22,33 +20,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heunlab import algebra
-from heunlab.algebra import MultiPoly, PoleAtPoint, UnknownVariable
+from heunlab.algebra import MultiPoly, PoleAtPoint
 
 # ---------------------------------------------------------------------------
 # References: the rational-arithmetic forms of the three routines.
 # ---------------------------------------------------------------------------
-
-
-def reference_image_coeff_list(p, name, point):
-    view = algebra._univar_view(p, name)
-    out = [Fraction(0)] * (p.degree_in(name) + 1)
-    try:
-        for k, c in view.items():
-            out[k] = c.eval_exact(point)
-    except UnknownVariable:
-        return None
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    if all(c == 0 for c in out):
-        return None
-    den_lcm = 1
-    for c in out:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    return algebra._int_primitive([int(c * den_lcm) for c in out])
 
 
 def reference_int_coeff_list(p, name):
@@ -163,17 +144,6 @@ def products(draw, max_factors=3):
     return p
 
 
-# Sample points: small ints, so that images often vanish or lose degree, and
-# sometimes a variable left unbound.
-@st.composite
-def points(draw, main):
-    out = {}
-    for n in NAMES:
-        if n != main and draw(st.integers(0, 5)):
-            out[n] = draw(st.integers(-3, 3))
-    return out
-
-
 # Derandomized and without an example database, so every run draws the same
 # examples.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -181,94 +151,25 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 class TestImageCoeffList:
-    @SETTINGS
-    @given(st.data())
-    def test_matches_reference(self, data):
-        p = data.draw(st.one_of(polys(), products()))
-        name = data.draw(st.sampled_from(NAMES))
-        point = data.draw(points(name))
-        assert algebra._image_coeff_list(p, name, point) == \
-            reference_image_coeff_list(p, name, point)
-
-    @SETTINGS
-    @given(st.data())
-    def test_vanishing_and_degree_loss(self, data):
-        # p = (y - v) * (f + x^k * g) with y = v zeroes the whole image; the
-        # top x-coefficient (y - v) * g alone loses the leading degree.
-        v = data.draw(st.integers(-3, 3))
-        f, g = data.draw(polys()), data.draw(polys())
-        k = data.draw(st.integers(0, 4))
-        shift = Y - MultiPoly.const(v)
-        point = {"y": v, "z": data.draw(st.integers(-3, 3))}
-        for p in (shift * (f + X ** k * g), f + shift * X ** 4 * g):
-            assert algebra._image_coeff_list(p, "x", point) == \
-                reference_image_coeff_list(p, "x", point)
-        assert algebra._image_coeff_list(shift * f, "x", point) is None
+    """``MultiPoly.primitive_int_coeffs``, the image coefficient list of a
+    univariate polynomial, against its ``Fraction`` reference."""
 
     def test_zero_and_constant(self):
-        zero = MultiPoly.const(0)
-        assert algebra._image_coeff_list(zero, "x", {}) is None
+        with pytest.raises(ValueError):
+            MultiPoly.const(0).primitive_int_coeffs("x")
         for c in (Fraction(-3, 4), Fraction(5)):
             p = MultiPoly.const(c)
-            assert algebra._image_coeff_list(p, "x", {}) == \
-                reference_image_coeff_list(p, "x", {}) == [1]
-
-    def test_unbound_variable(self):
-        p = X * Y + Z
-        assert algebra._image_coeff_list(p, "x", {"y": 2}) is None
-        assert reference_image_coeff_list(p, "x", {"y": 2}) is None
-        # The main variable's own value, if present, is ignored.
-        assert algebra._image_coeff_list(p, "x", {"x": 5, "y": 2, "z": 1}) == \
-            reference_image_coeff_list(p, "x", {"x": 5, "y": 2, "z": 1}) == [1, 2]
+            assert p.primitive_int_coeffs("x") == reference_int_coeff_list(p, "x") == [1]
 
     @SETTINGS
     @given(st.data())
     def test_univariate_matches_int_coeff_list(self, data):
-        # _gcd_univar reads its inputs through _image_coeff_list(p, name, {}).
         name = data.draw(st.sampled_from(NAMES))
         v = MultiPoly.variable(name)
         p = MultiPoly.const(data.draw(coefficients))
         for _ in range(data.draw(st.integers(1, 4))):
             p = p * v + MultiPoly.const(data.draw(st.integers(-5, 5)))
-        assert algebra._image_coeff_list(p, name, {}) == reference_int_coeff_list(p, name)
-
-
-class TestImageGcd:
-    @SETTINGS
-    @given(st.data())
-    def test_none_exactly_when_no_image_keeps_its_degree(self, data):
-        # Each input's top x-coefficient is lc(g) or (y - v) * lc(g), so at
-        # y = v an input may keep its degree or lose it; the helper reads an
-        # image gcd only where one of them keeps it.
-        v = data.draw(st.integers(-3, 3))
-        point = {"y": v, "z": data.draw(st.integers(-3, 3))}
-        shift = Y - MultiPoly.const(v)
-
-        def operand():
-            f, g = data.draw(polys()), data.draw(polys())
-            return f + X ** 4 * g * (shift if data.draw(st.booleans()) else MultiPoly.const(1))
-
-        a, b = operand(), operand()
-        keeps = []
-        for p in (a, b):
-            view = algebra._univar_view(p, "x")
-            keeps.append(view[max(view)].eval_exact(point) != 0)
-        ia, ib = (reference_image_coeff_list(p, "x", point) for p in (a, b))
-        got = algebra._image_gcd(a, b, "x", point, a.degree_in("x"), b.degree_in("x"))
-        if ia is None or ib is None or not any(keeps):
-            assert got is None
-        else:
-            assert got == algebra._int_gcd_lists(ia, ib)
-
-    def test_degree_loss_cases(self):
-        # a = x + y and b = y*x^2 + 1 at y = 0: only a keeps its degree.
-        a, b = X + Y, Y * X ** 2 + MultiPoly.const(1)
-        assert algebra._image_gcd(a, b, "x", {"y": 0}, 1, 2) == [1]
-        # Both lose it: no bound can be read there.
-        assert algebra._image_gcd(Y * X + MultiPoly.const(1), b, "x", {"y": 0}, 1, 2) is None
-        # An image that vanishes, or an unbound variable, reads nothing.
-        assert algebra._image_gcd(Y * X, a, "x", {"y": 0}, 1, 1) is None
-        assert algebra._image_gcd(a, b, "x", {}, 1, 2) is None
+        assert p.primitive_int_coeffs(name) == reference_int_coeff_list(p, name)
 
 
 class TestExactDiv:

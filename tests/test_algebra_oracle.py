@@ -1,30 +1,32 @@
 """``poly_gcd`` and ``exact_div`` against sympy, an independent oracle.
 
-``poly_gcd`` picks one of three strategies: trial division, the univariate
-integer PRS (``_gcd_univar``) and evaluation-interpolation.  Each strategy
-gets inputs built to reach it, a spy confirms that it decided, and the result
-must equal ``sympy.gcd`` up to a nonzero constant while being
-integer-primitive with a positive leading coefficient.  Interpolation also
-gets pairs aimed at the sample points of its degree bound, which make that
-bound too high, and must raise ``AlgebraError`` rather than answer when every
-attempt fails.  ``exact_div`` must return None exactly when ``sympy.div``
-leaves a remainder, and sympy's quotient otherwise.  Univariate products of
-degree 12 to 30 with shared factors go through both.
+``poly_gcd`` runs the heuristic gcd and falls back to the primitive PRS when
+six evaluation points fail.  Every input family must give ``sympy.gcd`` up
+to a nonzero constant, integer-primitive with a positive leading
+coefficient: pairs where one input divides the other, univariate pairs
+(whose images are ints), multivariate pairs (whose images are gcds one
+variable down), pairs built to agree at four fixed integer points, pairs
+whose larger input vanishes at the evaluation points that the smaller one's
+norm fixes, and univariate products of degree 12 to 30.  One pinned pair
+needs a second evaluation point, and a spy confirms the retry; another fails
+at all six points, and so does every pair when each candidate is forced to
+fail, and the PRS must still give the gcd; and every evaluation point tried
+satisfies the bound of the theorem that certifies the result.  ``exact_div`` must return None exactly when
+``sympy.div`` leaves a remainder, and sympy's quotient otherwise.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heunlab import algebra
-from heunlab.algebra import AlgebraError, MultiPoly, RationalExpr, exact_div, poly_gcd
+from heunlab.algebra import MultiPoly, RationalExpr, exact_div, poly_gcd
 
 sympy = pytest.importorskip("sympy")
 
@@ -46,38 +48,25 @@ def to_sympy(p: MultiPoly):
         for e, c in p.terms.items()))
 
 
-STRATEGIES = ("_gcd_univar", "_image_gcd_degree", "_gcd_by_interpolation")
-
-
 @contextlib.contextmanager
-def spying(**replacements):
-    """Count calls to the gcd strategies, optionally replacing some of them."""
-    calls = collections.Counter()
-    saved = {n: getattr(algebra, n) for n in STRATEGIES}
+def candidates(replacement=None):
+    """Record each call of ``_heu_candidate`` as (a, b, x, xi), optionally replacing it."""
+    calls = []
+    original = algebra._heu_candidate
 
-    def spy(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def spy(a, b, x, xi):
+        calls.append((a, b, x, xi))
+        return (replacement or original)(a, b, x, xi)
 
+    algebra._heu_candidate = spy
     try:
-        for n, fn in saved.items():
-            setattr(algebra, n, spy(n, replacements.get(n, fn)))
         yield calls
     finally:
-        for n, fn in saved.items():
-            setattr(algebra, n, fn)
+        algebra._heu_candidate = original
 
 
-def strategy_of(calls) -> str:
-    if calls["_gcd_by_interpolation"]:
-        return "interpolation"
-    if calls["_image_gcd_degree"]:
-        return "degree-bound"
-    if calls["_gcd_univar"]:
-        return "univar"
-    return "trial"
+def norm(p: MultiPoly) -> int:
+    return max(abs(c) for c in p.terms.values())
 
 
 def check_against_sympy(a: MultiPoly, b: MultiPoly, g: MultiPoly) -> None:
@@ -138,36 +127,23 @@ def multivariate_pairs(draw):
     return shared * r1, shared * r2
 
 
-def degree_bound_samples() -> list[int]:
-    """The values of y at which ``_image_gcd_degree`` bounds a degree in x."""
-    seen = []
-    image = algebra._image_coeff_list
-
-    def spy(p, name, point):
-        seen.append(point["y"])
-        return image(p, name, point)
-
-    algebra._image_coeff_list = spy
-    try:
-        algebra._image_gcd_degree(X + Y, X + Y, "x")
-    finally:
-        algebra._image_coeff_list = image
-    return sorted(set(seen))
+#: b agrees with a at these values of y in the pairs below.
+AGREEMENT_POINTS = (-696, -101, 246, 876)
 
 
 @st.composite
 def unlucky_pairs(draw):
-    """s*a and s*b with b = a + c * prod(y - y_i) over the sampled y_i.
+    """s*a and s*b with b = a + c * prod(y - y_i) over ``AGREEMENT_POINTS``.
 
-    At each sample point b's image in x equals a's, so the degree bound in x
-    reads the whole degree of s*a, while gcd(s*a, s*b) is usually just s.
+    At each y_i, b's image in x equals a's, so an image gcd taken there has
+    the whole degree of s*a, while gcd(s*a, s*b) is usually just s.
     """
     exps = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                          min_size=1, max_size=4, unique=True))
     a = MultiPoly(("x", "y"), {e: draw(NONZERO_COEFF) for e in exps})
     a = a + X.scale(draw(NONZERO_SMALL)) ** draw(st.integers(1, 3))
     spoiler = MultiPoly.const(draw(NONZERO_SMALL))
-    for v in degree_bound_samples():
+    for v in AGREEMENT_POINTS:
         spoiler = spoiler * (Y - v)
     shared = MultiPoly.const(1)
     for _ in range(draw(st.integers(0, 2))):
@@ -176,56 +152,142 @@ def unlucky_pairs(draw):
     return shared * a, shared * (a + spoiler)
 
 
+def xi_points(n: int) -> list[int]:
+    """The six evaluation points for stripped inputs whose smaller norm is n."""
+    out = [2 * n + 29]
+    for _ in range(5):
+        out.append(out[-1] * 73794 // 27011)
+    return out
+
+
+def stripped_norm(p: MultiPoly) -> int:
+    """The max-norm of p without its integer content; monomials change none."""
+    return norm(p) // math.gcd(*p.terms.values())
+
+
+#: Univariate polynomials in x with a nonzero constant term.
+constant_term_univariate = univariate(max_deg=2).filter(lambda p: p.eval_exact({"x": 0}) != 0)
+
+
+@st.composite
+def vanishing_pairs(draw):
+    """(a, b, xi0): a vanishes at some of the points fixed by b's norm.
+
+    b = s*r2, and a = s*r1*f*prod(x - xi_k) over a nonempty subset of
+    ``xi_points(|b|)``, where f is 1 or a factor in y.  Every factor has a
+    nonzero constant term, so a's stripped norm is at least the product of
+    its roots xi_k, more than b's, and xi0 = 2*|b| + 29 is the first point.
+    The image of a is then zero at each chosen point, and the first
+    candidate is b's own primitive part.
+    """
+    s = draw(st.sampled_from([MultiPoly.const(1), X + 1, X.scale(2) - 3]))
+    r1 = draw(constant_term_univariate)
+    r2 = draw(constant_term_univariate)
+    f = draw(st.sampled_from([MultiPoly.const(1), Y + 2, X * Y - 1]))
+    b = s * r2
+    points = xi_points(stripped_norm(b))
+    chosen = draw(st.lists(st.sampled_from(points), min_size=1, max_size=6, unique=True))
+    a = s * r1 * f
+    for xi in chosen:
+        a = a * (X - xi)
+    return a, b, points[0]
+
+
 class TestGcdOracle:
     @SETTINGS
     @given(products(), polys())
     def test_trial_division(self, d, q):
+        # One input divides the other.
         a = d * q
-        assume(not a.is_const() and a != d and len(a.terms) >= len(d.terms))
-        with spying() as calls:
-            g = poly_gcd(a, d)
-        assert strategy_of(calls) == "trial"
-        check_against_sympy(a, d, g)
+        check_against_sympy(a, d, poly_gcd(a, d))
 
     @SETTINGS
     @given(univariate(min_deg=0, max_deg=2), univariate(), univariate())
     def test_univariate(self, shared, r1, r2):
         a, b = shared * r1, shared * r2
-        with spying() as calls:
-            g = poly_gcd(a, b)
-        assume(strategy_of(calls) == "univar")
-        check_against_sympy(a, b, g)
+        check_against_sympy(a, b, poly_gcd(a, b))
 
     @SETTINGS
     @given(multivariate_pairs())
-    def test_interpolation(self, pair):
+    def test_multivariate(self, pair):
         a, b = pair
-        with spying() as calls:
-            g = poly_gcd(a, b)
-        assume(strategy_of(calls) == "interpolation")
-        check_against_sympy(a, b, g)
+        check_against_sympy(a, b, poly_gcd(a, b))
 
     @SETTINGS
     @given(unlucky_pairs())
     def test_unlucky_sample_points(self, pair):
         a, b = pair
-        with spying() as calls:
+        check_against_sympy(a, b, poly_gcd(a, b))
+
+    def test_second_point(self):
+        # gcd = 5x^2 + 1.  At the first point, xi = 2 * 5 + 29 = 39 (the
+        # stripped a is 5x^3 + 5x^2 + x + 1), the cofactor images 40 and 7568
+        # share 8, so the first candidate x^3 + x^2 + 8 divides neither input
+        # and the next point, 39 * 73794 // 27011 = 106, gives the gcd.
+        a = MultiPoly(("x",), {(4,): -30, (3,): -30, (2,): -6, (1,): -6})
+        b = MultiPoly(("x",), {(4,): 25, (3,): -5, (2,): 15, (1,): -1, (0,): 2})
+        with candidates() as calls:
             g = poly_gcd(a, b)
-        assume(strategy_of(calls) == "interpolation")
+        assert [xi for *_, xi in calls] == [39, 106]
+        assert str(algebra._heu_candidate(*calls[0])) == "x^3 + x^2 + 8"
+        assert str(g) == "5*x^2 + 1"
         check_against_sympy(a, b, g)
 
     @SETTINGS
-    @given(multivariate_pairs())
-    def test_failed_interpolation_raises(self, pair):
+    @given(vanishing_pairs())
+    def test_larger_input_vanishing_at_the_points(self, triple):
+        a, b, xi0 = triple
+        with candidates() as calls:
+            g = poly_gcd(a, b)
+        assert calls[0][3] == xi0
+        check_against_sympy(a, b, g)
+
+    def test_every_point_fails(self):
+        # b = x + 2 fixes the points 33, 90, 245, 669, 1827 and 4991, and a
+        # vanishes at each: every image gcd is b's image, the candidate
+        # x + 2 never divides a, and the PRS finds the inputs coprime.
+        a = MultiPoly.const(1)
+        for r in (33, 90, 245, 669, 1827, 4991):
+            a = a * (X - r)
+        b = X + 2
+        with candidates() as calls:
+            g = poly_gcd(a, b)
+        assert [xi for *_, xi in calls] == [33, 90, 245, 669, 1827, 4991]
+        assert g == MultiPoly.const(1)
+        assert sympy.gcd(to_sympy(a), to_sympy(b)) == 1
+        assert RationalExpr(b) / RationalExpr(a) == RationalExpr(b, a)
+        h = X * X + 1
+        check_against_sympy(a * h, b * h, poly_gcd(a * h, b * h))
+
+    @SETTINGS
+    @given(st.one_of(multivariate_pairs(),
+                     st.tuples(univariate(), univariate(), univariate()).map(
+                         lambda t: (t[0] * t[1], t[0] * t[2]))))
+    def test_failed_candidates_fall_back_to_prs(self, pair):
+        # a * b has a higher degree than a in the shared variable, so this
+        # candidate divides neither input at any point, at any level: every
+        # heuristic gcd tries six points, then the PRS decides.
         a, b = pair
-        with spying(_gcd_by_interpolation=lambda *args: None) as calls:
-            try:
-                poly_gcd(a, b)
-            except AlgebraError:
-                assert calls["_gcd_by_interpolation"] == 3
-            else:
-                assert not calls["_gcd_by_interpolation"]
-        assume(calls["_gcd_by_interpolation"])
+        with candidates(lambda a, b, x, xi: a * b) as calls:
+            g = poly_gcd(a, b)
+        assert len(calls) % algebra._XI_POINTS == 0
+        check_against_sympy(a, b, g)
+
+    @SETTINGS
+    @given(st.one_of(multivariate_pairs(), unlucky_pairs(),
+                     st.tuples(univariate(), univariate()).map(lambda t: (t[0] * t[1], t[1]))))
+    def test_points_meet_the_certifying_bound(self, pair):
+        # The theorem that certifies a candidate needs
+        # xi >= 2 * min(|a|, |b|) + 2 for the stripped inputs: no integer
+        # content and no monomial factor.
+        with candidates() as calls:
+            poly_gcd(*pair)
+        for a, b, x, xi in calls:
+            for p in (a, b):
+                assert math.gcd(*p.terms.values()) == 1 and p.den == 1
+                assert all(min(col) == 0 for col in zip(*p.terms))
+                assert x in p.names
+            assert xi >= 2 * min(norm(a), norm(b)) + 2
 
 
 class TestExactDivOracle:
@@ -292,10 +354,7 @@ class TestHighDegreeUnivariate:
     @given(high_degree_univariate())
     def test_gcd(self, triple):
         _, a, b = triple
-        with spying() as calls:
-            g = poly_gcd(a, b)
-        assume(strategy_of(calls) == "univar")
-        check_against_sympy(a, b, g)
+        check_against_sympy(a, b, poly_gcd(a, b))
 
     @SETTINGS
     @given(high_degree_univariate())

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -48,12 +49,14 @@ class TestParamsFile:
         assert out["q"] == 3
 
     def test_decimals_rejected_for_exact_commands(self):
-        with pytest.raises(ValueError):
-            parse_params_text("alpha = 0.5\n")
+        for text in ("alpha = 0.5\n", "q = 1e-3\n", "q = 2E3\n"):
+            with pytest.raises(ValueError, match="decimal literals"):
+                parse_params_text(text)
 
     def test_decimals_allowed_for_numeric_commands(self):
-        out = parse_params_text("alpha = 0.51\n", allow_decimal=True)
+        out = parse_params_text("alpha = 0.51\nq = 1e-3\n", allow_decimal=True)
         assert out["alpha"].numerator == 51 and out["alpha"].denominator == 100
+        assert out["q"] == Fraction(1, 1000)
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):
