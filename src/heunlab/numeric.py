@@ -25,7 +25,6 @@ budget and the modulus taken for a pole are module constants.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import json
 import math
@@ -126,7 +125,7 @@ class IntegrationConfig:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     s: float                      # cumulative parameter along the path
     x: complex                    # independent variable value
@@ -209,27 +208,37 @@ def _build_stepper(n: int):
 
     The stages are written out from the tableau with every state component
     and every stage value a scalar local, and each stage calls the field
-    once.  Each stage sum starts from ``0 +`` and keeps the tableau's zero
+    once.  Each stage sum starts from ``0j +`` and keeps the tableau's zero
     entries, as a ``sum`` over the tableau row would, so every rounding and
     the sign of every zero are those of the row-by-row form.  The last row
     of ``_DP_A`` is the fifth-order weights (first same as last): the new
     state reuses that stage's sum, and the last stage's value is the next
     step's first.
+
+    The weights of ``_DP_A``, ``_DP_B5`` and ``_DP_E`` are bound as complex
+    numbers ``complex(v)``.  CPython before 3.14 promotes a float or int
+    operand of a complex operation to ``complex(v, 0.0)`` first, so each
+    product and each sum is the one the float weight and the ``sum``'s
+    int start give, without the promotion on every operation.  Python 3.14
+    computes mixed real and complex operations on the parts instead; the
+    differential tests against the float-weight reference would show it.
+    The step-size control writes each ``min`` and ``max`` as the comparison
+    that the builtin makes, which picks the same operand, NaN included.
     """
     ms = range(n)
     env = {"Sample": Sample, "ODETrajectory": ODETrajectory,
            "StiffnessAbort": StiffnessAbort, "sqrt": math.sqrt,
            "_MAX_STEPS": _MAX_STEPS, "_POLE_THRESHOLD": _POLE_THRESHOLD}
     env.update({f"c{i + 1}": c for i, c in enumerate(_DP_C)})
-    env.update({f"a{i + 1}{j + 1}": v for i, row in enumerate(_DP_A)
+    env.update({f"a{i + 1}{j + 1}": complex(v) for i, row in enumerate(_DP_A)
                 for j, v in enumerate(row)})
-    env.update({f"b{j + 1}": v for j, v in enumerate(_DP_B5)})
-    env.update({f"e{j + 1}": v for j, v in enumerate(_DP_E)})
+    env.update({f"b{j + 1}": complex(v) for j, v in enumerate(_DP_B5)})
+    env.update({f"e{j + 1}": complex(v) for j, v in enumerate(_DP_E)})
 
     def stage_sum(coeff: str, row, m: int) -> str:
         # coeff names the row's entries: coeff + "1", coeff + "2", ...
-        return " + ".join(["0", *(f"{coeff}{j + 1} * k{j + 1}_{m}"
-                                  for j in range(len(row)))])
+        return " + ".join(["0j", *(f"{coeff}{j + 1} * k{j + 1}_{m}"
+                                   for j in range(len(row)))])
 
     def call(i: int, x: str, args) -> list[str]:
         ks = [f"k{i}_{m}" for m in ms]
@@ -247,7 +256,8 @@ def _build_stepper(n: int):
         tail = [f"b{j + 1} * k{j + 1}_{m}" for j in range(len(_DP_A[-1]), len(_DP_B5))]
         step.append(f"z{m} = y{m} + h * ({' + '.join([f'q{m}', *tail])})")
     for m in ms:
-        # v if v > u else u is max(u, v), without the call
+        # v if v > u else u is max(u, v) without the call, as every
+        # comparison below stands for the min or max that it replaces
         step += [f"u = abs(y{m})", f"v = abs(z{m})",
                  f"d{m} = abs(h * ({stage_sum('e', _DP_E, m)}))"
                  f" / (atol + rtol * (v if v > u else u))"]
@@ -267,8 +277,9 @@ def stepper(field_fn, path, state, cfg):
         seg_len = abs(seg)
         s = 0.0
         h = 1e-3
-        if max_step is not None:
-            h = min(h, max_step / seg_len)
+        cap = None if max_step is None else max_step / seg_len
+        if cap is not None and cap < h:
+            h = cap
         err_old = 1e-4
         # Stages are d y / d s = seg * d y / d x along the segment.
 {_indent(call(1, "a + s * seg", [f"y{m}" for m in ms]), 8)}
@@ -278,7 +289,9 @@ def stepper(field_fn, path, state, cfg):
             if steps >= _MAX_STEPS:
                 raise StiffnessAbort("step budget exhausted")
             steps += 1
-            h = min(h, 1.0 - s)
+            rest = 1.0 - s
+            if rest < h:
+                h = rest
             if h < 1e-13:
                 raise StiffnessAbort(f"step size underflow at s = {{s:.6f}}")
 {_indent(step, 12)}
@@ -287,19 +300,22 @@ def stepper(field_fn, path, state, cfg):
                 s += h
 {_indent([f"y{m} = z{m}" for m in ms], 16)}
 {_indent([f"k1_{m} = k{last}_{m}" for m in ms], 16)}
-                max_err = max(max_err, err)
+                if err > max_err:
+                    max_err = err
                 samples.append(Sample(s_off + s * seg_len, a + s * seg, {ys}))
                 if {' or '.join(f"abs(y{m}) > _POLE_THRESHOLD" for m in ms)}:
                     samples.pop()
                     truncated = True
                     break
                 fac = 0.9 * err ** -0.14 * err_old ** 0.08 if err > 0 else 5.0
-                err_old = max(err, 1e-10)
+                err_old = 1e-10 if 1e-10 > err else err
             else:
-                fac = max(0.2, 0.9 * err ** -0.2)
-            h *= min(5.0, max(0.2, fac))
-            if max_step is not None:
-                h = min(h, max_step / seg_len)
+                fac = 0.9 * err ** -0.2
+            # the factor of either branch clamped to [0.2, 5.0]
+            fac = fac if fac > 0.2 else 0.2
+            h *= fac if fac < 5.0 else 5.0
+            if cap is not None and cap < h:
+                h = cap
         if truncated:
             break
         s_off += seg_len
@@ -324,8 +340,8 @@ def _indent(lines: list[str], width: int) -> str:
 _TERMS_PER_STATEMENT = 200
 
 
-def _emit_quotient(expr: RationalExpr, arg: dict[str, str],
-                   env: dict) -> tuple[list[str], str]:
+def _emit_quotient(expr: RationalExpr, arg: dict[str, str], env: dict,
+                   powers: set[str]) -> tuple[list[str], str]:
     """Generated lines that evaluate ``expr``, and the quotient that ends it.
 
     ``arg`` maps each indeterminate to the name it has in the generated
@@ -334,22 +350,43 @@ def _emit_quotient(expr: RationalExpr, arg: dict[str, str],
     the polynomial's terms, in order, onto ``0j``, each term its coefficient
     times ``x ** k`` for every nonzero exponent.  The coefficients reach the
     generated code as objects in ``env``, never as printed numbers.
+
+    Each distinct power is computed once per generated function: ``x ** k``
+    is stored in the local ``x_k`` right before the first statement that uses
+    it, and ``powers`` names the locals that earlier lines of the same
+    function have assigned.  A power is pure, so every term multiplies the
+    value it would have computed in place.  The powers are not all hoisted to
+    the top: only a power (``OverflowError``) and a quotient
+    (``ZeroDivisionError``) can raise, since complex products and sums never
+    do, and placing a statement's new powers right before it keeps the first
+    operation that fails, and so the exception, that of the in-place form.
+    A zero denominator in one quotient still raises before a power that
+    first appears in a later quotient can overflow.
     """
     extra = expr.names() - set(arg)
     if extra:
         raise ValueError(f"expression still involves {sorted(extra)}")
 
     def assign(target: str, p) -> list[str]:
-        terms = []
+        terms, new = [], []  # new[i]: the powers that term i uses first
         for e, c in p.terms.items():
             key = f"c{len(env)}"
             env[key] = complex(c / p.den)
-            terms.append(key + "".join(
-                f" * {arg[n]} ** {k}" for n, k in zip(p.names, e) if k))
+            factors, first = [key], []
+            for n, k in zip(p.names, e):
+                if k:
+                    local = f"{arg[n]}_{k}"
+                    if local not in powers:
+                        powers.add(local)
+                        first.append(f"{local} = {arg[n]} ** {k}")
+                    factors.append(local)
+            terms.append(" * ".join(factors))
+            new.append(first)
         lines, acc = [], "0j"
         for i in range(0, len(terms), _TERMS_PER_STATEMENT):
-            chunk = terms[i:i + _TERMS_PER_STATEMENT]
-            lines.append(f"{target} = {' + '.join([acc, *chunk])}")
+            chunk = slice(i, i + _TERMS_PER_STATEMENT)
+            lines += [line for first in new[chunk] for line in first]
+            lines.append(f"{target} = {' + '.join([acc, *terms[chunk]])}")
             acc = target
         return lines or [f"{target} = 0j"]
 
@@ -371,7 +408,7 @@ def compile_scalar(expr: RationalExpr, names: tuple[str, ...]):
     """
     arg = {n: f"x{i}" for i, n in enumerate(names)}
     env: dict = {}
-    lines, quotient = _emit_quotient(expr, arg, env)
+    lines, quotient = _emit_quotient(expr, arg, env, set())
     source = "\n".join([f"def scalar({', '.join(arg.values())}):",
                         _indent([*lines, f"return {quotient}"], 4)])
     exec(source, env)
@@ -388,9 +425,10 @@ def _compile_field(n: int, arg: dict[str, str], values: dict[str, RationalExpr],
     returns ``result``, a tuple over those names and the state.
     """
     env: dict = {}
+    powers: set[str] = set()
     body = []
     for name, expr in values.items():
-        lines, quotient = _emit_quotient(expr, arg, env)
+        lines, quotient = _emit_quotient(expr, arg, env, powers)
         body += [*lines, f"{name} = {quotient}"]
     params = ", ".join(["x", *(f"y{m}" for m in range(n))])
     source = "\n".join([f"def field({params}):",
@@ -509,10 +547,12 @@ def verify_derivative_numeric(spec: HeunSpec, path: ComplexPath,
     q2 = compile_scalar(derived.p2, (z,))
     worst = 0.0
     for smp in traj.samples:
-        u, up = smp.y
-        upp = -p1(smp.x) * up - p2(smp.x) * u
-        uppp = -(dp1(smp.x) * up + p1(smp.x) * upp + dp2(smp.x) * u + p2(smp.x) * up)
-        terms = (uppp, q1(smp.x) * upp, q2(smp.x) * up)
+        x, (u, up) = smp.x, smp.y
+        # the coefficients in the order the formulas first use them
+        a1, a2 = p1(x), p2(x)
+        upp = -a1 * up - a2 * u
+        uppp = -(dp1(x) * up + a1 * upp + dp2(x) * u + a2 * up)
+        terms = (uppp, q1(x) * upp, q2(x) * up)
         scale = sum(abs(c) for c in terms) + 1e-300
         worst = max(worst, abs(sum(terms)) / scale)
     return worst
@@ -634,6 +674,14 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
     6-point polynomial interpolation of the adaptive output, and first and
     second derivatives come from 5-point central finite differences, so the
     meter never consults the equations that generated the trajectory.
+
+    The window of each grid point x starts at
+    ``max(0, min(bisect_left(ss, x) - 3, len(ss) - 6))``.  The arc lengths
+    ``ss`` of a trajectory never decrease, and neither does the grid, so the
+    window's start only walks forward and is found by stepping it, not by a
+    search.  The stencil keeps its five values in locals, and its constants
+    are the complex numbers that an int or float operand of the complex
+    states is promoted to.
     """
     if len(traj.samples) < 5:
         raise InsufficientSamples(
@@ -647,22 +695,31 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
     n_grid = min(4097, max(513, 2 * len(ss)))
     h = (ss[-1] - ss[0]) / (n_grid - 1)
     grid = [ss[0] + i * h for i in range(n_grid)]
+    # ss[lo + 3] < x while lo + 3 < bisect_left(ss, x)
     last = len(ss) - 6
+    lo = 0
+    xs, ys = ss[:6], lams[:6]
     vals = []
     for x in grid:
-        lo = max(0, min(bisect.bisect_left(ss, x) - 3, last))
-        vals.append(_neville(ss[lo:lo + 6], lams[lo:lo + 6], x))
-    h12, h12h = 12 * h, 12 * h * h
+        if lo < last and ss[lo + 3] < x:
+            lo += 1
+            while lo < last and ss[lo + 3] < x:
+                lo += 1
+            xs, ys = ss[lo:lo + 6], lams[lo:lo + 6]
+        vals.append(_neville(xs, ys, x))
+    h12, h12h = complex(12 * h), complex(12 * h * h)
+    c8, c16, c30 = 8 + 0j, 16 + 0j, 30 + 0j
     dir2 = direction * direction
+    s0 = ss[0]
     worst = 0.0
-    for i in range(2, n_grid - 2):
-        lam = vals[i]
-        d1 = (-vals[i + 2] + 8 * vals[i + 1] - 8 * vals[i - 1] + vals[i - 2]) / h12
-        d2 = (-vals[i + 2] + 16 * vals[i + 1] - 30 * vals[i] + 16 * vals[i - 1]
-              - vals[i - 2]) / h12h
+    vm2, vm1, lam, v1 = vals[:4]
+    for v2, x in zip(vals[4:], grid[2:]):
+        d1 = (-v2 + c8 * v1 - c8 * vm1 + vm2) / h12
+        d2 = (-v2 + c16 * v1 - c30 * lam + c16 * vm1 - vm2) / h12h
         lam_t = d1 / direction
         lam_tt = d2 / dir2
-        t_here = t0 + (grid[i] - ss[0]) * direction
-        res = abs(lam_tt - rhs(lam, lam_t, t_here))
-        worst = max(worst, res)
+        res = abs(lam_tt - rhs(lam, lam_t, t0 + (x - s0) * direction))
+        if res > worst:
+            worst = res
+        vm2, vm1, lam, v1 = vm1, lam, v1, v2
     return worst

@@ -10,6 +10,8 @@ through ``repr``, which also tells the sign of a zero.
 
 from __future__ import annotations
 
+import bisect
+import dis
 import math
 import random
 from fractions import Fraction as F
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from heunlab import claims, numeric
 from heunlab.algebra import MultiPoly, RationalExpr, const, var
-from heunlab.heun import HeunFamily, HeunSpec, build_heun
+from heunlab.heun import HeunFamily, HeunSpec, build_heun, build_heun_derivative
 from heunlab.matching import matching_case
 from heunlab.numeric import (
     ComplexPath,
@@ -37,7 +39,7 @@ from heunlab.numeric import (
     integrate_riccati,
 )
 from heunlab.ode import LinearODE2
-from heunlab.painleve import PainleveKind, painleve_rhs
+from heunlab.painleve import PainleveKind, hamiltonian, painleve_rhs
 
 # ---------------------------------------------------------------------------
 # Reference stepper: the Dormand-Prince 5(4) pair with a growing list of
@@ -438,3 +440,241 @@ def test_neville_matches_reference(n):
         ys = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
         x = rng.uniform(xs[0], xs[-1])
         assert repr(_neville(xs, ys, x)) == repr(reference_neville(xs, ys, x))
+
+
+# ---------------------------------------------------------------------------
+# Each power once per generated function: the work count, and the order in
+# which a generated function raises.
+# ---------------------------------------------------------------------------
+
+
+def _power_ops(fn) -> int:
+    return sum(1 for ins in dis.get_instructions(fn)
+               if ins.opname == "BINARY_OP" and ins.argrepr == "**")
+
+
+def _power_pairs(*exprs) -> set:
+    pairs = set()
+    for expr in exprs:
+        for p in (expr.num, expr.den):
+            for e in p.terms:
+                pairs.update((n, k) for n, k in zip(p.names, e) if k)
+    return pairs
+
+
+class TestPowerCounts:
+    @pytest.mark.parametrize("kind, powers", [
+        (PainleveKind.P2, 4), (PainleveKind.P4, 5), (PainleveKind.P3P, 5),
+        (PainleveKind.P5, 6), (PainleveKind.P6, 7)])
+    def test_hamiltonian_field(self, kind, powers):
+        params = claims.HAMILTONIAN_WITNESSES[kind][0]
+        ham = hamiltonian(kind, params)
+        fieldfn = numeric._hamiltonian_field(ham.dH_dmu, ham.dH_dlam)
+        assert _power_ops(fieldfn) == len(_power_pairs(ham.dH_dmu, ham.dH_dlam)) == powers
+
+    def test_p6_rhs(self):
+        rhs = painleve_rhs(PainleveKind.P6, P6)
+        scalar = compile_scalar(rhs, ("lambda", "lambdap", "t"))
+        assert _power_ops(scalar) == len(_power_pairs(rhs)) == 13
+
+    # (inf + 0j) ** 2 is nan + nanj, but (1e200 + 0j) ** 2 overflows: had the
+    # power of mu been hoisted above the quotient 1 / lambda, it would raise.
+    @pytest.mark.parametrize("mu0", [complex(math.inf, 0.0), complex(1e200, 0.0)])
+    def test_zero_denominator_raises_before_a_later_power(self, mu0):
+        dh_dmu, dh_dlam = 1 / lam, mu ** 2
+        x, ys = complex(0.5, 0.0), (0j, mu0)
+        if mu0.real < math.inf:
+            with pytest.raises(OverflowError):
+                mu0 ** 2
+        with pytest.raises(ZeroDivisionError):
+            reference_hamiltonian_field(dh_dmu, dh_dlam)(x, ys)
+        with pytest.raises(ZeroDivisionError):
+            numeric._hamiltonian_field(dh_dmu, dh_dlam)(x, *ys)
+
+
+# ---------------------------------------------------------------------------
+# CSV export: every field is the repr of its float, signed zeros, infinities
+# and NaN included, so that a faster row builder must keep the bytes.
+# ---------------------------------------------------------------------------
+
+
+def reference_to_csv(traj):
+    n = len(traj.samples[0].y) if traj.samples else 0
+    header = ["s", "re_x", "im_x"]
+    for i in range(n):
+        header += [f"re_y{i}", f"im_y{i}"]
+    lines = [",".join(header)]
+    for smp in traj.samples:
+        row = [repr(smp.s), repr(smp.x.real), repr(smp.x.imag)]
+        for y in smp.y:
+            row += [repr(y.real), repr(y.imag)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_PARTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1 / 3, -1e-300, 2.5e300]
+
+
+class TestCsv:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_special_values(self, n):
+        rng = random.Random(n)
+        samples = []
+        for i in range(40):
+            parts = [rng.choice(SPECIAL_PARTS) for _ in range(3 + 2 * n)]
+            ys = tuple(complex(parts[3 + 2 * m], parts[4 + 2 * m]) for m in range(n))
+            samples.append(Sample(parts[0], complex(parts[1], parts[2]), ys))
+        traj = ODETrajectory(samples)
+        assert traj.to_csv() == reference_to_csv(traj)
+
+    def test_empty(self):
+        traj = ODETrajectory([])
+        assert traj.to_csv() == reference_to_csv(traj)
+
+    @pytest.mark.parametrize("name", ["hamiltonian-p2", "riccati-p2", "exact-steps"])
+    def test_trajectories(self, name):
+        traj = TRAJECTORIES[name]()
+        assert traj.to_csv() == reference_to_csv(traj)
+
+
+# ---------------------------------------------------------------------------
+# Residual meter: the walking window against a binary search at every grid
+# point, with the reference evaluator and the Neville loop.
+# ---------------------------------------------------------------------------
+
+
+def reference_painleve_residual(kind, traj, params):
+    if len(traj.samples) < 5:
+        raise numeric.InsufficientSamples(
+            f"need at least 5 samples, got {len(traj.samples)}")
+    rhs = reference_compile_scalar(painleve_rhs(kind, params), ("lambda", "lambdap", "t"))
+    ss = [smp.s for smp in traj.samples]
+    lams = [smp.y[0] for smp in traj.samples]
+    t0 = traj.samples[0].x
+    t1 = traj.samples[-1].x
+    direction = (t1 - t0) / (ss[-1] - ss[0])
+    n_grid = min(4097, max(513, 2 * len(ss)))
+    h = (ss[-1] - ss[0]) / (n_grid - 1)
+    grid = [ss[0] + i * h for i in range(n_grid)]
+    last = len(ss) - 6
+    vals = []
+    for x in grid:
+        lo = max(0, min(bisect.bisect_left(ss, x) - 3, last))
+        vals.append(reference_neville(ss[lo:lo + 6], lams[lo:lo + 6], x))
+    h12, h12h = 12 * h, 12 * h * h
+    dir2 = direction * direction
+    worst = 0.0
+    for i in range(2, n_grid - 2):
+        lam_i = vals[i]
+        d1 = (-vals[i + 2] + 8 * vals[i + 1] - 8 * vals[i - 1] + vals[i - 2]) / h12
+        d2 = (-vals[i + 2] + 16 * vals[i + 1] - 30 * vals[i] + 16 * vals[i - 1]
+              - vals[i - 2]) / h12h
+        lam_t = d1 / direction
+        lam_tt = d2 / dir2
+        t_here = t0 + (grid[i] - ss[0]) * direction
+        res = abs(lam_tt - rhs(lam_i, lam_t, t_here))
+        worst = max(worst, res)
+    return worst
+
+
+def _five_samples():
+    return ODETrajectory([Sample(i / 4, complex(1 + i / 4), (complex(0.5 + i / 8, -i / 16),))
+                          for i in range(5)])
+
+
+def _samples_on_the_grid():
+    # at the step cap 1/4096 over a t-range of length 1 every sample is a
+    # point of the 4097-point grid, where bisect_left finds the sample itself
+    params, init, t_range = claims.HAMILTONIAN_WITNESSES[PainleveKind.P4]
+    return integrate_hamiltonian(PainleveKind.P4, params, init, t_range,
+                                 IntegrationConfig(max_step=1 / 4096))
+
+
+def _irregular_samples_on_the_grid():
+    # 250 of the 513 grid points, unevenly spaced: at each of them a window
+    # that starts one sample late interpolates a value a rounding apart
+    rng = random.Random(0)
+    h = 0.3 / 512
+    ss = [0.0, *(k * h for k in sorted(rng.sample(range(1, 512), 250))), 0.3]
+    return ODETrajectory([Sample(s, complex(1 + s), (complex(math.cos(3 * s), math.sin(2 * s)),))
+                          for s in ss])
+
+
+def _two_segments():
+    # the p2 flow along a dogleg in t: the window walks across the corner
+    params, init, _ = claims.HAMILTONIAN_WITNESSES[PainleveKind.P2]
+    ham = hamiltonian(PainleveKind.P2, params)
+    return numeric._integrate_segments(
+        numeric._hamiltonian_field(ham.dH_dmu, ham.dH_dlam),
+        ComplexPath.of(0.0, 0.5 + 0.25j, 1.0), init, claims.HAMILTONIAN_CONFIG)
+
+
+RESIDUAL_CASES = {
+    **{f"hamiltonian-{k.value}": (TRAJECTORIES[f"hamiltonian-{k.value}"], k,
+                                  claims.HAMILTONIAN_WITNESSES[k][0])
+       for k in PainleveKind},
+    "hamiltonian-p2-literal": (TRAJECTORIES["hamiltonian-p2-literal"], PainleveKind.P2,
+                               {"alpha2": F(2)}),
+    "riccati-p2": (TRAJECTORIES["riccati-p2"], PainleveKind.P2, {"alpha2": F(1, 2)}),
+    "riccati-p2-pole": (TRAJECTORIES["riccati-p2-pole"], PainleveKind.P2,
+                        {"alpha2": F(1, 2)}),
+    "five-samples": (_five_samples, PainleveKind.P2, {"alpha2": F(2)}),
+    "samples-on-the-grid": (_samples_on_the_grid, PainleveKind.P4,
+                            claims.HAMILTONIAN_WITNESSES[PainleveKind.P4][0]),
+    "irregular-samples-on-the-grid": (_irregular_samples_on_the_grid, PainleveKind.P2,
+                                      {"alpha2": F(2)}),
+    "two-segments": (_two_segments, PainleveKind.P2,
+                     claims.HAMILTONIAN_WITNESSES[PainleveKind.P2][0]),
+}
+
+
+class TestResidualMeter:
+    @pytest.mark.parametrize("name", list(RESIDUAL_CASES))
+    def test_matches_reference_bit_for_bit(self, name):
+        make, kind, params = RESIDUAL_CASES[name]
+        traj = make()
+        got = numeric.painleve_residual(kind, traj, params)
+        assert repr(got) == repr(reference_painleve_residual(kind, traj, params))
+
+    def test_samples_on_the_grid(self):
+        traj = _samples_on_the_grid()
+        assert [smp.s for smp in traj.samples] == [i / 4096 for i in range(4097)]
+
+    def test_two_segments_have_a_corner(self):
+        traj = _two_segments()
+        assert any(smp.x == 0.5 + 0.25j for smp in traj.samples)
+
+
+# ---------------------------------------------------------------------------
+# The derivative witness's meter, each coefficient evaluated where it is used.
+# ---------------------------------------------------------------------------
+
+
+def reference_derivative_residual(spec, traj):
+    base, derived = build_heun(spec), build_heun_derivative(spec)
+    z = base.var
+    p1 = compile_scalar(base.p1, (z,))
+    p2 = compile_scalar(base.p2, (z,))
+    dp1 = compile_scalar(base.p1.derivative(z), (z,))
+    dp2 = compile_scalar(base.p2.derivative(z), (z,))
+    q1 = compile_scalar(derived.p1, (z,))
+    q2 = compile_scalar(derived.p2, (z,))
+    worst = 0.0
+    for smp in traj.samples:
+        u, up = smp.y
+        upp = -p1(smp.x) * up - p2(smp.x) * u
+        uppp = -(dp1(smp.x) * up + p1(smp.x) * upp + dp2(smp.x) * u + p2(smp.x) * up)
+        terms = (uppp, q1(smp.x) * upp, q2(smp.x) * up)
+        scale = sum(abs(c) for c in terms) + 1e-300
+        worst = max(worst, abs(sum(terms)) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("family", list(HeunFamily))
+def test_derivative_witness_matches_reference(family):
+    params, waypoints = claims.DERIVATIVE_WITNESSES[family]
+    spec = HeunSpec.of(family, **params)
+    path = ComplexPath.of(*waypoints)
+    traj = integrate_linear(build_heun(spec), path, (1.0, 1.0))
+    got = numeric.verify_derivative_numeric(spec, path)
+    assert repr(got) == repr(reference_derivative_residual(spec, traj))
