@@ -254,10 +254,6 @@ class MultiPoly:
             n >>= 1
         return result
 
-    def scale(self, c) -> "MultiPoly":
-        c = _as_exact(c)
-        return self._scaled(c.numerator, c.denominator)
-
     def _scaled(self, n: int, d: int) -> "MultiPoly":
         """self * n/d for ints n and d != 0.
 

@@ -38,7 +38,7 @@ from .painleve import PainleveKind, verify_elimination, verify_p3_substitution
 from .report import CaseRecord
 
 #: The suites of ``--suite all``; ``numeric`` runs on its own.
-SYMBOLIC_SUITES = ("derivative", "matching", "riccati", "obstruction", "elimination")
+SYMBOLIC_SUITES = ("matching", "riccati", "obstruction", "elimination", "derivative")
 
 #: Printed-source flags of ``verify``, as attribute names of its arguments.
 FLAGS = ("paper_literal_h2", "paper_literal_p5", "family_slip_check")

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import AlgebraError, const
-from .claims import FLAGS, run_claims
+from .claims import FLAGS, SYMBOLIC_SUITES, run_claims
 from .heun import (
     FAMILY_PARAMS,
     HeunError,
@@ -78,8 +78,7 @@ KIND_NAMES = {
     "p6": PainleveKind.P6,
 }
 
-SUITES = ("all", "matching", "riccati", "obstruction", "elimination",
-          "derivative", "numeric")
+SUITES = ("all", *SYMBOLIC_SUITES, "numeric")
 
 #: Options each ``integrate`` system cannot run without.
 SYSTEM_OPTIONS = {

@@ -17,7 +17,6 @@ from enum import Enum
 
 from .algebra import (
     Coercible,
-    DegenerateSubstitution,
     RationalExpr,
     as_rational,
     const,
@@ -261,12 +260,14 @@ def _case_condition(spec: HeunSpec, case: DegenerationCase) -> RationalExpr:
 def degeneration_case(spec: HeunSpec, case: DegenerationCase) -> DegenerationResult:
     """Derivative equation after the extra singularity cancels.
 
-    Checks the case condition on the spec, builds the derivative equation
-    (the cancellation of the a*b*z - q factor happens in exact arithmetic),
+    Checks the case condition on the spec and builds the derivative equation
+    (the cancellation of the a*b*z - q factor happens in exact arithmetic).
+    Then one pass over each denominator, stripping z, z - 1 and z - t,
     certifies that the surviving singular set is {0, 1, t, infinity}, and
-    attempts to read the result back as a 4-point equation of the original
-    family shape.  When the cancelled equation carries a double pole at the
-    merged point it no longer fits that shape and ``shifted`` stays None.
+    one partial-fraction reading over z(z - 1)(z - t) gives the result back
+    as a shifted general-family spec.  When the cancelled equation carries a
+    double pole at the merged point it no longer fits that shape and
+    ``shifted`` stays None.
     """
     if spec.family is not HeunFamily.GENERAL:
         raise ValueError("degeneration cases are defined for the general family")
@@ -279,62 +280,51 @@ def degeneration_case(spec: HeunSpec, case: DegenerationCase) -> DegenerationRes
     return DegenerationResult(ode, certified, shifted)
 
 
-def _strip_factors(poly, factors) -> object:
-    done = False
-    while not done:
-        done = True
-        for f in factors:
-            quo = exact_div(poly, f)
-            if quo is not None:
-                poly = quo
-                done = False
-    return poly
-
-
 def _certify_singular_set(ode: LinearODE2, t: RationalExpr) -> bool:
-    """Exact certificate that the finite poles lie in {0, 1, t} and infinity is singular."""
+    """Exact certificate that the finite poles are 0, 1 and t, and infinity is singular.
+
+    Strips z, z - 1 and z - t from each denominator, noting which of them
+    divided it: no other factor in z may survive, and each of the three must
+    divide some denominator.
+    """
     z = var("z")
-    factors = [(z).num, (z - 1).num, (z - t).num]
-    seen_any = False
+    factors = [z.num, (z - 1).num, (z - t).num]
+    divided = set()
     for coeff in (ode.p1, ode.p2):
         den = coeff.den
-        rest = _strip_factors(den, factors)
-        if rest.degree_in("z") != 0:
+        for k, f in enumerate(factors):
+            while (quo := exact_div(den, f)) is not None:
+                den = quo
+                divided.add(k)
+        if den.degree_in("z") != 0:
             return False
-        if den.degree_in("z") > 0:
-            seen_any = True
-    if not seen_any:
-        return False
-    # Each of 0, 1, t must actually occur as a pole of some coefficient.
-    for f in factors:
-        if all(exact_div(coeff.den, f) is None for coeff in (ode.p1, ode.p2)):
-            return False
-    return infinity_kind(ode) is not None
+    return len(divided) == 3 and infinity_kind(ode) is not None
 
 
 def _match_general_template(ode: LinearODE2, t: RationalExpr) -> HeunSpec | None:
     """Read a 4-singular-point equation back as a general-family spec.
 
-    Requires p1 = g/z + d/(z-1) + e/(z-t) and p2 = (A z - B)/(z(z-1)(z-t));
-    the alpha/beta split then comes from the Fuchsian sum relation and the
-    product A, which only succeeds when the discriminant is a perfect square.
+    With Z = z(z-1)(z-t), the equation has the form p1 = g/z + d/(z-1) +
+    e/(z-t) and p2 = (A z - B)/Z exactly when n1 = p1 Z is a polynomial in z
+    of degree at most 2 (its denominator may hold parameters, not z) and
+    n2 = p2 Z a polynomial of degree at most 1.  Partial fractions then give
+    g = n1(0)/t, d = n1(1)/(1-t) and e = n1(t)/(t(t-1)).  The alpha/beta
+    split comes from the Fuchsian sum relation and the product A, which only
+    succeeds when the discriminant is a perfect square.
     """
     z = var("z")
-    g = _residue_at(ode.p1, const(0))
-    d = _residue_at(ode.p1, const(1))
-    e = _residue_at(ode.p1, t)
-    if g is None or d is None or e is None:
+    zz = z * (z - 1) * (z - t)
+    n1 = ode.p1 * zz
+    if n1.den.degree_in("z") or n1.num.degree_in("z") > 2:
         return None
-    rebuilt = g / z + d / (z - 1) + e / (z - t)
-    if not identity_test(ode.p1, rebuilt):
+    n2 = ode.p2 * zz
+    if not n2.is_polynomial() or n2.degree_in("z") > 1:
         return None
-    num = ode.p2 * z * (z - 1) * (z - t)
-    if not num.is_polynomial() or num.degree_in("z") > 1:
-        return None
-    A = num.derivative("z")
-    B = -(num - A * var("z"))
-    if A.degree_in("z") or B.degree_in("z"):
-        return None
+    g = substitute(n1, {"z": const(0)}) / t
+    d = substitute(n1, {"z": const(1)}) / (1 - t)
+    e = substitute(n1, {"z": t}) / (t * (t - 1))
+    A = n2.derivative("z")
+    B = -(n2 - A * z)
     s = g + d + e - 1  # alpha + beta under the Fuchsian relation
     disc = (s * s - 4 * A)
     if not disc.is_polynomial():
@@ -348,13 +338,3 @@ def _match_general_template(ode: LinearODE2, t: RationalExpr) -> HeunSpec | None
     return HeunSpec.of(
         HeunFamily.GENERAL, gamma=g, delta=d, epsilon=e,
         alpha=alpha, beta=beta, q=B, t=t)
-
-
-def _residue_at(expr: RationalExpr, point: RationalExpr) -> RationalExpr | None:
-    """Residue of a simple pole at z = point, None if the pole is not simple."""
-    z = var("z")
-    prod = expr * (z - point)
-    try:
-        return substitute(prod, {"z": point})
-    except DegenerateSubstitution:
-        return None

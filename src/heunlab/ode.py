@@ -168,7 +168,7 @@ def _divisors(n: int) -> list[int] | None:
     return sorted(set(divs))
 
 
-def _rational_roots(coeffs: list[int], known=()) -> tuple[dict[Fraction, int], list[int]]:
+def _rational_roots(coeffs: list[int]) -> tuple[dict[Fraction, int], list[int]]:
     """Rational roots with multiplicities, plus the rootless cofactor.
 
     ``coeffs`` are primitive integer coefficients, low to high, as
@@ -176,15 +176,14 @@ def _rational_roots(coeffs: list[int], known=()) -> tuple[dict[Fraction, int], l
     has p dividing the lowest nonzero coefficient and q the leading one, and
     then q z - p divides the polynomial in Z[z] (Gauss's lemma), so each
     candidate is kept as the int pair (p, q) and divided out exactly in
-    integers; only a root that divides becomes a ``Fraction``.  The ``known``
-    rationals are tried as well: dividing needs no divisor list, so a root
-    found elsewhere is recognised even where ``_divisors`` gives up on this
-    polynomial.  Returns (roots, leftover): leftover is the primitive integer
-    list of the cofactor, constant when the polynomial splits over Q, and the
-    whole input, zero and known roots removed, when a coefficient has a prime
-    factor that ``_divisors`` refuses to find.  The roots come 0 first, then
-    the others in ascending order; dividing out the primitive factors q z - p
-    in any order leaves the same cofactor, so only the roots found are sorted.
+    integers; only a root that divides becomes a ``Fraction``.  Returns
+    (roots, leftover): leftover is the primitive integer list of the
+    cofactor, constant when the polynomial splits over Q, and the whole input
+    with the root 0 removed when a coefficient has a prime factor that
+    ``_divisors`` refuses to find; ``_finite_poles`` then looks for the
+    missing roots elsewhere.  The roots come 0 first, then the others in
+    ascending order; dividing out the primitive factors q z - p in any order
+    leaves the same cofactor, so only the roots found are sorted.
     """
     roots: dict[Fraction, int] = {}
     zeros = next(k for k, c in enumerate(coeffs) if c)
@@ -193,12 +192,12 @@ def _rational_roots(coeffs: list[int], known=()) -> tuple[dict[Fraction, int], l
     work = coeffs[zeros:]
     if len(work) == 1:
         return roots, work
-    candidates = {(r.numerator, r.denominator) for r in known}
     p_divs = _divisors(work[0])
     q_divs = _divisors(work[-1])
-    if p_divs is not None and q_divs is not None:
-        candidates.update((sp * p, q) for p in p_divs for q in q_divs
-                          if math.gcd(p, q) == 1 for sp in (1, -1))
+    if p_divs is None or q_divs is None:
+        return roots, work
+    candidates = {(sp * p, q) for p in p_divs for q in q_divs
+                  if math.gcd(p, q) == 1 for sp in (1, -1)}
     found: dict[Fraction, int] = {}
     for p, q in candidates:
         k = 0
@@ -252,17 +251,17 @@ def _finite_poles(ode: LinearODE2) -> dict[object, list[int]]:
 
     Keyed by the exact rational pole, or by a squarefree factor of a
     denominator that does not split over Q.  Each denominator's rational
-    roots are found as far as ``_divisors`` reaches, and what is left is
-    split squarefree.  The leftover factors of both coefficients are split
-    against each other into a gcd-free basis (``_refine``), so that each
-    factor carries its order in both.  Then the roots of each basis factor
-    are searched again, on its smaller coefficients and among the roots known
-    so far, until a round finds no root.  So a point is listed once, with its
-    order in both coefficients, even when only one denominator reveals it.
+    roots are found as far as ``_divisors`` reaches.  Every root found is then
+    divided out of both leftovers, and what remains is split squarefree and
+    into a gcd-free basis (``_refine``), so that each factor carries its
+    order in both coefficients.  Each basis factor is searched once more, on
+    its own smaller coefficients; the factors are pairwise coprime, so a root
+    found in one divides no other.  So a point is listed once, with its order
+    in both coefficients, even when only one denominator reveals it.
     """
     z = ode.var
     orders: dict[object, list[int]] = {}
-    basis: list[tuple[MultiPoly, list[int]]] = []
+    leftovers = []
     for i, p in enumerate((ode.p1, ode.p2)):
         if p.den.is_const():
             continue
@@ -270,24 +269,22 @@ def _finite_poles(ode: LinearODE2) -> dict[object, list[int]]:
         for r, k in roots.items():
             orders.setdefault(r, [0, 0])[i] += k
         if len(rest) > 1:
+            leftovers.append((i, rest))
+    basis: list[tuple[MultiPoly, list[int]]] = []
+    for i, rest in leftovers:
+        for r, order in orders.items():
+            while (quot := _divide_linear(rest, r.denominator, r.numerator)) is not None:
+                order[i] += 1
+                rest = quot
+        if len(rest) > 1:
             for a, k in squarefree_decomposition(_univariate(rest, z), z):
                 basis = _refine(basis, a, [k, 0] if i == 0 else [0, k])
-    pieces = [(a.primitive_int_coeffs(z), ks) for a, ks in basis]
-    found = True
-    while pieces and found:
-        known, found, left = set(orders), False, []
-        for coeffs, ks in pieces:
-            roots, coeffs = _rational_roots(coeffs, known)
-            for r in roots:  # a simple root of a squarefree factor
-                order = orders.setdefault(r, [0, 0])
-                order[0] += ks[0]
-                order[1] += ks[1]
-                found = True
-            if len(coeffs) > 1:
-                left.append((coeffs, ks))
-        pieces = left
-    for coeffs, ks in pieces:
-        orders[_univariate(coeffs, z)] = ks
+    for a, ks in basis:
+        roots, rest = _rational_roots(a.primitive_int_coeffs(z))
+        for r in roots:  # a simple root of a squarefree factor
+            orders[r] = ks
+        if len(rest) > 1:
+            orders[_univariate(rest, z)] = ks
     return orders
 
 

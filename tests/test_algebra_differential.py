@@ -61,7 +61,7 @@ def fraction_terms(p, names):
 
 def reference_exact_div(p, d):
     if d.is_const():
-        return p.scale(1 / d.const_value())
+        return p * (1 / d.const_value())
     names = MultiPoly._union_names(p, d)
     rem = fraction_terms(p, names)
     dt = fraction_terms(d, names)
@@ -95,7 +95,7 @@ def reference_canon_primitive(p):
     c = Fraction(num_gcd, den_lcm)
     if p.leading()[1] < 0:
         c = -c
-    return p.scale(1 / c)
+    return p * (1 / c)
 
 
 def same_poly(a, b):
@@ -132,7 +132,7 @@ def polys(draw, max_terms=5, max_deg=3):
 def linear_factors(draw):
     p = MultiPoly.const(draw(st.integers(-4, 4)))
     for v in draw(st.lists(st.sampled_from([X, Y, Z]), min_size=1, max_size=2, unique=True)):
-        p = p + v.scale(draw(NONZERO_SMALL))
+        p = p + v * draw(NONZERO_SMALL)
     return p
 
 
@@ -204,14 +204,14 @@ class TestExactDiv:
     def test_non_unit_content(self):
         # (2x + 2) | (x + 1)(y + 3): the quotient (y + 3)/2 is not integral,
         # yet the primitive parts divide exactly.
-        d = X.scale(2) + MultiPoly.const(2)
+        d = X * 2 + MultiPoly.const(2)
         p = (X + MultiPoly.const(1)) * (Y + MultiPoly.const(3))
         got = algebra.exact_div(p, d)
         assert same_poly(got, reference_exact_div(p, d))
-        assert got == (Y + MultiPoly.const(3)).scale(Fraction(1, 2))
+        assert got == (Y + MultiPoly.const(3)) * Fraction(1, 2)
         # Rational content on both sides.
-        p2 = p.scale(Fraction(3, 7))
-        d2 = d.scale(Fraction(5, 4))
+        p2 = p * Fraction(3, 7)
+        d2 = d * Fraction(5, 4)
         assert same_poly(algebra.exact_div(p2, d2), reference_exact_div(p2, d2))
 
     def test_leading_coefficient_traps(self):
@@ -219,23 +219,23 @@ class TestExactDiv:
         # remainder's leading coefficient, so the integer division stops
         # there; the rational division reaches the same verdict later.
         cases = [
-            (X ** 2 + MultiPoly.const(1), X.scale(2) + MultiPoly.const(1)),
-            (X * Y + MultiPoly.const(1), X.scale(2) + Y),
-            ((X.scale(2) + MultiPoly.const(1)) * (X + Y) + MultiPoly.const(1),
-             X.scale(2) + MultiPoly.const(1)),
+            (X ** 2 + MultiPoly.const(1), X * 2 + MultiPoly.const(1)),
+            (X * Y + MultiPoly.const(1), X * 2 + Y),
+            ((X * 2 + MultiPoly.const(1)) * (X + Y) + MultiPoly.const(1),
+             X * 2 + MultiPoly.const(1)),
             # The first quotient coefficient is integral, a later one is not.
-            (X.scale(4) * X + X.scale(3) + Y, X.scale(2) + MultiPoly.const(1)),
+            (X * 4 * X + X * 3 + Y, X * 2 + MultiPoly.const(1)),
         ]
         for p, d in cases:
             assert algebra.exact_div(p, d) is None
             assert reference_exact_div(p, d) is None
         # A rational multiple of a multiple of the divisor still divides.
-        d = X.scale(2) + MultiPoly.const(1)
-        p = (d * (X + Y)).scale(Fraction(1, 3))
+        d = X * 2 + MultiPoly.const(1)
+        p = d * (X + Y) * Fraction(1, 3)
         assert same_poly(algebra.exact_div(p, d), reference_exact_div(p, d))
 
     def test_constant_and_zero(self):
-        p = X * Y.scale(Fraction(2, 3))
+        p = X * Y * Fraction(2, 3)
         assert algebra.exact_div(MultiPoly.const(0), X) == MultiPoly.const(0)
         c = MultiPoly.const(Fraction(3, 5))
         assert same_poly(algebra.exact_div(p, c), reference_exact_div(p, c))
@@ -309,7 +309,7 @@ class TestIntegerForm:
                          (a - b, reference_add(a, -b)),
                          (-a, MultiPoly(a.names, {e: -v for e, v in fa.items()})),
                          (a * b, reference_mul(a, b)),
-                         (a.scale(c), MultiPoly(a.names, {e: v * c for e, v in fa.items()}))):
+                         (a * c, MultiPoly(a.names, {e: v * c for e, v in fa.items()}))):
             assert_canonical(got)
             assert same_poly(got, ref)
 

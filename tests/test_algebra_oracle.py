@@ -99,7 +99,7 @@ def univariate(draw, name="x", min_deg=1, max_deg=3):
 def linear_factors(draw):
     p = MultiPoly.const(draw(st.integers(-4, 4)))
     for v in draw(st.lists(st.sampled_from([X, Y, Z]), min_size=1, max_size=3, unique=True)):
-        p = p + v.scale(draw(NONZERO_SMALL))
+        p = p + v * draw(NONZERO_SMALL)
     return p
 
 
@@ -141,13 +141,13 @@ def unlucky_pairs(draw):
     exps = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                          min_size=1, max_size=4, unique=True))
     a = MultiPoly(("x", "y"), {e: draw(NONZERO_COEFF) for e in exps})
-    a = a + X.scale(draw(NONZERO_SMALL)) ** draw(st.integers(1, 3))
+    a = a + (X * draw(NONZERO_SMALL)) ** draw(st.integers(1, 3))
     spoiler = MultiPoly.const(draw(NONZERO_SMALL))
     for v in AGREEMENT_POINTS:
         spoiler = spoiler * (Y - v)
     shared = MultiPoly.const(1)
     for _ in range(draw(st.integers(0, 2))):
-        shared = shared * (X.scale(draw(NONZERO_SMALL)) + Y.scale(draw(small))
+        shared = shared * (X * draw(NONZERO_SMALL) + Y * draw(small)
                            + MultiPoly.const(draw(small)))
     return shared * a, shared * (a + spoiler)
 
@@ -180,7 +180,7 @@ def vanishing_pairs(draw):
     The image of a is then zero at each chosen point, and the first
     candidate is b's own primitive part.
     """
-    s = draw(st.sampled_from([MultiPoly.const(1), X + 1, X.scale(2) - 3]))
+    s = draw(st.sampled_from([MultiPoly.const(1), X + 1, X * 2 - 3]))
     r1 = draw(constant_term_univariate)
     r2 = draw(constant_term_univariate)
     f = draw(st.sampled_from([MultiPoly.const(1), Y + 2, X * Y - 1]))
@@ -314,7 +314,7 @@ class TestExactDivOracle:
     @given(polys(), products(max_factors=2))
     def test_arbitrary_pairs(self, p, d):
         self.check(p, d)
-        self.check(p.scale(2) + d, d.scale(3))
+        self.check(p * 2 + d, d * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +323,9 @@ class TestExactDivOracle:
 
 univariate_factors = st.one_of(
     st.tuples(st.integers(1, 4), small).map(
-        lambda t: X.scale(t[0]) + MultiPoly.const(t[1])),
+        lambda t: X * t[0] + MultiPoly.const(t[1])),
     st.tuples(NONZERO_SMALL, small, small).map(
-        lambda t: (X * X).scale(t[0]) + X.scale(t[1]) + MultiPoly.const(t[2])),
+        lambda t: X * X * t[0] + X * t[1] + MultiPoly.const(t[2])),
 )
 
 
@@ -388,7 +388,7 @@ def rational_sympy(e: RationalExpr):
 
 #: Factors shared between operands, so that sums and quotients cancel.
 #: Their leading coefficients are not all 1.
-SHARED = (X, Y, X + 1, X.scale(2) - 1, X - Y, Y.scale(3) + 2)
+SHARED = (X, Y, X + 1, X * 2 - 1, X - Y, Y * 3 + 2)
 
 
 @st.composite

@@ -6,10 +6,13 @@ in the benchmark harness (``bench/``), outside its own body.  References from
 the tests do not count, nor do the re-exports of ``heunlab/__init__.py``: an
 entry point kept alive only by its own tests is dead code.
 
-A reference is a name, an attribute, or a string constant that is an
-identifier (the benchmark's tracer wraps functions by their names).  The
-check goes by name alone, so a method is taken for used when any attribute of
-that name is read anywhere; it can miss dead code, never flag live code.
+A function or class is referenced by a bare name, an attribute, or a string
+constant that is an identifier (the benchmark's tracer wraps functions by
+their names).  A method is referenced only by an attribute or such a string:
+a bare name never reaches it, so a local variable of the same name does not
+count.  The check goes by name alone, so a method is taken for used when any
+attribute of that name is read anywhere; it can miss dead code, never flag
+live code.
 """
 
 from __future__ import annotations
@@ -23,18 +26,19 @@ PACKAGE = ROOT / "src" / "heunlab"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
-def _names(tree: ast.AST) -> Counter:
-    """Every name, attribute and identifier-like string constant in the tree."""
-    out: Counter = Counter()
+def _references(tree: ast.AST) -> tuple[Counter, Counter]:
+    """The bare names, and the attributes and identifier-like string constants."""
+    names: Counter = Counter()
+    attrs: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            attrs[node.attr] += 1
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
-            out[node.value] += 1
-    return out
+            attrs[node.value] += 1
+    return names, attrs
 
 
 def _public_definitions(tree: ast.Module):
@@ -52,10 +56,12 @@ def _public_definitions(tree: ast.Module):
 
 def test_every_public_name_is_used():
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
-    used = Counter()
+    names, attrs = Counter(), Counter()
     for path, tree in trees.items():
         if path.name != "__init__.py":
-            used += _names(tree)
+            tree_names, tree_attrs = _references(tree)
+            names += tree_names
+            attrs += tree_attrs
     unused = []
     checked = 0
     for path, tree in trees.items():
@@ -63,7 +69,11 @@ def test_every_public_name_is_used():
             continue
         for qualname, name, node in _public_definitions(tree):
             checked += 1
-            if used[name] <= _names(node)[name]:
+            own_names, own_attrs = _references(node)
+            uses = attrs[name] - own_attrs[name]
+            if "." not in qualname:
+                uses += names[name] - own_names[name]
+            if uses <= 0:
                 unused.append(f"{path.stem}.{qualname}")
     assert checked
     assert unused == []

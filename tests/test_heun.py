@@ -17,6 +17,7 @@ from heunlab.heun import (
     HeunSpec,
     SingularConfluence,
     _certify_singular_set,
+    _match_general_template,
     build_heun,
     build_heun_derivative,
     degeneration_case,
@@ -259,6 +260,14 @@ class TestSingularSetCertificate:
         assert _certify_singular_set(
             LinearODE2(const(0), 1 / (z ** 2 * (z - 1) * (z - t))), t)
 
+    def test_each_point_may_come_from_either_coefficient(self):
+        # p1's denominator lacks z - t and p2's lacks z: every point of
+        # {0, 1, t} is still a pole of some coefficient.
+        t = var("t")
+        ode = LinearODE2(1 / z + 1 / (z - 1), 1 / ((z - 1) ** 2 * (z - t)))
+        assert _certify_singular_set(ode, t)
+        assert _certify_singular_set(LinearODE2(ode.p1, 1 / (z - 2)), const(2))
+
     @pytest.mark.parametrize("ode, t", [
         (build_heun_derivative(general_spec()), const(2)),
         (LinearODE2(1 / z + 1 / (z - 1), 1 / (z * (z - 1))), var("t")),
@@ -269,3 +278,49 @@ class TestSingularSetCertificate:
             "ordinary-infinity"])
     def test_refuses(self, ode, t):
         assert not _certify_singular_set(ode, t)
+
+
+class TestGeneralTemplate:
+    """Reading an equation back as p1 = g/z + d/(z-1) + e/(z-t), p2 = (A z - B)/Z.
+
+    Z = z (z - 1) (z - t).  Each refused case misses the template in one way;
+    the accepted ones pin the values read back.
+    """
+
+    T = var("t")
+    P1 = 1 / z + 1 / (z - 1) + 1 / (z - T)
+    Z = z * (z - 1) * (z - T)
+
+    @pytest.mark.parametrize("p1, p2", [
+        (1 / z ** 2 + 1 / (z - 1) + 1 / (z - T), 1 / Z),
+        (P1 + 1 / (z - 5), 1 / Z),
+        (P1 + 1, 1 / Z),
+        (P1, z ** 2 / Z),
+        (P1, 1 / (var("alpha") * Z)),
+        (P1, (z / 2) / Z),
+        ((1 / var("alpha")) / z + 1 / (z - 1) + 1 / (z - T), 1 / Z),
+    ], ids=["double-pole-of-p1", "pole-of-p1-off-the-points", "polynomial-part-of-p1",
+            "p2-numerator-of-degree-2", "parameter-in-p2-denominator",
+            "non-square-discriminant", "parameter-in-discriminant-denominator"])
+    def test_refuses(self, p1, p2):
+        # With g + d + e - 1 = s = alpha + beta and A = alpha beta, the split
+        # needs s^2 - 4 A to be a square polynomial: 2 is not a square, and
+        # (1/alpha + 1)^2 is not a polynomial.
+        assert _match_general_template(LinearODE2(p1, p2), self.T) is None
+
+    def test_reads_the_four_point_equation(self):
+        t = self.T
+        spec = _match_general_template(LinearODE2(self.P1, (z - 3) / self.Z), t)
+        assert (spec.gamma, spec.delta, spec.epsilon) == (const(1), const(1), const(1))
+        assert (spec.alpha, spec.beta, spec.q, spec.t) == (const(1), const(1), const(3), t)
+
+    def test_z_free_denominator(self):
+        # p1 Z = 3 z^2 - 3 z + (t - z)/alpha is not a polynomial, but its
+        # denominator is free of z, so the equation fits the template.
+        a, t = var("alpha"), self.T
+        ode = LinearODE2((1 / a) / z - (1 / a) / (z - 1) + 3 / (z - t),
+                         1 / ((z - 1) * (z - t)))
+        spec = _match_general_template(ode, t)
+        assert (spec.gamma, spec.delta, spec.epsilon) == (1 / a, -1 / a, const(3))
+        assert (spec.alpha, spec.beta, spec.q, spec.t) == (const(1), const(1), const(0), t)
+        assert ode_equal(build_heun(spec), ode)

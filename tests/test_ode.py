@@ -7,11 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunlab import ode
-from heunlab.algebra import MultiPoly, _int_primitive, const, substitute, var
+from heunlab.algebra import MultiPoly, RationalExpr, _int_primitive, const, substitute, var
 from heunlab.numeric import ode_singularities
 from heunlab.ode import (
     INFINITY,
@@ -189,6 +189,15 @@ class TestSingularPoints:
                        SingularPoint(Fraction(3, 1000033), "regular"),
                        SingularPoint(INFINITY, "regular")]
 
+    def test_root_divided_out_of_the_other_leftover(self):
+        # (z - 1)(z - 1000003^2) has no divisor list and is squarefree, so
+        # only the root 1, found in p1's denominator, splits it: 1 is listed
+        # once, and z - 1000003^2 stays unresolved.
+        big = (z - 1000003 ** 2).num
+        pts = singular_points(LinearODE2(1 / (z - 1), 1 / ((z - 1) * (z - 1000003 ** 2))))
+        assert pts == [SingularPoint(Fraction(1), "regular"), SingularPoint(big, "regular"),
+                       SingularPoint(INFINITY, "regular")]
+
     def test_infinity_irregular_for_constant_p1(self):
         # v'' + v' = 0 has an irregular point at infinity (exponential growth).
         pts = singular_points(LinearODE2(const(1), const(0)))
@@ -294,7 +303,7 @@ ZP = z.num
 # Two products of primes above the trial-division limit of ode._divisors.
 PAST_DIVISORS_LIMIT = [1000003 ** 2, 1000003 * 1000033]
 IRREDUCIBLE_QUADRATICS = [ZP * ZP + 1, ZP * ZP - 2, ZP * ZP + ZP + 1,
-                          (ZP * ZP).scale(3) + ZP + 1, (ZP * ZP).scale(5) - 7]
+                          ZP * ZP * 3 + ZP + 1, ZP * ZP * 5 - 7]
 
 
 @st.composite
@@ -312,7 +321,7 @@ def root_products(draw):
         else:
             num = draw(st.sampled_from(PAST_DIVISORS_LIMIT) if shape == "big"
                        else st.integers(-6, 6).filter(bool))
-            factor = ZP.scale(draw(st.integers(1, 6))) - MultiPoly.const(num)
+            factor = ZP * draw(st.integers(1, 6)) - MultiPoly.const(num)
         p = p * factor ** draw(st.integers(1, 3))
     return p
 
@@ -326,19 +335,16 @@ class TestRationalRootsDifferential:
         assert list(roots.items()) == list(ref_roots.items())
         assert leftover == primitive(ref_leftover)
 
-    @pytest.mark.parametrize("known", [
-        (), (Fraction(17, 19),), (Fraction(17, 19), Fraction(13, 16), Fraction(0))])
-    def test_many_candidates(self, known):
+    def test_many_candidates(self):
         # The ends 720720 = 2^4 3^2 5 7 11 13 and 5040 = 2^4 3^2 5 7 have 240
-        # and 60 divisors, so 3,240 signed coprime pairs p/q are candidates;
-        # 17/19 lies outside both divisor lists and must be tried and refused.
+        # and 60 divisors, so 3,240 signed coprime pairs p/q are candidates.
         # The root 0 comes first, ahead of the negative root, as in the reference.
-        p = (ZP ** 2 * (ZP.scale(16) - MultiPoly.const(13))
-             * (ZP.scale(9) + MultiPoly.const(11)) * (ZP.scale(5) - MultiPoly.const(7))
-             * ((ZP * ZP).scale(7) + ZP + MultiPoly.const(720)))
+        p = (ZP ** 2 * (ZP * 16 - MultiPoly.const(13))
+             * (ZP * 9 + MultiPoly.const(11)) * (ZP * 5 - MultiPoly.const(7))
+             * (ZP * ZP * 7 + ZP + MultiPoly.const(720)))
         coeffs = p.primitive_int_coeffs("z")
         assert (coeffs[2], coeffs[-1]) == (720720, 5040)
-        roots, leftover = ode._rational_roots(coeffs, known)
+        roots, leftover = ode._rational_roots(coeffs)
         ref_roots, ref_leftover = reference_rational_roots(dense_fractions(p))
         assert list(roots.items()) == list(ref_roots.items()) == [
             (Fraction(0), 2), (Fraction(-11, 9), 1), (Fraction(13, 16), 1),
@@ -353,7 +359,67 @@ class TestRationalRootsDifferential:
         assert leftover == [1000003 ** 2, -2 * 1000003, 1]
 
     def test_splits_with_repeated_roots(self):
-        p = (ZP.scale(3) - MultiPoly.const(2)) ** 2 * (ZP + MultiPoly.const(1)) * ZP ** 3
+        p = (ZP * 3 - MultiPoly.const(2)) ** 2 * (ZP + MultiPoly.const(1)) * ZP ** 3
         roots, leftover = ode._rational_roots(p.primitive_int_coeffs("z"))
         assert roots == {Fraction(0): 3, Fraction(-1): 1, Fraction(2, 3): 2}
         assert leftover == [1]
+
+
+#: Denominator factors of the pole-search oracle test: z, small linear
+#: factors, irreducible quadratics, and linear factors with a coefficient past
+#: the trial-division limit, whose products the divisor search refuses.
+POLE_FACTORS = ([ZP, ZP - 1, ZP + 2, ZP * 2 - 3, ZP * 3 + 1] + IRREDUCIBLE_QUADRATICS
+                + [ZP - PAST_DIVISORS_LIMIT[0], ZP * PAST_DIVISORS_LIMIT[1] - 1])
+
+
+@st.composite
+def pole_equations(draw):
+    """v'' + v'/D1 + v/D2 = 0 with each D a product of POLE_FACTORS powers."""
+    def den():
+        d = MultiPoly.const(1)
+        for f in draw(st.lists(st.sampled_from(POLE_FACTORS), max_size=3)):
+            d = d * f ** draw(st.integers(1, 3))
+        return d
+    return LinearODE2(1 / RationalExpr(den()), 1 / RationalExpr(den()))
+
+
+class TestFinitePolesOracle:
+    """The pole search behind ``singular_points``, against sympy's factor_list.
+
+    A key of ``_finite_poles`` is a rational root or an unresolved squarefree
+    factor; sympy splits each into irreducibles, which must all be distinct,
+    and each must carry its orders [in p1, in p2] from the factorisations of
+    both denominators over Q.  Each draw with a factor past the trial-division
+    limit costs tens of milliseconds of trial division, hence few examples.
+    """
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(pole_equations())
+    # p2's denominator has no divisor list, and only the root that p1's
+    # reveals splits it.
+    @example(LinearODE2(1 / (z + 2), 1 / ((z + 2) * (1000003 * 1000033 * z - 1))))
+    def test_orders_match_sympy_factor_list(self, eq):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("z")
+
+        def irreducibles(coeffs):
+            _, factors = sympy.factor_list(sympy.Poly(coeffs[::-1], x))
+            for f, k in factors:
+                c = f.all_coeffs()
+                yield tuple(-v if c[0] < 0 else v for v in c), k
+
+        want: dict[tuple, list[int]] = {}
+        for i, p in enumerate((eq.p1, eq.p2)):
+            if not p.den.is_const():
+                for f, k in irreducibles(p.den.primitive_int_coeffs("z")):
+                    want.setdefault(f, [0, 0])[i] += k
+        got: dict[tuple, list[int]] = {}
+        for key, ks in ode._finite_poles(eq).items():
+            if isinstance(key, Fraction):
+                coeffs = [-key.numerator, key.denominator]
+            else:
+                coeffs = key.primitive_int_coeffs("z")
+            for f, k in irreducibles(coeffs):
+                assert k == 1 and f not in got
+                got[f] = ks
+        assert got == want
