@@ -8,19 +8,21 @@ nonlinear equations along trajectories with finite differences.
 
 Integrator: the Dormand-Prince embedded 5(4) pair with PI step-size control.
 All state is held as plain complex scalars (the systems here have one or two
-components), so no array machinery is needed.  A field is one generated
-function ``field(x, y0, ..., y{n-1})`` that returns the tuple dy/dx, its
-exact coefficients compiled into straight-line code, one statement per sum
-of terms.  The stepper is generated from the tableau for each state size n,
-on the first integration of that size: its state components and stage values
-are scalar locals, each stage calls the field once, and its stage sums round
-bit for bit as the tableau rows summed term by term would.
+components), so no array machinery is needed.  One generator (``_compile``)
+turns exact expressions into straight-line code, one statement per sum of
+terms: a field is one function ``field(x, y0, ..., y{n-1})`` that returns the
+tuple dy/dx.  The stepper is generated from the tableau for each state size
+n, on the first integration of that size: its state components and stage
+values are scalar locals, each stage calls the field once, and its stage sums
+round bit for bit as the tableau rows summed term by term would.
 
 A trajectory is a list of samples (s, x, y): the arc length along the path,
 the independent variable and the state at each accepted step.  The settings
 of one integration are its tolerances, the distance the path keeps from every
 singular point and an optional step cap (:class:`IntegrationConfig`); the step
-budget and the modulus taken for a pole are module constants.
+budget and the modulus taken for a pole are module constants.  The singular
+points an integration keeps clear of are the poles of the expressions it
+integrates, read off their denominators by ``ode.finite_poles``.
 """
 
 from __future__ import annotations
@@ -34,15 +36,8 @@ from fractions import Fraction
 from .algebra import RationalExpr, const, substitute
 from .heun import HeunSpec, build_heun, build_heun_derivative
 from .matching import MatchingCase
-from .ode import INFINITY, LinearODE2, singular_points
-from .painleve import (
-    FLOW_T_SINGULARITIES,
-    KIND_PARAMS,
-    LAMBDA_LOCUS,
-    PainleveKind,
-    hamiltonian,
-    painleve_rhs,
-)
+from .ode import LinearODE2, finite_poles
+from .painleve import KIND_PARAMS, LAMBDA_LOCUS, PainleveKind, hamiltonian, painleve_rhs
 
 
 class NumericError(Exception):
@@ -91,11 +86,14 @@ class ComplexPath:
 
 
 def _segment_distance(a: complex, b: complex, p: complex) -> float:
+    # (p - a) / d projects p onto the segment's line without squaring |d|,
+    # which overflows on far or long segments.
     d = b - a
-    denom = abs(d) ** 2
-    s = ((p - a).real * d.real + (p - a).imag * d.imag) / denom
-    s = min(1.0, max(0.0, s))
-    return abs(a + s * d - p)
+    s = min(1.0, max(0.0, ((p - a) / d).real))
+    try:
+        return abs(a + s * d - p)
+    except OverflowError:  # farther than the largest float
+        return math.inf
 
 
 #: Accepted and rejected steps one integration may take in all.
@@ -194,13 +192,17 @@ def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
     The field takes the independent variable and one argument per state
     component and returns a tuple.  The step runs in a stepper generated for
     the state's size (see ``_build_stepper``), built on the first integration
-    of that size and kept for the next.
+    of that size and kept for the next.  A float overflow in the field or
+    the step becomes a :class:`NumericError`.
     """
     n = len(y0)
     stepper = _STEPPERS.get(n)
     if stepper is None:
         stepper = _STEPPERS[n] = _build_stepper(n)
-    return stepper(field_fn, path, y0, cfg)
+    try:
+        return stepper(field_fn, path, y0, cfg)
+    except OverflowError as exc:
+        raise NumericError(f"float overflow while integrating: {exc}") from None
 
 
 def _build_stepper(n: int):
@@ -398,31 +400,12 @@ def _emit_quotient(expr: RationalExpr, arg: dict[str, str], env: dict,
     return lines + assign("den", expr.den), "num / den"
 
 
-def compile_scalar(expr: RationalExpr, names: tuple[str, ...]):
-    """Compile a rational expression into a complex-valued function.
+def _compile(params: tuple[str, ...], arg: dict[str, str],
+             values: dict[str, RationalExpr], result: str):
+    """One function of ``params`` that returns ``result``.
 
-    The expression may only involve the given indeterminates; parameters must
-    already be bound exactly.  The function takes one positional argument per
-    name and returns ``num / den`` evaluated by generated straight-line code
-    (``_emit_quotient``).
-    """
-    arg = {n: f"x{i}" for i, n in enumerate(names)}
-    env: dict = {}
-    lines, quotient = _emit_quotient(expr, arg, env, set())
-    source = "\n".join([f"def scalar({', '.join(arg.values())}):",
-                        _indent([*lines, f"return {quotient}"], 4)])
-    exec(source, env)
-    return env["scalar"]
-
-
-def _compile_field(n: int, arg: dict[str, str], values: dict[str, RationalExpr],
-                   result: str):
-    """Compile a vector field into one function ``field(x, y0, ..., y{n-1})``.
-
-    Each entry of ``values`` binds a name to the quotient of its expression,
-    evaluated exactly as ``compile_scalar`` evaluates it; ``arg`` maps the
-    expressions' indeterminates to ``x`` and the state names.  The function
-    returns ``result``, a tuple over those names and the state.
+    Each entry of ``values`` binds a name to the quotient of its expression
+    (``_emit_quotient``), whose indeterminates ``arg`` maps to parameters.
     """
     env: dict = {}
     powers: set[str] = set()
@@ -430,28 +413,38 @@ def _compile_field(n: int, arg: dict[str, str], values: dict[str, RationalExpr],
     for name, expr in values.items():
         lines, quotient = _emit_quotient(expr, arg, env, powers)
         body += [*lines, f"{name} = {quotient}"]
-    params = ", ".join(["x", *(f"y{m}" for m in range(n))])
-    source = "\n".join([f"def field({params}):",
+    source = "\n".join([f"def compiled({', '.join(params)}):",
                         _indent([*body, f"return {result}"], 4)])
     exec(source, env)
-    return env["field"]
+    return env["compiled"]
+
+
+def compile_scalar(expr: RationalExpr, names: tuple[str, ...]):
+    """Compile a rational expression into a complex-valued function.
+
+    The expression may only involve the given indeterminates; parameters must
+    already be bound exactly.  The function takes one positional argument per
+    name and returns ``num / den`` evaluated by generated straight-line code.
+    """
+    arg = {n: f"x{i}" for i, n in enumerate(names)}
+    return _compile(tuple(arg.values()), arg, {"value": expr}, "value")
 
 
 def _linear_field(ode: LinearODE2):
     """The field of v'' + p1 v' + p2 v = 0 in the state (v, v')."""
-    return _compile_field(2, {ode.var: "x"}, {"P1": ode.p1, "P2": ode.p2},
-                          "(y1, -P1 * y1 - P2 * y0)")
+    return _compile(("x", "y0", "y1"), {ode.var: "x"}, {"P1": ode.p1, "P2": ode.p2},
+                    "(y1, -P1 * y1 - P2 * y0)")
 
 
 def _riccati_field(rhs: RationalExpr):
     """The field of lambda' = rhs(lambda, t) in the state (lambda,)."""
-    return _compile_field(1, {"lambda": "y0", "t": "x"}, {"R": rhs}, "(R,)")
+    return _compile(("x", "y0"), {"lambda": "y0", "t": "x"}, {"R": rhs}, "(R,)")
 
 
 def _hamiltonian_field(dh_dmu: RationalExpr, dh_dlam: RationalExpr):
     """The flow lambda' = dH/dmu, mu' = -dH/dlambda in the state (lambda, mu)."""
-    return _compile_field(2, {"lambda": "y0", "mu": "y1", "t": "x"},
-                          {"DMU": dh_dmu, "DLAM": dh_dlam}, "(DMU, -DLAM)")
+    return _compile(("x", "y0", "y1"), {"lambda": "y0", "mu": "y1", "t": "x"},
+                    {"DMU": dh_dmu, "DLAM": dh_dlam}, "(DMU, -DLAM)")
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +481,20 @@ def _roots_of_poly(mp, name: str) -> list[complex]:
     return roots
 
 
+def _poles(exprs: tuple[RationalExpr, ...], x: str) -> list[complex]:
+    """The poles in ``x`` of the expressions: the rational ones in increasing
+    order, then the Durand-Kerner roots of each factor that does not split."""
+    poles = finite_poles(exprs, x)
+    out = [complex(r) for r in sorted(r for r in poles if isinstance(r, Fraction))]
+    for f in poles:
+        if not isinstance(f, Fraction):
+            out.extend(_roots_of_poly(f, x))
+    return out
+
+
 def ode_singularities(ode: LinearODE2) -> list[complex]:
     """Finite singular points as complex numbers (resolved or approximated)."""
-    out: list[complex] = []
-    for p in singular_points(ode):
-        if p.location == INFINITY:
-            continue
-        if isinstance(p.location, Fraction):
-            out.append(complex(p.location))
-        else:
-            out.extend(_roots_of_poly(p.location, ode.var))
-    return out
+    return _poles((ode.p1, ode.p2), ode.var)
 
 
 def _check_path_distance(path: ComplexPath, points: list[complex],
@@ -539,20 +535,18 @@ def verify_derivative_numeric(spec: HeunSpec, path: ComplexPath,
     _check_path_distance(path, ode_singularities(derived), cfg.min_distance)
     traj = integrate_linear(base, path, (1.0, 1.0), cfg)
     z = base.var
-    p1 = compile_scalar(base.p1, (z,))
-    p2 = compile_scalar(base.p2, (z,))
-    dp1 = compile_scalar(base.p1.derivative(z), (z,))
-    dp2 = compile_scalar(base.p2.derivative(z), (z,))
-    q1 = compile_scalar(derived.p1, (z,))
-    q2 = compile_scalar(derived.p2, (z,))
+    # the coefficients in the order the formulas first use them
+    coefficients = _compile(("x",), {z: "x"}, {
+        "A1": base.p1, "A2": base.p2, "D1": base.p1.derivative(z),
+        "D2": base.p2.derivative(z), "Q1": derived.p1, "Q2": derived.p2,
+    }, "A1, A2, D1, D2, Q1, Q2")
     worst = 0.0
     for smp in traj.samples:
-        x, (u, up) = smp.x, smp.y
-        # the coefficients in the order the formulas first use them
-        a1, a2 = p1(x), p2(x)
+        u, up = smp.y
+        a1, a2, d1, d2, q1, q2 = coefficients(smp.x)
         upp = -a1 * up - a2 * u
-        uppp = -(dp1(x) * up + a1 * upp + dp2(x) * u + a2 * up)
-        terms = (uppp, q1(x) * upp, q2(x) * up)
+        uppp = -(d1 * up + a1 * upp + d2 * u + a2 * up)
+        terms = (uppp, q1 * upp, q2 * up)
         scale = sum(abs(c) for c in terms) + 1e-300
         worst = max(worst, abs(sum(terms)) / scale)
     return worst
@@ -561,16 +555,6 @@ def verify_derivative_numeric(spec: HeunSpec, path: ComplexPath,
 # ---------------------------------------------------------------------------
 # Riccati reductions and Hamiltonian flows
 # ---------------------------------------------------------------------------
-
-
-def _t_path(t_range: tuple[complex, complex]) -> ComplexPath:
-    return ComplexPath.of(t_range[0], t_range[1])
-
-
-def _check_t_range(kind: PainleveKind, path: ComplexPath, cfg: IntegrationConfig,
-                   extra: tuple[Fraction, ...] = ()) -> None:
-    fixed = list(FLOW_T_SINGULARITIES[kind]) + list(extra)
-    _check_path_distance(path, [complex(v) for v in fixed], cfg.min_distance)
 
 
 def _check_lambda0(kind: PainleveKind, lam0: complex, path: ComplexPath,
@@ -599,8 +583,9 @@ def integrate_riccati(case: MatchingCase, params: dict[str, Fraction],
     if not cond.is_zero():
         raise ConditionNotSatisfied(
             f"condition {case.condition} = {cond} does not vanish at {params}")
-    path = _t_path(t_range)
-    _check_t_range(case.painleve_kind, path, cfg)
+    path = ComplexPath.of(*t_range)
+    # The rhs before binding: the condition may cancel a fixed singular value.
+    _check_path_distance(path, _poles((case.riccati_rhs,), "t"), cfg.min_distance)
     _check_lambda0(case.painleve_kind, complex(lam0), path, cfg)
     field_fn = _riccati_field(substitute(case.riccati_rhs, bind))
     traj = _integrate_segments(field_fn, path, (complex(lam0),), cfg)
@@ -618,9 +603,8 @@ def integrate_hamiltonian(kind: PainleveKind, params: dict[str, Fraction],
     Only the kind's parameter keys are read from ``params``.
     """
     ham = hamiltonian(kind, params, h2_literal=h2_literal)
-    path = _t_path(t_range)
-    extra = (Fraction(0),) if (h2_literal and kind is PainleveKind.P2) else ()
-    _check_t_range(kind, path, cfg, extra)
+    path = ComplexPath.of(*t_range)
+    _check_path_distance(path, _poles((ham.dH_dmu, ham.dH_dlam), "t"), cfg.min_distance)
     traj = _integrate_segments(_hamiltonian_field(ham.dH_dmu, ham.dH_dlam),
                                path, init, cfg)
     traj.meta["kind"] = kind.value

@@ -13,6 +13,7 @@ exact equality of equations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,7 +169,7 @@ def _divisors(n: int) -> list[int] | None:
     return sorted(set(divs))
 
 
-def _rational_roots(coeffs: list[int]) -> tuple[dict[Fraction, int], list[int]]:
+def _rational_roots(coeffs: list[int], divisors=None) -> tuple[dict[Fraction, int], list[int]]:
     """Rational roots with multiplicities, plus the rootless cofactor.
 
     ``coeffs`` are primitive integer coefficients, low to high, as
@@ -180,8 +181,9 @@ def _rational_roots(coeffs: list[int]) -> tuple[dict[Fraction, int], list[int]]:
     (roots, leftover): leftover is the primitive integer list of the
     cofactor, constant when the polynomial splits over Q, and the whole input
     with the root 0 removed when a coefficient has a prime factor that
-    ``_divisors`` refuses to find; ``_finite_poles`` then looks for the
-    missing roots elsewhere.  The roots come 0 first, then the others in
+    ``divisors`` (by default ``_divisors``) refuses to find, in which case
+    the leading coefficient is not searched; ``finite_poles`` then looks for
+    the missing roots elsewhere.  The roots come 0 first, then the others in
     ascending order; dividing out the primitive factors q z - p in any order
     leaves the same cofactor, so only the roots found are sorted.
     """
@@ -192,9 +194,10 @@ def _rational_roots(coeffs: list[int]) -> tuple[dict[Fraction, int], list[int]]:
     work = coeffs[zeros:]
     if len(work) == 1:
         return roots, work
-    p_divs = _divisors(work[0])
-    q_divs = _divisors(work[-1])
-    if p_divs is None or q_divs is None:
+    divisors = divisors or _divisors
+    p_divs = divisors(abs(work[0]))
+    q_divs = p_divs and divisors(work[-1])
+    if q_divs is None:
         return roots, work
     candidates = {(sp * p, q) for p in p_divs for q in q_divs
                   if math.gcd(p, q) == 1 for sp in (1, -1)}
@@ -246,28 +249,30 @@ def squarefree_decomposition(p: MultiPoly, name: str) -> list[tuple[MultiPoly, i
     return out
 
 
-def _finite_poles(ode: LinearODE2) -> dict[object, list[int]]:
-    """The finite poles of the equation with their orders [in p1, in p2].
+def finite_poles(coeffs: tuple[RationalExpr, ...], name: str) -> dict[object, list[int]]:
+    """The poles in ``name`` of the coefficients, with their order in each.
 
     Keyed by the exact rational pole, or by a squarefree factor of a
-    denominator that does not split over Q.  Each denominator's rational
-    roots are found as far as ``_divisors`` reaches.  Every root found is then
-    divided out of both leftovers, and what remains is split squarefree and
+    denominator (a polynomial in ``name`` alone) that does not split over Q.
+    Each denominator's rational roots are found as far as ``_divisors``
+    reaches, and no integer is searched twice.  Every root found is then
+    divided out of every leftover, and what remains is split squarefree and
     into a gcd-free basis (``_refine``), so that each factor carries its
-    order in both coefficients.  Each basis factor is searched once more, on
+    order in every coefficient.  Each basis factor is searched once more, on
     its own smaller coefficients; the factors are pairwise coprime, so a root
     found in one divides no other.  So a point is listed once, with its order
-    in both coefficients, even when only one denominator reveals it.
+    in every coefficient, even when only one denominator reveals it.
     """
-    z = ode.var
+    n = len(coeffs)
     orders: dict[object, list[int]] = {}
     leftovers = []
-    for i, p in enumerate((ode.p1, ode.p2)):
+    divisors = functools.cache(_divisors)
+    for i, p in enumerate(coeffs):
         if p.den.is_const():
             continue
-        roots, rest = _rational_roots(p.den.primitive_int_coeffs(z))
+        roots, rest = _rational_roots(p.den.primitive_int_coeffs(name), divisors)
         for r, k in roots.items():
-            orders.setdefault(r, [0, 0])[i] += k
+            orders.setdefault(r, [0] * n)[i] += k
         if len(rest) > 1:
             leftovers.append((i, rest))
     basis: list[tuple[MultiPoly, list[int]]] = []
@@ -277,14 +282,14 @@ def _finite_poles(ode: LinearODE2) -> dict[object, list[int]]:
                 order[i] += 1
                 rest = quot
         if len(rest) > 1:
-            for a, k in squarefree_decomposition(_univariate(rest, z), z):
-                basis = _refine(basis, a, [k, 0] if i == 0 else [0, k])
+            for a, k in squarefree_decomposition(_univariate(rest, name), name):
+                basis = _refine(basis, a, [k if j == i else 0 for j in range(n)])
     for a, ks in basis:
-        roots, rest = _rational_roots(a.primitive_int_coeffs(z))
+        roots, rest = _rational_roots(a.primitive_int_coeffs(name), divisors)
         for r in roots:  # a simple root of a squarefree factor
             orders[r] = ks
         if len(rest) > 1:
-            orders[_univariate(rest, z)] = ks
+            orders[_univariate(rest, name)] = ks
     return orders
 
 
@@ -292,10 +297,10 @@ def _refine(basis: list[tuple[MultiPoly, list[int]]], f: MultiPoly,
             ks: list[int]) -> list[tuple[MultiPoly, list[int]]]:
     """Add the squarefree factor f, with orders ``ks``, to a gcd-free basis.
 
-    The basis holds pairwise coprime squarefree factors with their orders
-    [in p1, in p2].  An element b that shares g = gcd(f, b) with f splits
-    into g, which carries the orders of both, and b/g; what is left of f,
-    coprime to every element, joins at the end.
+    The basis holds pairwise coprime squarefree factors with their orders,
+    one per coefficient.  An element b that shares g = gcd(f, b) with f
+    splits into g, which carries the orders of both, and b/g; what is left
+    of f, coprime to every element, joins at the end.
     """
     out = []
     for b, kb in basis:
@@ -303,7 +308,7 @@ def _refine(basis: list[tuple[MultiPoly, list[int]]], f: MultiPoly,
         if g.is_const():
             out.append((b, kb))
             continue
-        out.append((g, [kb[0] + ks[0], kb[1] + ks[1]]))
+        out.append((g, [x + y for x, y in zip(kb, ks)]))
         b = exact_div(b, g)
         if not b.is_const():
             out.append((b, kb))
@@ -340,7 +345,7 @@ def singular_points(ode: LinearODE2) -> list[SingularPoint]:
         raise ValueError(
             f"coefficients still involve parameters {sorted(extra)}; bind them")
 
-    poles = _finite_poles(ode)
+    poles = finite_poles((ode.p1, ode.p2), ode.var)
     # Rational points in increasing order, then the unresolved factors of p1,
     # then those of p2 alone.
     rational = sorted(r for r in poles if isinstance(r, Fraction))

@@ -69,7 +69,10 @@ LAMBDA_LOCUS = {
     PainleveKind.P2: (),
 }
 
-#: Fixed singular t-values of the deformation flow, per kind.
+#: Fixed singular t-values of the deformation flow, per kind: the poles in t
+#: of each kind's Hamiltonian flow and Riccati right-hand side, which the
+#: integrators read off those expressions.  Kept for the message with which
+#: ``build_painleve_linear`` refuses them.
 FLOW_T_SINGULARITIES = {
     PainleveKind.P6: (Fraction(0), Fraction(1)),
     PainleveKind.P5: (Fraction(0),),

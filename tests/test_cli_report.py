@@ -349,6 +349,14 @@ class TestExitContract:
         (GENERAL_PARAMS, [*HEUN_RUN, "--rel-tol", "inf"], "--rel-tol"),
         ("gamma = abc\n", ["derive", "--family", "general"], "line 1: bad value 'abc'"),
         ("gamma = 1/0\n", ["derive", "--family", "general"], "line 1: bad value '1/0'"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--path", "1e200 -> 2e200"], "float overflow"),
+        ("kappa0 = 1/3\nkappa1 = 1/5\ntheta = 1/7\nkappainf = 1/2\n",
+         ["integrate", "--system", "hamiltonian", "--kind", "p6", "--init", "0.5,0",
+          "--t-range", "1e200:2e200"], "float overflow"),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--path", "1e200 -> 1e200+1j"], "float overflow"),
+        # every distance to a singular point is past the largest float
+        (GENERAL_PARAMS, [*HEUN_RUN, "--path", "1.5e308+1.5e308j -> 1.4e308+1.5e308j"],
+         "step size underflow"),
     ], ids=["singular-confluence", "missing-parameter", "missing-path",
             "path-through-singular-point", "condition-not-satisfied",
             "malformed-init", "malformed-t-range", "riccati-missing-parameter",
@@ -357,7 +365,8 @@ class TestExitContract:
             "max-step-negative", "min-distance-zero", "min-distance-negative",
             "min-distance-nan", "malformed-lambda0", "malformed-waypoint",
             "nan-waypoint", "nan-init", "nan-t-range", "abs-tol-inf", "rel-tol-inf",
-            "malformed-value", "zero-denominator"])
+            "malformed-value", "zero-denominator", "far-path-overflow",
+            "far-t-range-overflow", "far-field-overflow", "path-past-float-range"])
     def test_input_errors_exit_2(self, capsys, tmp_path, params, argv, message):
         p = tmp_path / "case.params"
         p.write_text(params)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -13,7 +14,7 @@ import pytest
 
 from heunlab import numeric
 from heunlab.heun import HeunFamily, HeunSpec
-from heunlab.matching import matching_case
+from heunlab.matching import matching_case, sign_branches
 from heunlab.numeric import (
     ComplexPath,
     ConditionNotSatisfied,
@@ -30,7 +31,12 @@ from heunlab.numeric import (
     verify_derivative_numeric,
 )
 from heunlab.ode import LinearODE2
-from heunlab.painleve import PainleveKind
+from heunlab.painleve import (
+    FLOW_T_SINGULARITIES,
+    KIND_PARAMS,
+    PainleveKind,
+    hamiltonian,
+)
 from heunlab.algebra import const, var
 
 z = var("z")
@@ -368,6 +374,57 @@ class TestHamiltonian:
                 PainleveKind.P3P,
                 {"eta0": F(1), "etainf": F(1), "theta0": F(1, 3), "thetainf": F(1, 2)},
                 (1.0, 1.0), (0.0, 1.0), DENSE)
+
+
+class TestFlowGuards:
+    """The t-values each flow refuses to integrate through.
+
+    Every flow is guarded by the poles in t of what it integrates, and these
+    are the fixed singular values that ``FLOW_T_SINGULARITIES`` lists for
+    ``build_painleve_linear``.
+    """
+
+    P6_RICCATI = {"kappa0": F(1, 4), "kappa1": F(1, 3), "theta": F(1, 5),
+                  "kappainf": F(107, 60)}
+    THROUGH_ZERO = "^path passes within 0 of the singular point 0j$"
+
+    def test_literal_p2_refuses_t_zero(self):
+        params, init, _ = HAMILTONIAN_WITNESSES[PainleveKind.P2]
+        with pytest.raises(PathTooClose, match=self.THROUGH_ZERO):
+            integrate_hamiltonian(PainleveKind.P2, params, init, (-0.5, 0.5), DENSE,
+                                  h2_literal=True)
+        traj = integrate_hamiltonian(PainleveKind.P2, params, init, (-0.5, 0.5), DENSE)
+        assert not traj.pole_truncated and len(traj.samples) > 5
+
+    def test_riccati_guard_reads_the_unbound_rhs(self):
+        # kappa1 = kappainf = 0 and kappa0 + theta = -1 satisfy the condition,
+        # and bind the rhs to (lambda - 1)/(2(t - 1)), with no pole at t = 0;
+        # the flow's fixed singular value t = 0 is refused all the same.
+        params = {"kappa0": F(-1, 2), "kappa1": F(0), "theta": F(-1, 2),
+                  "kappainf": F(0)}
+        with pytest.raises(PathTooClose, match=self.THROUGH_ZERO):
+            integrate_riccati(matching_case(PainleveKind.P6), params, (0.0, 0.5), 2.0)
+
+    def test_t_path_checked_before_lambda0(self):
+        # lambda0 = 0 is refused on its own (TestRiccati), but the t message wins.
+        with pytest.raises(PathTooClose, match=self.THROUGH_ZERO):
+            integrate_riccati(matching_case(PainleveKind.P6), self.P6_RICCATI,
+                              (-1.0, 0.5), 0.0)
+
+    @pytest.mark.parametrize("kind", list(PainleveKind), ids=[k.value for k in PainleveKind])
+    def test_poles_of_each_flow_are_the_table(self, kind):
+        want = [complex(v) for v in FLOW_T_SINGULARITIES[kind]]
+        for branch in sign_branches(kind):
+            assert numeric._poles((matching_case(kind, branch).riccati_rhs,), "t") == want
+        rng = random.Random(f"flow-poles:{kind.value}")
+        values = [F(v) for v in ("-2", "-1", "-1/2", "0", "1/3", "1", "3/2")]
+        for _ in range(40):
+            params = {k: rng.choice(values) for k in KIND_PARAMS[kind]}
+            ham = hamiltonian(kind, params)
+            assert numeric._poles((ham.dH_dmu, ham.dH_dlam), "t") == want
+            if kind is PainleveKind.P2:
+                ham = hamiltonian(kind, params, h2_literal=True)
+                assert numeric._poles((ham.dH_dmu, ham.dH_dlam), "t") == [0j]
 
 
 class TestTrajectoryExport:

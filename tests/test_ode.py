@@ -198,6 +198,19 @@ class TestSingularPoints:
         assert pts == [SingularPoint(Fraction(1), "regular"), SingularPoint(big, "regular"),
                        SingularPoint(INFINITY, "regular")]
 
+    def test_refused_search_runs_once(self, monkeypatch):
+        # Neither z - N^2 nor (z - N^2)^2 has a divisor list, and the squarefree
+        # factor of the second is the first: N^2 is searched once, and neither
+        # leading coefficient after a refused constant.
+        n2 = 1000003 ** 2
+        calls = []
+        divisors = ode._divisors
+        monkeypatch.setattr(ode, "_divisors", lambda n: calls.append(n) or divisors(n))
+        pts = singular_points(LinearODE2(1 / (z - n2), 1 / (z - n2) ** 2))
+        assert pts == [SingularPoint((z - n2).num, "regular"),
+                       SingularPoint(INFINITY, "regular")]
+        assert calls == [n2, n2 ** 2]
+
     def test_infinity_irregular_for_constant_p1(self):
         # v'' + v' = 0 has an irregular point at infinity (exponential growth).
         pts = singular_points(LinearODE2(const(1), const(0)))
@@ -373,32 +386,29 @@ POLE_FACTORS = ([ZP, ZP - 1, ZP + 2, ZP * 2 - 3, ZP * 3 + 1] + IRREDUCIBLE_QUADR
 
 
 @st.composite
-def pole_equations(draw):
-    """v'' + v'/D1 + v/D2 = 0 with each D a product of POLE_FACTORS powers."""
+def pole_coefficients(draw, n):
+    """n coefficients 1/D, each D a product of POLE_FACTORS powers."""
     def den():
         d = MultiPoly.const(1)
         for f in draw(st.lists(st.sampled_from(POLE_FACTORS), max_size=3)):
             d = d * f ** draw(st.integers(1, 3))
         return d
-    return LinearODE2(1 / RationalExpr(den()), 1 / RationalExpr(den()))
+    return tuple(1 / RationalExpr(den()) for _ in range(n))
 
 
 class TestFinitePolesOracle:
     """The pole search behind ``singular_points``, against sympy's factor_list.
 
-    A key of ``_finite_poles`` is a rational root or an unresolved squarefree
+    A key of ``finite_poles`` is a rational root or an unresolved squarefree
     factor; sympy splits each into irreducibles, which must all be distinct,
-    and each must carry its orders [in p1, in p2] from the factorisations of
-    both denominators over Q.  Each draw with a factor past the trial-division
-    limit costs tens of milliseconds of trial division, hence few examples.
+    and each must carry its orders, one per coefficient, from the
+    factorisations of every denominator over Q.  Each draw with a factor past
+    the trial-division limit costs tens of milliseconds of trial division,
+    hence few examples.
     """
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-    @given(pole_equations())
-    # p2's denominator has no divisor list, and only the root that p1's
-    # reveals splits it.
-    @example(LinearODE2(1 / (z + 2), 1 / ((z + 2) * (1000003 * 1000033 * z - 1))))
-    def test_orders_match_sympy_factor_list(self, eq):
+    @staticmethod
+    def check(coeffs):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("z")
 
@@ -409,17 +419,33 @@ class TestFinitePolesOracle:
                 yield tuple(-v if c[0] < 0 else v for v in c), k
 
         want: dict[tuple, list[int]] = {}
-        for i, p in enumerate((eq.p1, eq.p2)):
+        for i, p in enumerate(coeffs):
             if not p.den.is_const():
                 for f, k in irreducibles(p.den.primitive_int_coeffs("z")):
-                    want.setdefault(f, [0, 0])[i] += k
+                    want.setdefault(f, [0] * len(coeffs))[i] += k
         got: dict[tuple, list[int]] = {}
-        for key, ks in ode._finite_poles(eq).items():
+        for key, ks in ode.finite_poles(coeffs, "z").items():
             if isinstance(key, Fraction):
-                coeffs = [-key.numerator, key.denominator]
+                factor = [-key.numerator, key.denominator]
             else:
-                coeffs = key.primitive_int_coeffs("z")
-            for f, k in irreducibles(coeffs):
+                factor = key.primitive_int_coeffs("z")
+            for f, k in irreducibles(factor):
                 assert k == 1 and f not in got
                 got[f] = ks
         assert got == want
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(pole_coefficients(2))
+    # p2's denominator has no divisor list, and only the root that p1's
+    # reveals splits it.
+    @example((1 / (z + 2), 1 / ((z + 2) * (1000003 * 1000033 * z - 1))))
+    def test_orders_match_sympy_factor_list(self, coeffs):
+        self.check(coeffs)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(pole_coefficients(3))
+    # The root -2 shows in the first denominator only, and splits the other two.
+    @example((1 / (z + 2), 1 / ((z + 2) * (1000003 * 1000033 * z - 1)),
+              1 / ((z + 2) ** 2 * (z - 1000003 ** 2))))
+    def test_three_coefficients(self, coeffs):
+        self.check(coeffs)
