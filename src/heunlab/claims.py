@@ -1,10 +1,13 @@
 """The table of claims that ``verify`` checks, and the runner that checks them.
 
-Each :class:`Claim` names one record of the report: its case id, the suite it
-belongs to, the claim text, and a check that returns one record per
-square-root branch it ran.  :func:`run_claims` selects entries, calls their
-checks, times each call and folds its branch records into the one record the
-report shows.
+Each :class:`Claim` names one record of the report: its case id, the claim
+text, and a check that returns one record per square-root branch it ran.  The
+case id is ``<suite>/<name>``: the suite a claim belongs to is read off it.
+:func:`run_claims` selects entries, calls their checks, times each call and
+folds its branch records into the one record the report shows.
+
+A numeric claim is a residual and the bound it must meet; :func:`_residual`
+makes its check, whose record carries the residual (and so is ``numeric``).
 
 Printed-source variants carry the flag that turns them on; their failure is
 the prediction.  A claim with ``unless`` set gives way to the variant of that
@@ -51,7 +54,6 @@ Check = Callable[[tuple[int, ...], dict], list[CaseRecord]]
 @dataclass(frozen=True)
 class Claim:
     case: str
-    suite: str
     claim: str
     check: Check
     branches: tuple[int, ...] = ()
@@ -64,8 +66,16 @@ class Claim:
 # ---------------------------------------------------------------------------
 
 
-def _numeric(residual: float, passed: bool) -> CaseRecord:
-    return CaseRecord(passed=passed, residual=residual, mode="numeric")
+def _residual(measure: Callable[[dict], float],
+              passed: Callable[[float], bool]) -> Check:
+    """The check of a numeric claim: ``measure`` takes the run's shared dict
+    and returns the residual, and ``passed`` says whether it meets the claim."""
+
+    def check(branches, shared):
+        residual = measure(shared)
+        return [CaseRecord(passed=passed(residual), residual=residual)]
+
+    return check
 
 
 DERIVATIVE_WITNESSES = {
@@ -83,15 +93,10 @@ DERIVATIVE_WITNESSES = {
 }
 
 
-def _derivative_witness(family: HeunFamily) -> Check:
+def _derivative_residual(family: HeunFamily) -> float:
     params, waypoints = DERIVATIVE_WITNESSES[family]
-
-    def check(branches, shared):
-        residual = verify_derivative_numeric(HeunSpec.of(family, **params),
-                                             ComplexPath.of(*waypoints))
-        return [_numeric(residual, residual <= 1e-8)]
-
-    return check
+    return verify_derivative_numeric(HeunSpec.of(family, **params),
+                                     ComplexPath.of(*waypoints))
 
 
 HAMILTONIAN_WITNESSES = {
@@ -109,45 +114,27 @@ HAMILTONIAN_WITNESSES = {
                       (0.5, 0.0), (2.0, 2.2)),
 }
 
+#: The flow of the literal printed p2 Hamiltonian, in the same layout.
+H2_LITERAL_WITNESS = ({"alpha2": Fraction(2)}, (0.25, 0.1), (1.0, 2.0))
+
 HAMILTONIAN_CONFIG = IntegrationConfig(max_step=1 / 1024)
 
 
-def _hamiltonian_witness(kind: PainleveKind) -> Check:
-    params, init, t_range = HAMILTONIAN_WITNESSES[kind]
-
-    def check(branches, shared):
-        traj = integrate_hamiltonian(kind, params, init, t_range, HAMILTONIAN_CONFIG)
-        residual = painleve_residual(kind, traj, params)
-        return [_numeric(residual, residual <= 1e-6)]
-
-    return check
+def _hamiltonian_residual(kind: PainleveKind, params: dict, init: tuple, t_range: tuple,
+                          h2_literal: bool = False) -> float:
+    traj = integrate_hamiltonian(kind, params, init, t_range, HAMILTONIAN_CONFIG,
+                                 h2_literal=h2_literal)
+    return painleve_residual(kind, traj, params)
 
 
-def _hamiltonian_p2_literal(branches, shared):
-    params = {"alpha2": Fraction(2)}
-    traj = integrate_hamiltonian(PainleveKind.P2, params, (0.25, 0.1), (1.0, 2.0),
-                                 HAMILTONIAN_CONFIG, h2_literal=True)
-    residual = painleve_residual(PainleveKind.P2, traj, params)
-    # The failure is exhibited only by a residual above the bound (not NaN).
-    return [_numeric(residual, not residual > 1e-2)]
-
-
-def _riccati_p2_trajectory(shared: dict):
-    """The p2 first-order trajectory, integrated once per run."""
+def _riccati_p2_residual(shared: dict, alpha2: Fraction) -> float:
+    """The residual at ``alpha2`` of the p2 first-order trajectory, which is
+    integrated once per run."""
     if "riccati-p2" not in shared:
         shared["riccati-p2"] = integrate_riccati(
             matching_case(PainleveKind.P2), {"alpha2": Fraction(1, 2)}, (0.0, 1.0),
             0.0, IntegrationConfig(max_step=1 / 512))
-    return shared["riccati-p2"]
-
-
-def _riccati_p2(alpha2: Fraction, passed: Callable[[float], bool]) -> Check:
-    def check(branches, shared):
-        residual = painleve_residual(PainleveKind.P2, _riccati_p2_trajectory(shared),
-                                     {"alpha2": alpha2})
-        return [_numeric(residual, passed(residual))]
-
-    return check
+    return painleve_residual(PainleveKind.P2, shared["riccati-p2"], {"alpha2": alpha2})
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +149,14 @@ _ELIMINATION = ("second derivative of lambda along the Hamiltonian flow equals "
                 "the nonlinear right-hand side with lambda' eliminated")
 
 CLAIMS: tuple[Claim, ...] = (
-    *(Claim(f"derivative/{family.value}", "derivative",
+    *(Claim(f"derivative/{family.value}",
             "closed-form equation for the derivative of a "
             f"{family.value} solution matches the re-derived equation "
             "at fully symbolic parameters",
             lambda _b, _s, family=family: [verify_derivative(family)])
       for family in HeunFamily),
 
-    *(Claim(f"matching/{kind.value}", "matching",
+    *(Claim(f"matching/{kind.value}",
             "the mapped Heun derivative equation equals the deformation linear "
             "equation (all square-root branches)",
             lambda bs, _s, kind=kind: [verify_matching(matching_case(kind, b))
@@ -177,20 +164,20 @@ CLAIMS: tuple[Claim, ...] = (
             sign_branches(kind),
             unless="paper_literal_h2" if kind is PainleveKind.P2 else None)
       for kind in PainleveKind),
-    Claim("matching/p2 [h2-literal]", "matching",
+    Claim("matching/p2 [h2-literal]",
           "with the literal printed Hamiltonian the p2 matching breaks; the "
           "failure is the prediction",
           lambda bs, _s: [verify_matching(matching_case(PainleveKind.P2, b),
                                           h2_literal=True) for b in bs],
           sign_branches(PainleveKind.P2), flag="paper_literal_h2"),
-    Claim("matching/p3prime [bi-confluent slip]", "matching",
+    Claim("matching/p3prime [bi-confluent slip]",
           "the p3prime reduction does not fit the bi-confluent family, "
           "confirming the double-confluent binding",
           lambda _b, _s: [verify_matching(replace(matching_case(PainleveKind.P3P),
                                                   heun_family=HeunFamily.BI_CONFLUENT))],
           flag="family_slip_check"),
 
-    *(Claim(f"riccati/{kind.value}", "riccati",
+    *(Claim(f"riccati/{kind.value}",
             "substituting the deformation-variable constraint into the flow "
             "gives the stated first-order equation; the consistency defect "
             "factors exactly through the parameter condition",
@@ -199,7 +186,7 @@ CLAIMS: tuple[Claim, ...] = (
             sign_branches(kind))
       for kind in PainleveKind),
 
-    *(Claim(f"obstruction/{kind.value}", "obstruction",
+    *(Claim(f"obstruction/{kind.value}",
             "the classical-solution condition forces alpha (or alpha*beta) "
             "and q to vanish",
             lambda bs, _s, kind=kind: [verify_obstruction(matching_case(kind, b))
@@ -207,44 +194,52 @@ CLAIMS: tuple[Claim, ...] = (
             sign_branches(kind))
       for kind in PainleveKind),
 
-    *(Claim(f"elimination/{kind.value}", "elimination", _ELIMINATION,
+    *(Claim(f"elimination/{kind.value}", _ELIMINATION,
             lambda _b, _s, kind=kind: [verify_elimination(kind)],
             unless={PainleveKind.P2: "paper_literal_h2",
                     PainleveKind.P5: "paper_literal_p5"}.get(kind))
       for kind in PainleveKind),
-    Claim("elimination/p2 [h2-literal]", "elimination", _ELIMINATION,
+    Claim("elimination/p2 [h2-literal]", _ELIMINATION,
           lambda _b, _s: [verify_elimination(PainleveKind.P2, h2_literal=True)],
           flag="paper_literal_h2"),
-    Claim("elimination/p5 [p5-literal]", "elimination", _ELIMINATION,
+    Claim("elimination/p5 [p5-literal]", _ELIMINATION,
           lambda _b, _s: [verify_elimination(PainleveKind.P5, p5_literal=True)],
           flag="paper_literal_p5"),
-    Claim("elimination/p3-substitution", "elimination",
+    Claim("elimination/p3-substitution",
           "rescaling lambda(t) to lambda(t^2)/t carries the standard third "
           "equation to its modified form",
           lambda _b, _s: [verify_p3_substitution()]),
 
-    *(Claim(f"numeric/derivative-{family.value}", "numeric",
+    *(Claim(f"numeric/derivative-{family.value}",
             "the integrated solution's derivative satisfies the closed-form "
             "equation to relative residual 1e-8",
-            _derivative_witness(family))
+            _residual(lambda _s, family=family: _derivative_residual(family),
+                      lambda r: r <= 1e-8))
       for family in HeunFamily),
-    Claim("numeric/riccati-p2", "numeric",
+    Claim("numeric/riccati-p2",
           "the first-order trajectory satisfies the full nonlinear equation to "
           "residual 1e-6",
-          _riccati_p2(Fraction(1, 2), lambda r: r <= 1e-6)),
-    Claim("numeric/riccati-p2-perturbed", "numeric",
+          _residual(lambda s: _riccati_p2_residual(s, Fraction(1, 2)),
+                    lambda r: r <= 1e-6)),
+    Claim("numeric/riccati-p2-perturbed",
           "perturbing the condition parameter by 1/100 drives the residual "
           "above 1e-4",
-          _riccati_p2(Fraction(51, 100), lambda r: r > 1e-4)),
-    *(Claim(f"numeric/hamiltonian-{kind.value}", "numeric",
+          _residual(lambda s: _riccati_p2_residual(s, Fraction(51, 100)),
+                    lambda r: r > 1e-4)),
+    *(Claim(f"numeric/hamiltonian-{kind.value}",
             "the flow's position component satisfies the nonlinear equation "
             "to residual 1e-6",
-            _hamiltonian_witness(kind))
+            _residual(lambda _s, kind=kind: _hamiltonian_residual(
+                kind, *HAMILTONIAN_WITNESSES[kind]), lambda r: r <= 1e-6))
       for kind in PainleveKind),
-    Claim("numeric/hamiltonian-p2-literal", "numeric",
+    Claim("numeric/hamiltonian-p2-literal",
           "with the literal printed Hamiltonian the flow's position misses the "
           "nonlinear equation by more than 1e-2; the failure is the prediction",
-          _hamiltonian_p2_literal, flag="paper_literal_h2"),
+          # The failure is exhibited only by a residual above the bound (not NaN).
+          _residual(lambda _s: _hamiltonian_residual(
+              PainleveKind.P2, *H2_LITERAL_WITNESS, h2_literal=True),
+              lambda r: not r > 1e-2),
+          flag="paper_literal_h2"),
 )
 
 
@@ -278,7 +273,7 @@ def run_claims(suite: str, *, case: str | None = None,
     records = []
     for claim in CLAIMS:
         chosen = tuple(b for b in claim.branches if b in branches)
-        if (claim.suite not in suites
+        if (claim.case.split("/")[0] not in suites
                 or (case is not None and case not in claim.case)
                 or (claim.branches and not chosen)
                 or (claim.flag is not None and claim.flag not in flags)

@@ -72,6 +72,7 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
         raise UnknownCase(f"branch must be +1 or -1, got {branch}")
     s = const(branch)
     lam, t = var("lambda"), var("t")
+    gauge = claim = None
     if kind is PainleveKind.P6:
         k0, k1, th, kinf = (var(n) for n in ("kappa0", "kappa1", "theta", "kappainf"))
         K = k0 + k1 + th
@@ -82,25 +83,17 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
         rhs = ((1 + K) * lam ** 2 - (1 + k0 + th + (k0 + k1) * t) * lam + k0 * t) / (t * (t - 1))
         claim = (k0 * t - (1 + k0 + (k0 + k1) * t + th) * lam
                  + (1 + k0 + k1 + th) * lam ** 2) / (t * (t - 1))
-        return MatchingCase(
-            heun_family=HeunFamily.GENERAL,
-            painleve_kind=kind,
-            sign_branch=branch,
-            param_map={
-                "gamma": -k0, "delta": -k1, "epsilon": -th,
-                "alpha": alpha, "beta": beta, "q": ab * lam, "t": t,
-            },
-            gauge=None,
-            mu_constraint=mu_c,
-            riccati_rhs=rhs,
-            riccati_claim=claim,
-            condition=ab,
-            classical_branches=(
-                {"kappa0": kinf - th - k1 - 1},
-                {"kappa0": -kinf - th - k1 - 1},
-            ),
+        family = HeunFamily.GENERAL
+        param_map = {
+            "gamma": -k0, "delta": -k1, "epsilon": -th,
+            "alpha": alpha, "beta": beta, "q": ab * lam, "t": t,
+        }
+        condition = ab
+        classical = (
+            {"kappa0": kinf - th - k1 - 1},
+            {"kappa0": -kinf - th - k1 - 1},
         )
-    if kind is PainleveKind.P5:
+    elif kind is PainleveKind.P5:
         k0, th, kinf, eta = (var(n) for n in ("kappa0", "theta", "kappainf", "eta"))
         sigma = -(k0 + s * kinf + th) / 2
         alpha = t * eta * (2 + k0 + s * kinf + th) / 2
@@ -117,82 +110,69 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
             phi=1 - z / (z - 1),  # simplifies to -1/(z-1)
             sigma=sigma,
         )
-        return MatchingCase(
-            heun_family=HeunFamily.CONFLUENT,
-            painleve_kind=kind,
-            sign_branch=branch,
-            param_map={
-                "gamma": -k0, "delta": k0 + th + 2 * sigma, "epsilon": -t * eta,
-                "alpha": alpha, "q": alpha * lam / (lam - 1),
-            },
-            gauge=gauge,
-            mu_constraint=mu_c,
-            riccati_rhs=rhs,
-            riccati_claim=claim,
-            condition=eta * (2 + k0 + s * kinf + th),
-            classical_branches=(
-                {"eta": const(0)},
-                {"kappainf": -s * (2 + k0 + th)},
-            ),
+        family = HeunFamily.CONFLUENT
+        param_map = {
+            "gamma": -k0, "delta": k0 + th + 2 * sigma, "epsilon": -t * eta,
+            "alpha": alpha, "q": alpha * lam / (lam - 1),
+        }
+        condition = eta * (2 + k0 + s * kinf + th)
+        classical = (
+            {"eta": const(0)},
+            {"kappainf": -s * (2 + k0 + th)},
         )
-    if kind is PainleveKind.P4:
+    elif kind is PainleveKind.P4:
         k0, thinf = var("kappa0"), var("thetainf")
         alpha = (thinf + 1) / 2
         mu_c = t + k0 / lam + lam / 2
-        return MatchingCase(
-            heun_family=HeunFamily.BI_CONFLUENT,
-            painleve_kind=kind,
-            sign_branch=branch,
-            param_map={
-                "gamma": -k0, "delta": -t, "epsilon": const(-1, 2),
-                "alpha": alpha, "q": alpha * lam,
-            },
-            gauge=None,
-            mu_constraint=mu_c,
-            riccati_rhs=lam ** 2 + 2 * t * lam + 2 * k0,
-            condition=thinf + 1,
-            classical_branches=({"thetainf": const(-1)},),
-        )
-    if kind is PainleveKind.P3P:
+        family = HeunFamily.BI_CONFLUENT
+        param_map = {
+            "gamma": -k0, "delta": -t, "epsilon": const(-1, 2),
+            "alpha": alpha, "q": alpha * lam,
+        }
+        rhs = lam ** 2 + 2 * t * lam + 2 * k0
+        condition = thinf + 1
+        classical = ({"thetainf": const(-1)},)
+    elif kind is PainleveKind.P3P:
         e0, einf, t0, tinf = (var(n) for n in ("eta0", "etainf", "theta0", "thetainf"))
         alpha = einf * (t0 + tinf + 2) / 2
         mu_c = einf - t * e0 / lam ** 2 + (t0 + 1) / lam
-        return MatchingCase(
-            heun_family=HeunFamily.DOUBLE_CONFLUENT,
-            painleve_kind=kind,
-            sign_branch=branch,
-            param_map={
-                "gamma": t * e0, "delta": -1 - t0, "epsilon": -einf,
-                "alpha": alpha, "q": alpha * lam,
-            },
-            gauge=None,
-            mu_constraint=mu_c,
-            riccati_rhs=(einf * lam ** 2 + (t0 + 2) * lam - t * e0) / t,
-            condition=einf * (t0 + tinf + 2),
-            classical_branches=(
-                {"etainf": const(0)},
-                {"thetainf": -t0 - 2},
-            ),
+        family = HeunFamily.DOUBLE_CONFLUENT
+        param_map = {
+            "gamma": t * e0, "delta": -1 - t0, "epsilon": -einf,
+            "alpha": alpha, "q": alpha * lam,
+        }
+        rhs = (einf * lam ** 2 + (t0 + 2) * lam - t * e0) / t
+        condition = einf * (t0 + tinf + 2)
+        classical = (
+            {"etainf": const(0)},
+            {"thetainf": -t0 - 2},
         )
-    if kind is PainleveKind.P2:
+    elif kind is PainleveKind.P2:
         a2 = var("alpha2")
         alpha = 1 - 2 * a2
         mu_c = 2 * lam ** 2 + t
-        return MatchingCase(
-            heun_family=HeunFamily.TRI_CONFLUENT,
-            painleve_kind=kind,
-            sign_branch=branch,
-            param_map={
-                "gamma": -t, "delta": const(0), "epsilon": const(-2),
-                "alpha": alpha, "q": alpha * lam,
-            },
-            gauge=None,
-            mu_constraint=mu_c,
-            riccati_rhs=lam ** 2 + t / 2,
-            condition=2 * a2 - 1,
-            classical_branches=({"alpha2": const(1, 2)},),
-        )
-    raise UnknownCase(f"no matching case for {kind}")
+        family = HeunFamily.TRI_CONFLUENT
+        param_map = {
+            "gamma": -t, "delta": const(0), "epsilon": const(-2),
+            "alpha": alpha, "q": alpha * lam,
+        }
+        rhs = lam ** 2 + t / 2
+        condition = 2 * a2 - 1
+        classical = ({"alpha2": const(1, 2)},)
+    else:
+        raise UnknownCase(f"no matching case for {kind}")
+    return MatchingCase(
+        heun_family=family,
+        painleve_kind=kind,
+        sign_branch=branch,
+        param_map=param_map,
+        gauge=gauge,
+        mu_constraint=mu_c,
+        riccati_rhs=rhs,
+        riccati_claim=claim,
+        condition=condition,
+        classical_branches=classical,
+    )
 
 
 def sign_branches(kind: PainleveKind) -> tuple[int, ...]:

@@ -225,7 +225,10 @@ def _build_stepper(n: int):
     computes mixed real and complex operations on the parts instead; the
     differential tests against the float-weight reference would show it.
     The step-size control writes each ``min`` and ``max`` as the comparison
-    that the builtin makes, which picks the same operand, NaN included.
+    that the builtin makes, which picks the same operand, NaN included.  A
+    NaN error estimate rejects the step and shrinks h fivefold, so that an
+    over-long step recovers; when h underflows after one, the error says
+    that the field is not finite.
     """
     ms = range(n)
     env = {"Sample": Sample, "ODETrajectory": ODETrajectory,
@@ -272,7 +275,7 @@ def stepper(field_fn, path, state, cfg):
     {', '.join(f"y{m}" for m in ms)}, = [complex(v) for v in state]
     s_off = 0.0
     steps = 0
-    max_err = 0.0
+    max_err = err = 0.0
     truncated = False
     for a, b in path.segments():
         seg = b - a
@@ -295,7 +298,8 @@ def stepper(field_fn, path, state, cfg):
             if rest < h:
                 h = rest
             if h < 1e-13:
-                raise StiffnessAbort(f"step size underflow at s = {{s:.6f}}")
+                raise StiffnessAbort(f"step size underflow at s = {{s:.6f}}"
+                                     + ("; the field is not finite" if err != err else ""))
 {_indent(step, 12)}
             err = sqrt(({' + '.join(['0', *(f'd{m} * d{m}' for m in ms)])}) / {n})
             if err <= 1.0:
@@ -482,13 +486,15 @@ def _roots_of_poly(mp, name: str) -> list[complex]:
 
 
 def _poles(exprs: tuple[RationalExpr, ...], x: str) -> list[complex]:
-    """The poles in ``x`` of the expressions: the rational ones in increasing
-    order, then the Durand-Kerner roots of each factor that does not split."""
-    poles = finite_poles(exprs, x)
-    out = [complex(r) for r in sorted(r for r in poles if isinstance(r, Fraction))]
-    for f in poles:
-        if not isinstance(f, Fraction):
-            out.extend(_roots_of_poly(f, x))
+    """The poles in ``x`` of the expressions, in the order of ``finite_poles``:
+    each rational one, and the Durand-Kerner roots of each factor that does
+    not split."""
+    out = []
+    for p in finite_poles(exprs, x):
+        if isinstance(p, Fraction):
+            out.append(complex(p))
+        else:
+            out.extend(_roots_of_poly(p, x))
     return out
 
 

@@ -183,9 +183,9 @@ def _rational_roots(coeffs: list[int], divisors=None) -> tuple[dict[Fraction, in
     with the root 0 removed when a coefficient has a prime factor that
     ``divisors`` (by default ``_divisors``) refuses to find, in which case
     the leading coefficient is not searched; ``finite_poles`` then looks for
-    the missing roots elsewhere.  The roots come 0 first, then the others in
-    ascending order; dividing out the primitive factors q z - p in any order
-    leaves the same cofactor, so only the roots found are sorted.
+    the missing roots elsewhere.  Dividing out the primitive factors q z - p
+    in any order leaves the same cofactor, and the roots are in no particular
+    order: ``finite_poles`` orders the poles it returns.
     """
     roots: dict[Fraction, int] = {}
     zeros = next(k for k, c in enumerate(coeffs) if c)
@@ -201,7 +201,6 @@ def _rational_roots(coeffs: list[int], divisors=None) -> tuple[dict[Fraction, in
         return roots, work
     candidates = {(sp * p, q) for p in p_divs for q in q_divs
                   if math.gcd(p, q) == 1 for sp in (1, -1)}
-    found: dict[Fraction, int] = {}
     for p, q in candidates:
         k = 0
         while len(work) > 1:
@@ -211,8 +210,7 @@ def _rational_roots(coeffs: list[int], divisors=None) -> tuple[dict[Fraction, in
             k += 1
             work = quot
         if k:
-            found[Fraction(p, q)] = k
-    roots.update(sorted(found.items()))
+            roots[Fraction(p, q)] = k
     return roots, work
 
 
@@ -261,7 +259,9 @@ def finite_poles(coeffs: tuple[RationalExpr, ...], name: str) -> dict[object, li
     order in every coefficient.  Each basis factor is searched once more, on
     its own smaller coefficients; the factors are pairwise coprime, so a root
     found in one divides no other.  So a point is listed once, with its order
-    in every coefficient, even when only one denominator reveals it.
+    in every coefficient, even when only one denominator reveals it.  The
+    rational poles come first, in increasing order, then the unresolved
+    factors in the order of the basis.
     """
     n = len(coeffs)
     orders: dict[object, list[int]] = {}
@@ -284,13 +284,14 @@ def finite_poles(coeffs: tuple[RationalExpr, ...], name: str) -> dict[object, li
         if len(rest) > 1:
             for a, k in squarefree_decomposition(_univariate(rest, name), name):
                 basis = _refine(basis, a, [k if j == i else 0 for j in range(n)])
+    factors: dict[object, list[int]] = {}
     for a, ks in basis:
         roots, rest = _rational_roots(a.primitive_int_coeffs(name), divisors)
         for r in roots:  # a simple root of a squarefree factor
             orders[r] = ks
         if len(rest) > 1:
-            orders[_univariate(rest, name)] = ks
-    return orders
+            factors[_univariate(rest, name)] = ks
+    return {r: orders[r] for r in sorted(orders)} | factors
 
 
 def _refine(basis: list[tuple[MultiPoly, list[int]]], f: MultiPoly,
@@ -327,7 +328,8 @@ def singular_points(ode: LinearODE2) -> list[SingularPoint]:
 
     A finite point is regular-singular when p1 has a pole of order at most 1
     and p2 of order at most 2 there.  Every pole is resolved exactly where
-    the denominator splits over Q; other factors come back unresolved.
+    the denominator splits over Q; other factors come back unresolved.  The
+    points come in the order of :func:`finite_poles`, then infinity.
 
     The point at infinity is read off the degree excess deg N - deg D of
     coefficients p = N/D, since p(1/w) has w-valuation deg D - deg N; a zero
@@ -345,15 +347,8 @@ def singular_points(ode: LinearODE2) -> list[SingularPoint]:
         raise ValueError(
             f"coefficients still involve parameters {sorted(extra)}; bind them")
 
-    poles = finite_poles((ode.p1, ode.p2), ode.var)
-    # Rational points in increasing order, then the unresolved factors of p1,
-    # then those of p2 alone.
-    rational = sorted(r for r in poles if isinstance(r, Fraction))
-    factors = [f for f in poles if not isinstance(f, Fraction)]
-    points = []
-    for x in rational + factors:
-        k1, k2 = poles[x]
-        points.append(SingularPoint(x, "regular" if k1 <= 1 and k2 <= 2 else "irregular"))
+    points = [SingularPoint(x, "regular" if k1 <= 1 and k2 <= 2 else "irregular")
+              for x, (k1, k2) in finite_poles((ode.p1, ode.p2), ode.var).items()]
     kind = infinity_kind(ode)
     if kind is not None:
         points.append(SingularPoint(INFINITY, kind))

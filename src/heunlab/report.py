@@ -2,9 +2,10 @@
 
 A :class:`CaseRecord` is the outcome of one verified claim: whether it held,
 the failure evidence (a witness point or coefficient difference), and for
-numeric claims the measured residual.  Every verifier returns one, and a
-report is a list of them, sorted by case identifier so that equal runs
-produce byte-identical JSON.
+numeric claims the measured residual.  A record's mode is read off that
+residual: ``numeric`` when it has one, else ``exact``.  Every verifier returns
+one, and a report is a list of them, sorted by case identifier so that equal
+runs produce byte-identical JSON.
 
 A record marked ``predicted_failure`` belongs to a printed-source variant
 whose *claim* is that it fails: its verdict is ``fail-as-predicted`` when the
@@ -29,10 +30,13 @@ class CaseRecord:
     residual: float | None = None
     details: dict = field(default_factory=dict)
     predicted_failure: bool = False
-    mode: str = "exact"  # "exact" | "numeric"
     case: str = ""
     claim: str = ""
     wall_time: float | None = None
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.residual is None else "numeric"
 
     @property
     def verdict(self) -> str:

@@ -107,6 +107,23 @@ class TestVerifyCommand:
         assert rc == 0
         assert capsys.readouterr().out == golden(name)
 
+    def test_all_flags_report_matches_golden(self, capsys):
+        # The one report that holds every symbolic record, the printed-source
+        # variants included.
+        rc = main(["verify", "--suite", "all", "--paper-literal-h2",
+                   "--paper-literal-p5", "--family-slip-check", "--format", "json"])
+        assert rc == 0
+        assert capsys.readouterr().out == golden("verify_all_flags.json")
+
+    def test_readme_record_count(self):
+        # The README's example line states the size of the default report,
+        # which test_all_suite_record_inventory pins to verify_all.json.
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        line = next(ln for ln in readme.splitlines()
+                    if ln.startswith("heunlab verify --suite all --format json"))
+        count = int(line.split("#")[1].split()[0])
+        assert count == len(json.loads(golden("verify_all.json"))["records"])
+
     def test_exit_status_pure_function_of_verdicts(self, capsys):
         rc = main(["verify", "--suite", "obstruction", "--format", "json"])
         data = json.loads(capsys.readouterr().out)
@@ -354,9 +371,10 @@ class TestExitContract:
          ["integrate", "--system", "hamiltonian", "--kind", "p6", "--init", "0.5,0",
           "--t-range", "1e200:2e200"], "float overflow"),
         (GENERAL_PARAMS, [*HEUN_RUN, "--path", "1e200 -> 1e200+1j"], "float overflow"),
-        # every distance to a singular point is past the largest float
+        # every distance to a singular point is past the largest float, and
+        # (1.5e308+1.5e308j) ** 2 is NaN, not an overflow
         (GENERAL_PARAMS, [*HEUN_RUN, "--path", "1.5e308+1.5e308j -> 1.4e308+1.5e308j"],
-         "step size underflow"),
+         "step size underflow at s = 0.000000; the field is not finite"),
     ], ids=["singular-confluence", "missing-parameter", "missing-path",
             "path-through-singular-point", "condition-not-satisfied",
             "malformed-init", "malformed-t-range", "riccati-missing-parameter",

@@ -61,6 +61,16 @@ class TestCaseData:
         assert sign_branches(PainleveKind.P5) == (1, -1)
         assert sign_branches(PainleveKind.P4) == (1,)
 
+    @pytest.mark.parametrize("kind", list(PainleveKind))
+    def test_sign_branches_match_the_data(self, kind):
+        # A kind has one branch exactly when its minus-branch data is its
+        # plus-branch data under another label.
+        plus, minus = matching_case(kind, 1), matching_case(kind, -1)
+        relabelled = minus == replace(plus, sign_branch=-1)
+        assert relabelled == (sign_branches(kind) == (1,))
+        assert relabelled == (kind in (PainleveKind.P2, PainleveKind.P3P,
+                                       PainleveKind.P4))
+
 
 class TestVerifyMatching:
     @pytest.mark.parametrize("kind", list(PainleveKind))

@@ -173,6 +173,20 @@ class TestIntegrateLinear:
             [0.0, 0.001, 0.006, 0.031, 0.156, 0.781, 1.0])
         assert all(smp.y == (1, 0) for smp in traj.samples)
 
+    def test_nan_step_rejected_and_recovered(self):
+        # The first trial step's later stages are NaN: the step is rejected,
+        # h shrinks fivefold, and the integration goes on to the end.
+        calls = []
+
+        def field(x, y):
+            calls.append(x)
+            return (complex("nan") if 2 <= len(calls) <= 7 else y,)
+
+        traj = numeric._integrate_segments(field, ComplexPath.of(0, 1), (1.0,),
+                                           IntegrationConfig())
+        assert traj.samples[1].s == pytest.approx(2e-4)
+        assert abs(traj.samples[-1].y[0] - math.e) < 1e-9
+
     def test_general_heun_self_residual(self):
         from heunlab.heun import build_heun
         ode = build_heun(GENERAL)

@@ -198,6 +198,22 @@ class TestSingularPoints:
         assert pts == [SingularPoint(Fraction(1), "regular"), SingularPoint(big, "regular"),
                        SingularPoint(INFINITY, "regular")]
 
+    def test_finite_poles_key_order(self):
+        # p1 yields 3 and leaves z^2 - 2; p2's search is refused, and its
+        # squarefree factors z + 1, z^2 + 1 and f yield -1 and 2/1000003
+        # after p1's factor has joined the basis.  The keys come as the
+        # rational poles ascending, then the unresolved factors in basis order.
+        f = 1000003 * z - 2
+        p1 = 1 / ((z - 3) * (z * z - 2))
+        p2 = 1 / ((z + 1) * (z * z + 1) ** 2 * f ** 3)
+        assert list(ode.finite_poles((p1, p2), "z").items()) == [
+            (Fraction(-1), [0, 1]), (Fraction(2, 1000003), [0, 3]), (Fraction(3), [1, 0]),
+            ((z * z - 2).num, [1, 0]), ((z * z + 1).num, [0, 2])]
+        got = ode_singularities(LinearODE2(p1, p2))
+        assert got[:3] == [-1, complex(Fraction(2, 1000003)), 3]
+        assert sorted(got[3:], key=lambda w: (w.real, w.imag)) == pytest.approx(
+            [-math.sqrt(2), -1j, 1j, math.sqrt(2)], abs=1e-12)
+
     def test_refused_search_runs_once(self, monkeypatch):
         # Neither z - N^2 nor (z - N^2)^2 has a divisor list, and the squarefree
         # factor of the second is the first: N^2 is searched once, and neither
@@ -345,13 +361,12 @@ class TestRationalRootsDifferential:
     def test_matches_fraction_reference(self, p):
         roots, leftover = ode._rational_roots(p.primitive_int_coeffs("z"))
         ref_roots, ref_leftover = reference_rational_roots(dense_fractions(p))
-        assert list(roots.items()) == list(ref_roots.items())
+        assert roots == ref_roots
         assert leftover == primitive(ref_leftover)
 
     def test_many_candidates(self):
         # The ends 720720 = 2^4 3^2 5 7 11 13 and 5040 = 2^4 3^2 5 7 have 240
         # and 60 divisors, so 3,240 signed coprime pairs p/q are candidates.
-        # The root 0 comes first, ahead of the negative root, as in the reference.
         p = (ZP ** 2 * (ZP * 16 - MultiPoly.const(13))
              * (ZP * 9 + MultiPoly.const(11)) * (ZP * 5 - MultiPoly.const(7))
              * (ZP * ZP * 7 + ZP + MultiPoly.const(720)))
@@ -359,9 +374,9 @@ class TestRationalRootsDifferential:
         assert (coeffs[2], coeffs[-1]) == (720720, 5040)
         roots, leftover = ode._rational_roots(coeffs)
         ref_roots, ref_leftover = reference_rational_roots(dense_fractions(p))
-        assert list(roots.items()) == list(ref_roots.items()) == [
-            (Fraction(0), 2), (Fraction(-11, 9), 1), (Fraction(13, 16), 1),
-            (Fraction(7, 5), 1)]
+        assert roots == ref_roots == {
+            Fraction(0): 2, Fraction(-11, 9): 1, Fraction(13, 16): 1,
+            Fraction(7, 5): 1}
         assert leftover == primitive(ref_leftover) == [720, 1, 7]
 
     def test_past_divisors_limit_keeps_the_polynomial(self):
