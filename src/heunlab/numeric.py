@@ -16,6 +16,25 @@ n, on the first integration of that size: its state components and stage
 values are scalar locals, each stage calls the field once, and its stage sums
 round bit for bit as the tableau rows summed term by term would.
 
+Real-axis runs.  Both generators take the number type as a parameter, and
+emit a complex form and a float form of the same code.  A complex run that
+starts on the real axis keeps every imaginary part a zero while its values
+are finite (+0.0 in the state, whose sums start from ``0j``), and complex
+``+ - * /`` and ``abs`` then round each real part exactly as the float
+operation does: the imaginary parts only add or subtract zeros, which can
+change the sign of an exact zero and nothing else.  The one operation that
+rounds otherwise is ``complex ** k``, which CPython computes by binary
+powering from the low bit up (``c_powu``): the float form writes out that
+chain of products, where libm's ``pow`` would round differently.  An
+integration whose waypoints and initial values all have imaginary part +0.0
+therefore runs in the float form, and gives every sample, error estimate and
+flag that the complex form gives.  Where the two could part, the float run
+hands the whole integration to the complex form, which then gives its own
+result, message or exception: on an ``ArithmeticError``, a non-finite error
+estimate or denominator, an accepted state component that is zero or not
+finite, and a step budget run out or a step size underflowed.
+``painleve_residual`` meters a real trajectory in floats by the same rule.
+
 A trajectory is a list of samples (s, x, y): the arc length along the path,
 the independent variable and the state at each accepted step.  The settings
 of one integration are its tolerances, the distance the path keeps from every
@@ -32,6 +51,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import RationalExpr, const, substitute
 from .heun import HeunSpec, build_heun, build_heun_derivative
@@ -123,8 +143,7 @@ class IntegrationConfig:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
 
 
-@dataclass(frozen=True, slots=True)
-class Sample:
+class Sample(NamedTuple):
     s: float                      # cumulative parameter along the path
     x: complex                    # independent variable value
     y: tuple[complex, ...]        # state
@@ -181,8 +200,22 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
-#: Generated steppers by state size, each built on first use.
+#: The zero of each number type, as the generated code writes it.
+_ZERO = {complex: "0j", float: "0.0"}
+
+#: Generated steppers by state size, each built on first use: the pair of
+#: its complex form and its float form.
 _STEPPERS: dict = {}
+
+
+class _HandOff(Exception):
+    """The float form cannot vouch for its run; the complex form reruns it."""
+
+
+def _on_real_axis(*values: complex) -> bool:
+    """Whether every value's imaginary part is +0.0, which the complex form
+    keeps (a -0.0 may not stay -0.0, and the float form could not say)."""
+    return all(v.imag == 0.0 and math.copysign(1.0, v.imag) > 0 for v in values)
 
 
 def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
@@ -194,61 +227,103 @@ def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
     the state's size (see ``_build_stepper``), built on the first integration
     of that size and kept for the next.  A float overflow in the field or
     the step becomes a :class:`NumericError`.
+
+    A compiled field carries its float form as ``on_floats``.  When it does,
+    and every waypoint and initial value has imaginary part +0.0, the float
+    stepper runs first; if it hands off, the complex stepper runs the whole
+    integration again.
     """
     n = len(y0)
-    stepper = _STEPPERS.get(n)
-    if stepper is None:
-        stepper = _STEPPERS[n] = _build_stepper(n)
+    steppers = _STEPPERS.get(n)
+    if steppers is None:
+        steppers = _STEPPERS[n] = _build_stepper(n)
+    on_complex, on_floats = steppers
+    float_fn = getattr(field_fn, "on_floats", None)
     try:
-        return stepper(field_fn, path, y0, cfg)
+        state = [complex(v) for v in y0]
+        if float_fn is not None and _on_real_axis(*path.waypoints, *state):
+            try:
+                return on_floats(float_fn, [p.real for p in path.waypoints],
+                                 [v.real for v in state], cfg)
+            except (ArithmeticError, StiffnessAbort, _HandOff):
+                pass  # the complex form runs the whole integration again
+        return on_complex(field_fn, path.waypoints, state, cfg)
     except OverflowError as exc:
         raise NumericError(f"float overflow while integrating: {exc}") from None
 
 
 def _build_stepper(n: int):
-    """Generate the Dormand-Prince stepper for states of ``n`` components.
+    """Generate the Dormand-Prince steppers for states of ``n`` components:
+    the complex form and the float form, from one template.
 
     The stages are written out from the tableau with every state component
     and every stage value a scalar local, and each stage calls the field
-    once.  Each stage sum starts from ``0j +`` and keeps the tableau's zero
-    entries, as a ``sum`` over the tableau row would, so every rounding and
-    the sign of every zero are those of the row-by-row form.  The last row
-    of ``_DP_A`` is the fifth-order weights (first same as last): the new
-    state reuses that stage's sum, and the last stage's value is the next
-    step's first.
+    once.  Each stage sum starts from the zero of its number type and keeps
+    the tableau's zero entries, as a ``sum`` over the tableau row would, so
+    every rounding and the sign of every zero are those of the row-by-row
+    form.  The last row of ``_DP_A`` is the fifth-order weights (first same
+    as last): the new state reuses that stage's sum, and the last stage's
+    value is the next step's first.
 
-    The weights of ``_DP_A``, ``_DP_B5`` and ``_DP_E`` are bound as complex
-    numbers ``complex(v)``.  CPython before 3.14 promotes a float or int
-    operand of a complex operation to ``complex(v, 0.0)`` first, so each
-    product and each sum is the one the float weight and the ``sum``'s
-    int start give, without the promotion on every operation.  Python 3.14
-    computes mixed real and complex operations on the parts instead; the
-    differential tests against the float-weight reference would show it.
-    The step-size control writes each ``min`` and ``max`` as the comparison
-    that the builtin makes, which picks the same operand, NaN included.  A
-    NaN error estimate rejects the step and shrinks h fivefold, so that an
-    over-long step recovers; when h underflows after one, the error says
-    that the field is not finite.
+    The weights of ``_DP_A``, ``_DP_B5`` and ``_DP_E`` are bound in the
+    number type, as ``complex(v)`` in the complex form.  CPython before 3.14
+    promotes a float or int operand of a complex operation to
+    ``complex(v, 0.0)`` first, so each product and each sum is the one the
+    float weight and the ``sum``'s int start give, without the promotion on
+    every operation.  Python 3.14 computes mixed real and complex operations
+    on the parts instead; the differential tests against the float-weight
+    reference, and of the float form against the complex form, would show
+    it.  The step-size control writes each ``min`` and ``max`` as the
+    comparison that the builtin makes, which picks the same operand, NaN
+    included.  A NaN error estimate rejects the step and shrinks h fivefold,
+    so that an over-long step recovers; when h underflows after one, the
+    error says that the field is not finite.
+
+    The float form computes on the real parts what the complex form computes
+    when every imaginary part is +0.0, and ``_integrate_segments`` runs it
+    only then.  While the values are finite, the imaginary parts stay +0.0
+    in the stage sums and the state, and each complex ``+ - * /`` and
+    ``abs`` rounds the real part as the float operation does, since the
+    imaginary parts add only signed zeros to it; the field's powers are
+    ``c_powu``'s chain of products (``_float_power``).  So the two forms can
+    part only in the sign of an exact zero, or past a value that is not
+    finite, where the complex form's imaginary parts turn NaN.  The float
+    form therefore hands off (``_HandOff``) on an error estimate that is not
+    finite and on an accepted state component that is zero or not finite,
+    and builds each sample's values as ``complex(v, 0.0)``.  Each stepper
+    is ``stepper(field_fn, points, state, cfg)`` over the waypoints and the
+    initial state in its number type.
     """
+    return _generate_stepper(n, complex), _generate_stepper(n, float)
+
+
+def _generate_stepper(n: int, number: type):
+    """The stepper of ``_build_stepper`` that computes in ``number``."""
+    real = number is float
     ms = range(n)
     env = {"Sample": Sample, "ODETrajectory": ODETrajectory,
-           "StiffnessAbort": StiffnessAbort, "sqrt": math.sqrt,
+           "StiffnessAbort": StiffnessAbort, "_HandOff": _HandOff,
+           "sqrt": math.sqrt, "isfinite": math.isfinite, "inf": math.inf,
            "_MAX_STEPS": _MAX_STEPS, "_POLE_THRESHOLD": _POLE_THRESHOLD}
     env.update({f"c{i + 1}": c for i, c in enumerate(_DP_C)})
-    env.update({f"a{i + 1}{j + 1}": complex(v) for i, row in enumerate(_DP_A)
+    env.update({f"a{i + 1}{j + 1}": number(v) for i, row in enumerate(_DP_A)
                 for j, v in enumerate(row)})
-    env.update({f"b{j + 1}": complex(v) for j, v in enumerate(_DP_B5)})
-    env.update({f"e{j + 1}": complex(v) for j, v in enumerate(_DP_E)})
+    env.update({f"b{j + 1}": number(v) for j, v in enumerate(_DP_B5)})
+    env.update({f"e{j + 1}": number(v) for j, v in enumerate(_DP_E)})
+    zero = _ZERO[number]
 
     def stage_sum(coeff: str, row, m: int) -> str:
         # coeff names the row's entries: coeff + "1", coeff + "2", ...
-        return " + ".join(["0j", *(f"{coeff}{j + 1} * k{j + 1}_{m}"
+        return " + ".join([zero, *(f"{coeff}{j + 1} * k{j + 1}_{m}"
                                    for j in range(len(row)))])
 
     def call(i: int, x: str, args) -> list[str]:
         ks = [f"k{i}_{m}" for m in ms]
         return [f"{', '.join(ks)}, = field_fn({x}, {', '.join(args)})",
                 *(f"{k} = seg * {k}" for k in ks)]
+
+    def boxed(value: str) -> str:
+        return f"complex({value}, 0.0)" if real else value
 
     last = len(_DP_A)
     step = []
@@ -266,18 +341,25 @@ def _build_stepper(n: int):
         step += [f"u = abs(y{m})", f"v = abs(z{m})",
                  f"d{m} = abs(h * ({stage_sum('e', _DP_E, m)}))"
                  f" / (atol + rtol * (v if v > u else u))"]
+    step.append(f"err = sqrt(({' + '.join(['0', *(f'd{m} * d{m}' for m in ms)])}) / {n})")
+    if real:
+        step += ["if not err < inf:", "    raise _HandOff"]
+    accept = [f"y{m} = z{m}" for m in ms]
+    if real:
+        accept += [f"if not ({' and '.join(f'y{m} and isfinite(y{m})' for m in ms)}):",
+                   "    raise _HandOff"]
     # a tuple display over the components, a trailing comma for n = 1
-    ys = "".join(["(", *(f"y{m}, " for m in ms), ")"])
+    ys = "".join(["(", *(f"{boxed(f'y{m}')}, " for m in ms), ")"])
     source = f"""\
-def stepper(field_fn, path, state, cfg):
+def stepper(field_fn, points, state, cfg):
     atol, rtol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
     samples = []
-    {', '.join(f"y{m}" for m in ms)}, = [complex(v) for v in state]
+    {', '.join(f"y{m}" for m in ms)}, = state
     s_off = 0.0
     steps = 0
     max_err = err = 0.0
     truncated = False
-    for a, b in path.segments():
+    for a, b in zip(points, points[1:]):
         seg = b - a
         seg_len = abs(seg)
         s = 0.0
@@ -289,7 +371,7 @@ def stepper(field_fn, path, state, cfg):
         # Stages are d y / d s = seg * d y / d x along the segment.
 {_indent(call(1, "a + s * seg", [f"y{m}" for m in ms]), 8)}
         if not samples:
-            samples.append(Sample(0.0, a, {ys}))
+            samples.append(Sample(0.0, {boxed("a")}, {ys}))
         while s < 1.0:
             if steps >= _MAX_STEPS:
                 raise StiffnessAbort("step budget exhausted")
@@ -301,14 +383,13 @@ def stepper(field_fn, path, state, cfg):
                 raise StiffnessAbort(f"step size underflow at s = {{s:.6f}}"
                                      + ("; the field is not finite" if err != err else ""))
 {_indent(step, 12)}
-            err = sqrt(({' + '.join(['0', *(f'd{m} * d{m}' for m in ms)])}) / {n})
             if err <= 1.0:
                 s += h
-{_indent([f"y{m} = z{m}" for m in ms], 16)}
+{_indent(accept, 16)}
 {_indent([f"k1_{m} = k{last}_{m}" for m in ms], 16)}
                 if err > max_err:
                     max_err = err
-                samples.append(Sample(s_off + s * seg_len, a + s * seg, {ys}))
+                samples.append(Sample(s_off + s * seg_len, {boxed("a + s * seg")}, {ys}))
                 if {' or '.join(f"abs(y{m}) > _POLE_THRESHOLD" for m in ms)}:
                     samples.pop()
                     truncated = True
@@ -347,18 +428,20 @@ _TERMS_PER_STATEMENT = 200
 
 
 def _emit_quotient(expr: RationalExpr, arg: dict[str, str], env: dict,
-                   powers: set[str]) -> tuple[list[str], str]:
+                   powers: set[str], number: type) -> tuple[list[str], str]:
     """Generated lines that evaluate ``expr``, and the quotient that ends it.
 
     ``arg`` maps each indeterminate to the name it has in the generated
-    code.  The lines leave the numerator in ``num`` and the denominator in
-    ``den`` (a constant denominator stays a name in ``env``); each is a sum of
-    the polynomial's terms, in order, onto ``0j``, each term its coefficient
-    times ``x ** k`` for every nonzero exponent.  The coefficients reach the
-    generated code as objects in ``env``, never as printed numbers.
+    code, and ``number`` is the number type the code computes in.  The lines
+    leave the numerator in ``num`` and the denominator in ``den`` (a constant
+    denominator stays a name in ``env``); each is a sum of the polynomial's
+    terms, in order, onto the zero of ``number``, each term its coefficient
+    times the power ``x ** k`` of every nonzero exponent.  The coefficients
+    reach the generated code as objects of ``number`` in ``env``, never as
+    printed numbers.
 
-    Each distinct power is computed once per generated function: ``x ** k``
-    is stored in the local ``x_k`` right before the first statement that uses
+    Each distinct power is computed once per generated function: it is
+    stored in the local ``x_k`` right before the first statement that uses
     it, and ``powers`` names the locals that earlier lines of the same
     function have assigned.  A power is pure, so every term multiplies the
     value it would have computed in place.  The powers are not all hoisted to
@@ -368,45 +451,87 @@ def _emit_quotient(expr: RationalExpr, arg: dict[str, str], env: dict,
     operation that fails, and so the exception, that of the in-place form.
     A zero denominator in one quotient still raises before a power that
     first appears in a later quotient can overflow.
+
+    The float form writes each power as the product chain of ``c_powu``
+    (``_float_power``), which never raises, and raises ``FloatingPointError``
+    on a denominator that is not finite: a quotient by it can be finite in
+    floats where the complex form has NaN parts or has raised.
     """
     extra = expr.names() - set(arg)
     if extra:
         raise ValueError(f"expression still involves {sorted(extra)}")
+    zero = _ZERO[number]
+
+    def power(x: str, k: int, first: list[str]) -> str:
+        if number is float:
+            return _float_power(x, k, powers, first)
+        local = f"{x}_{k}"
+        if local not in powers:
+            powers.add(local)
+            first.append(f"{local} = {x} ** {k}")
+        return local
 
     def assign(target: str, p) -> list[str]:
         terms, new = [], []  # new[i]: the powers that term i uses first
         for e, c in p.terms.items():
             key = f"c{len(env)}"
-            env[key] = complex(c / p.den)
+            env[key] = number(c / p.den)
             factors, first = [key], []
             for n, k in zip(p.names, e):
                 if k:
-                    local = f"{arg[n]}_{k}"
-                    if local not in powers:
-                        powers.add(local)
-                        first.append(f"{local} = {arg[n]} ** {k}")
-                    factors.append(local)
+                    factors.append(power(arg[n], k, first))
             terms.append(" * ".join(factors))
             new.append(first)
-        lines, acc = [], "0j"
+        lines, acc = [], zero
         for i in range(0, len(terms), _TERMS_PER_STATEMENT):
             chunk = slice(i, i + _TERMS_PER_STATEMENT)
             lines += [line for first in new[chunk] for line in first]
             lines.append(f"{target} = {' + '.join([acc, *terms[chunk]])}")
             acc = target
-        return lines or [f"{target} = 0j"]
+        return lines or [f"{target} = {zero}"]
 
     lines = assign("num", expr.num)
     if expr.den.is_const():
         den = f"c{len(env)}"
-        env[den] = complex(expr.den.const_value())
+        env[den] = number(expr.den.const_value())
         return lines, f"num / {den}"
-    return lines + assign("den", expr.den), "num / den"
+    lines += assign("den", expr.den)
+    if number is float:
+        lines += ["if den - den:", "    raise FloatingPointError"]  # inf or NaN
+    return lines, "num / den"
+
+
+def _float_power(x: str, k: int, powers: set[str], lines: list[str]) -> str:
+    """The name that holds ``x ** k`` in the float form, rounded as CPython's
+    ``complex ** k`` rounds the real part of an operand on the real axis.
+
+    ``c_powu`` forms the squares ``p = x, x ** 2, x ** 4, ...`` and
+    multiplies ``r = 1`` by the square of each set bit of ``k``, the lowest
+    bit first.  ``1 * p`` is ``p``, so ``x ** k`` is ``x ** (k - top) *
+    x ** top`` with ``top`` the highest set bit, and ``x ** top`` is the
+    square of ``x ** (top // 2)``: ``x ** 3`` is ``x * (x * x)`` and
+    ``x ** 4`` is ``(x * x) * (x * x)``.  Each power missing from ``powers``
+    is assigned, after its factors, in ``lines``.
+    """
+    if k == 1:
+        return x
+    local = f"{x}_{k}"
+    if local not in powers:
+        top = 1 << (k.bit_length() - 1)
+        if k == top:
+            left = right = _float_power(x, top // 2, powers, lines)
+        else:
+            left = _float_power(x, k - top, powers, lines)
+            right = _float_power(x, top, powers, lines)
+        powers.add(local)
+        lines.append(f"{local} = {left} * {right}")
+    return local
 
 
 def _compile(params: tuple[str, ...], arg: dict[str, str],
-             values: dict[str, RationalExpr], result: str):
-    """One function of ``params`` that returns ``result``.
+             values: dict[str, RationalExpr], result: str, number: type = complex):
+    """One function of ``params`` that returns ``result``, computed in
+    ``number``.
 
     Each entry of ``values`` binds a name to the quotient of its expression
     (``_emit_quotient``), whose indeterminates ``arg`` maps to parameters.
@@ -415,7 +540,7 @@ def _compile(params: tuple[str, ...], arg: dict[str, str],
     powers: set[str] = set()
     body = []
     for name, expr in values.items():
-        lines, quotient = _emit_quotient(expr, arg, env, powers)
+        lines, quotient = _emit_quotient(expr, arg, env, powers, number)
         body += [*lines, f"{name} = {quotient}"]
     source = "\n".join([f"def compiled({', '.join(params)}):",
                         _indent([*body, f"return {result}"], 4)])
@@ -423,32 +548,43 @@ def _compile(params: tuple[str, ...], arg: dict[str, str],
     return env["compiled"]
 
 
-def compile_scalar(expr: RationalExpr, names: tuple[str, ...]):
-    """Compile a rational expression into a complex-valued function.
+def compile_scalar(expr: RationalExpr, names: tuple[str, ...], number: type = complex):
+    """Compile a rational expression into a function computed in ``number``.
 
     The expression may only involve the given indeterminates; parameters must
     already be bound exactly.  The function takes one positional argument per
     name and returns ``num / den`` evaluated by generated straight-line code.
+    Its float form (``number=float``) takes and returns floats, and raises an
+    ``ArithmeticError`` where the complex form's result could differ.
     """
     arg = {n: f"x{i}" for i, n in enumerate(names)}
-    return _compile(tuple(arg.values()), arg, {"value": expr}, "value")
+    return _compile(tuple(arg.values()), arg, {"value": expr}, "value", number)
+
+
+def _field(params: tuple[str, ...], arg: dict[str, str],
+           values: dict[str, RationalExpr], result: str):
+    """The complex form of a field, carrying its float form as ``on_floats``
+    for ``_integrate_segments``."""
+    field_fn = _compile(params, arg, values, result)
+    field_fn.on_floats = _compile(params, arg, values, result, float)
+    return field_fn
 
 
 def _linear_field(ode: LinearODE2):
     """The field of v'' + p1 v' + p2 v = 0 in the state (v, v')."""
-    return _compile(("x", "y0", "y1"), {ode.var: "x"}, {"P1": ode.p1, "P2": ode.p2},
-                    "(y1, -P1 * y1 - P2 * y0)")
+    return _field(("x", "y0", "y1"), {ode.var: "x"}, {"P1": ode.p1, "P2": ode.p2},
+                  "(y1, -P1 * y1 - P2 * y0)")
 
 
 def _riccati_field(rhs: RationalExpr):
     """The field of lambda' = rhs(lambda, t) in the state (lambda,)."""
-    return _compile(("x", "y0"), {"lambda": "y0", "t": "x"}, {"R": rhs}, "(R,)")
+    return _field(("x", "y0"), {"lambda": "y0", "t": "x"}, {"R": rhs}, "(R,)")
 
 
 def _hamiltonian_field(dh_dmu: RationalExpr, dh_dlam: RationalExpr):
     """The flow lambda' = dH/dmu, mu' = -dH/dlambda in the state (lambda, mu)."""
-    return _compile(("x", "y0", "y1"), {"lambda": "y0", "mu": "y1", "t": "x"},
-                    {"DMU": dh_dmu, "DLAM": dh_dlam}, "(DMU, -DLAM)")
+    return _field(("x", "y0", "y1"), {"lambda": "y0", "mu": "y1", "t": "x"},
+                  {"DMU": dh_dmu, "DLAM": dh_dlam}, "(DMU, -DLAM)")
 
 
 # ---------------------------------------------------------------------------
@@ -665,22 +801,43 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
     second derivatives come from 5-point central finite differences, so the
     meter never consults the equations that generated the trajectory.
 
+    When the trajectory's end points and every lambda value have imaginary
+    part +0.0, the meter runs in floats first (see the module docstring),
+    and hands off to the complex form on an ``ArithmeticError`` or a point
+    residual that is not finite.
+    """
+    if len(traj.samples) < 5:
+        raise InsufficientSamples(
+            f"need at least 5 samples, got {len(traj.samples)}")
+    expr = painleve_rhs(kind, params)
+    names = ("lambda", "lambdap", "t")
+    ss = [smp.s for smp in traj.samples]
+    lams = [smp.y[0] for smp in traj.samples]
+    t0 = traj.samples[0].x
+    t1 = traj.samples[-1].x
+    if _on_real_axis(t0, t1, *lams):
+        try:
+            worst, finite = _meter(compile_scalar(expr, names, float), ss,
+                                   [lam.real for lam in lams], t0.real, t1.real, float)
+        except ArithmeticError:
+            finite = False
+        if finite:
+            return worst
+    return _meter(compile_scalar(expr, names), ss, lams, t0, t1, complex)[0]
+
+
+def _meter(rhs, ss: list[float], lams: list, t0, t1, number: type) -> tuple[float, bool]:
+    """The largest point residual, and whether every point residual is finite
+    (a NaN one is no maximum), computed in ``number``.
+
     The window of each grid point x starts at
     ``max(0, min(bisect_left(ss, x) - 3, len(ss) - 6))``.  The arc lengths
     ``ss`` of a trajectory never decrease, and neither does the grid, so the
     window's start only walks forward and is found by stepping it, not by a
     search.  The stencil keeps its five values in locals, and its constants
-    are the complex numbers that an int or float operand of the complex
+    are the ``number`` values that an int or float operand of the complex
     states is promoted to.
     """
-    if len(traj.samples) < 5:
-        raise InsufficientSamples(
-            f"need at least 5 samples, got {len(traj.samples)}")
-    rhs = compile_scalar(painleve_rhs(kind, params), ("lambda", "lambdap", "t"))
-    ss = [smp.s for smp in traj.samples]
-    lams = [smp.y[0] for smp in traj.samples]
-    t0 = traj.samples[0].x
-    t1 = traj.samples[-1].x
     direction = (t1 - t0) / (ss[-1] - ss[0])
     n_grid = min(4097, max(513, 2 * len(ss)))
     h = (ss[-1] - ss[0]) / (n_grid - 1)
@@ -697,11 +854,12 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
                 lo += 1
             xs, ys = ss[lo:lo + 6], lams[lo:lo + 6]
         vals.append(_neville(xs, ys, x))
-    h12, h12h = complex(12 * h), complex(12 * h * h)
-    c8, c16, c30 = 8 + 0j, 16 + 0j, 30 + 0j
+    h12, h12h = number(12 * h), number(12 * h * h)
+    c8, c16, c30 = number(8), number(16), number(30)
     dir2 = direction * direction
     s0 = ss[0]
     worst = 0.0
+    finite = True
     vm2, vm1, lam, v1 = vals[:4]
     for v2, x in zip(vals[4:], grid[2:]):
         d1 = (-v2 + c8 * v1 - c8 * vm1 + vm2) / h12
@@ -709,7 +867,10 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
         lam_t = d1 / direction
         lam_tt = d2 / dir2
         res = abs(lam_tt - rhs(lam, lam_t, t0 + (x - s0) * direction))
-        if res > worst:
-            worst = res
+        if not res <= worst:  # a new maximum, or NaN
+            if res == res:
+                worst = res
+            else:
+                finite = False
         vm2, vm1, lam, v1 = vm1, lam, v1, v2
-    return worst
+    return worst, finite and worst < math.inf

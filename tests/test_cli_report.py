@@ -395,6 +395,26 @@ class TestExitContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    # A real path or t-range runs in floats first, and its overflow hands the
+    # integration off once to the complex form, which raises the error above;
+    # a complex path takes the complex form directly.
+    @pytest.mark.parametrize("params, argv, forms", [
+        (GENERAL_PARAMS, [*HEUN_RUN, "--path", "1e200 -> 2e200"], ["float", "complex"]),
+        ("kappa0 = 1/3\nkappa1 = 1/5\ntheta = 1/7\nkappainf = 1/2\n",
+         ["integrate", "--system", "hamiltonian", "--kind", "p6", "--init", "0.5,0",
+          "--t-range", "1e200:2e200"], ["float", "complex"]),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--path", "1e200 -> 1e200+1j"], ["complex"]),
+        (GENERAL_PARAMS, [*HEUN_RUN, "--path", "1.5e308+1.5e308j -> 1.4e308+1.5e308j"],
+         ["complex"]),
+    ], ids=["far-path-overflow", "far-t-range-overflow", "far-field-overflow",
+            "path-past-float-range"])
+    def test_stepper_forms(self, capsys, tmp_path, stepper_forms, params, argv, forms):
+        p = tmp_path / "case.params"
+        p.write_text(params)
+        with pytest.raises(SystemExit):
+            main([*argv, "--params", str(p)])
+        assert stepper_forms == forms
+
 
 class TestSharedParser:
     """``main`` builds its parser once per process and every call reuses it."""

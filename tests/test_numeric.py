@@ -187,6 +187,13 @@ class TestIntegrateLinear:
         assert traj.samples[1].s == pytest.approx(2e-4)
         assert abs(traj.samples[-1].y[0] - math.e) < 1e-9
 
+    def test_state_too_large_for_a_float(self):
+        # read before either form of the stepper runs, inside the overflow guard
+        with pytest.raises(numeric.NumericError,
+                           match="^float overflow while integrating: int too large"):
+            integrate_linear(LinearODE2(const(0), const(1)), ComplexPath.of(0, 1),
+                             (10 ** 400, 0))
+
     def test_general_heun_self_residual(self):
         from heunlab.heun import build_heun
         ode = build_heun(GENERAL)
@@ -493,3 +500,24 @@ class TestWorkCounts:
         monkeypatch.setattr(numeric, "_integrate_segments", spy)
         run_claims("numeric", flags=frozenset({"paper_literal_h2"}))
         assert seen == self.SUITE_TRAJECTORIES
+
+    # The form each suite trajectory runs in: the four derivative witnesses
+    # on complex paths take the complex form directly; the triconfluent one,
+    # on the real path (-1, 0), the Riccati reduction and the six Hamiltonian
+    # flows take the float form, and none of them hands off.
+    SUITE_FORMS = [["complex"]] * 4 + [["float"]] * 8
+
+    def test_numeric_suite_forms(self, monkeypatch, stepper_forms):
+        from heunlab.claims import run_claims
+        integrate = numeric._integrate_segments
+        seen = []
+
+        def spy(*args):
+            start = len(stepper_forms)
+            traj = integrate(*args)
+            seen.append(stepper_forms[start:])
+            return traj
+
+        monkeypatch.setattr(numeric, "_integrate_segments", spy)
+        run_claims("numeric", flags=frozenset({"paper_literal_h2"}))
+        assert seen == self.SUITE_FORMS

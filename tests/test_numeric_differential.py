@@ -17,11 +17,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from heunlab import claims, numeric
-from heunlab.algebra import MultiPoly, RationalExpr, const, var
+from heunlab.algebra import MultiPoly, RationalExpr, const, substitute, var
 from heunlab.heun import HeunFamily, HeunSpec, build_heun, build_heun_derivative
 from heunlab.matching import matching_case
 from heunlab.numeric import (
@@ -448,9 +448,13 @@ def test_neville_matches_reference(n):
 # ---------------------------------------------------------------------------
 
 
-def _power_ops(fn) -> int:
+def _binary_ops(fn, op: str) -> int:
     return sum(1 for ins in dis.get_instructions(fn)
-               if ins.opname == "BINARY_OP" and ins.argrepr == "**")
+               if ins.opname == "BINARY_OP" and ins.argrepr == op)
+
+
+def _power_ops(fn) -> int:
+    return _binary_ops(fn, "**")
 
 
 def _power_pairs(*exprs) -> set:
@@ -471,6 +475,18 @@ class TestPowerCounts:
         ham = hamiltonian(kind, params)
         fieldfn = numeric._hamiltonian_field(ham.dH_dmu, ham.dH_dlam)
         assert _power_ops(fieldfn) == len(_power_pairs(ham.dH_dmu, ham.dH_dlam)) == powers
+
+    # The float form writes each power as products: every power k > 1 of
+    # the complex form (x ** 1 is x) costs the products of its chain.
+    @pytest.mark.parametrize("kind, products", [
+        (PainleveKind.P2, 6), (PainleveKind.P4, 12), (PainleveKind.P3P, 14),
+        (PainleveKind.P5, 25), (PainleveKind.P6, 37)])
+    def test_hamiltonian_field_on_floats(self, kind, products):
+        params = claims.HAMILTONIAN_WITNESSES[kind][0]
+        ham = hamiltonian(kind, params)
+        fieldfn = numeric._hamiltonian_field(ham.dH_dmu, ham.dH_dlam).on_floats
+        assert _power_ops(fieldfn) == 0
+        assert _binary_ops(fieldfn, "*") == products
 
     def test_p6_rhs(self):
         rhs = painleve_rhs(PainleveKind.P6, P6)
@@ -678,3 +694,242 @@ def test_derivative_witness_matches_reference(family):
     traj = integrate_linear(build_heun(spec), path, (1.0, 1.0))
     got = numeric.verify_derivative_numeric(spec, path)
     assert repr(got) == repr(reference_derivative_residual(spec, traj))
+
+
+# ---------------------------------------------------------------------------
+# The float form against the complex form.  A run on the real axis in floats
+# must give every sample, flag, error estimate and exception of the complex
+# form, bit for bit, or hand the run off to it.  Either form's own outcome is
+# compared by repr; the complex form is run on the same field stripped of its
+# float form.
+# ---------------------------------------------------------------------------
+
+
+class TestFloatPowerChain:
+    """``x ** k`` in the float form is ``c_powu``'s chain of products."""
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_chain_is_the_complex_power(self, k):
+        chain = compile_scalar(z ** k, ("z",), float)
+        assert _power_ops(chain) == 0
+        rng = random.Random(f"chain:{k}")
+        xs = [0.0, -0.0, 1.0, -1.0, 5e-324, 1.7976931348623157e308]
+        xs += [rng.uniform(-4, 4) for _ in range(200)]
+        # magnitudes whose k-th power reaches overflow and underflow
+        xs += [rng.choice((-1, 1)) * math.ldexp(rng.uniform(0.5, 1),
+                                                rng.randint(-1074 // k, 1024 // k))
+               for _ in range(200)]
+        for x in xs:
+            got = chain(x)
+            try:
+                want = (complex(x) ** k).real
+            except OverflowError:
+                want = math.inf
+            if math.isfinite(want):
+                # bit for bit, but for the sign of an exact zero
+                assert got == want and (repr(got) == repr(want) or want == 0), x
+            else:  # the complex power overflows, or its parts turn NaN
+                assert not math.isfinite(got), x
+
+
+def _outcome(run):
+    """Every sample by repr, the flag and the error estimate, or the exception."""
+    try:
+        traj = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([repr(smp) for smp in traj.samples], traj.pole_truncated,
+            repr(traj.max_error_estimate))
+
+
+def _outcome_of(run):
+    """The repr of the value, or the exception."""
+    try:
+        return repr(run())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _complex_only(field_fn):
+    return lambda x, *ys: field_fn(x, *ys)
+
+
+def _both_forms(forms, field_fn, path, init, cfg):
+    """The outcome with the float form allowed and the forms it ran, and
+    the outcome of the complex form alone."""
+    forms.clear()
+    got = _outcome(lambda: numeric._integrate_segments(field_fn, path, init, cfg))
+    ran = list(forms)
+    forms.clear()
+    want = _outcome(lambda: numeric._integrate_segments(_complex_only(field_fn), path,
+                                                        init, cfg))
+    assert forms == ["complex"]
+    return got, ran, want
+
+
+def _assert_forms_agree(forms, field_fn, path, init, cfg):
+    got, ran, want = _both_forms(forms, field_fn, path, init, cfg)
+    assert got == want
+    on_axis = all(repr(complex(v).imag) == "0.0" for v in (*path.waypoints, *init))
+    assert ran in ([["float"], ["float", "complex"]] if on_axis else [["complex"]])
+
+
+def _complex_meter(kind, traj, params):
+    rhs = compile_scalar(painleve_rhs(kind, params), ("lambda", "lambdap", "t"))
+    return numeric._meter(rhs, [smp.s for smp in traj.samples],
+                          [smp.y[0] for smp in traj.samples],
+                          traj.samples[0].x, traj.samples[-1].x, complex)[0]
+
+
+# Real parts where rounding and signed zeros show; now and then an imaginary
+# part of -0.0, which must keep the run in the complex form.
+axis_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                       st.floats(-3, 3, allow_nan=False))
+axis_values = st.builds(complex, axis_parts, st.sampled_from([0.0] * 7 + [-0.0]))
+configs = st.sampled_from([IntegrationConfig(), IntegrationConfig(abs_tol=1e-8, rel_tol=1e-6),
+                           IntegrationConfig(max_step=1 / 64)])
+
+
+@st.composite
+def axis_paths(draw):
+    points = draw(st.lists(axis_values, min_size=2, max_size=3))
+    assume(all(a != b for a, b in zip(points, points[1:])))
+    return ComplexPath.of(*points)
+
+
+@st.composite
+def hamiltonian_flows(draw):
+    """A witness flow with its parameters moved by multiples of 1/8."""
+    kind = draw(st.sampled_from(list(PainleveKind)))
+    params = {k: v + F(draw(st.integers(-8, 8)), 8)
+              for k, v in claims.HAMILTONIAN_WITNESSES[kind][0].items()}
+    ham = hamiltonian(kind, params)
+    return kind, params, numeric._hamiltonian_field(ham.dH_dmu, ham.dH_dlam)
+
+
+FORM_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFloatForm:
+    @pytest.fixture(autouse=True)
+    def _step_budget(self, monkeypatch, stepper_forms):
+        # A smaller budget keeps a stiff draw short and hands it off all the same.
+        monkeypatch.setattr(numeric, "_MAX_STEPS", 3000)
+
+    @FORM_SETTINGS
+    @given(rationals(("z",)), rationals(("z",)), axis_paths(), axis_values, axis_values,
+           configs)
+    def test_linear(self, stepper_forms, p1, p2, path, v, vp, cfg):
+        field_fn = numeric._linear_field(LinearODE2(p1, p2))
+        _assert_forms_agree(stepper_forms, field_fn, path, (v, vp), cfg)
+
+    @FORM_SETTINGS
+    @given(rationals(("lambda", "t")), axis_paths(), axis_values, configs)
+    def test_riccati(self, stepper_forms, rhs, path, lam0, cfg):
+        _assert_forms_agree(stepper_forms, numeric._riccati_field(rhs), path, (lam0,), cfg)
+
+    @FORM_SETTINGS
+    @given(hamiltonian_flows(), axis_values, axis_values, st.floats(0.9, 2.1),
+           st.one_of(st.floats(0.05, 0.5), st.floats(-0.5, -0.05)), configs)
+    def test_hamiltonian(self, stepper_forms, flow, lam0, mu0, t0, dt, cfg):
+        kind, params, field_fn = flow
+        path = ComplexPath.of(t0, t0 + dt)
+        _assert_forms_agree(stepper_forms, field_fn, path, (lam0, mu0), cfg)
+        # the meter of the trajectory, in floats where it is real
+        try:
+            traj = numeric._integrate_segments(field_fn, path, (lam0, mu0), cfg)
+        except Exception:
+            return
+        assert (_outcome_of(lambda: numeric.painleve_residual(kind, traj, params))
+                == _outcome_of(lambda: _complex_meter(kind, traj, params)))
+
+
+def _hamiltonian_case(kind, t_range, init=None):
+    params, witness_init, _ = claims.HAMILTONIAN_WITNESSES[kind]
+    ham = hamiltonian(kind, params)
+    return (numeric._hamiltonian_field(ham.dH_dmu, ham.dH_dlam), ComplexPath.of(*t_range),
+            init or witness_init, claims.HAMILTONIAN_CONFIG)
+
+
+def _nan_past_half(x, y):
+    # NaN past x = 1/2, in either number type
+    return (y * math.nan if x.real > 0.5 else y,)
+
+
+_nan_past_half.on_floats = _nan_past_half
+
+HAND_OFF_CASES = {
+    # a power overflows, and the complex form raises
+    "overflowing-t-range": lambda: _hamiltonian_case(
+        PainleveKind.P6, (1e200, 2e200), (0.5, 0.0)),
+    # the error estimate turns NaN: the complex form rejects the step until
+    # the step size underflows
+    "nan-field": lambda: (_nan_past_half, ComplexPath.of(0, 1), (1.0,),
+                          IntegrationConfig()),
+    # v'' = 0 from v' = 0: every accepted v' is zero
+    "accepted-zero-state": lambda: (
+        numeric._linear_field(LinearODE2(const(0), const(0))), ComplexPath.of(0, 1),
+        (1.0, 0.0), IntegrationConfig()),
+    "step-budget": lambda: _hamiltonian_case(PainleveKind.P2, (0.0, 1.0)),
+    "negative-zero-waypoint": lambda: _hamiltonian_case(
+        PainleveKind.P2, (0.0, complex(1.0, -0.0))),
+    "negative-zero-initial-value": lambda: _hamiltonian_case(
+        PainleveKind.P2, (0.0, 1.0), (complex(0.25, -0.0), 0.1)),
+    # a movable pole truncates the run in the float form itself
+    "movable-pole": lambda: (
+        numeric._riccati_field(substitute(matching_case(PainleveKind.P2).riccati_rhs,
+                                          {"alpha2": const(F(1, 2))})),
+        ComplexPath.of(0.0, 1.0), (2.0,), IntegrationConfig()),
+}
+
+
+class TestHandOff:
+    """Each case that hands a run off, or keeps it in the complex form."""
+
+    @pytest.mark.parametrize("case, forms", [
+        ("overflowing-t-range", ["float", "complex"]),
+        ("nan-field", ["float", "complex"]),
+        ("accepted-zero-state", ["float", "complex"]),
+        ("step-budget", ["float", "complex"]),
+        ("negative-zero-waypoint", ["complex"]),
+        ("negative-zero-initial-value", ["complex"]),
+        ("movable-pole", ["float"]),
+    ])
+    def test_forms(self, monkeypatch, stepper_forms, case, forms):
+        if case == "step-budget":
+            monkeypatch.setattr(numeric, "_MAX_STEPS", 50)
+        got, ran, want = _both_forms(stepper_forms, *HAND_OFF_CASES[case]())
+        assert ran == forms
+        assert got == want
+        if case == "movable-pole":
+            assert got[1] is True
+        elif case in ("overflowing-t-range", "nan-field", "step-budget"):
+            assert issubclass(got[0], numeric.NumericError)
+
+    @pytest.mark.parametrize("lam, forms", [
+        (complex(math.inf, 0.0), [float, complex]),   # a non-finite point residual
+        (0j, [float, complex]),                       # 1 / lambda: a zero division
+        (complex(0.5, -0.0), [complex]),              # not on the real axis
+        (complex(0.5, 0.0), [float]),
+    ], ids=["infinite-value", "zero-trajectory", "negative-zero", "real"])
+    def test_meter(self, monkeypatch, lam, forms):
+        params = claims.HAMILTONIAN_WITNESSES[PainleveKind.P6][0]
+        samples = [Sample(i / 8, complex(2 + i / 8), (complex(0.5 + i / 64),))
+                   for i in range(8)]
+        if lam == 0:
+            samples = [smp._replace(y=(lam,)) for smp in samples]
+        else:
+            samples[4] = samples[4]._replace(y=(lam,))
+        traj = ODETrajectory(samples)
+        compile_ = numeric.compile_scalar
+        ran = []
+
+        def spy(expr, names, number=complex):
+            ran.append(number)
+            return compile_(expr, names, number)
+
+        monkeypatch.setattr(numeric, "compile_scalar", spy)
+        got = _outcome_of(lambda: numeric.painleve_residual(PainleveKind.P6, traj, params))
+        assert ran == forms
+        assert got == _outcome_of(lambda: _complex_meter(PainleveKind.P6, traj, params))
