@@ -32,8 +32,11 @@ flag that the complex form gives.  Where the two could part, the float run
 hands the whole integration to the complex form, which then gives its own
 result, message or exception: on an ``ArithmeticError``, a non-finite error
 estimate or denominator, an accepted state component that is zero or not
-finite, and a step budget run out or a step size underflowed.
-``painleve_residual`` meters a real trajectory in floats by the same rule.
+finite, and a step budget run out or a step size underflowed.  A
+trajectory of the float form records it (``ODETrajectory.on_real_axis``):
+its CSV rows write each imaginary part as the literal ``0.0``, and
+``painleve_residual`` meters it in floats by the same rule, without
+scanning its values for the real axis again.
 
 A trajectory is a list of samples (s, x, y): the arc length along the path,
 the independent variable and the state at each accepted step.  The settings
@@ -155,19 +158,18 @@ class ODETrajectory:
     pole_truncated: bool = False
     max_error_estimate: float = 0.0
     meta: dict = field(default_factory=dict)
+    #: Every imaginary part of the samples is +0.0: set by the float stepper
+    #: alone, and left out of ``repr`` and ``==``.
+    on_real_axis: bool = field(default=False, init=False, repr=False, compare=False)
 
     def to_csv(self) -> str:
-        n = len(self.samples[0].y) if self.samples else 0
-        header = ["s", "re_x", "im_x"]
-        for i in range(n):
-            header += [f"re_y{i}", f"im_y{i}"]
-        lines = [",".join(header)]
-        for smp in self.samples:
-            row = [repr(smp.s), repr(smp.x.real), repr(smp.x.imag)]
-            for y in smp.y:
-                row += [repr(y.real), repr(y.imag)]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        """One row per sample, each part the ``repr`` of its float; every
+        sample has the state size of the first, which the header names."""
+        key = (len(self.samples[0].y) if self.samples else 0, self.on_real_axis)
+        write = _CSV_WRITERS.get(key)
+        if write is None:
+            write = _CSV_WRITERS[key] = _generate_csv_writer(*key)
+        return write(self.samples)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -181,6 +183,27 @@ class ODETrajectory:
                 for smp in self.samples
             ],
         }, indent=1)
+
+
+#: Generated CSV writers by state size and ``on_real_axis``, built on first use.
+_CSV_WRITERS: dict = {}
+
+
+def _generate_csv_writer(n: int, real: bool):
+    """The CSV text of a list of samples of ``n`` components; the real form
+    writes the literal ``0.0``, the ``repr`` of +0.0, for each imaginary part."""
+    ys = [f"y{m}" for m in range(n)]
+    header = ",".join(["s", "re_x", "im_x", *(f"{p}_{y}" for y in ys for p in ("re", "im"))])
+    row = ",".join(["{s!r}", *(f"{{{v}.real!r}}," + ("0.0" if real else f"{{{v}.imag!r}}")
+                               for v in ["x", *ys])])
+    source = f"""\
+def write(samples):
+    rows = [f"{row}" for s, x, ({"".join(f"{y}, " for y in ys)}) in samples]
+    return "\\n".join(["{header}", *rows, ""])
+"""
+    env: dict = {}
+    exec(source, env)
+    return env["write"]
 
 
 # Dormand-Prince 5(4) tableau.
@@ -220,13 +243,11 @@ def _on_real_axis(*values: complex) -> bool:
 
 def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
                         cfg: IntegrationConfig) -> ODETrajectory:
-    """Adaptive integration along a polyline; field_fn(x, *y) -> dy/dx.
+    """Adaptive integration along a polyline; field_fn(x, *y) -> dy/dx, a tuple.
 
-    The field takes the independent variable and one argument per state
-    component and returns a tuple.  The step runs in a stepper generated for
-    the state's size (see ``_build_stepper``), built on the first integration
-    of that size and kept for the next.  A float overflow in the field or
-    the step becomes a :class:`NumericError`.
+    The step runs in a stepper generated for the state's size (see
+    ``_build_stepper``), built on first use.  A float overflow in the field
+    or the step becomes a :class:`NumericError`.
 
     A compiled field carries its float form as ``on_floats``.  When it does,
     and every waypoint and initial value has imaginary part +0.0, the float
@@ -256,42 +277,31 @@ def _build_stepper(n: int):
     """Generate the Dormand-Prince steppers for states of ``n`` components:
     the complex form and the float form, from one template.
 
-    The stages are written out from the tableau with every state component
-    and every stage value a scalar local, and each stage calls the field
-    once.  Each stage sum starts from the zero of its number type and keeps
-    the tableau's zero entries, as a ``sum`` over the tableau row would, so
-    every rounding and the sign of every zero are those of the row-by-row
-    form.  The last row of ``_DP_A`` is the fifth-order weights (first same
+    Every state component and stage value is a scalar local, and each stage
+    calls the field once.  Each stage sum starts from the zero of its number
+    type and keeps the tableau's zero entries, as a ``sum`` over the row
+    would, so every rounding and the sign of every zero are the row-by-row
+    form's.  The last row of ``_DP_A`` is the fifth-order weights (first same
     as last): the new state reuses that stage's sum, and the last stage's
     value is the next step's first.
 
-    The weights of ``_DP_A``, ``_DP_B5`` and ``_DP_E`` are bound in the
-    number type, as ``complex(v)`` in the complex form.  CPython before 3.14
-    promotes a float or int operand of a complex operation to
-    ``complex(v, 0.0)`` first, so each product and each sum is the one the
-    float weight and the ``sum``'s int start give, without the promotion on
-    every operation.  Python 3.14 computes mixed real and complex operations
-    on the parts instead; the differential tests against the float-weight
-    reference, and of the float form against the complex form, would show
-    it.  The step-size control writes each ``min`` and ``max`` as the
-    comparison that the builtin makes, which picks the same operand, NaN
-    included.  A NaN error estimate rejects the step and shrinks h fivefold,
-    so that an over-long step recovers; when h underflows after one, the
-    error says that the field is not finite.
+    The weights are bound in the number type, as ``complex(v)`` in the
+    complex form: CPython before 3.14 promotes a float or int operand of a
+    complex operation to ``complex(v, 0.0)`` first, so each product and sum
+    is the one the float weight and the ``sum``'s int start give (3.14
+    computes mixed operations on the parts; the differential tests would
+    show it).  Each ``min`` and ``max`` of the step-size control is written
+    as the comparison the builtin makes, NaN included.  A NaN error estimate
+    rejects the step and shrinks h fivefold; when h underflows after one,
+    the error says that the field is not finite.
 
-    The float form computes on the real parts what the complex form computes
-    when every imaginary part is +0.0, and ``_integrate_segments`` runs it
-    only then.  While the values are finite, the imaginary parts stay +0.0
-    in the stage sums and the state, and each complex ``+ - * /`` and
-    ``abs`` rounds the real part as the float operation does, since the
-    imaginary parts add only signed zeros to it; the field's powers are
-    ``c_powu``'s chain of products (``_float_power``).  So the two forms can
-    part only in the sign of an exact zero, or past a value that is not
-    finite, where the complex form's imaginary parts turn NaN.  The float
-    form therefore hands off (``_HandOff``) on an error estimate that is not
-    finite and on an accepted state component that is zero or not finite,
-    and builds each sample's values as ``complex(v, 0.0)``.  Each stepper
-    is ``stepper(field_fn, points, state, cfg)`` over the waypoints and the
+    The float form (see the module docstring) hands off (``_HandOff``) where
+    the forms could part: on an error estimate that is not finite and on an
+    accepted state component that is zero or not finite.  It builds each
+    sample's values as ``complex(v, 0.0)`` and sets the trajectory's
+    ``on_real_axis``.  Both forms build a ``Sample`` by ``tuple.__new__``,
+    without the frame of its Python ``__new__``.  Each stepper is
+    ``stepper(field_fn, points, state, cfg)`` over the waypoints and the
     initial state in its number type.
     """
     return _generate_stepper(n, complex), _generate_stepper(n, float)
@@ -301,7 +311,7 @@ def _generate_stepper(n: int, number: type):
     """The stepper of ``_build_stepper`` that computes in ``number``."""
     real = number is float
     ms = range(n)
-    env = {"Sample": Sample, "ODETrajectory": ODETrajectory,
+    env = {"Sample": Sample, "new": tuple.__new__, "ODETrajectory": ODETrajectory,
            "StiffnessAbort": StiffnessAbort, "_HandOff": _HandOff,
            "sqrt": math.sqrt, "isfinite": math.isfinite, "inf": math.inf,
            "_MAX_STEPS": _MAX_STEPS, "_POLE_THRESHOLD": _POLE_THRESHOLD}
@@ -371,7 +381,7 @@ def stepper(field_fn, points, state, cfg):
         # Stages are d y / d s = seg * d y / d x along the segment.
 {_indent(call(1, "a + s * seg", [f"y{m}" for m in ms]), 8)}
         if not samples:
-            samples.append(Sample(0.0, {boxed("a")}, {ys}))
+            samples.append(new(Sample, (0.0, {boxed("a")}, {ys})))
         while s < 1.0:
             if steps >= _MAX_STEPS:
                 raise StiffnessAbort("step budget exhausted")
@@ -389,7 +399,8 @@ def stepper(field_fn, points, state, cfg):
 {_indent([f"k1_{m} = k{last}_{m}" for m in ms], 16)}
                 if err > max_err:
                     max_err = err
-                samples.append(Sample(s_off + s * seg_len, {boxed("a + s * seg")}, {ys}))
+                samples.append(new(Sample, (s_off + s * seg_len,
+                                            {boxed("a + s * seg")}, {ys})))
                 if {' or '.join(f"abs(y{m}) > _POLE_THRESHOLD" for m in ms)}:
                     samples.pop()
                     truncated = True
@@ -406,8 +417,9 @@ def stepper(field_fn, points, state, cfg):
         if truncated:
             break
         s_off += seg_len
-    return ODETrajectory(samples, pole_truncated=truncated,
-                         max_error_estimate=max_err)
+    traj = ODETrajectory(samples, pole_truncated=truncated, max_error_estimate=max_err)
+    traj.on_real_axis = {real}
+    return traj
 """
     exec(source, env)
     return env["stepper"]
@@ -440,17 +452,12 @@ def _emit_quotient(expr: RationalExpr, arg: dict[str, str], env: dict,
     reach the generated code as objects of ``number`` in ``env``, never as
     printed numbers.
 
-    Each distinct power is computed once per generated function: it is
-    stored in the local ``x_k`` right before the first statement that uses
-    it, and ``powers`` names the locals that earlier lines of the same
-    function have assigned.  A power is pure, so every term multiplies the
-    value it would have computed in place.  The powers are not all hoisted to
-    the top: only a power (``OverflowError``) and a quotient
-    (``ZeroDivisionError``) can raise, since complex products and sums never
-    do, and placing a statement's new powers right before it keeps the first
-    operation that fails, and so the exception, that of the in-place form.
-    A zero denominator in one quotient still raises before a power that
-    first appears in a later quotient can overflow.
+    Each distinct power is computed once per generated function, in the
+    local ``x_k`` right before the first statement that uses it; ``powers``
+    names the locals that earlier lines of the function have assigned.  Only
+    a power (``OverflowError``) and a quotient (``ZeroDivisionError``) can
+    raise, so placing a statement's new powers right before it, not all at
+    the top, keeps the first operation that fails that of the in-place form.
 
     The float form writes each power as the product chain of ``c_powu``
     (``_float_power``), which never raises, and raises ``FloatingPointError``
@@ -804,26 +811,27 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
     When the trajectory's end points and every lambda value have imaginary
     part +0.0, the meter runs in floats first (see the module docstring),
     and hands off to the complex form on an ``ArithmeticError`` or a point
-    residual that is not finite.
+    residual that is not finite.  A trajectory that records it
+    (``on_real_axis``) is not scanned for it.
     """
-    if len(traj.samples) < 5:
-        raise InsufficientSamples(
-            f"need at least 5 samples, got {len(traj.samples)}")
+    samples = traj.samples
+    if len(samples) < 5:
+        raise InsufficientSamples(f"need at least 5 samples, got {len(samples)}")
     expr = painleve_rhs(kind, params)
     names = ("lambda", "lambdap", "t")
-    ss = [smp.s for smp in traj.samples]
-    lams = [smp.y[0] for smp in traj.samples]
-    t0 = traj.samples[0].x
-    t1 = traj.samples[-1].x
-    if _on_real_axis(t0, t1, *lams):
+    ss = [smp.s for smp in samples]
+    t0, t1 = samples[0].x, samples[-1].x
+    lams = None if traj.on_real_axis else [smp.y[0] for smp in samples]
+    if lams is None or _on_real_axis(t0, t1, *lams):
         try:
             worst, finite = _meter(compile_scalar(expr, names, float), ss,
-                                   [lam.real for lam in lams], t0.real, t1.real, float)
+                                   [smp.y[0].real for smp in samples], t0.real, t1.real, float)
         except ArithmeticError:
             finite = False
         if finite:
             return worst
-    return _meter(compile_scalar(expr, names), ss, lams, t0, t1, complex)[0]
+    return _meter(compile_scalar(expr, names), ss, lams or [smp.y[0] for smp in samples],
+                  t0, t1, complex)[0]
 
 
 def _meter(rhs, ss: list[float], lams: list, t0, t1, number: type) -> tuple[float, bool]:

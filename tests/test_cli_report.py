@@ -301,24 +301,34 @@ class TestIntegrateCsvPinned:
     """The CSV of one small ``integrate`` run per system, pinned by its sha256.
 
     Any change to a sample, to the steps taken or to the number format shows
-    as a different digest.
+    as a different digest.  Each run takes one form of the stepper, and never
+    hands off.
     """
 
-    @pytest.mark.parametrize("params, argv, digest", [
-        (GENERAL_PARAMS, HEUN_RUN,
+    @pytest.mark.parametrize("params, argv, form, digest", [
+        (GENERAL_PARAMS, HEUN_RUN, "complex",
          "328c047c33dc3b7f1386ce7e932da919775d3afb256af1b196b7c4879482be91"),
         ("alpha2 = 1/2\n", ["integrate", "--system", "riccati", "--kind", "p2",
-                            "--t-range", "0:1", "--lambda0", "0"],
+                            "--t-range", "0:1", "--lambda0", "0"], "float",
          "939adfc5915a6a62681d33078c24d7b2295b571de0c456dc7ec913071a9025cf"),
         ("kappa0 = 1/3\nkappa1 = 1/5\ntheta = 1/7\nkappainf = 1/2\n",
          ["integrate", "--system", "hamiltonian", "--kind", "p6", "--t-range", "2:2.2",
-          "--init", "0.5,0", "--max-step", "0.01"],
+          "--init", "0.5,0", "--max-step", "0.01"], "float",
          "10964af12ece73f1a9f55be7b86efc1f8b0c983aec3020ca4dfbdea9db6704b7"),
-    ], ids=["heun", "riccati", "hamiltonian"])
-    def test_csv_digest(self, capsys, tmp_path, params, argv, digest):
+        # a real path: the float form, two components
+        (GENERAL_PARAMS, ["integrate", "--system", "heun", "--family", "general",
+                          "--path", "0.25 -> 0.75", "--init", "1,0.5"], "float",
+         "95a7067690c2702b7013accc9e48aa960245e5ab90a3903bf92636a0fab994a0"),
+        # the float form, one component, truncated at a movable pole
+        ("alpha2 = 1/2\n", ["integrate", "--system", "riccati", "--kind", "p2",
+                            "--t-range", "0:1", "--lambda0", "2"], "float",
+         "e6f02262d15fff113a800f38eb69f6d874842c2b6206eeaebc46f73a49c6dac8"),
+    ], ids=["heun", "riccati", "hamiltonian", "heun-real-path", "riccati-pole"])
+    def test_csv_digest(self, capsys, tmp_path, stepper_forms, params, argv, form, digest):
         p = tmp_path / "run.params"
         p.write_text(params)
         assert main([*argv, "--params", str(p)]) == 0
+        assert stepper_forms == [form]
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

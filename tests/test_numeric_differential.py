@@ -509,51 +509,6 @@ class TestPowerCounts:
 
 
 # ---------------------------------------------------------------------------
-# CSV export: every field is the repr of its float, signed zeros, infinities
-# and NaN included, so that a faster row builder must keep the bytes.
-# ---------------------------------------------------------------------------
-
-
-def reference_to_csv(traj):
-    n = len(traj.samples[0].y) if traj.samples else 0
-    header = ["s", "re_x", "im_x"]
-    for i in range(n):
-        header += [f"re_y{i}", f"im_y{i}"]
-    lines = [",".join(header)]
-    for smp in traj.samples:
-        row = [repr(smp.s), repr(smp.x.real), repr(smp.x.imag)]
-        for y in smp.y:
-            row += [repr(y.real), repr(y.imag)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-SPECIAL_PARTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1 / 3, -1e-300, 2.5e300]
-
-
-class TestCsv:
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_special_values(self, n):
-        rng = random.Random(n)
-        samples = []
-        for i in range(40):
-            parts = [rng.choice(SPECIAL_PARTS) for _ in range(3 + 2 * n)]
-            ys = tuple(complex(parts[3 + 2 * m], parts[4 + 2 * m]) for m in range(n))
-            samples.append(Sample(parts[0], complex(parts[1], parts[2]), ys))
-        traj = ODETrajectory(samples)
-        assert traj.to_csv() == reference_to_csv(traj)
-
-    def test_empty(self):
-        traj = ODETrajectory([])
-        assert traj.to_csv() == reference_to_csv(traj)
-
-    @pytest.mark.parametrize("name", ["hamiltonian-p2", "riccati-p2", "exact-steps"])
-    def test_trajectories(self, name):
-        traj = TRAJECTORIES[name]()
-        assert traj.to_csv() == reference_to_csv(traj)
-
-
-# ---------------------------------------------------------------------------
 # Residual meter: the walking window against a binary search at every grid
 # point, with the reference evaluator and the Neville loop.
 # ---------------------------------------------------------------------------
@@ -651,6 +606,15 @@ class TestResidualMeter:
         traj = make()
         got = numeric.painleve_residual(kind, traj, params)
         assert repr(got) == repr(reference_painleve_residual(kind, traj, params))
+        # a copy without the record (on_real_axis) is scanned for the real axis
+        copy = ODETrajectory(traj.samples)
+        assert repr(numeric.painleve_residual(kind, copy, params)) == repr(got)
+
+    def test_recorded_cases(self):
+        assert {name for name, (make, _, _) in RESIDUAL_CASES.items()
+                if make().on_real_axis} == {
+            *(f"hamiltonian-{k.value}" for k in PainleveKind), "hamiltonian-p2-literal",
+            "riccati-p2", "riccati-p2-pole", "samples-on-the-grid"}
 
     def test_samples_on_the_grid(self):
         traj = _samples_on_the_grid()
@@ -933,3 +897,67 @@ class TestHandOff:
         got = _outcome_of(lambda: numeric.painleve_residual(PainleveKind.P6, traj, params))
         assert ran == forms
         assert got == _outcome_of(lambda: _complex_meter(PainleveKind.P6, traj, params))
+
+
+# ---------------------------------------------------------------------------
+# CSV export: every field is the repr of its float, signed zeros, infinities
+# and NaN included, so that a faster row builder must keep the bytes.
+# ---------------------------------------------------------------------------
+
+
+def reference_to_csv(traj):
+    n = len(traj.samples[0].y) if traj.samples else 0
+    header = ["s", "re_x", "im_x"]
+    for i in range(n):
+        header += [f"re_y{i}", f"im_y{i}"]
+    lines = [",".join(header)]
+    for smp in traj.samples:
+        row = [repr(smp.s), repr(smp.x.real), repr(smp.x.imag)]
+        for y in smp.y:
+            row += [repr(y.real), repr(y.imag)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_PARTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1 / 3, -1e-300, 2.5e300]
+
+
+class TestCsv:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_special_values(self, n):
+        rng = random.Random(n)
+        samples = []
+        for i in range(40):
+            parts = [rng.choice(SPECIAL_PARTS) for _ in range(3 + 2 * n)]
+            ys = tuple(complex(parts[3 + 2 * m], parts[4 + 2 * m]) for m in range(n))
+            samples.append(Sample(parts[0], complex(parts[1], parts[2]), ys))
+        traj = ODETrajectory(samples)
+        assert traj.to_csv() == reference_to_csv(traj)
+
+    def test_empty(self):
+        traj = ODETrajectory([])
+        assert traj.to_csv() == reference_to_csv(traj)
+
+    @pytest.mark.parametrize("name", [*TRAJECTORIES, *HAND_OFF_CASES])
+    def test_trajectories(self, monkeypatch, stepper_forms, name):
+        """Each run with the float form allowed, then in the complex form
+        alone: the record is set exactly when the float form gave the
+        result, and a copy without it writes the same bytes."""
+        run = TRAJECTORIES.get(name) or (
+            lambda: numeric._integrate_segments(*HAND_OFF_CASES[name]()))
+        integrate = numeric._integrate_segments
+        for complex_only in (False, True):
+            if complex_only:
+                monkeypatch.setattr(numeric, "_integrate_segments",
+                                    lambda f, *args: integrate(_complex_only(f), *args))
+            stepper_forms.clear()
+            try:
+                traj = run()
+            except numeric.NumericError:
+                assert name in ("overflowing-t-range", "nan-field")
+                continue
+            assert traj.on_real_axis is (stepper_forms[-1] == "float")
+            assert all(type(smp) is Sample for smp in traj.samples)
+            text = traj.to_csv()
+            assert text == reference_to_csv(traj)
+            assert ODETrajectory(traj.samples).to_csv() == text
