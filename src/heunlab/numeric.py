@@ -12,9 +12,9 @@ components), so no array machinery is needed.  One generator (``_compile``)
 turns exact expressions into straight-line code, one statement per sum of
 terms: a field is one function ``field(x, y0, ..., y{n-1})`` that returns the
 tuple dy/dx.  The stepper is generated from the tableau for each state size
-n, on the first integration of that size: its state components and stage
-values are scalar locals, each stage calls the field once, and its stage sums
-round bit for bit as the tableau rows summed term by term would.
+n and number type, on first use: its state components and stage values are
+scalar locals, each stage calls the field once, and its stage sums round bit
+for bit as the tableau rows summed term by term would.
 
 Real-axis runs.  Both generators take the number type as a parameter, and
 emit a complex form and a float form of the same code.  A complex run that
@@ -32,11 +32,13 @@ flag that the complex form gives.  Where the two could part, the float run
 hands the whole integration to the complex form, which then gives its own
 result, message or exception: on an ``ArithmeticError``, a non-finite error
 estimate or denominator, an accepted state component that is zero or not
-finite, and a step budget run out or a step size underflowed.  A
-trajectory of the float form records it (``ODETrajectory.on_real_axis``):
-its CSV rows write each imaginary part as the literal ``0.0``, and
-``painleve_residual`` meters it in floats by the same rule, without
-scanning its values for the real axis again.
+finite, and a step budget run out or a step size underflowed.
+``_integrate_segments`` alone makes that choice: a field maker returns a
+compiler of forms (``field(float)``), and a run compiles the field and gets
+the stepper only in the form it runs.  A trajectory of the float form
+records it (``ODETrajectory.on_real_axis``): its CSV rows write each
+imaginary part as the literal ``0.0``, and ``painleve_residual`` meters in
+floats exactly the trajectories that record it.
 
 A trajectory is a list of samples (s, x, y): the arc length along the path,
 the independent variable and the state at each accepted step.  The settings
@@ -50,6 +52,7 @@ integrates, read off their denominators by ``ode.finite_poles``.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -165,11 +168,8 @@ class ODETrajectory:
     def to_csv(self) -> str:
         """One row per sample, each part the ``repr`` of its float; every
         sample has the state size of the first, which the header names."""
-        key = (len(self.samples[0].y) if self.samples else 0, self.on_real_axis)
-        write = _CSV_WRITERS.get(key)
-        if write is None:
-            write = _CSV_WRITERS[key] = _generate_csv_writer(*key)
-        return write(self.samples)
+        n = len(self.samples[0].y) if self.samples else 0
+        return _generate_csv_writer(n, self.on_real_axis)(self.samples)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -185,10 +185,7 @@ class ODETrajectory:
         }, indent=1)
 
 
-#: Generated CSV writers by state size and ``on_real_axis``, built on first use.
-_CSV_WRITERS: dict = {}
-
-
+@functools.cache
 def _generate_csv_writer(n: int, real: bool):
     """The CSV text of a list of samples of ``n`` components; the real form
     writes the literal ``0.0``, the ``repr`` of +0.0, for each imaginary part."""
@@ -226,10 +223,6 @@ _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 #: The zero of each number type, as the generated code writes it.
 _ZERO = {complex: "0j", float: "0.0"}
 
-#: Generated steppers by state size, each built on first use: the pair of
-#: its complex form and its float form.
-_STEPPERS: dict = {}
-
 
 class _HandOff(Exception):
     """The float form cannot vouch for its run; the complex form reruns it."""
@@ -241,41 +234,35 @@ def _on_real_axis(*values: complex) -> bool:
     return all(v.imag == 0.0 and math.copysign(1.0, v.imag) > 0 for v in values)
 
 
-def _integrate_segments(field_fn, path: ComplexPath, y0: tuple[complex, ...],
+def _integrate_segments(compile_field, path: ComplexPath, y0: tuple[complex, ...],
                         cfg: IntegrationConfig) -> ODETrajectory:
-    """Adaptive integration along a polyline; field_fn(x, *y) -> dy/dx, a tuple.
+    """Adaptive integration along a polyline of the field that
+    ``compile_field(number)`` compiles, ``(x, *y) -> dy/dx`` in ``number``.
 
-    The step runs in a stepper generated for the state's size (see
-    ``_build_stepper``), built on first use.  A float overflow in the field
-    or the step becomes a :class:`NumericError`.
-
-    A compiled field carries its float form as ``on_floats``.  When it does,
-    and every waypoint and initial value has imaginary part +0.0, the float
-    stepper runs first; if it hands off, the complex stepper runs the whole
-    integration again.
+    When every waypoint and initial value has imaginary part +0.0, the float
+    form runs first; if it hands off, the complex form runs the whole
+    integration again.  Each form's field and stepper are built only when it
+    runs, and a float overflow in either becomes a :class:`NumericError`.
     """
-    n = len(y0)
-    steppers = _STEPPERS.get(n)
-    if steppers is None:
-        steppers = _STEPPERS[n] = _build_stepper(n)
-    on_complex, on_floats = steppers
-    float_fn = getattr(field_fn, "on_floats", None)
     try:
         state = [complex(v) for v in y0]
-        if float_fn is not None and _on_real_axis(*path.waypoints, *state):
+        if _on_real_axis(*path.waypoints, *state):
             try:
-                return on_floats(float_fn, [p.real for p in path.waypoints],
-                                 [v.real for v in state], cfg)
+                return _generate_stepper(len(state), float)(
+                    compile_field(float), [p.real for p in path.waypoints],
+                    [v.real for v in state], cfg)
             except (ArithmeticError, StiffnessAbort, _HandOff):
                 pass  # the complex form runs the whole integration again
-        return on_complex(field_fn, path.waypoints, state, cfg)
+        return _generate_stepper(len(state), complex)(compile_field(complex),
+                                                      path.waypoints, state, cfg)
     except OverflowError as exc:
         raise NumericError(f"float overflow while integrating: {exc}") from None
 
 
-def _build_stepper(n: int):
-    """Generate the Dormand-Prince steppers for states of ``n`` components:
-    the complex form and the float form, from one template.
+@functools.cache
+def _generate_stepper(n: int, number: type):
+    """Generate the Dormand-Prince stepper in ``number`` for states of ``n``
+    components: the complex form and the float form, from one template.
 
     Every state component and stage value is a scalar local, and each stage
     calls the field once.  Each stage sum starts from the zero of its number
@@ -300,15 +287,10 @@ def _build_stepper(n: int):
     accepted state component that is zero or not finite.  It builds each
     sample's values as ``complex(v, 0.0)`` and sets the trajectory's
     ``on_real_axis``.  Both forms build a ``Sample`` by ``tuple.__new__``,
-    without the frame of its Python ``__new__``.  Each stepper is
+    without the frame of its Python ``__new__``.  The stepper is
     ``stepper(field_fn, points, state, cfg)`` over the waypoints and the
-    initial state in its number type.
+    initial state in its number type; it binds ``_MAX_STEPS`` when built.
     """
-    return _generate_stepper(n, complex), _generate_stepper(n, float)
-
-
-def _generate_stepper(n: int, number: type):
-    """The stepper of ``_build_stepper`` that computes in ``number``."""
     real = number is float
     ms = range(n)
     env = {"Sample": Sample, "new": tuple.__new__, "ODETrajectory": ODETrajectory,
@@ -568,30 +550,23 @@ def compile_scalar(expr: RationalExpr, names: tuple[str, ...], number: type = co
     return _compile(tuple(arg.values()), arg, {"value": expr}, "value", number)
 
 
-def _field(params: tuple[str, ...], arg: dict[str, str],
-           values: dict[str, RationalExpr], result: str):
-    """The complex form of a field, carrying its float form as ``on_floats``
-    for ``_integrate_segments``."""
-    field_fn = _compile(params, arg, values, result)
-    field_fn.on_floats = _compile(params, arg, values, result, float)
-    return field_fn
-
-
 def _linear_field(ode: LinearODE2):
     """The field of v'' + p1 v' + p2 v = 0 in the state (v, v')."""
-    return _field(("x", "y0", "y1"), {ode.var: "x"}, {"P1": ode.p1, "P2": ode.p2},
-                  "(y1, -P1 * y1 - P2 * y0)")
+    return functools.partial(_compile, ("x", "y0", "y1"), {ode.var: "x"},
+                             {"P1": ode.p1, "P2": ode.p2}, "(y1, -P1 * y1 - P2 * y0)")
 
 
 def _riccati_field(rhs: RationalExpr):
     """The field of lambda' = rhs(lambda, t) in the state (lambda,)."""
-    return _field(("x", "y0"), {"lambda": "y0", "t": "x"}, {"R": rhs}, "(R,)")
+    return functools.partial(_compile, ("x", "y0"), {"lambda": "y0", "t": "x"},
+                             {"R": rhs}, "(R,)")
 
 
 def _hamiltonian_field(dh_dmu: RationalExpr, dh_dlam: RationalExpr):
     """The flow lambda' = dH/dmu, mu' = -dH/dlambda in the state (lambda, mu)."""
-    return _field(("x", "y0", "y1"), {"lambda": "y0", "mu": "y1", "t": "x"},
-                  {"DMU": dh_dmu, "DLAM": dh_dlam}, "(DMU, -DLAM)")
+    return functools.partial(_compile, ("x", "y0", "y1"),
+                             {"lambda": "y0", "mu": "y1", "t": "x"},
+                             {"DMU": dh_dmu, "DLAM": dh_dlam}, "(DMU, -DLAM)")
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +577,6 @@ def _hamiltonian_field(dh_dmu: RationalExpr, dh_dlam: RationalExpr):
 def _roots_of_poly(mp, name: str) -> list[complex]:
     """All complex roots of a univariate polynomial, Durand-Kerner iteration."""
     deg = mp.degree_in(name)
-    if deg == 0:
-        return []
     coeffs = [complex(c) for c in mp.primitive_int_coeffs(name)]
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
@@ -631,13 +604,17 @@ def _roots_of_poly(mp, name: str) -> list[complex]:
 def _poles(exprs: tuple[RationalExpr, ...], x: str) -> list[complex]:
     """The poles in ``x`` of the expressions, in the order of ``finite_poles``:
     each rational one, and the Durand-Kerner roots of each factor that does
-    not split."""
+    not split.  A pole or coefficient past the float range is a
+    :class:`NumericError`."""
     out = []
-    for p in finite_poles(exprs, x):
-        if isinstance(p, Fraction):
-            out.append(complex(p))
-        else:
-            out.extend(_roots_of_poly(p, x))
+    try:
+        for p in finite_poles(exprs, x):
+            if isinstance(p, Fraction):
+                out.append(complex(p))
+            else:
+                out.extend(_roots_of_poly(p, x))
+    except OverflowError as exc:
+        raise NumericError(f"float overflow at a singular point: {exc}") from None
     return out
 
 
@@ -736,8 +713,8 @@ def integrate_riccati(case: MatchingCase, params: dict[str, Fraction],
     # The rhs before binding: the condition may cancel a fixed singular value.
     _check_path_distance(path, _poles((case.riccati_rhs,), "t"), cfg.min_distance)
     _check_lambda0(case.painleve_kind, complex(lam0), path, cfg)
-    field_fn = _riccati_field(substitute(case.riccati_rhs, bind))
-    traj = _integrate_segments(field_fn, path, (complex(lam0),), cfg)
+    traj = _integrate_segments(_riccati_field(substitute(case.riccati_rhs, bind)), path,
+                               (complex(lam0),), cfg)
     traj.meta["kind"] = case.painleve_kind.value
     return traj
 
@@ -808,11 +785,16 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
     second derivatives come from 5-point central finite differences, so the
     meter never consults the equations that generated the trajectory.
 
-    When the trajectory's end points and every lambda value have imaginary
-    part +0.0, the meter runs in floats first (see the module docstring),
-    and hands off to the complex form on an ``ArithmeticError`` or a point
-    residual that is not finite.  A trajectory that records it
-    (``on_real_axis``) is not scanned for it.
+    A trajectory of five samples, too few for a 6-point window, interpolates
+    through all five.  The value of t at each grid point is read off the
+    straight line from the first sample's x to the last one's, in proportion
+    to arc length: on a path with corners it is not the path's own x.
+
+    A trajectory that records the real axis (``on_real_axis``) is metered in
+    floats first (see the module docstring), and handed off to the complex
+    form on an ``ArithmeticError`` or a point residual that is not finite.
+    Any other trajectory is metered in the complex form, which gives the
+    same result by the bit-for-bit rule, only slower.
     """
     samples = traj.samples
     if len(samples) < 5:
@@ -821,8 +803,7 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
     names = ("lambda", "lambdap", "t")
     ss = [smp.s for smp in samples]
     t0, t1 = samples[0].x, samples[-1].x
-    lams = None if traj.on_real_axis else [smp.y[0] for smp in samples]
-    if lams is None or _on_real_axis(t0, t1, *lams):
+    if traj.on_real_axis:
         try:
             worst, finite = _meter(compile_scalar(expr, names, float), ss,
                                    [smp.y[0].real for smp in samples], t0.real, t1.real, float)
@@ -830,7 +811,7 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
             finite = False
         if finite:
             return worst
-    return _meter(compile_scalar(expr, names), ss, lams or [smp.y[0] for smp in samples],
+    return _meter(compile_scalar(expr, names), ss, [smp.y[0] for smp in samples],
                   t0, t1, complex)[0]
 
 

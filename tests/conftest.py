@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from heunlab import numeric
@@ -13,21 +15,20 @@ def stepper_forms(monkeypatch):
 
     Steppers are built afresh for the test, each wrapped to append
     ``"float"`` or ``"complex"`` to the returned list when it runs: a float
-    run that hands off is followed by a complex one.
+    run that hands off is followed by a complex one.  A fresh stepper binds
+    the module constants (``_MAX_STEPS``) as the test has set them.
     """
     log: list[str] = []
-    build = numeric._build_stepper
+    build = numeric._generate_stepper.__wrapped__
 
-    def logged(form, stepper):
+    @functools.cache
+    def spy(n, number):
+        stepper = build(n, number)
+
         def run(*args):
-            log.append(form)
+            log.append(number.__name__)
             return stepper(*args)
         return run
 
-    def spy(n):
-        on_complex, on_floats = build(n)
-        return logged("complex", on_complex), logged("float", on_floats)
-
-    monkeypatch.setattr(numeric, "_STEPPERS", {})
-    monkeypatch.setattr(numeric, "_build_stepper", spy)
+    monkeypatch.setattr(numeric, "_generate_stepper", spy)
     return log

@@ -28,6 +28,7 @@ def golden(name: str) -> str:
 
 
 GENERAL_PARAMS = "alpha = 2\nbeta = 1\ngamma = 1\ndelta = 1\nepsilon = 2\nq = 1\nt = 2\n"
+HUGE_ALPHA = "alpha = 1e400\nbeta = 1\ngamma = 1\ndelta = 1\nq = 1\nt = 2\n"
 HEUN_RUN = ["integrate", "--system", "heun", "--family", "general",
             "--path", "0.25-0.5j -> 0.25+0.5j", "--init", "1,0"]
 # Starts on the singular point z = 0, which only --min-distance keeps it from.
@@ -385,6 +386,18 @@ class TestExitContract:
         # (1.5e308+1.5e308j) ** 2 is NaN, not an overflow
         (GENERAL_PARAMS, [*HEUN_RUN, "--path", "1.5e308+1.5e308j -> 1.4e308+1.5e308j"],
          "step size underflow at s = 0.000000; the field is not finite"),
+        # a parameter past the float range: in a coefficient of the field,
+        # in a singular point, and in a coefficient of the Hamiltonian flow
+        (HUGE_ALPHA, HEUN_RUN, "float overflow"),
+        (HUGE_ALPHA.replace("1e400", "1" + "0" * 400), HEUN_RUN, "float overflow"),
+        (HUGE_ALPHA.replace("alpha = 1e400", "alpha = 1").replace("t = 2", "t = 1e400"),
+         HEUN_RUN, "float overflow"),
+        (HUGE_ALPHA.replace("alpha = 1e400", "alpha = 1").replace("q = 1", "q = 1e400"),
+         ["integrate", "--system", "heun-derivative", "--family", "general",
+          "--path", "0.25-0.5j -> 0.25+0.5j", "--init", "1,0"], "float overflow"),
+        ("kappa0 = 1e400\nkappa1 = 1/5\ntheta = 1/7\nkappainf = 1/2\n",
+         ["integrate", "--system", "hamiltonian", "--kind", "p6", "--init", "0.5,0",
+          "--t-range", "2:2.2"], "float overflow"),
     ], ids=["singular-confluence", "missing-parameter", "missing-path",
             "path-through-singular-point", "condition-not-satisfied",
             "malformed-init", "malformed-t-range", "riccati-missing-parameter",
@@ -394,7 +407,8 @@ class TestExitContract:
             "min-distance-nan", "malformed-lambda0", "malformed-waypoint",
             "nan-waypoint", "nan-init", "nan-t-range", "abs-tol-inf", "rel-tol-inf",
             "malformed-value", "zero-denominator", "far-path-overflow",
-            "far-t-range-overflow", "far-field-overflow", "path-past-float-range"])
+            "far-t-range-overflow", "far-field-overflow", "path-past-float-range",
+            "huge-alpha", "huge-int-alpha", "huge-t", "huge-derivative-q", "huge-kappa0"])
     def test_input_errors_exit_2(self, capsys, tmp_path, params, argv, message):
         p = tmp_path / "case.params"
         p.write_text(params)

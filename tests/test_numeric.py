@@ -127,33 +127,31 @@ class TestIntegrationConfig:
 
 
 class TestStepperBuild:
-    """Steppers are generated per state size on first use, never at import."""
+    """Steppers are generated per state size and number type on first use,
+    never at import."""
 
     def test_import_builds_no_stepper(self):
         src = Path(numeric.__file__).resolve().parents[1]
-        code = "import heunlab.cli, heunlab.numeric as m; print(len(m._STEPPERS))"
+        code = ("import heunlab.cli, heunlab.numeric as m; "
+                "print(m._generate_stepper.cache_info().currsize)")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert run.stdout == "0\n"
 
-    def test_one_build_per_state_size(self, monkeypatch):
-        build = numeric._build_stepper
-        built = []
-
-        def spy(n):
-            built.append(n)
-            return build(n)
-
-        monkeypatch.setattr(numeric, "_STEPPERS", {})
-        monkeypatch.setattr(numeric, "_build_stepper", spy)
+    def test_one_build_per_state_size(self):
+        numeric._generate_stepper.cache_clear()
         ode = LinearODE2(const(0), const(1))
         first, second = (integrate_linear(ode, ComplexPath.of(0, 1), (0.0, 1.0))
                          for _ in range(2))
-        assert built == [2]
+        # the real path takes the float form alone: one build, then one reuse
+        info = numeric._generate_stepper.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
         assert first.samples == second.samples
         integrate_riccati(matching_case(PainleveKind.P2), {"alpha2": F(1, 2)},
                           (0.0, 0.5), 0.0)
-        assert built == [2, 1]
+        integrate_linear(ode, ComplexPath.of(0, 1j), (0.0, 1.0))
+        info = numeric._generate_stepper.cache_info()
+        assert (info.misses, info.hits) == (3, 1)
 
 
 class TestIntegrateLinear:
@@ -173,17 +171,19 @@ class TestIntegrateLinear:
             [0.0, 0.001, 0.006, 0.031, 0.156, 0.781, 1.0])
         assert all(smp.y == (1, 0) for smp in traj.samples)
 
-    def test_nan_step_rejected_and_recovered(self):
+    def test_nan_step_rejected_and_recovered(self, monkeypatch):
         # The first trial step's later stages are NaN: the step is rejected,
-        # h shrinks fivefold, and the integration goes on to the end.
+        # h shrinks fivefold, and the integration goes on to the end.  The
+        # path is real, so the float form is switched off.
         calls = []
 
         def field(x, y):
             calls.append(x)
             return (complex("nan") if 2 <= len(calls) <= 7 else y,)
 
-        traj = numeric._integrate_segments(field, ComplexPath.of(0, 1), (1.0,),
-                                           IntegrationConfig())
+        monkeypatch.setattr(numeric, "_on_real_axis", lambda *values: False)
+        traj = numeric._integrate_segments(lambda number: field, ComplexPath.of(0, 1),
+                                           (1.0,), IntegrationConfig())
         assert traj.samples[1].s == pytest.approx(2e-4)
         assert abs(traj.samples[-1].y[0] - math.e) < 1e-9
 
@@ -504,20 +504,44 @@ class TestWorkCounts:
     # The form each suite trajectory runs in: the four derivative witnesses
     # on complex paths take the complex form directly; the triconfluent one,
     # on the real path (-1, 0), the Riccati reduction and the six Hamiltonian
-    # flows take the float form, and none of them hands off.
+    # flows take the float form, and none of them hands off.  Each compiles
+    # its field in the form it runs and in no other.
     SUITE_FORMS = [["complex"]] * 4 + [["float"]] * 8
+    # Each residual meters a trajectory that records the real axis, in floats
+    # alone: the six flows, and the Riccati trajectory twice.
+    SUITE_METERS = [(True, ["float"])] * 8
 
     def test_numeric_suite_forms(self, monkeypatch, stepper_forms):
-        from heunlab.claims import run_claims
-        integrate = numeric._integrate_segments
-        seen = []
+        from heunlab import claims
+        integrate, residual = numeric._integrate_segments, claims.painleve_residual
+        compile_scalar = numeric.compile_scalar
+        seen, compiled, meters, metered = [], [], [], []
 
-        def spy(*args):
-            start = len(stepper_forms)
-            traj = integrate(*args)
+        def spy(compile_field, *args):
+            start, forms = len(stepper_forms), []
+
+            def logged(number):
+                forms.append(number.__name__)
+                return compile_field(number)
+
+            traj = integrate(logged, *args)
             seen.append(stepper_forms[start:])
+            compiled.append(forms)
             return traj
 
+        def meter_spy(kind, traj, params):
+            metered.clear()
+            worst = residual(kind, traj, params)
+            meters.append((traj.on_real_axis, list(metered)))
+            return worst
+
+        def compile_spy(expr, names, number=complex):
+            metered.append(number.__name__)
+            return compile_scalar(expr, names, number)
+
         monkeypatch.setattr(numeric, "_integrate_segments", spy)
-        run_claims("numeric", flags=frozenset({"paper_literal_h2"}))
-        assert seen == self.SUITE_FORMS
+        monkeypatch.setattr(claims, "painleve_residual", meter_spy)
+        monkeypatch.setattr(numeric, "compile_scalar", compile_spy)
+        claims.run_claims("numeric", flags=frozenset({"paper_literal_h2"}))
+        assert seen == compiled == self.SUITE_FORMS
+        assert meters == self.SUITE_METERS

@@ -181,7 +181,9 @@ class TestStepper:
     @pytest.mark.parametrize("name", list(TRAJECTORIES))
     def test_matches_reference_bit_for_bit(self, monkeypatch, name):
         got = TRAJECTORIES[name]()
-        monkeypatch.setattr(numeric, "_integrate_segments", reference_integrate_segments)
+        monkeypatch.setattr(numeric, "_integrate_segments",
+                            lambda compile_field, *args:
+                            reference_integrate_segments(compile_field(complex), *args))
         ref = TRAJECTORIES[name]()
         assert len(ref.samples) > 5
         _assert_same_trajectory(got, ref)
@@ -397,25 +399,25 @@ class TestCompiledField:
     @given(rationals(("z",)), rationals(("z",)), complexes, complexes, complexes)
     def test_linear(self, p1, p2, x, v, vp):
         ode = LinearODE2(p1, p2)
-        _assert_same_field(numeric._linear_field(ode), reference_linear_field(ode),
+        _assert_same_field(numeric._linear_field(ode)(complex), reference_linear_field(ode),
                            x, (v, vp))
 
     @FIELD_SETTINGS
     @given(rationals(("lambda", "t")), complexes, complexes)
     def test_riccati(self, rhs, x, lam0):
-        _assert_same_field(numeric._riccati_field(rhs), reference_riccati_field(rhs),
+        _assert_same_field(numeric._riccati_field(rhs)(complex), reference_riccati_field(rhs),
                            x, (lam0,))
 
     @FIELD_SETTINGS
     @given(rationals(("lambda", "mu", "t")), rationals(("lambda", "mu", "t")),
            complexes, complexes, complexes)
     def test_hamiltonian(self, dh_dmu, dh_dlam, x, lam0, mu0):
-        _assert_same_field(numeric._hamiltonian_field(dh_dmu, dh_dlam),
+        _assert_same_field(numeric._hamiltonian_field(dh_dmu, dh_dlam)(complex),
                            reference_hamiltonian_field(dh_dmu, dh_dlam), x, (lam0, mu0))
 
     def test_unbound_name_rejected(self):
         with pytest.raises(ValueError):
-            numeric._riccati_field(lam * mu)
+            numeric._riccati_field(lam * mu)(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +475,7 @@ class TestPowerCounts:
     def test_hamiltonian_field(self, kind, powers):
         params = claims.HAMILTONIAN_WITNESSES[kind][0]
         ham = hamiltonian(kind, params)
-        fieldfn = numeric._hamiltonian_field(ham.dH_dmu, ham.dH_dlam)
+        fieldfn = numeric._hamiltonian_field(ham.dH_dmu, ham.dH_dlam)(complex)
         assert _power_ops(fieldfn) == len(_power_pairs(ham.dH_dmu, ham.dH_dlam)) == powers
 
     # The float form writes each power as products: every power k > 1 of
@@ -484,7 +486,7 @@ class TestPowerCounts:
     def test_hamiltonian_field_on_floats(self, kind, products):
         params = claims.HAMILTONIAN_WITNESSES[kind][0]
         ham = hamiltonian(kind, params)
-        fieldfn = numeric._hamiltonian_field(ham.dH_dmu, ham.dH_dlam).on_floats
+        fieldfn = numeric._hamiltonian_field(ham.dH_dmu, ham.dH_dlam)(float)
         assert _power_ops(fieldfn) == 0
         assert _binary_ops(fieldfn, "*") == products
 
@@ -505,7 +507,7 @@ class TestPowerCounts:
         with pytest.raises(ZeroDivisionError):
             reference_hamiltonian_field(dh_dmu, dh_dlam)(x, ys)
         with pytest.raises(ZeroDivisionError):
-            numeric._hamiltonian_field(dh_dmu, dh_dlam)(x, *ys)
+            numeric._hamiltonian_field(dh_dmu, dh_dlam)(complex)(x, *ys)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +608,7 @@ class TestResidualMeter:
         traj = make()
         got = numeric.painleve_residual(kind, traj, params)
         assert repr(got) == repr(reference_painleve_residual(kind, traj, params))
-        # a copy without the record (on_real_axis) is scanned for the real axis
+        # a copy without the record (on_real_axis) is metered in the complex form
         copy = ODETrajectory(traj.samples)
         assert repr(numeric.painleve_residual(kind, copy, params)) == repr(got)
 
@@ -664,8 +666,8 @@ def test_derivative_witness_matches_reference(family):
 # The float form against the complex form.  A run on the real axis in floats
 # must give every sample, flag, error estimate and exception of the complex
 # form, bit for bit, or hand the run off to it.  Either form's own outcome is
-# compared by repr; the complex form is run on the same field stripped of its
-# float form.
+# compared by repr; the complex form alone runs with the real-axis test
+# switched off.
 # ---------------------------------------------------------------------------
 
 
@@ -714,19 +716,21 @@ def _outcome_of(run):
         return type(exc), str(exc)
 
 
-def _complex_only(field_fn):
-    return lambda x, *ys: field_fn(x, *ys)
+def _complex_only(monkeypatch):
+    """Switch the float form off: every run takes the complex form."""
+    monkeypatch.setattr(numeric, "_on_real_axis", lambda *values: False)
 
 
-def _both_forms(forms, field_fn, path, init, cfg):
+def _both_forms(forms, compile_field, path, init, cfg):
     """The outcome with the float form allowed and the forms it ran, and
     the outcome of the complex form alone."""
     forms.clear()
-    got = _outcome(lambda: numeric._integrate_segments(field_fn, path, init, cfg))
+    got = _outcome(lambda: numeric._integrate_segments(compile_field, path, init, cfg))
     ran = list(forms)
     forms.clear()
-    want = _outcome(lambda: numeric._integrate_segments(_complex_only(field_fn), path,
-                                                        init, cfg))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _complex_only(monkeypatch)
+        want = _outcome(lambda: numeric._integrate_segments(compile_field, path, init, cfg))
     assert forms == ["complex"]
     return got, ran, want
 
@@ -821,15 +825,13 @@ def _nan_past_half(x, y):
     return (y * math.nan if x.real > 0.5 else y,)
 
 
-_nan_past_half.on_floats = _nan_past_half
-
 HAND_OFF_CASES = {
     # a power overflows, and the complex form raises
     "overflowing-t-range": lambda: _hamiltonian_case(
         PainleveKind.P6, (1e200, 2e200), (0.5, 0.0)),
     # the error estimate turns NaN: the complex form rejects the step until
     # the step size underflows
-    "nan-field": lambda: (_nan_past_half, ComplexPath.of(0, 1), (1.0,),
+    "nan-field": lambda: (lambda number: _nan_past_half, ComplexPath.of(0, 1), (1.0,),
                           IntegrationConfig()),
     # v'' = 0 from v' = 0: every accepted v' is zero
     "accepted-zero-state": lambda: (
@@ -871,13 +873,17 @@ class TestHandOff:
         elif case in ("overflowing-t-range", "nan-field", "step-budget"):
             assert issubclass(got[0], numeric.NumericError)
 
-    @pytest.mark.parametrize("lam, forms", [
-        (complex(math.inf, 0.0), [float, complex]),   # a non-finite point residual
-        (0j, [float, complex]),                       # 1 / lambda: a zero division
-        (complex(0.5, -0.0), [complex]),              # not on the real axis
-        (complex(0.5, 0.0), [float]),
-    ], ids=["infinite-value", "zero-trajectory", "negative-zero", "real"])
-    def test_meter(self, monkeypatch, lam, forms):
+    # The meter runs in floats exactly when the trajectory records the real
+    # axis, as the float stepper sets it on every trajectory it gives.
+    @pytest.mark.parametrize("lam, recorded, forms", [
+        (complex(math.inf, 0.0), True, [float, complex]),  # a non-finite point residual
+        (0j, True, [float, complex]),                      # 1 / lambda: a zero division
+        (complex(0.5, -0.0), False, [complex]),            # not on the real axis
+        (complex(0.5, 0.0), True, [float]),
+        (complex(0.5, 0.0), False, [complex]),             # real, but not recorded
+    ], ids=["infinite-value", "zero-trajectory", "negative-zero", "real",
+            "real-unrecorded"])
+    def test_meter(self, monkeypatch, lam, recorded, forms):
         params = claims.HAMILTONIAN_WITNESSES[PainleveKind.P6][0]
         samples = [Sample(i / 8, complex(2 + i / 8), (complex(0.5 + i / 64),))
                    for i in range(8)]
@@ -886,6 +892,7 @@ class TestHandOff:
         else:
             samples[4] = samples[4]._replace(y=(lam,))
         traj = ODETrajectory(samples)
+        traj.on_real_axis = recorded
         compile_ = numeric.compile_scalar
         ran = []
 
@@ -919,6 +926,19 @@ def reference_to_csv(traj):
     return "\n".join(lines) + "\n"
 
 
+def _assert_same_csv(got: str, want: str) -> None:
+    """The row count, then the first row that differs, with its index.
+
+    ``assert got == want`` on two long texts makes pytest build a diff of
+    them on failure, which runs for minutes when every row differs.
+    """
+    got_rows, want_rows = got.split("\n"), want.split("\n")
+    assert len(got_rows) == len(want_rows), "the row counts differ"
+    for i, (a, b) in enumerate(zip(got_rows, want_rows)):
+        if a != b:
+            pytest.fail(f"row {i} differs: {a!r} != {b!r}")
+
+
 SPECIAL_PARTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1 / 3, -1e-300, 2.5e300]
 
 
@@ -932,11 +952,11 @@ class TestCsv:
             ys = tuple(complex(parts[3 + 2 * m], parts[4 + 2 * m]) for m in range(n))
             samples.append(Sample(parts[0], complex(parts[1], parts[2]), ys))
         traj = ODETrajectory(samples)
-        assert traj.to_csv() == reference_to_csv(traj)
+        _assert_same_csv(traj.to_csv(), reference_to_csv(traj))
 
     def test_empty(self):
         traj = ODETrajectory([])
-        assert traj.to_csv() == reference_to_csv(traj)
+        _assert_same_csv(traj.to_csv(), reference_to_csv(traj))
 
     @pytest.mark.parametrize("name", [*TRAJECTORIES, *HAND_OFF_CASES])
     def test_trajectories(self, monkeypatch, stepper_forms, name):
@@ -945,11 +965,9 @@ class TestCsv:
         result, and a copy without it writes the same bytes."""
         run = TRAJECTORIES.get(name) or (
             lambda: numeric._integrate_segments(*HAND_OFF_CASES[name]()))
-        integrate = numeric._integrate_segments
         for complex_only in (False, True):
             if complex_only:
-                monkeypatch.setattr(numeric, "_integrate_segments",
-                                    lambda f, *args: integrate(_complex_only(f), *args))
+                _complex_only(monkeypatch)
             stepper_forms.clear()
             try:
                 traj = run()
@@ -959,5 +977,5 @@ class TestCsv:
             assert traj.on_real_axis is (stepper_forms[-1] == "float")
             assert all(type(smp) is Sample for smp in traj.samples)
             text = traj.to_csv()
-            assert text == reference_to_csv(traj)
-            assert ODETrajectory(traj.samples).to_csv() == text
+            _assert_same_csv(text, reference_to_csv(traj))
+            _assert_same_csv(ODETrajectory(traj.samples).to_csv(), text)
