@@ -766,7 +766,13 @@ def poly_sqrt(p: MultiPoly) -> MultiPoly | None:
 
 
 class RationalExpr:
-    """Quotient of two MultiPoly values, always held in canonical form."""
+    """Quotient of two MultiPoly values, always held in canonical form.
+
+    ``+``, ``*``, ``/`` and ``**`` between two values without a name fold in
+    integers: they compute on the two ``(numerator, denominator)`` int pairs
+    and build the canonical constant directly, with the same ``num`` and
+    ``den`` that the polynomial path gives, and no product, gcd or rescale.
+    """
 
     __slots__ = ("num", "den", "_hash")
 
@@ -819,6 +825,9 @@ class RationalExpr:
 
     def __add__(self, other) -> "RationalExpr":
         other = as_rational(other)
+        a, b = _const_pair(self), _const_pair(other)
+        if a and b:
+            return _const_expr(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
         if self.den == other.den:
             # The sum of the numerators can share a factor with the denominator.
             return RationalExpr(self.num + other.num, self.den)
@@ -851,6 +860,9 @@ class RationalExpr:
 
     def __mul__(self, other) -> "RationalExpr":
         other = as_rational(other)
+        a, b = _const_pair(self), _const_pair(other)
+        if a and b:
+            return _const_expr(a[0] * b[0], a[1] * b[1])
         # Cross-cancel so the product of reduced fractions is already reduced.
         n1, d2 = _cancel(self.num, other.den)
         n2, d1 = _cancel(other.num, self.den)
@@ -862,6 +874,9 @@ class RationalExpr:
         other = as_rational(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero expression")
+        a, b = _const_pair(self), _const_pair(other)
+        if a and b:
+            return _const_expr(a[0] * b[1], a[1] * b[0])
         return self * RationalExpr._monic(other.den, other.num)
 
     def __rtruediv__(self, other) -> "RationalExpr":
@@ -870,10 +885,15 @@ class RationalExpr:
     def __pow__(self, n: int) -> "RationalExpr":
         if not isinstance(n, int):
             raise ValueError("only integer powers are supported")
+        a = _const_pair(self)
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")
+            if a:
+                return _const_expr(a[1] ** -n, a[0] ** -n)
             return RationalExpr._monic(self.den ** (-n), self.num ** (-n))
+        if a:
+            return _const_expr(a[0] ** n, a[1] ** n)
         return RationalExpr._monic(self.num ** n, self.den ** n)
 
     @staticmethod
@@ -938,6 +958,23 @@ class RationalExpr:
         if len(self.den.terms) > 1:
             d = f"({d})"
         return f"{n}/{d}"
+
+
+def _const_pair(e: RationalExpr) -> tuple[int, int] | None:
+    """The ints ``(n, d)`` with ``e == n/d``, ``d > 0``, or None if ``e`` has a name."""
+    if e.num.names or e.den.names:
+        return None
+    return e.num.terms.get((), 0), e.num.den
+
+
+def _const_expr(n: int, d: int) -> RationalExpr:
+    """The canonical constant ``n/d`` for ints ``n`` and ``d != 0``."""
+    if d < 0:
+        n, d = -n, -d
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return RationalExpr(_new((), {(): n}, d) if n else _ZERO, _ONE, _canonical=True)
 
 
 def _rescale(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:

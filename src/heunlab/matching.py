@@ -19,11 +19,19 @@ Three verifiers certify the claims exactly:
   into the Heun parameters the map produces and checks that the accessory
   data collapses (alpha, or alpha*beta, and q vanish), which is why
   classical deformations cannot be reached from Heun derivative equations.
+
+``matching_case`` keeps each case it builds for the life of the process
+(``painleve.symbolic_cache``): a repeat call returns the same
+:class:`MatchingCase`, shared by every caller.  It takes no numeric params,
+so every call reaches the cache.  The case is read-only: a frozen record
+whose ``param_map`` and ``classical_branches`` entries are read-only mappings.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .algebra import (
     RationalExpr,
@@ -42,6 +50,7 @@ from .painleve import (
     build_painleve_linear,
     hamiltonian,
     kappa_constant,
+    symbolic_cache,
 )
 from .report import CaseRecord
 
@@ -57,15 +66,16 @@ class MatchingCase:
     heun_family: HeunFamily
     painleve_kind: PainleveKind
     sign_branch: int
-    param_map: dict[str, RationalExpr]
+    param_map: Mapping[str, RationalExpr]
     gauge: GaugeSpec | None
     mu_constraint: RationalExpr
     riccati_rhs: RationalExpr
     condition: RationalExpr
-    classical_branches: tuple[dict[str, RationalExpr], ...]
+    classical_branches: tuple[Mapping[str, RationalExpr], ...]
     riccati_claim: RationalExpr | None = None
 
 
+@symbolic_cache
 def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
     """The literal reduction data for one kind and square-root branch."""
     if branch not in (1, -1):
@@ -165,13 +175,13 @@ def matching_case(kind: PainleveKind, branch: int = 1) -> MatchingCase:
         heun_family=family,
         painleve_kind=kind,
         sign_branch=branch,
-        param_map=param_map,
+        param_map=MappingProxyType(param_map),
         gauge=gauge,
         mu_constraint=mu_c,
         riccati_rhs=rhs,
         riccati_claim=claim,
         condition=condition,
-        classical_branches=classical,
+        classical_branches=tuple(map(MappingProxyType, classical)),
     )
 
 

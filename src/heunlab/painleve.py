@@ -19,10 +19,19 @@ fixed:
 * ``p5_literal`` switches the sign of the last P5 right-hand-side term back
   to the literal printed one, which likewise breaks the elimination identity.
   The working convention subtracts delta5 * lambda(lambda+1)/(lambda-1).
+
+The constructors ``hamiltonian``, ``painleve_rhs``, ``kappa_constant`` and
+``build_painleve_linear`` keep what they build at symbolic parameters
+(``params is None``) for the life of the process, through
+:func:`symbolic_cache`: a repeat call returns the same object, shared by every
+caller and read-only (an immutable expression or a frozen record of them).
+A call with a params mapping never reaches a cache and builds afresh.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -82,6 +91,30 @@ FLOW_T_SINGULARITIES = {
 }
 
 
+def symbolic_cache(build):
+    """Keep ``build``'s results at symbolic parameters for the life of the process.
+
+    A call without a ``params`` mapping is answered from a ``functools.cache``
+    keyed by every argument with its defaults filled in, so two spellings of
+    one call share an entry; a call with ``params`` runs ``build`` itself.
+    ``cache_info`` and ``cache_clear`` are those of the cache.
+    """
+    signature = inspect.signature(build)
+    cached = functools.cache(build)
+
+    @functools.wraps(build)
+    def constructor(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        if bound.arguments.get("params") is not None:
+            return build(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args, **bound.kwargs)
+
+    constructor.cache_info = cached.cache_info
+    constructor.cache_clear = cached.cache_clear
+    return constructor
+
+
 def _fill_params(kind: PainleveKind, params) -> dict[str, RationalExpr]:
     if params is None:
         return {k: var(k) for k in KIND_PARAMS[kind]}
@@ -102,6 +135,7 @@ class HamiltonianSystem:
     dH_dlam: RationalExpr
 
 
+@symbolic_cache
 def kappa_constant(kind: PainleveKind, params=None) -> RationalExpr:
     """The kappa constant entering the P6/P5 linear data and Hamiltonians."""
     p = _fill_params(kind, params)
@@ -114,12 +148,19 @@ def kappa_constant(kind: PainleveKind, params=None) -> RationalExpr:
     raise InvalidSpec(f"kappa is defined for P6 and P5, not {kind.value}")
 
 
-def _hamiltonian_at(kind: PainleveKind, p: dict[str, RationalExpr], lam: RationalExpr,
-                    mu: RationalExpr, t: RationalExpr, h2_literal: bool) -> RationalExpr:
-    """The kind's Hamiltonian at the given parameters and state."""
+def _kappa_of(kind: PainleveKind, params) -> RationalExpr | None:
+    """The kind's kappa constant for P6 and P5, None for the kinds without one."""
+    if kind in (PainleveKind.P6, PainleveKind.P5):
+        return kappa_constant(kind, params)
+    return None
+
+
+def _hamiltonian_at(kind: PainleveKind, p: dict[str, RationalExpr],
+                    kap: RationalExpr | None, lam: RationalExpr, mu: RationalExpr,
+                    t: RationalExpr, h2_literal: bool) -> RationalExpr:
+    """The kind's Hamiltonian at the given parameters, kappa constant and state."""
     if kind is PainleveKind.P6:
         k0, k1, th = p["kappa0"], p["kappa1"], p["theta"]
-        kap = kappa_constant(kind, p)
         poly = (lam * (lam - 1) * (lam - t) * mu ** 2
                 - (k0 * (lam - 1) * (lam - t) + k1 * lam * (lam - t)
                    + (th - 1) * lam * (lam - 1)) * mu
@@ -127,7 +168,6 @@ def _hamiltonian_at(kind: PainleveKind, p: dict[str, RationalExpr], lam: Rationa
         return poly / (t * (t - 1))
     if kind is PainleveKind.P5:
         k0, th, eta = p["kappa0"], p["theta"], p["eta"]
-        kap = kappa_constant(kind, p)
         poly = (lam * (lam - 1) ** 2 * mu ** 2
                 - (k0 * (lam - 1) ** 2 + th * lam * (lam - 1) - eta * t * lam) * mu
                 + kap * (lam - 1))
@@ -146,14 +186,16 @@ def _hamiltonian_at(kind: PainleveKind, p: dict[str, RationalExpr], lam: Rationa
     return mu ** 2 / 2 - mu_coef * mu - (a2 + const(1, 2)) * lam
 
 
+@symbolic_cache
 def hamiltonian(kind: PainleveKind, params=None, *,
                 h2_literal: bool = False) -> HamiltonianSystem:
     """The kind's Hamiltonian and its exact flow fields."""
-    H = _hamiltonian_at(kind, _fill_params(kind, params), var("lambda"), var("mu"),
-                        var("t"), h2_literal)
+    H = _hamiltonian_at(kind, _fill_params(kind, params), _kappa_of(kind, params),
+                        var("lambda"), var("mu"), var("t"), h2_literal)
     return HamiltonianSystem(H, H.derivative("mu"), H.derivative("lambda"))
 
 
+@symbolic_cache
 def build_painleve_linear(kind: PainleveKind, params=None, *, lam=None, mu=None, t=None,
                           h2_literal: bool = False) -> LinearODE2:
     """The linear equation whose deformation in t produces the kind.
@@ -172,17 +214,16 @@ def build_painleve_linear(kind: PainleveKind, params=None, *, lam=None, mu=None,
     if t.is_const() and t.const_value() in fixed:
         raise InvalidSpec(f"t must avoid {' and '.join(map(str, fixed))}")
     z = var("z")
-    H = _hamiltonian_at(kind, p, lam, mu, t, h2_literal)
+    kap = _kappa_of(kind, params)
+    H = _hamiltonian_at(kind, p, kap, lam, mu, t, h2_literal)
     if kind is PainleveKind.P6:
         k0, k1, th = p["kappa0"], p["kappa1"], p["theta"]
-        kap = kappa_constant(kind, p)
         p1 = ((1 - k0) / z + (1 - k1) / (z - 1) + (1 - th) / (z - t)
               - 1 / (z - lam))
         p2 = (kap / (z * (z - 1)) - t * (t - 1) * H / (z * (z - 1) * (z - t))
               + lam * (lam - 1) * mu / (z * (z - 1) * (z - lam)))
     elif kind is PainleveKind.P5:
         k0, th, eta = p["kappa0"], p["theta"], p["eta"]
-        kap = kappa_constant(kind, p)
         p1 = ((1 - k0) / z + eta * t / (z - 1) ** 2 + (1 - th) / (z - 1)
               - 1 / (z - lam))
         p2 = (kap / (z * (z - 1)) - t * H / (z * (z - 1) ** 2)
@@ -212,7 +253,7 @@ def bridge(kind: PainleveKind, params=None) -> dict[str, RationalExpr]:
             "beta6": -(p["kappa0"] ** 2) / 2,
             "gamma6": p["kappa1"] ** 2 / 2,
             "delta6": (1 - p["theta"] ** 2) / 2,
-            "kappa": kappa_constant(kind, p),
+            "kappa": kappa_constant(kind, params),
         }
     if kind is PainleveKind.P5:
         return {
@@ -220,7 +261,7 @@ def bridge(kind: PainleveKind, params=None) -> dict[str, RationalExpr]:
             "beta5": -(p["kappa0"] ** 2) / 2,
             "gamma5": (1 + p["theta"]) * p["eta"],
             "delta5": p["eta"] ** 2 / 2,
-            "kappa": kappa_constant(kind, p),
+            "kappa": kappa_constant(kind, params),
         }
     if kind is PainleveKind.P4:
         return {
@@ -237,6 +278,7 @@ def bridge(kind: PainleveKind, params=None) -> dict[str, RationalExpr]:
     return {"alpha2": p["alpha2"]}
 
 
+@symbolic_cache
 def painleve_rhs(kind: PainleveKind, params=None, *,
                  p5_literal: bool = False) -> RationalExpr:
     """Right-hand side of d^2 lambda / dt^2 for the kind.

@@ -6,7 +6,23 @@ import functools
 
 import pytest
 
-from heunlab import numeric
+from heunlab import matching, numeric, painleve
+
+#: The constructors of the paper's symbolic data that keep their results
+#: for the life of the process (``painleve.symbolic_cache``).
+CONSTRUCTORS = (matching.matching_case, painleve.hamiltonian, painleve.painleve_rhs,
+                painleve.kappa_constant, painleve.build_painleve_linear)
+
+
+@pytest.fixture
+def cold_constructors():
+    """Empties every constructor cache before the test and returns the constructors.
+
+    Work counted in a test then does not depend on which tests ran before it.
+    """
+    for constructor in CONSTRUCTORS:
+        constructor.cache_clear()
+    return CONSTRUCTORS
 
 
 @pytest.fixture

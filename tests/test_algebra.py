@@ -302,22 +302,24 @@ class TestKernelWorkCounts:
     computes, not only how fast: it shows here even when wall time is too
     noisy to show it.  ``_heu_gcd`` counts the heuristic gcds, at every
     level of its recursion, and ``_heu_candidate`` their evaluation points:
-    p5 has six gcds and p6 two that need a second point, all of them inner
+    p5 has six gcds and p6 one that need a second point, all of them inner
     gcds of images.  ``exact_div`` counts the certificates of nonconstant
     candidates along with every other exact division.  Calls of
     ``poly_gcd`` with a constant operand return at once, but they count too.
+    The constructor caches start empty (``cold_constructors``), so the
+    counts include building the cases and do not depend on the tests before.
     """
 
     COUNTED = ("poly_gcd", "exact_div", "_heu_gcd", "_heu_candidate")
     COUNTS = {
-        "matching/p5": {"poly_gcd": 482, "exact_div": 242,
+        "matching/p5": {"poly_gcd": 464, "exact_div": 242,
                         "_heu_gcd": 128, "_heu_candidate": 134},
-        "matching/p6": {"poly_gcd": 336, "exact_div": 122,
-                        "_heu_gcd": 74, "_heu_candidate": 76},
+        "matching/p6": {"poly_gcd": 239, "exact_div": 85,
+                        "_heu_gcd": 53, "_heu_candidate": 54},
     }
 
     @pytest.mark.parametrize("case", sorted(COUNTS))
-    def test_matching_claims(self, monkeypatch, capsys, case):
+    def test_matching_claims(self, monkeypatch, capsys, cold_constructors, case):
         from heunlab.cli import main
         counts = dict.fromkeys(self.COUNTED, 0)
 

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heunlab import algebra
-from heunlab.algebra import MultiPoly, PoleAtPoint
+from heunlab.algebra import MultiPoly, PoleAtPoint, RationalExpr
 
 # ---------------------------------------------------------------------------
 # References: the rational-arithmetic forms of the three routines.
@@ -356,3 +356,42 @@ class TestIntegerForm:
         except PoleAtPoint:
             return
         assert got.eval_exact(point) == want
+
+
+# ---------------------------------------------------------------------------
+# Constant folding: RationalExpr arithmetic between two values without a name.
+# ---------------------------------------------------------------------------
+
+_BIG = 2 ** 64
+_ints = st.one_of(st.sampled_from([0, 1, -1, _BIG + 1, -(_BIG * 3 + 7)]),
+                  st.integers(-(2 ** 70), 2 ** 70))
+_fractions = st.builds(Fraction, _ints,
+                       st.one_of(st.sampled_from([1, 2, _BIG + 3]), st.integers(1, 2 ** 70)))
+
+
+def _parts(e):
+    return (e.num.names, e.num.terms, e.num.den), (e.den.names, e.den.terms, e.den.den)
+
+
+class TestConstantFold:
+    """Each folded result is, part for part, ``RationalExpr.const`` of the
+    ``Fraction`` result: the form the polynomial path gave."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_fractions, _fractions)
+    def test_matches_fraction_arithmetic(self, a, b):
+        x, y = RationalExpr.const(a), RationalExpr.const(b)
+        results = [(x + y, a + b), (x - y, a - b), (x * y, a * b)]
+        if b:
+            results.append((x / y, a / b))
+        for k in range(-3, 4):
+            if a or k >= 0:
+                results.append((x ** k, a ** k))
+        for got, want in results:
+            assert _parts(got) == _parts(RationalExpr.const(want))
+
+    def test_zero_division_still_raises(self):
+        for op in (lambda: RationalExpr.const(3) / RationalExpr.const(0),
+                   lambda: RationalExpr.const(0) ** -1):
+            with pytest.raises(algebra.DivisionByZero):
+                op()

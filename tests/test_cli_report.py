@@ -82,6 +82,20 @@ class TestVerifyCommand:
         assert data["all_pass"] is True
         assert all(r["verdict"] == "pass" for r in data["records"])
 
+    def test_warm_caches_report_as_cold(self, capsys, cold_constructors):
+        # The constructor caches start empty here; the second run reads every
+        # case from them, and the third builds them again.
+        argv = ["verify", "--suite", "all", "--format", "json"]
+        outs = []
+        for clear in (False, False, True):
+            if clear:
+                for constructor in cold_constructors:
+                    constructor.cache_clear()
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert cold_constructors[0].cache_info().currsize > 0
+        assert outs == [golden("verify_all.json")] * 3
+
     @pytest.mark.parametrize("name, argv", [
         ("matching_p2_h2_literal.json",
          ["--suite", "matching", "--case", "matching/p2", "--paper-literal-h2"]),

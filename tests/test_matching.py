@@ -207,3 +207,31 @@ class TestVerifyObstruction:
         case = matching_case(PainleveKind.P5)
         al = substitute(case.param_map["alpha"], {"eta": const(0)})
         assert al.is_zero()
+
+
+class TestSharedCase:
+    """``matching_case`` hands every caller the one case it built; the case's
+    mappings are read-only, so no caller can change what the others see."""
+
+    def test_repeat_call_returns_the_same_case(self):
+        assert matching_case(PainleveKind.P6, -1) is matching_case(PainleveKind.P6, -1)
+        assert matching_case(PainleveKind.P2) is matching_case(PainleveKind.P2, branch=1)
+
+    @pytest.mark.parametrize("kind", list(PainleveKind))
+    def test_mappings_are_read_only(self, kind):
+        case = matching_case(kind)
+        with pytest.raises(TypeError):
+            case.param_map["q"] = const(0)
+        for bindings in case.classical_branches:
+            with pytest.raises(TypeError):
+                bindings["t"] = const(0)
+
+    def test_replace_leaves_the_cached_case(self):
+        case = matching_case(PainleveKind.P3P)
+        before = dict(case.param_map)
+        slip = replace(case, heun_family=HeunFamily.BI_CONFLUENT)
+        assert slip.heun_family is HeunFamily.BI_CONFLUENT
+        again = matching_case(PainleveKind.P3P)
+        assert again is case
+        assert case.heun_family is HeunFamily.DOUBLE_CONFLUENT
+        assert dict(case.param_map) == before

@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+from heunlab import painleve
 from heunlab.algebra import const, identity_test, substitute, var
 from heunlab.painleve import (
     KIND_PARAMS,
@@ -219,3 +227,51 @@ class TestKappa:
     def test_undefined_for_p2(self):
         with pytest.raises(InvalidSpec):
             kappa_constant(PainleveKind.P2)
+
+
+class TestConstructorCaches:
+    """Symbolic constructions are kept for the process; concrete ones never are."""
+
+    def test_import_builds_nothing(self):
+        src = Path(painleve.__file__).resolve().parents[1]
+        code = ("import heunlab.cli; from heunlab import matching as m, painleve as p; "
+                "print([f.cache_info().currsize for f in (m.matching_case, p.hamiltonian, "
+                "p.painleve_rhs, p.kappa_constant, p.build_painleve_linear)])")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert run.stdout == "[0, 0, 0, 0, 0]\n"
+
+    def test_spellings_share_one_entry(self):
+        assert hamiltonian(PainleveKind.P2) is hamiltonian(PainleveKind.P2, None,
+                                                           h2_literal=False)
+        assert (build_painleve_linear(PainleveKind.P6, mu=mu)
+                is build_painleve_linear(PainleveKind.P6, None, mu=mu, h2_literal=False))
+        assert painleve_rhs(PainleveKind.P5) is painleve_rhs(PainleveKind.P5, p5_literal=False)
+
+    def test_concrete_calls_skip_the_caches(self, cold_constructors):
+        hamiltonian(PainleveKind.P6)
+        build_painleve_linear(PainleveKind.P5)
+        before = [c.cache_info() for c in cold_constructors]
+        rng = random.Random(25)
+        for _ in range(10):
+            kind = rng.choice(list(PainleveKind))
+            params = {k: Fraction(rng.randint(-8, 8), rng.randint(1, 6))
+                      for k in KIND_PARAMS[kind]}
+            t_value = Fraction(rng.randint(2, 9), rng.randint(1, 3))
+            build_painleve_linear(kind, params, lam=Fraction(1, 3), mu=2, t=t_value)
+            hamiltonian(kind, params, h2_literal=rng.random() < 0.5)
+        assert [c.cache_info() for c in cold_constructors] == before
+
+    @pytest.mark.parametrize("kind", [PainleveKind.P6, PainleveKind.P5])
+    def test_kappa_once_per_construction(self, monkeypatch, kind):
+        calls = []
+        kappa = painleve.kappa_constant
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return kappa(*args, **kwargs)
+
+        monkeypatch.setattr(painleve, "kappa_constant", spy)
+        params = {k: Fraction(i + 2, 3) for i, k in enumerate(KIND_PARAMS[kind])}
+        build_painleve_linear(kind, params, t=Fraction(5, 2))
+        assert len(calls) == 1
