@@ -41,7 +41,9 @@ has one home:
   (``_prs_gcd``) when six candidates fail;
 * ``MultiPoly.primitive_int_coeffs`` is the one form in which a univariate
   polynomial leaves the kernel;
-* ``_cancel`` and ``_rescale`` make every canonical pair.
+* ``_cancel`` and ``_rescale`` make every canonical pair; a substitution
+  (``_subst_poly``) and a derivative build one numerator and one
+  denominator and canonicalise them once, by ``RationalExpr(num, den)``.
 
 The monomial order used everywhere is graded lexicographic over the sorted
 name tuple (``_grlex``): compare total degree first, then the exponent
@@ -107,7 +109,7 @@ class MultiPoly:
     ``Fraction`` coefficients and brings them to that form.
     """
 
-    __slots__ = ("names", "terms", "den", "_hash")
+    __slots__ = ("names", "terms", "den")
 
     def __init__(self, names: Iterable[str], terms: Mapping[Exponents, int | Fraction]):
         names = tuple(names)
@@ -120,7 +122,6 @@ class MultiPoly:
             names = tuple(names[i] for i in order)
             ints = {tuple(e[i] for i in order): c for e, c in ints.items()}
         self.names, self.terms, self.den = _normal(names, ints, den)
-        self._hash = None
 
     # ---- constructors -------------------------------------------------
 
@@ -291,31 +292,13 @@ class MultiPoly:
         return _make(self.names, out, self.den)
 
     def eval_exact(self, point: Mapping[str, Fraction]) -> Fraction:
-        """The value at ``point``, summed in ints over the common denominator.
-
-        With x_i = p_i/q_i and D_i the degree in x_i, each term c * x^e is
-        summed as c * prod p_i^e_i q_i^(D_i - e_i) over den * prod q_i^D_i.
-        """
+        """The value at ``point``, summed exactly term by term."""
         missing = [n for n in self.names if n not in point]
         if missing:
             raise UnknownVariable(f"no value supplied for {missing}")
         vals = [_as_exact(point[n]) for n in self.names]
-        tops = [max(col) for col in zip(*self.terms)]
-        scale = self.den
-        for v, top in zip(vals, tops):
-            scale *= v.denominator ** top
-        cache: list[dict[int, int]] = [dict() for _ in self.names]
-        total = 0
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                p = cache[i].get(k)
-                if p is None:
-                    v = vals[i]
-                    p = cache[i][k] = v.numerator ** k * v.denominator ** (tops[i] - k)
-                term *= p
-            total += term
-        return Fraction(total, scale)
+        return Fraction(sum(c * math.prod(map(pow, vals, e))
+                            for e, c in self.terms.items()), self.den)
 
     # ---- structure -------------------------------------------------------
 
@@ -328,9 +311,7 @@ class MultiPoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.names, self.den, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.names, self.den, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -382,7 +363,7 @@ def _normal(names: tuple[str, ...], terms: dict[Exponents, int], den: int,
 def _new(names: tuple[str, ...], terms: dict[Exponents, int], den: int) -> MultiPoly:
     """A MultiPoly from parts already in canonical form."""
     p = object.__new__(MultiPoly)
-    p.names, p.terms, p.den, p._hash = names, terms, den, None
+    p.names, p.terms, p.den = names, terms, den
     return p
 
 
@@ -521,8 +502,6 @@ def _int_primitive(v: list[int]) -> list[int]:
     g = 0
     for x in v:
         g = math.gcd(g, x)
-    if g == 0:
-        return [0]
     if v[-1] < 0:
         g = -g
     return [x // g for x in v]
@@ -774,7 +753,7 @@ class RationalExpr:
     ``den`` that the polynomial path gives, and no product, gcd or rescale.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=_ONE, *, _canonical: bool = False):
         num = _as_poly(num)
@@ -787,7 +766,6 @@ class RationalExpr:
                 num, den = _cancel(num, den)
             num, den = _rescale(num, den)
         self.num, self.den = num, den
-        self._hash = None
 
     # ---- constructors ----------------------------------------------------
 
@@ -909,12 +887,7 @@ class RationalExpr:
         dd = self.den.derivative(name)
         if dd.is_zero():
             return RationalExpr(dn, self.den)
-        # Factor out gcd(den, den') up front: it carries every repeated factor
-        # of the denominator, keeping the quotient-rule result small.
-        g = poly_gcd(self.den, dd)
-        e = exact_div(self.den, g)
-        w = exact_div(dd, g)
-        return RationalExpr(dn * e - self.num * w, g * e * e)
+        return RationalExpr(dn * self.den - self.num * dd, self.den * self.den)
 
     def substitute(self, bindings: Mapping[str, Coercible]) -> "RationalExpr":
         clean = {_check_name(k): as_rational(v) for k, v in bindings.items()}
@@ -941,9 +914,7 @@ class RationalExpr:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RationalExpr({self})"
@@ -998,16 +969,20 @@ def _cancel(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
 
 
 def _subst_poly(p: MultiPoly, bindings: Mapping[str, "RationalExpr"]) -> "RationalExpr":
-    """Simultaneous substitution into a polynomial; result is rational."""
+    """Simultaneous substitution into a polynomial; result is rational.
+
+    Common-denominator form: each bound variable x -> u/v of degree D in p
+    contributes u^e * v^(D - e) to a numerator term and v^D to the one
+    denominator, and ``RationalExpr(num, den)`` canonicalises the pair once.
+    """
     active = [n for n in p.names if n in bindings]
     if not active:
         return RationalExpr(p, _ONE, _canonical=True)
     idx = {n: p.names.index(n) for n in active}
     degs = {n: max(e[idx[n]] for e in p.terms) for n in active}
-    # Common-denominator form: each bound variable x -> u/v contributes
-    # u^e * v^(D - e) to the numerator term and v^D to the global denominator.
     num_pows: dict[str, list[MultiPoly]] = {}
     den_pows: dict[str, list[MultiPoly]] = {}
+    den = _ONE
     for n in active:
         u, v = bindings[n].num, bindings[n].den
         D = degs[n]
@@ -1018,6 +993,7 @@ def _subst_poly(p: MultiPoly, bindings: Mapping[str, "RationalExpr"]) -> "Ration
             vps.append(vps[-1] * v)
         num_pows[n] = nps
         den_pows[n] = vps
+        den = den * vps[D]
     total = _ZERO
     keep = [i for i, n in enumerate(p.names) if n not in bindings]
     keep_names = tuple(p.names[i] for i in keep)
@@ -1028,18 +1004,7 @@ def _subst_poly(p: MultiPoly, bindings: Mapping[str, "RationalExpr"]) -> "Ration
             k = e[idx[n]]
             term = term * num_pows[n][k] * den_pows[n][degs[n] - k]
         total = total + term
-    total = total._scaled(1, p.den)
-    # Divide by one binding denominator at a time: each reduction is then a
-    # gcd against a small structured factor instead of one big product.
-    # (Canonical binding denominators are either 1 or monic non-constant.)
-    result = RationalExpr(total, _ONE, _canonical=True)
-    for n in active:
-        v = bindings[n].den
-        if v.is_const():
-            continue
-        for _ in range(degs[n]):
-            result = result / RationalExpr(v, _ONE, _canonical=True)
-    return result
+    return RationalExpr(total._scaled(1, p.den), den)
 
 
 def as_rational(x: Coercible) -> RationalExpr:

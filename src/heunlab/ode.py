@@ -147,10 +147,8 @@ _TRIAL_LIMIT = 10 ** 6
 
 
 def _divisors(n: int) -> list[int] | None:
-    """All positive divisors of n, or None when n has a factor we refuse to find."""
+    """All positive divisors of n != 0, or None when n has a factor we refuse to find."""
     n = abs(n)
-    if n == 0:
-        return None
     factors: dict[int, int] = {}
     m = n
     p = 2

@@ -11,6 +11,7 @@ from heunlab import algebra
 from heunlab.algebra import (
     DegenerateSubstitution,
     DivisionByZero,
+    MultiPoly,
     PoleAtPoint,
     RationalExpr,
     UnknownVariable,
@@ -295,7 +296,8 @@ class TestPolyHelpers:
 
 
 class TestKernelWorkCounts:
-    """Work of the gcd kernel on the two largest claims, pinned exactly.
+    """Work of the gcd kernel on the two largest claims and on two claims
+    made mostly of substitutions and derivatives, pinned exactly.
 
     The gcd is deterministic, so the number of calls to each routine repeats
     to the unit.  A change that moves any of them changes what the kernel
@@ -303,8 +305,9 @@ class TestKernelWorkCounts:
     noisy to show it.  ``_heu_gcd`` counts the heuristic gcds, at every
     level of its recursion, and ``_heu_candidate`` their evaluation points:
     p5 has six gcds and p6 one that need a second point, all of them inner
-    gcds of images.  ``exact_div`` counts the certificates of nonconstant
-    candidates along with every other exact division.  Calls of
+    gcds of images; riccati/p6 has none, and elimination/p3-substitution
+    runs no heuristic gcd at all.  ``exact_div`` counts the certificates of
+    nonconstant candidates along with every other exact division.  Calls of
     ``poly_gcd`` with a constant operand return at once, but they count too.
     The constructor caches start empty (``cold_constructors``), so the
     counts include building the cases and do not depend on the tests before.
@@ -312,14 +315,18 @@ class TestKernelWorkCounts:
 
     COUNTED = ("poly_gcd", "exact_div", "_heu_gcd", "_heu_candidate")
     COUNTS = {
-        "matching/p5": {"poly_gcd": 464, "exact_div": 242,
-                        "_heu_gcd": 128, "_heu_candidate": 134},
+        "matching/p5": {"poly_gcd": 420, "exact_div": 230,
+                        "_heu_gcd": 114, "_heu_candidate": 120},
         "matching/p6": {"poly_gcd": 239, "exact_div": 85,
                         "_heu_gcd": 53, "_heu_candidate": 54},
+        "riccati/p6": {"poly_gcd": 144, "exact_div": 44,
+                       "_heu_gcd": 45, "_heu_candidate": 45},
+        "elimination/p3-substitution": {"poly_gcd": 103, "exact_div": 18,
+                                        "_heu_gcd": 0, "_heu_candidate": 0},
     }
 
     @pytest.mark.parametrize("case", sorted(COUNTS))
-    def test_matching_claims(self, monkeypatch, capsys, cold_constructors, case):
+    def test_claim(self, monkeypatch, capsys, cold_constructors, case):
         from heunlab.cli import main
         counts = dict.fromkeys(self.COUNTED, 0)
 
@@ -345,3 +352,29 @@ class TestImmutability:
         _ = e.derivative("z")
         _ = substitute(e, {"z": t})
         assert e.num == n0 and e.den == d0
+
+
+class TestHashContract:
+    """Equal values hash equal, however they were built.
+
+    ``painleve.symbolic_cache`` keys constructors by their arguments, and
+    ``verify_matching`` passes ``mu`` as a ``RationalExpr``, so a value must
+    find an equal one built another way as a dict key.
+    """
+
+    @staticmethod
+    def check(a, b):
+        assert a == b and hash(a) == hash(b)
+        assert {a: "a"}[b] == "a" and {b: "b"}[a] == "b"
+
+    def test_multipoly_names_in_another_order(self):
+        a = MultiPoly(("x", "y"), {(2, 1): 3, (1, 0): Fraction(1, 2), (0, 0): -1})
+        b = MultiPoly(("y", "x"), {(0, 0): -1, (0, 1): Fraction(1, 2), (1, 2): 3})
+        assert list(a.terms) != list(b.terms)
+        self.check(a, b)
+
+    def test_rational_by_substitution_and_directly(self):
+        by_subst = substitute((z ** 2 + x) / (z - 1), {"z": (t + 1) / t, "x": t - 2})
+        direct = RationalExpr(MultiPoly(("t",), {(3,): 1, (2,): -1, (1,): 2, (0,): 1}),
+                              MultiPoly(("t",), {(1,): 1}))
+        self.check(by_subst, direct)

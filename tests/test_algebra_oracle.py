@@ -12,7 +12,10 @@ needs a second evaluation point, and a spy confirms the retry; another fails
 at all six points, and so does every pair when each candidate is forced to
 fail, and the PRS must still give the gcd; and every evaluation point tried
 satisfies the bound of the theorem that certifies the result.  ``exact_div`` must return None exactly when
-``sympy.div`` leaves a remainder, and sympy's quotient otherwise.
+``sympy.div`` leaves a remainder, and sympy's quotient otherwise.  A
+``RationalExpr`` built by ``+ - * /``, by ``derivative`` or by
+``substitute`` must be sympy's value in lowest terms over a monic
+denominator.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heunlab import algebra
-from heunlab.algebra import MultiPoly, RationalExpr, exact_div, poly_gcd
+from heunlab.algebra import DegenerateSubstitution, MultiPoly, RationalExpr, exact_div, poly_gcd
 
 sympy = pytest.importorskip("sympy")
 
@@ -418,8 +421,37 @@ def rationals(draw, max_ops=3):
     return expr, sym
 
 
+@st.composite
+def bindings(draw):
+    """Up to three names bound to constants or to quotients of two ``SHARED`` factors.
+
+    Each value comes with its sympy form.
+    """
+    out = {}
+    for name in draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True)):
+        if draw(st.booleans()):
+            c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            out[name] = RationalExpr.const(c), sympy.Rational(c)
+        else:
+            u, v = draw(st.sampled_from(SHARED)), draw(st.sampled_from(SHARED))
+            out[name] = RationalExpr(u, v), to_sympy(u) / to_sympy(v)
+    return out
+
+
+def check_canonical(expr: RationalExpr, sym) -> None:
+    """expr is sympy's value sym in lowest terms over a monic denominator."""
+    assert sympy.cancel(rational_sympy(expr) - sym) == 0
+    assert sympy.gcd(poly_sympy(expr.num), poly_sympy(expr.den)).is_number
+    assert expr.den.leading()[1] == 1
+
+
 class TestCanonicalFormOracle:
-    """Each ``RationalExpr`` is sympy's value in lowest terms, monic below."""
+    """Each ``RationalExpr`` is sympy's value in lowest terms, monic below.
+
+    Values come from ``+ - * /``, and from the two paths that build one
+    numerator and one denominator and canonicalise them once: the quotient
+    rule of ``derivative`` and the common denominator of ``substitute``.
+    """
 
     @SETTINGS
     @given(rationals())
@@ -442,3 +474,23 @@ class TestCanonicalFormOracle:
         assert (a + b) - b == a
         if not b.is_zero():
             assert (a * b) / b == a
+
+    @SETTINGS
+    @given(rationals(max_ops=2), st.sampled_from(NAMES))
+    def test_derivative(self, pair, name):
+        expr, sym = pair
+        check_canonical(expr.derivative(name), sympy.diff(sym, sympy.Symbol(name)))
+
+    @SETTINGS
+    @given(rationals(max_ops=2), bindings())
+    def test_substitute(self, pair, bound):
+        expr, _ = pair
+        subs = {sympy.Symbol(n): s for n, (_, s) in bound.items()}
+        num, den = (sympy.cancel(poly_sympy(p).subs(subs, simultaneous=True))
+                    for p in (expr.num, expr.den))
+        values = {n: e for n, (e, _) in bound.items()}
+        if den == 0:
+            with pytest.raises(DegenerateSubstitution):
+                expr.substitute(values)
+        else:
+            check_canonical(expr.substitute(values), num / den)
