@@ -47,7 +47,9 @@ has one home:
 
 The monomial order used everywhere is graded lexicographic over the sorted
 name tuple (``_grlex``): compare total degree first, then the exponent
-vectors.
+vectors.  The order in which a term map holds its terms is no part of the
+value: every reader that needs an order, ``str`` and the numeric compiler
+among them, sorts the terms by this one.
 """
 
 from __future__ import annotations
@@ -163,9 +165,9 @@ class MultiPoly:
         if self.is_zero() or self.names not in ((), (name,)):
             raise ValueError(f"{self} is not a nonzero polynomial in {name} alone")
         out = [0] * (self.degree_in(name) + 1)
-        for e, c in self.terms.items():
+        for e, c in _canon_primitive(self).terms.items():
             out[e[0] if e else 0] = c
-        return _int_primitive(out)
+        return out
 
     def leading(self) -> tuple[Exponents, Fraction]:
         """Leading (exponents, coefficient) under graded lex order."""
@@ -498,15 +500,6 @@ def _univar_view(p: MultiPoly, name: str) -> dict[int, MultiPoly]:
     return {k: _make(rest, t, p.den) for k, t in buckets.items()}
 
 
-def _int_primitive(v: list[int]) -> list[int]:
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-    if v[-1] < 0:
-        g = -g
-    return [x // g for x in v]
-
-
 #: The heuristic gcd's evaluation points (Char, Geddes & Gonnet, 1989): the
 #: first lies this far above twice the smaller norm of the two inputs, each
 #: failed point is multiplied by 73794/27011, and six points are tried.
@@ -550,15 +543,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _ONE
     if a == b:
         return _canon_primitive(a)
-    g = _canon_primitive(_as_poly(_gcd_z(a, b)))
-    # A gcd that is an input's primitive part is returned as that part, in
-    # the input's term order: the order in which numeric.compile_scalar sums.
-    for p in (b, a):
-        if len(p.terms) == len(g.terms) and p.names == g.names:
-            pp = _canon_primitive(p)
-            if pp == g:
-                return pp
-    return g
+    return _canon_primitive(_as_poly(_gcd_z(a, b)))
 
 
 def _gcd_z(a: IntPoly, b: IntPoly) -> IntPoly:

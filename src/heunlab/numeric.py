@@ -11,10 +11,12 @@ All state is held as plain complex scalars (the systems here have one or two
 components), so no array machinery is needed.  One generator (``_compile``)
 turns exact expressions into straight-line code, one statement per sum of
 terms: a field is one function ``field(x, y0, ..., y{n-1})`` that returns the
-tuple dy/dx.  The stepper is generated from the tableau for each state size
-n and number type, on first use: its state components and stage values are
-scalar locals, each stage calls the field once, and its stage sums round bit
-for bit as the tableau rows summed term by term would.
+tuple dy/dx.  Each sum takes its terms in the kernel's graded-lex order, the
+highest first, so a compiled function depends only on the expression's
+value.  The stepper is generated from the tableau for each state size n and
+number type, on first use: its state components and stage values are scalar
+locals, each stage calls the field once, and its stage sums round bit for bit
+as the tableau rows summed term by term would.
 
 Real-axis runs.  Both generators take the number type as a parameter, and
 emit a complex form and a float form of the same code.  A complex run that
@@ -59,11 +61,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import RationalExpr, const, substitute
+from .algebra import RationalExpr, _grlex, substitute
 from .heun import HeunSpec, build_heun, build_heun_derivative
 from .matching import MatchingCase
 from .ode import LinearODE2, finite_poles
-from .painleve import KIND_PARAMS, LAMBDA_LOCUS, PainleveKind, hamiltonian, painleve_rhs
+from .painleve import LAMBDA_LOCUS, PainleveKind, _fill_params, hamiltonian, painleve_rhs
 
 
 class NumericError(Exception):
@@ -429,10 +431,12 @@ def _emit_quotient(expr: RationalExpr, arg: dict[str, str], env: dict,
     code, and ``number`` is the number type the code computes in.  The lines
     leave the numerator in ``num`` and the denominator in ``den`` (a constant
     denominator stays a name in ``env``); each is a sum of the polynomial's
-    terms, in order, onto the zero of ``number``, each term its coefficient
-    times the power ``x ** k`` of every nonzero exponent.  The coefficients
-    reach the generated code as objects of ``number`` in ``env``, never as
-    printed numbers.
+    terms onto the zero of ``number``, each term its coefficient times the
+    power ``x ** k`` of every nonzero exponent.  The terms come in graded-lex
+    order (``algebra._grlex``), the highest first, the order ``str`` prints:
+    the order in which the term map holds them never reaches the sum.  The
+    coefficients reach the generated code as objects of ``number`` in
+    ``env``, never as printed numbers.
 
     Each distinct power is computed once per generated function, in the
     local ``x_k`` right before the first statement that uses it; ``powers``
@@ -462,9 +466,9 @@ def _emit_quotient(expr: RationalExpr, arg: dict[str, str], env: dict,
 
     def assign(target: str, p) -> list[str]:
         terms, new = [], []  # new[i]: the powers that term i uses first
-        for e, c in p.terms.items():
+        for e in sorted(p.terms, key=_grlex, reverse=True):
             key = f"c{len(env)}"
-            env[key] = number(c / p.den)
+            env[key] = number(p.terms[e] / p.den)
             factors, first = [key], []
             for n, k in zip(p.names, e):
                 if k:
@@ -704,7 +708,7 @@ def integrate_riccati(case: MatchingCase, params: dict[str, Fraction],
     movable pole) truncates the trajectory and sets the pole flag instead of
     failing.
     """
-    bind = {k: const(params[k]) for k in KIND_PARAMS[case.painleve_kind]}
+    bind = _fill_params(case.painleve_kind, params)
     cond = substitute(case.condition, bind)
     if not cond.is_zero():
         raise ConditionNotSatisfied(
@@ -799,7 +803,7 @@ def painleve_residual(kind: PainleveKind, traj: ODETrajectory,
     samples = traj.samples
     if len(samples) < 5:
         raise InsufficientSamples(f"need at least 5 samples, got {len(samples)}")
-    expr = painleve_rhs(kind, params)
+    expr = substitute(painleve_rhs(kind), _fill_params(kind, params))
     names = ("lambda", "lambdap", "t")
     ss = [smp.s for smp in samples]
     t0, t1 = samples[0].x, samples[-1].x

@@ -228,8 +228,6 @@ def _divide_linear(coeffs: list[int], q: int, p: int) -> list[int] | None:
 def squarefree_decomposition(p: MultiPoly, name: str) -> list[tuple[MultiPoly, int]]:
     """Yun's algorithm: p = const * prod a_k^k with squarefree coprime a_k."""
     out: list[tuple[MultiPoly, int]] = []
-    if p.degree_in(name) == 0:
-        return out
     dp = p.derivative(name)
     g = poly_gcd(p, dp)
     c = exact_div(p, g)

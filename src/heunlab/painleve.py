@@ -26,6 +26,8 @@ The constructors ``hamiltonian``, ``painleve_rhs``, ``kappa_constant`` and
 :func:`symbolic_cache`: a repeat call returns the same object, shared by every
 caller and read-only (an immutable expression or a frozen record of them).
 A call with a params mapping never reaches a cache and builds afresh.
+``painleve_rhs`` and ``bridge`` take no params: a caller binds them with
+``substitute``.
 """
 
 from __future__ import annotations
@@ -89,6 +91,9 @@ FLOW_T_SINGULARITIES = {
     PainleveKind.P3P: (Fraction(0),),
     PainleveKind.P2: (),
 }
+
+#: The fixed singular t-values of the literal P2 flow (``h2_literal``): its 1/t.
+H2_LITERAL_T_SINGULARITIES = (Fraction(0),)
 
 
 def symbolic_cache(build):
@@ -211,6 +216,8 @@ def build_painleve_linear(kind: PainleveKind, params=None, *, lam=None, mu=None,
     mu = var("mu") if mu is None else as_rational(mu)
     t = var("t") if t is None else as_rational(t)
     fixed = FLOW_T_SINGULARITIES[kind]
+    if h2_literal and kind is PainleveKind.P2:
+        fixed = H2_LITERAL_T_SINGULARITIES
     if t.is_const() and t.const_value() in fixed:
         raise InvalidSpec(f"t must avoid {' and '.join(map(str, fixed))}")
     z = var("z")
@@ -244,16 +251,16 @@ def build_painleve_linear(kind: PainleveKind, params=None, *, lam=None, mu=None,
     return LinearODE2(p1, p2, "z")
 
 
-def bridge(kind: PainleveKind, params=None) -> dict[str, RationalExpr]:
+def bridge(kind: PainleveKind) -> dict[str, RationalExpr]:
     """Constants of the nonlinear equation, from the linear data's parameters."""
-    p = _fill_params(kind, params)
+    p = _fill_params(kind, None)
     if kind is PainleveKind.P6:
         return {
             "alpha6": p["kappainf"] ** 2 / 2,
             "beta6": -(p["kappa0"] ** 2) / 2,
             "gamma6": p["kappa1"] ** 2 / 2,
             "delta6": (1 - p["theta"] ** 2) / 2,
-            "kappa": kappa_constant(kind, params),
+            "kappa": kappa_constant(kind),
         }
     if kind is PainleveKind.P5:
         return {
@@ -261,7 +268,7 @@ def bridge(kind: PainleveKind, params=None) -> dict[str, RationalExpr]:
             "beta5": -(p["kappa0"] ** 2) / 2,
             "gamma5": (1 + p["theta"]) * p["eta"],
             "delta5": p["eta"] ** 2 / 2,
-            "kappa": kappa_constant(kind, params),
+            "kappa": kappa_constant(kind),
         }
     if kind is PainleveKind.P4:
         return {
@@ -279,8 +286,7 @@ def bridge(kind: PainleveKind, params=None) -> dict[str, RationalExpr]:
 
 
 @symbolic_cache
-def painleve_rhs(kind: PainleveKind, params=None, *,
-                 p5_literal: bool = False) -> RationalExpr:
+def painleve_rhs(kind: PainleveKind, *, p5_literal: bool = False) -> RationalExpr:
     """Right-hand side of d^2 lambda / dt^2 for the kind.
 
     The indeterminate ``lambdap`` stands for dlambda/dt.  For P5 the default
@@ -291,7 +297,7 @@ def painleve_rhs(kind: PainleveKind, params=None, *,
     lam = var("lambda")
     lp = var("lambdap")
     t = var("t")
-    br = bridge(kind, params)
+    br = bridge(kind)
     if kind is PainleveKind.P6:
         a6, b6, g6, d6 = br["alpha6"], br["beta6"], br["gamma6"], br["delta6"]
         return (
@@ -322,12 +328,12 @@ def painleve_rhs(kind: PainleveKind, params=None, *,
     return 2 * lam ** 3 + t * lam + a2
 
 
-def painleve_rhs_p3_standard(params=None) -> RationalExpr:
+def painleve_rhs_p3_standard() -> RationalExpr:
     """Right-hand side of the standard (un-rescaled) third Painleve equation."""
     lam = var("lambda")
     lp = var("lambdap")
     t = var("t")
-    br = bridge(PainleveKind.P3P, params)
+    br = bridge(PainleveKind.P3P)
     a3, b3, g3, d3 = br["alpha3"], br["beta3"], br["gamma3"], br["delta3"]
     return (lp ** 2 / lam - lp / t + (a3 * lam ** 2 + b3) / t
             + g3 * lam ** 3 + d3 / lam)

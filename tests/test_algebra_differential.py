@@ -44,7 +44,9 @@ def reference_int_coeff_list(p, name):
     den_lcm = 1
     for c in coeffs:
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    return algebra._int_primitive([int(c * den_lcm) for c in coeffs])
+    ints = [int(c * den_lcm) for c in coeffs]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [c // g for c in ints]
 
 
 def fraction_terms(p, names):

@@ -33,8 +33,11 @@ from heunlab.numeric import (
 from heunlab.ode import LinearODE2
 from heunlab.painleve import (
     FLOW_T_SINGULARITIES,
+    H2_LITERAL_T_SINGULARITIES,
     KIND_PARAMS,
+    InvalidSpec,
     PainleveKind,
+    build_painleve_linear,
     hamiltonian,
 )
 from heunlab.algebra import const, var
@@ -290,6 +293,10 @@ class TestRiccati:
         with pytest.raises(ConditionNotSatisfied):
             integrate_riccati(case, {"alpha2": F(1, 3)}, (0.0, 1.0), 0.0)
 
+    def test_missing_parameter_named(self):
+        with pytest.raises(InvalidSpec, match="^p2 needs parameter alpha2$"):
+            integrate_riccati(matching_case(PainleveKind.P2), {}, (0.0, 1.0), 0.0)
+
     def test_p4_case(self):
         # lambda0 on the contracting branch of lambda' = (lambda+t)^2 - t^2 + 1/2;
         # positive starts run into a movable pole almost immediately.
@@ -363,6 +370,11 @@ class TestRiccati:
         with pytest.raises(InsufficientSamples):
             painleve_residual(PainleveKind.P2, ODETrajectory(samples), {"alpha2": F(2)})
 
+    def test_residual_missing_parameter_named(self):
+        samples = [Sample(s, complex(2 + s), (0.5 + 0j,)) for s in (0, 0.25, 0.5, 0.75, 1)]
+        with pytest.raises(InvalidSpec, match="^p6 needs parameter kappa1$"):
+            painleve_residual(PainleveKind.P6, ODETrajectory(samples), {"kappa0": F(1)})
+
 
 class TestHamiltonian:
     @pytest.mark.parametrize("kind", list(PainleveKind),
@@ -402,7 +414,8 @@ class TestFlowGuards:
 
     Every flow is guarded by the poles in t of what it integrates, and these
     are the fixed singular values that ``FLOW_T_SINGULARITIES`` lists for
-    ``build_painleve_linear``.
+    ``build_painleve_linear`` (``H2_LITERAL_T_SINGULARITIES`` for the
+    literal P2 flow).
     """
 
     P6_RICCATI = {"kappa0": F(1, 4), "kappa1": F(1, 3), "theta": F(1, 5),
@@ -445,7 +458,15 @@ class TestFlowGuards:
             assert numeric._poles((ham.dH_dmu, ham.dH_dlam), "t") == want
             if kind is PainleveKind.P2:
                 ham = hamiltonian(kind, params, h2_literal=True)
-                assert numeric._poles((ham.dH_dmu, ham.dH_dlam), "t") == [0j]
+                assert numeric._poles((ham.dH_dmu, ham.dH_dlam), "t") == [
+                    complex(v) for v in H2_LITERAL_T_SINGULARITIES]
+
+    def test_literal_p2_linear_equation_refuses_its_table(self):
+        with pytest.raises(InvalidSpec, match="^t must avoid 0$"):
+            build_painleve_linear(PainleveKind.P2, {"alpha2": 1}, lam=2, mu=1, t=0,
+                                  h2_literal=True)
+        # the working P2 flow has no fixed singular value
+        assert build_painleve_linear(PainleveKind.P2, {"alpha2": 1}, lam=2, mu=1, t=0)
 
 
 class TestTrajectoryExport:

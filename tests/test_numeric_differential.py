@@ -4,8 +4,9 @@
 code and ``numeric.compile_scalar`` generates one expression per polynomial.
 Both must perform the same floating-point operations in the same order as
 the plain forms kept below (a list of stages summed with ``sum`` and a
-term-by-term loop), so every value is compared bit for bit: with ``==`` and
-through ``repr``, which also tells the sign of a zero.
+term-by-term loop over the terms in graded-lex order, the highest first), so
+every value is compared bit for bit: with ``==`` and through ``repr``, which
+also tells the sign of a zero.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from heunlab.numeric import (
     integrate_riccati,
 )
 from heunlab.ode import LinearODE2
-from heunlab.painleve import PainleveKind, hamiltonian, painleve_rhs
+from heunlab.painleve import KIND_PARAMS, PainleveKind, hamiltonian, painleve_rhs
 
 # ---------------------------------------------------------------------------
 # Reference stepper: the Dormand-Prince 5(4) pair with a growing list of
@@ -203,7 +204,9 @@ def reference_compile_scalar(expr, names):
 
     def compile_poly(p):
         idx = [pos[n] for n in p.names]
-        terms = [(complex(F(c, p.den)), tuple(zip(idx, e))) for e, c in p.terms.items()]
+        # graded lex, the highest term first
+        order = sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+        terms = [(complex(F(c, p.den)), tuple(zip(idx, e))) for e, c in order]
 
         def ev(args):
             total = 0j
@@ -236,7 +239,7 @@ EXPRESSIONS = {
     "rational": ((z ** 2 - 2 * z + 3) / (z * (z - 1) * (z - 2)), ("z",)),
     "mu-absent": ((lam ** 3 * t - F(5, 2) * lam * t ** 2 + 1) / (lam * (lam - t)),
                   ("lambda", "mu", "t")),
-    "p6-rhs": (painleve_rhs(PainleveKind.P6, P6), ("lambda", "lambdap", "t")),
+    "p6-rhs": (substitute(painleve_rhs(PainleveKind.P6), P6), ("lambda", "lambdap", "t")),
     # longer than one generated statement holds, and than the compiler could
     # take as one expression
     "3000-terms": (RationalExpr(MultiPoly(("z",), {(k,): F(1, k + 1)
@@ -286,6 +289,61 @@ class TestCompiledEvaluator:
     def test_unbound_name_rejected(self):
         with pytest.raises(ValueError):
             compile_scalar(lam * mu, ("lambda",))
+
+
+def reversed_terms(p):
+    """An equal MultiPoly whose term map holds its terms in reverse order."""
+    return MultiPoly(p.names, {e: F(c, p.den) for e, c in reversed(p.terms.items())})
+
+
+def _twin(expr):
+    """The value of ``expr`` with both term maps in reverse order."""
+    twin = RationalExpr(reversed_terms(expr.num), reversed_terms(expr.den))
+    assert twin == expr
+    if len(expr.num.terms) > 1:
+        assert list(twin.num.terms) != list(expr.num.terms)
+    return twin
+
+
+def _results(fn, points):
+    """The repr of each point's value, or the type of the error it raised."""
+    out = []
+    for point in points:
+        try:
+            out.append(repr(fn(*point)))
+        except ArithmeticError as exc:
+            out.append(type(exc))
+    return out
+
+
+class TestSummationOrder:
+    """Equal values compile to the same function, bit for bit, in both forms,
+    whatever order their term maps hold the terms in."""
+
+    @staticmethod
+    def check(a, b, names, seed, n_points):
+        rng = random.Random(seed)
+        on_axis = [tuple(rng.uniform(-3, 3) for _ in names) for _ in range(n_points)]
+        for number, points in ((complex, _points(len(names), seed)[-n_points:]),
+                               (float, on_axis)):
+            assert (_results(compile_scalar(a, names, number), points)
+                    == _results(compile_scalar(b, names, number), points))
+
+    @pytest.mark.parametrize("name", list(EXPRESSIONS))
+    def test_reversed_terms(self, name):
+        expr, names = EXPRESSIONS[name]
+        self.check(expr, _twin(expr), names, seed=len(name), n_points=50)
+
+    def test_p6_rhs_bound_by_substitution(self):
+        # Bound at these parameter sets, the rhs holds its terms in several
+        # orders: both it and its reversed twin must give the one function.
+        rng = random.Random(0)
+        rhs = painleve_rhs(PainleveKind.P6)
+        for n in range(150):
+            params = {k: F(rng.randint(-8, 8), rng.randint(1, 6))
+                      for k in KIND_PARAMS[PainleveKind.P6]}
+            bound = substitute(rhs, params)
+            self.check(bound, _twin(bound), ("lambda", "lambdap", "t"), seed=n, n_points=8)
 
 
 # A coefficient is held as an int numerator over its polynomial's common
@@ -491,7 +549,7 @@ class TestPowerCounts:
         assert _binary_ops(fieldfn, "*") == products
 
     def test_p6_rhs(self):
-        rhs = painleve_rhs(PainleveKind.P6, P6)
+        rhs = substitute(painleve_rhs(PainleveKind.P6), P6)
         scalar = compile_scalar(rhs, ("lambda", "lambdap", "t"))
         assert _power_ops(scalar) == len(_power_pairs(rhs)) == 13
 
@@ -520,7 +578,8 @@ def reference_painleve_residual(kind, traj, params):
     if len(traj.samples) < 5:
         raise numeric.InsufficientSamples(
             f"need at least 5 samples, got {len(traj.samples)}")
-    rhs = reference_compile_scalar(painleve_rhs(kind, params), ("lambda", "lambdap", "t"))
+    rhs = reference_compile_scalar(substitute(painleve_rhs(kind), params),
+                                   ("lambda", "lambdap", "t"))
     ss = [smp.s for smp in traj.samples]
     lams = [smp.y[0] for smp in traj.samples]
     t0 = traj.samples[0].x
@@ -743,7 +802,7 @@ def _assert_forms_agree(forms, field_fn, path, init, cfg):
 
 
 def _complex_meter(kind, traj, params):
-    rhs = compile_scalar(painleve_rhs(kind, params), ("lambda", "lambdap", "t"))
+    rhs = compile_scalar(substitute(painleve_rhs(kind), params), ("lambda", "lambdap", "t"))
     return numeric._meter(rhs, [smp.s for smp in traj.samples],
                           [smp.y[0] for smp in traj.samples],
                           traj.samples[0].x, traj.samples[-1].x, complex)[0]

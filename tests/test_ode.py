@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunlab import ode
-from heunlab.algebra import MultiPoly, RationalExpr, _int_primitive, const, substitute, var
+from heunlab.algebra import MultiPoly, RationalExpr, const, substitute, var
 from heunlab.numeric import ode_singularities
 from heunlab.ode import (
     INFINITY,
@@ -325,7 +325,9 @@ def dense_fractions(p: MultiPoly) -> list[Fraction]:
 
 def primitive(coeffs: list[Fraction]) -> list[int]:
     den = math.lcm(*(c.denominator for c in coeffs))
-    return _int_primitive([int(c * den) for c in coeffs])
+    ints = [int(c * den) for c in coeffs]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [c // g for c in ints]
 
 
 ZP = z.num
