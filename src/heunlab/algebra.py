@@ -29,18 +29,26 @@ values are equal exactly when their canonical forms coincide term by term.
 The gcd and exact division read the integer numerators directly: the gcd
 evaluates them at integer points, and exact division divides by the
 integer-primitive part of the divisor (Gauss's lemma), taking each leading
-term of its remainder from a heap, and rescales the quotient once.  Each rule
-has one home:
+term of its remainder from a heap, and rescales the quotient once.  Two
+polynomials in the same single name take the univariate level instead: the
+same rules on dense int coefficient lists, low to high.  Each rule has one
+home:
 
 * ``poly_gcd`` runs the heuristic gcd, with the primitive PRS as its
   certified fallback: ``_strip`` removes
   every integer content and monomial factor it sees, ``_eval_at`` takes
   every image, ``_heu_candidate`` reads every candidate off an image gcd's
-  digits, and ``_heu_gcd`` accepts a candidate only when ``exact_div``
-  divides both inputs by it, and hands the pair to the primitive PRS
-  (``_prs_gcd``) when six candidates fail;
-* ``MultiPoly.primitive_int_coeffs`` is the one form in which a univariate
-  polynomial leaves the kernel;
+  digits (``_xi_digits``), and ``_heu_gcd`` accepts a candidate only when
+  ``exact_div`` divides both inputs by it, and hands the pair to the
+  primitive PRS (``_prs_gcd``) when six candidates fail;
+* the univariate level, where the top-level gcds of one name and the last
+  level of every multivariate recursion end: ``_gcd_dense``,
+  ``_heu_candidate_dense`` and the long division ``_div_dense``, which both
+  the gcd's certificate and ``exact_div`` run;
+* ``_int_coeffs`` is the one reader of a univariate polynomial's int
+  numerators into a dense list, and ``MultiPoly.primitive_int_coeffs``,
+  built on it, is the one form in which a univariate polynomial leaves the
+  kernel;
 * ``_cancel`` and ``_rescale`` make every canonical pair; a substitution
   (``_subst_poly``) and a derivative build one numerator and one
   denominator and canonicalise them once, by ``RationalExpr(num, den)``.
@@ -164,10 +172,7 @@ class MultiPoly:
         """
         if self.is_zero() or self.names not in ((), (name,)):
             raise ValueError(f"{self} is not a nonzero polynomial in {name} alone")
-        out = [0] * (self.degree_in(name) + 1)
-        for e, c in _canon_primitive(self).terms.items():
-            out[e[0] if e else 0] = c
-        return out
+        return _int_coeffs(_canon_primitive(self))
 
     def leading(self) -> tuple[Exponents, Fraction]:
         """Leading (exponents, coefficient) under graded lex order."""
@@ -404,13 +409,15 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     (leading terms multiply monotonically in a graded order).  Either way we
     abort immediately.
 
-    The remainder is a dict keyed by packed exponent vectors (total degree,
-    then the exponents, as the digits of one int in a base above p's total
-    degree, so that int order is graded lex order and packing is additive),
-    and its keys sit in a heap that yields the leading term without a
-    rescan; a key whose term cancelled is skipped when it surfaces (Johnson,
-    SIGSAM Bulletin 8, 1974; Monagan and Pearce, CASC 2007).  Quotient terms
-    come out in decreasing graded-lex order.
+    When p and d are polynomials in one name, the division is the long
+    division of their dense int lists, from the top (``_div_dense``).
+    Otherwise the remainder is a dict keyed by packed exponent vectors (total
+    degree, then the exponents, as the digits of one int in a base above p's
+    total degree, so that int order is graded lex order and packing is
+    additive), and its keys sit in a heap that yields the leading term
+    without a rescan; a key whose term cancelled is skipped when it surfaces
+    (Johnson, SIGSAM Bulletin 8, 1974; Monagan and Pearce, CASC 2007).
+    Either way quotient terms come out in decreasing graded-lex order.
     """
     d = _as_poly(d)
     if d.is_zero():
@@ -420,8 +427,31 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     if d.is_const():
         return p._scaled(d.den, d.terms[()])
     names = MultiPoly._union_names(p, d)
-    pt = p._aligned_to(names)
-    dt = d._aligned_to(names)
+    if len(names) == 1:
+        dl = _int_coeffs(d)
+        cd = math.gcd(*dl)
+        q = _div_dense(_int_coeffs(p), [c // cd for c in dl])
+        if q is None:
+            return None
+        quot = {(k,): q[k] for k in range(len(q) - 1, -1, -1) if q[k]}
+    else:
+        cd = math.gcd(*d.terms.values())
+        quot = _div_heap(p._aligned_to(names), d._aligned_to(names), cd)
+        if quot is None:
+            return None
+    # p/d = (p's numerators / (d's / cd)) * d.den / (p.den * cd)
+    if d.den != 1:
+        quot = {e: q * d.den for e, q in quot.items()}
+    return _make(names, quot, p.den * cd)
+
+
+def _div_heap(pt: dict[Exponents, int], dt: dict[Exponents, int],
+              cd: int) -> dict[Exponents, int] | None:
+    """The quotient terms of pt / (dt / cd) over Z, highest first, or None if inexact.
+
+    Both term maps are aligned to one name tuple, and cd is the integer
+    content of dt.
+    """
     # Every exponent of every remainder term is at most p's total degree.
     base = max(map(sum, pt)) + 1
 
@@ -434,12 +464,11 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     rem = {pack(e): c for e, c in pt.items()}
     heap = [-k for k in rem]
     heapq.heapify(heap)
-    cd = math.gcd(*dt.values())
     de = max(dt, key=_grlex)
     dc = dt[de] // cd
     dkey = pack(de)
     tail = [(pack(e), c // cd) for e, c in dt.items() if e != de]
-    width = len(names)
+    width = len(de)
     quot: dict[Exponents, int] = {}
     while heap:
         key = -heapq.heappop(heap)
@@ -469,10 +498,34 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
                 rem[nk] = v - t
             else:
                 del rem[nk]
-    # p/d = (pt / (dt/cd)) * d.den / (p.den * cd)
-    if d.den != 1:
-        quot = {e: q * d.den for e, q in quot.items()}
-    return _make(names, quot, p.den * cd)
+    return quot
+
+
+def _div_dense(p: list[int], d: list[int]) -> list[int] | None:
+    """The quotient of p by d over Z when it is exact, else None.
+
+    Dense int lists, low to high, with a nonzero last entry: the long
+    division runs from the top and stops at the first quotient coefficient
+    that is not an integer.
+    """
+    m = len(d) - 1
+    top = len(p) - 1 - m
+    if top < 0:
+        return None
+    rem = list(p)
+    lead = d[m]
+    tail = [(j, c) for j, c in enumerate(d[:m]) if c]
+    quot = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        c = rem[k + m]
+        if c:
+            qc, r = divmod(c, lead)
+            if r:
+                return None
+            quot[k] = qc
+            for j, dj in tail:
+                rem[k + j] -= qc * dj
+    return None if any(rem[:m]) else quot
 
 
 def _canon_primitive(p: MultiPoly) -> MultiPoly:
@@ -485,6 +538,27 @@ def _canon_primitive(p: MultiPoly) -> MultiPoly:
     if g == 1 and p.den == 1:
         return p
     return _new(p.names, {e: c // g for e, c in p.terms.items()}, 1)
+
+
+def _int_coeffs(p: MultiPoly) -> list[int]:
+    """The int numerators ``[c0, ..., cd]`` of a nonzero p in at most one name.
+
+    The dense list, low to high; p's denominator is not read.
+    """
+    if not p.names:
+        return [p.terms[()]]
+    out = [0] * (max(e[0] for e in p.terms) + 1)
+    for (k,), c in p.terms.items():
+        out[k] = c
+    return out
+
+
+def _poly_of(names: tuple[str, ...], coeffs: list[int]) -> MultiPoly:
+    """The polynomial in the one name of ``names`` with int coefficients ``coeffs``.
+
+    ``coeffs`` is a dense list, low to high, of degree at least 1.
+    """
+    return _new(names, {(k,): c for k, c in enumerate(coeffs) if c}, 1)
 
 
 def _univar_view(p: MultiPoly, name: str) -> dict[int, MultiPoly]:
@@ -527,11 +601,16 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     xi >= 2 * min(|a|, |b|) + 2 in the max-norm of the stripped inputs, the
     candidate's primitive part is their gcd as soon as it divides both; the
     first point here is 2 * min(|a|, |b|) + 29, and every candidate is
-    checked by ``exact_div``, so each result is certified.  A candidate that
+    checked by exact division, so each result is certified.  A candidate that
     fails moves xi to xi * 73794 // 27011.  Six points can all fail, for
     instance when the larger input vanishes at each of them; the primitive
     PRS in x then decides (``_prs_gcd``).  So every result is the gcd, and
     ``poly_gcd`` never raises ``AlgebraError``.
+
+    Two polynomials in the same single name, at the top or as the images at
+    the last level of the recursion, run this algorithm on dense int lists
+    (``_gcd_dense``): Horner images, the same digits, points and PRS, and
+    the long division ``_div_dense`` as the certificate.
     """
     a = _as_poly(a)
     b = _as_poly(b)
@@ -559,6 +638,9 @@ def _gcd_z(a: IntPoly, b: IntPoly) -> IntPoly:
         if not a:
             return b
         return math.gcd(_int_content(a), _int_content(b))
+    if len(a.names) == 1 and a.names == b.names:
+        g = _gcd_dense(_int_coeffs(a), _int_coeffs(b))
+        return g[0] if len(g) == 1 else _poly_of(a.names, g)
     ca, ma, a = _strip(a)
     cb, mb, b = _strip(b)
     unit = math.gcd(ca, cb)
@@ -607,6 +689,39 @@ def _heu_gcd(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
     return _prs_gcd(a, b, x)
 
 
+def _gcd_dense(a: list[int], b: list[int]) -> list[int]:
+    """gcd over the integers of two nonzero int lists, a list itself.
+
+    The univariate level of ``_gcd_z``, on dense lists, low to high: it
+    strips each integer content and power of the name, as ``_strip`` does,
+    and runs the heuristic gcd at up to six points, as ``_heu_gcd`` does,
+    then the primitive PRS.
+    """
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    ma = next(k for k, c in enumerate(a) if c)
+    mb = next(k for k, c in enumerate(b) if c)
+    a = [c // ca for c in a[ma:]]
+    b = [c // cb for c in b[mb:]]
+    unit = math.gcd(ca, cb)
+    core = [1]
+    if len(a) > 1 and len(b) > 1:
+        core = _heu_gcd_dense(a, b)
+    return [0] * min(ma, mb) + [unit * c for c in core]
+
+
+def _heu_gcd_dense(a: list[int], b: list[int]) -> list[int]:
+    """``_heu_gcd`` of two primitive int lists with nonzero constant terms."""
+    norm = min(max(map(abs, a)), max(map(abs, b)))
+    xi = 2 * norm + _XI_OFFSET
+    for _ in range(_XI_POINTS):
+        g = _heu_candidate_dense(a, b, xi)
+        if len(g) == 1 or (_div_dense(a, g) is not None and _div_dense(b, g) is not None):
+            return g
+        xi = xi * _XI_GROWTH[0] // _XI_GROWTH[1]
+    # The PRS runs on polynomials; which name they are in is immaterial.
+    return _int_coeffs(_prs_gcd(_poly_of(("x",), a), _poly_of(("x",), b), "x"))
+
+
 def _prs_gcd(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
     """gcd of a and b by the primitive PRS in x over Z[other names].
 
@@ -649,36 +764,61 @@ def _heu_candidate(a: MultiPoly, b: MultiPoly, x: str, xi: int) -> MultiPoly:
     """The primitive part of the polynomial in x whose xi-adic digits give gcd(a(xi), b(xi)).
 
     Each coefficient of the image gcd, in the names other than x, is written
-    in base xi with digits in (-xi/2, xi/2]; digit k is the coefficient of
-    x^k.
+    in base xi (``_xi_digits``); digit k is the coefficient of x^k.
     """
     gamma = _gcd_z(_eval_at(a, x, xi), _eval_at(b, x, xi))
     rest, terms = ((), {(): gamma}) if isinstance(gamma, int) else (gamma.names, gamma.terms)
     names = tuple(sorted(rest + (x,)))
     i = names.index(x)
-    half = xi // 2
     out: dict[Exponents, int] = {}
     for e, c in terms.items():
-        k = 0
-        while c:
-            d = c % xi
-            if d > half:
-                d -= xi
+        for k, d in enumerate(_xi_digits(c, xi)):
             if d:
                 out[e[:i] + (k,) + e[i:]] = d
-            c = (c - d) // xi
-            k += 1
     return _canon_primitive(_make(names, out, 1))
 
 
+def _heu_candidate_dense(a: list[int], b: list[int], xi: int) -> list[int]:
+    """``_heu_candidate`` at the univariate level: int lists, low to high.
+
+    The images are ints, taken by Horner's rule, and the candidate's
+    coefficients are the xi-adic digits of their gcd, made primitive with a
+    positive last entry.
+    """
+    va = vb = 0
+    for c in reversed(a):
+        va = va * xi + c
+    for c in reversed(b):
+        vb = vb * xi + c
+    out = _xi_digits(math.gcd(va, vb), xi)
+    g = math.gcd(*out)
+    if out[-1] < 0:
+        g = -g
+    return [c // g for c in out]
+
+
+def _xi_digits(c: int, xi: int) -> list[int]:
+    """The digits of c in base xi, low to high, each in (-xi/2, xi/2].
+
+    The last digit is nonzero, and 0 has no digits.
+    """
+    half = xi // 2
+    out = []
+    while c:
+        d = c % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        c = (c - d) // xi
+    return out
+
+
 def _eval_at(p: MultiPoly, x: str, xi: int) -> IntPoly:
-    """p's integer numerators at x = xi: an int when x is p's only name."""
+    """p's integer numerators at x = xi: an int when no other name is left."""
     i = p.names.index(x)
     powers = [1]
     for _ in range(max(e[i] for e in p.terms)):
         powers.append(powers[-1] * xi)
-    if len(p.names) == 1:
-        return sum(c * powers[e[0]] for e, c in p.terms.items())
     out: dict[Exponents, int] = {}
     for e, c in p.terms.items():
         r = e[:i] + e[i + 1:]

@@ -210,6 +210,12 @@ def build_painleve_linear(kind: PainleveKind, params=None, *, lam=None, mu=None,
     singular set, where the construction would divide by zero, raises
     :class:`InvalidSpec`.  A lambda on the kind's fixed singular locus only
     merges two poles of the linear equation, so it is allowed.
+
+    Each coefficient of P6, P5 and P3' is a sum of partial fractions over
+    the poles 0, 1, t and lambda; it is built as one numerator over the
+    product of its pole factors and canonicalised by a single division, so
+    merged poles and vanishing residues cancel there.  P4 and P2, with one
+    pole or none besides lambda, sum their terms as written.
     """
     p = _fill_params(kind, params)
     lam = var("lambda") if lam is None else as_rational(lam)
@@ -223,27 +229,40 @@ def build_painleve_linear(kind: PainleveKind, params=None, *, lam=None, mu=None,
     z = var("z")
     kap = _kappa_of(kind, params)
     H = _hamiltonian_at(kind, p, kap, lam, mu, t, h2_literal)
+    # P6, P5 and P3' write each coefficient as one numerator over the
+    # product of its pole factors, a = z, b = z - 1, c = z - t, d = z - lambda,
+    # so that the partial fractions in each comment cost one division.
     if kind is PainleveKind.P6:
+        # p1 = (1-k0)/a + (1-k1)/b + (1-th)/c - 1/d,
+        # p2 = kap/(ab) - t(t-1)H/(abc) + lam(lam-1)mu/(abd).
         k0, k1, th = p["kappa0"], p["kappa1"], p["theta"]
-        p1 = ((1 - k0) / z + (1 - k1) / (z - 1) + (1 - th) / (z - t)
-              - 1 / (z - lam))
-        p2 = (kap / (z * (z - 1)) - t * (t - 1) * H / (z * (z - 1) * (z - t))
-              + lam * (lam - 1) * mu / (z * (z - 1) * (z - lam)))
+        a, b, c, d = z, z - 1, z - t, z - lam
+        ab, cd = a * b, c * d
+        poles = ab * cd
+        p1 = ((1 - k0) * b * cd + (1 - k1) * a * cd + (1 - th) * ab * d - ab * c) / poles
+        p2 = (kap * cd - t * (t - 1) * H * d + lam * (lam - 1) * mu * c) / poles
     elif kind is PainleveKind.P5:
+        # p1 = (1-k0)/a + eta t/b^2 + (1-th)/b - 1/d,
+        # p2 = kap/(ab) - tH/(ab^2) + lam(lam-1)mu/(abd).
         k0, th, eta = p["kappa0"], p["theta"], p["eta"]
-        p1 = ((1 - k0) / z + eta * t / (z - 1) ** 2 + (1 - th) / (z - 1)
-              - 1 / (z - lam))
-        p2 = (kap / (z * (z - 1)) - t * H / (z * (z - 1) ** 2)
-              + lam * (lam - 1) * mu / (z * (z - 1) * (z - lam)))
+        a, b, d = z, z - 1, z - lam
+        bd = b * d
+        poles = a * b * bd
+        p1 = ((1 - k0) * b * bd + eta * t * a * d + (1 - th) * a * bd - a * b * b) / poles
+        p2 = (kap * bd - t * H * d + lam * (lam - 1) * mu * b) / poles
     elif kind is PainleveKind.P4:
         k0, thinf = p["kappa0"], p["thetainf"]
         p1 = (1 - k0) / z - (z + 2 * t) / 2 - 1 / (z - lam)
         p2 = thinf / 2 - H / (2 * z) + lam * mu / (z * (z - lam))
     elif kind is PainleveKind.P3P:
+        # p1 = e0 t/a^2 + (1-t0)/a - einf - 1/d,
+        # p2 = einf(t0+tinf)/(2a) - tH/a^2 + lam mu/(ad).
         e0, einf, t0, tinf = p["eta0"], p["etainf"], p["theta0"], p["thetainf"]
-        p1 = e0 * t / z ** 2 + (1 - t0) / z - einf - 1 / (z - lam)
-        p2 = (einf * (t0 + tinf) / (2 * z) - t * H / z ** 2
-              + lam * mu / (z * (z - lam)))
+        a, d = z, z - lam
+        ad = a * d
+        poles = a * ad
+        p1 = (e0 * t * d + (1 - t0) * ad - einf * a * ad - a * a) / poles
+        p2 = (einf * (t0 + tinf) / 2 * ad - t * H * d + lam * mu * a) / poles
     else:  # P2
         a2 = p["alpha2"]
         p1 = -2 * z ** 2 - t - 1 / (z - lam)

@@ -302,27 +302,42 @@ class TestKernelWorkCounts:
     The gcd is deterministic, so the number of calls to each routine repeats
     to the unit.  A change that moves any of them changes what the kernel
     computes, not only how fast: it shows here even when wall time is too
-    noisy to show it.  ``_heu_gcd`` counts the heuristic gcds, at every
-    level of its recursion, and ``_heu_candidate`` their evaluation points:
-    p5 has six gcds and p6 one that need a second point, all of them inner
-    gcds of images; riccati/p6 has none, and elimination/p3-substitution
-    runs no heuristic gcd at all.  ``exact_div`` counts the certificates of
-    nonconstant candidates along with every other exact division.  Calls of
+    noisy to show it.  ``_heu_gcd`` counts the heuristic gcds at every
+    level of its recursion with more than one name, and ``_heu_candidate``
+    their evaluation points; ``_heu_gcd_dense`` and ``_heu_candidate_dense``
+    count the same at the univariate level, on int lists, where the
+    top-level gcds in one name and the last level of each recursion run.
+    p5 has four gcds that need a second point, all of them inner gcds of
+    images with more than one name; p6 and riccati/p6 have none, and
+    elimination/p3-substitution runs no heuristic gcd at all.
+    ``exact_div`` counts the certificates of nonconstant candidates with
+    more than one name along with every other exact division;
+    ``_div_dense`` counts the long divisions of the univariate level, its
+    certificates and the univariate ``exact_div`` calls alike.  Calls of
     ``poly_gcd`` with a constant operand return at once, but they count too.
     The constructor caches start empty (``cold_constructors``), so the
     counts include building the cases and do not depend on the tests before.
     """
 
-    COUNTED = ("poly_gcd", "exact_div", "_heu_gcd", "_heu_candidate")
+    COUNTED = ("poly_gcd", "exact_div", "_heu_gcd", "_heu_candidate",
+               "_heu_gcd_dense", "_heu_candidate_dense", "_div_dense")
     COUNTS = {
-        "matching/p5": {"poly_gcd": 420, "exact_div": 230,
-                        "_heu_gcd": 114, "_heu_candidate": 120},
-        "matching/p6": {"poly_gcd": 239, "exact_div": 85,
-                        "_heu_gcd": 53, "_heu_candidate": 54},
-        "riccati/p6": {"poly_gcd": 144, "exact_div": 44,
-                       "_heu_gcd": 45, "_heu_candidate": 45},
+        "matching/p5": {"poly_gcd": 428, "exact_div": 156,
+                        "_heu_gcd": 84, "_heu_candidate": 88,
+                        "_heu_gcd_dense": 22, "_heu_candidate_dense": 22,
+                        "_div_dense": 118},
+        "matching/p6": {"poly_gcd": 240, "exact_div": 70,
+                        "_heu_gcd": 48, "_heu_candidate": 48,
+                        "_heu_gcd_dense": 3, "_heu_candidate_dense": 3,
+                        "_div_dense": 9},
+        "riccati/p6": {"poly_gcd": 144, "exact_div": 40,
+                       "_heu_gcd": 43, "_heu_candidate": 43,
+                       "_heu_gcd_dense": 2, "_heu_candidate_dense": 2,
+                       "_div_dense": 10},
         "elimination/p3-substitution": {"poly_gcd": 103, "exact_div": 18,
-                                        "_heu_gcd": 0, "_heu_candidate": 0},
+                                        "_heu_gcd": 0, "_heu_candidate": 0,
+                                        "_heu_gcd_dense": 0, "_heu_candidate_dense": 0,
+                                        "_div_dense": 10},
     }
 
     @pytest.mark.parametrize("case", sorted(COUNTS))

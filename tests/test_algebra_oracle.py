@@ -51,21 +51,49 @@ def to_sympy(p: MultiPoly):
         for e, c in p.terms.items()))
 
 
+def poly_in_x(coeffs: list[int]) -> MultiPoly:
+    """The polynomial in x with the int coefficient list ``coeffs``, low to high."""
+    return MultiPoly(("x",), {(k,): c for k, c in enumerate(coeffs) if c})
+
+
 @contextlib.contextmanager
 def candidates(replacement=None):
-    """Record each call of ``_heu_candidate`` as (a, b, x, xi), optionally replacing it."""
+    """Record each evaluation point of the heuristic gcd as (a, b, x, xi).
+
+    Both per-point functions are spied: ``_heu_candidate`` at the levels
+    with more than one name, and ``_heu_candidate_dense`` at the univariate
+    level, whose int lists are recorded as polynomials in x.  An optional
+    ``replacement`` computes the candidate instead, from and to polynomials
+    at both levels.
+    """
     calls = []
     original = algebra._heu_candidate
+    original_dense = algebra._heu_candidate_dense
 
     def spy(a, b, x, xi):
         calls.append((a, b, x, xi))
         return (replacement or original)(a, b, x, xi)
 
+    def spy_dense(a, b, xi):
+        pa, pb = poly_in_x(a), poly_in_x(b)
+        calls.append((pa, pb, "x", xi))
+        if replacement is None:
+            return original_dense(a, b, xi)
+        return replacement(pa, pb, "x", xi).primitive_int_coeffs("x")
+
     algebra._heu_candidate = spy
+    algebra._heu_candidate_dense = spy_dense
     try:
         yield calls
     finally:
         algebra._heu_candidate = original
+        algebra._heu_candidate_dense = original_dense
+
+
+def dense_candidate(a: MultiPoly, b: MultiPoly, x: str, xi: int) -> MultiPoly:
+    """The candidate of a recorded univariate call, as a polynomial in x."""
+    return poly_in_x(algebra._heu_candidate_dense(algebra._int_coeffs(a),
+                                                  algebra._int_coeffs(b), xi))
 
 
 def norm(p: MultiPoly) -> int:
@@ -232,7 +260,7 @@ class TestGcdOracle:
         with candidates() as calls:
             g = poly_gcd(a, b)
         assert [xi for *_, xi in calls] == [39, 106]
-        assert str(algebra._heu_candidate(*calls[0])) == "x^3 + x^2 + 8"
+        assert str(dense_candidate(*calls[0])) == "x^3 + x^2 + 8"
         assert str(g) == "5*x^2 + 1"
         check_against_sympy(a, b, g)
 

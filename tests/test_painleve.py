@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from heunlab import painleve
-from heunlab.algebra import const, identity_test, substitute, var
+from heunlab.algebra import as_rational, const, identity_test, substitute, var
+from heunlab.matching import matching_case
 from heunlab.painleve import (
     KIND_PARAMS,
     InvalidSpec,
@@ -128,6 +129,94 @@ class TestLinearEquations:
         ode = build_painleve_linear(kind)
         recovered = recover_hamiltonian(kind, ode)
         assert identity_test(recovered, hamiltonian(kind).H)
+
+
+def term_by_term_linear(kind, params=None, *, lam=lam, mu=mu, t=t):
+    """The P6, P5 or P3' linear equation summed one partial fraction at a time.
+
+    The reference for ``build_painleve_linear``, which puts each of these
+    coefficients over the product of its pole factors and divides once:
+    here every term is its own canonical fraction and the sum is
+    canonicalised after each addition.  H is the kind's Hamiltonian at
+    ``params``, bound to the state by substitution.
+    """
+    z = var("z")
+    p = ({k: var(k) for k in KIND_PARAMS[kind]} if params is None
+         else {k: as_rational(v) for k, v in params.items()})
+    H = substitute(hamiltonian(kind, params).H, {"lambda": lam, "mu": mu, "t": t})
+    if kind is PainleveKind.P6:
+        kap = kappa_constant(kind, params)
+        k0, k1, th = p["kappa0"], p["kappa1"], p["theta"]
+        p1 = ((1 - k0) / z + (1 - k1) / (z - 1) + (1 - th) / (z - t)
+              - 1 / (z - lam))
+        p2 = (kap / (z * (z - 1)) - t * (t - 1) * H / (z * (z - 1) * (z - t))
+              + lam * (lam - 1) * mu / (z * (z - 1) * (z - lam)))
+    elif kind is PainleveKind.P5:
+        kap = kappa_constant(kind, params)
+        k0, th, eta = p["kappa0"], p["theta"], p["eta"]
+        p1 = ((1 - k0) / z + eta * t / (z - 1) ** 2 + (1 - th) / (z - 1)
+              - 1 / (z - lam))
+        p2 = (kap / (z * (z - 1)) - t * H / (z * (z - 1) ** 2)
+              + lam * (lam - 1) * mu / (z * (z - 1) * (z - lam)))
+    else:
+        e0, einf, t0, tinf = p["eta0"], p["etainf"], p["theta0"], p["thetainf"]
+        p1 = e0 * t / z ** 2 + (1 - t0) / z - einf - 1 / (z - lam)
+        p2 = (einf * (t0 + tinf) / (2 * z) - t * H / z ** 2
+              + lam * mu / (z * (z - lam)))
+    return p1, p2
+
+
+#: The kinds whose coefficients ``build_painleve_linear`` puts over one denominator.
+ONE_DENOMINATOR = (PainleveKind.P6, PainleveKind.P5, PainleveKind.P3P)
+
+#: Per kind, the parameter whose value 1 makes a residue of p1 vanish.
+ZERO_RESIDUE = {PainleveKind.P6: "kappa0", PainleveKind.P5: "kappa0",
+                PainleveKind.P3P: "theta0"}
+
+
+class TestLinearOneDenominator:
+    """``build_painleve_linear`` equals the partial-fraction sum term by term.
+
+    At symbolic parameters (with cold caches, so that both sides are built
+    here), and at 200 seeded rational points per kind, among them every
+    lambda on the kind's fixed locus, where two poles merge, points where a
+    residue of p1 is zero, and mu = 0.
+    """
+
+    @pytest.mark.parametrize("kind", ONE_DENOMINATOR)
+    def test_symbolic(self, cold_constructors, kind):
+        ode = build_painleve_linear(kind)
+        assert (ode.p1, ode.p2) == term_by_term_linear(kind)
+
+    @pytest.mark.parametrize("kind", ONE_DENOMINATOR)
+    def test_symbolic_matching_constraint(self, cold_constructors, kind):
+        mu_c = matching_case(kind).mu_constraint
+        ode = build_painleve_linear(kind, mu=mu_c)
+        assert (ode.p1, ode.p2) == term_by_term_linear(kind, mu=mu_c)
+
+    @pytest.mark.parametrize("kind", ONE_DENOMINATOR)
+    def test_rational_points(self, kind):
+        rng = random.Random(f"one-denominator:{kind.value}")
+        locus = [None, *painleve.LAMBDA_LOCUS[kind]]
+
+        def draw():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+        for i in range(200):
+            params = {k: draw() for k in KIND_PARAMS[kind]}
+            if i % 3 == 0:
+                params[ZERO_RESIDUE[kind]] = Fraction(1)
+            t_value = draw()
+            while t_value in painleve.FLOW_T_SINGULARITIES[kind]:
+                t_value = draw()
+            where = locus[i % len(locus)]
+            lam_value = {None: draw(), "0": Fraction(0), "1": Fraction(1),
+                         "t": t_value}[where]
+            mu_value = Fraction(0) if i % 7 == 0 else draw()
+            state = {"lam": lam_value, "mu": mu_value, "t": t_value}
+            ode = build_painleve_linear(kind, params, **state)
+            ref = term_by_term_linear(kind, params, **{k: const(v) for k, v in state.items()})
+            assert (ode.p1, ode.p2) == ref, (params, state)
 
 
 def bridge_at(kind, params):
