@@ -45,6 +45,9 @@ home:
   level of every multivariate recursion end: ``_gcd_dense``,
   ``_heu_candidate_dense`` and the long division ``_div_dense``, which both
   the gcd's certificate and ``exact_div`` run;
+* ``rational_roots`` finds every rational root of a univariate int list by
+  lifting its roots mod a small prime p-adically, and confirms each one by
+  ``_div_dense``;
 * ``_int_coeffs`` is the one reader of a univariate polynomial's int
   numerators into a dense list, and ``MultiPoly.primitive_int_coeffs``,
   built on it, is the one form in which a univariate polynomial leaves the
@@ -63,12 +66,13 @@ among them, sorts the terms by this one.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from fractions import Fraction
 from functools import reduce
 from operator import add, sub
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 Exponents = tuple[int, ...]
 Coercible = Union["RationalExpr", "MultiPoly", Fraction, int]
@@ -526,6 +530,87 @@ def _div_dense(p: list[int], d: list[int]) -> list[int] | None:
             for j, dj in tail:
                 rem[k + j] -= qc * dj
     return None if any(rem[:m]) else quot
+
+
+def rational_roots(coeffs: list[int]) -> tuple[dict[Fraction, int], list[int]]:
+    """Every rational root with its multiplicity, plus the cofactor that has none.
+
+    ``coeffs`` are the primitive integer coefficients of a polynomial f, low
+    to high, as ``MultiPoly.primitive_int_coeffs`` reads them.  The roots are
+    found by p-adic expansion (Loos, SIAM J. Comput. 12, 1983), so no integer
+    is factored.  Let s = f / gcd(f, f') be the squarefree part of f with the
+    root 0 removed, and p the smallest prime that does not divide lc(s) and
+    at which every root of s mod p is simple.  A root a/b of s in lowest
+    terms has |a| <= |s(0)| and 0 < b <= lc(s), with p not dividing b, so it
+    reduces to a simple root mod p and is that root's one p-adic lift.
+    Newton's iteration lifts each root mod p until the modulus exceeds
+    2 |s(0)| lc(s), and then half-extended Euclid reads a/b off uniquely
+    (``_padic_candidates``).  Each candidate is confirmed, as often as it
+    divides, by the exact long division of f by b z - a (``_div_dense``).
+    Returns (roots, leftover): leftover is the primitive int list of the
+    cofactor, constant when f splits over Q.  The roots are in no particular
+    order.
+    """
+    roots: dict[Fraction, int] = {}
+    zeros = next(k for k, c in enumerate(coeffs) if c)
+    if zeros:
+        roots[Fraction(0)] = zeros
+    work = coeffs[zeros:]
+    if len(work) == 1:
+        return roots, work
+    g = _gcd_dense(work, [k * c for k, c in enumerate(work)][1:])
+    for a, b in _padic_candidates(_div_dense(work, g) if len(g) > 1 else work):
+        # A root of multiplicity k in f is one of multiplicity k - 1 in g.
+        k = 0
+        while k < len(g) and (quot := _div_dense(work, [-a, b])) is not None:
+            k += 1
+            work = quot
+        if k:
+            roots[Fraction(a, b)] = k
+    return roots, work
+
+
+def _padic_candidates(s: list[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (a, b) with |a| <= |s(0)| and 0 < b <= lc(s) that may be
+    roots a/b of the squarefree int list s, s(0) != 0, as ``rational_roots``
+    reads them off; a linear s gives its root directly."""
+    low, lead = abs(s[0]), abs(s[-1])
+    if len(s) == 2:
+        yield (-s[0], s[1]) if s[1] > 0 else (s[0], -s[1])
+        return
+    for p in (n for n in itertools.count(2)
+              if all(n % d for d in range(2, math.isqrt(n) + 1))):
+        if lead % p:
+            evals = [_eval_mod(s, r, p) for r in range(p)]
+            if all(d for v, d in evals if not v):
+                break
+    bound = 2 * low * lead
+    for r, (v, _) in enumerate(evals):
+        if v:
+            continue
+        m = p
+        while m <= bound:
+            m *= m
+            v, d = _eval_mod(s, r, m)
+            r = (r - v * pow(d, -1, m)) % m
+        # Half-extended Euclid on (m, r): the first remainder a <= |s(0)|.
+        a0, a, b0, b = m, r, 0, 1
+        while a > low:
+            q = a0 // a
+            a0, a, b0, b = a, a0 - q * a, b, b0 - q * b
+        if b < 0:
+            a, b = -a, -b
+        if b <= lead:
+            yield a, b
+
+
+def _eval_mod(f: list[int], x: int, m: int) -> tuple[int, int]:
+    """f(x) and f'(x) mod m, by Horner's rule."""
+    v = d = 0
+    for c in reversed(f):
+        d = (d * x + v) % m
+        v = (v * x + c) % m
+    return v, d
 
 
 def _canon_primitive(p: MultiPoly) -> MultiPoly:

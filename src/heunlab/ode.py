@@ -13,10 +13,8 @@ exact equality of equations.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     MultiPoly,
@@ -24,6 +22,7 @@ from .algebra import (
     exact_div,
     identity_test,
     poly_gcd,
+    rational_roots,
     substitute,
     var,
 )
@@ -133,96 +132,14 @@ INFINITY = "inf"
 class SingularPoint:
     """One singularity of a linear ODE.
 
-    ``location`` is an exact rational for resolved finite points, the string
-    ``"inf"`` for the point at infinity, or a MultiPoly denominator factor
-    for loci this module does not resolve over the rationals.
+    ``location`` is an exact rational for a rational finite point, the
+    string ``"inf"`` for the point at infinity, or, for the points that are
+    not rational, a squarefree MultiPoly factor of a denominator that has no
+    rational root.
     """
 
     location: object
     kind: str  # "regular" | "irregular"
-
-
-#: Trial division stops at this prime; a cofactor above its square is refused.
-_TRIAL_LIMIT = 10 ** 6
-
-
-def _divisors(n: int) -> list[int] | None:
-    """All positive divisors of n != 0, or None when n has a factor we refuse to find."""
-    n = abs(n)
-    factors: dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m and p <= _TRIAL_LIMIT:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        if m > _TRIAL_LIMIT * _TRIAL_LIMIT:
-            return None
-        factors[m] = factors.get(m, 0) + 1
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [d * prime ** k for d in divs for k in range(mult + 1)]
-    return sorted(set(divs))
-
-
-def _rational_roots(coeffs: list[int], divisors=None) -> tuple[dict[Fraction, int], list[int]]:
-    """Rational roots with multiplicities, plus the rootless cofactor.
-
-    ``coeffs`` are primitive integer coefficients, low to high, as
-    ``MultiPoly.primitive_int_coeffs`` reads them.  A root p/q in lowest terms
-    has p dividing the lowest nonzero coefficient and q the leading one, and
-    then q z - p divides the polynomial in Z[z] (Gauss's lemma), so each
-    candidate is kept as the int pair (p, q) and divided out exactly in
-    integers; only a root that divides becomes a ``Fraction``.  Returns
-    (roots, leftover): leftover is the primitive integer list of the
-    cofactor, constant when the polynomial splits over Q, and the whole input
-    with the root 0 removed when a coefficient has a prime factor that
-    ``divisors`` (by default ``_divisors``) refuses to find, in which case
-    the leading coefficient is not searched; ``finite_poles`` then looks for
-    the missing roots elsewhere.  Dividing out the primitive factors q z - p
-    in any order leaves the same cofactor, and the roots are in no particular
-    order: ``finite_poles`` orders the poles it returns.
-    """
-    roots: dict[Fraction, int] = {}
-    zeros = next(k for k, c in enumerate(coeffs) if c)
-    if zeros:
-        roots[Fraction(0)] = zeros
-    work = coeffs[zeros:]
-    if len(work) == 1:
-        return roots, work
-    divisors = divisors or _divisors
-    p_divs = divisors(abs(work[0]))
-    q_divs = p_divs and divisors(work[-1])
-    if q_divs is None:
-        return roots, work
-    candidates = {(sp * p, q) for p in p_divs for q in q_divs
-                  if math.gcd(p, q) == 1 for sp in (1, -1)}
-    for p, q in candidates:
-        k = 0
-        while len(work) > 1:
-            quot = _divide_linear(work, q, p)
-            if quot is None:
-                break
-            k += 1
-            work = quot
-        if k:
-            roots[Fraction(p, q)] = k
-    return roots, work
-
-
-def _divide_linear(coeffs: list[int], q: int, p: int) -> list[int] | None:
-    """The quotient of the polynomial by q z - p when it is exact in Z[z], else None."""
-    quot = [0] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        b, r = divmod(carry, q)
-        if r:
-            return None
-        quot[k] = b
-        carry = coeffs[k] + p * b
-    return None if carry else quot
 
 
 def squarefree_decomposition(p: MultiPoly, name: str) -> list[tuple[MultiPoly, int]]:
@@ -247,47 +164,27 @@ def finite_poles(coeffs: tuple[RationalExpr, ...], name: str) -> dict[object, li
     """The poles in ``name`` of the coefficients, with their order in each.
 
     Keyed by the exact rational pole, or by a squarefree factor of a
-    denominator (a polynomial in ``name`` alone) that does not split over Q.
-    Each denominator's rational roots are found as far as ``_divisors``
-    reaches, and no integer is searched twice.  Every root found is then
-    divided out of every leftover, and what remains is split squarefree and
-    into a gcd-free basis (``_refine``), so that each factor carries its
-    order in every coefficient.  Each basis factor is searched once more, on
-    its own smaller coefficients; the factors are pairwise coprime, so a root
-    found in one divides no other.  So a point is listed once, with its order
-    in every coefficient, even when only one denominator reveals it.  The
-    rational poles come first, in increasing order, then the unresolved
-    factors in the order of the basis.
+    denominator (a polynomial in ``name`` alone, integer-primitive with a
+    positive leading coefficient, as ``poly_gcd`` and ``exact_div`` leave
+    it) that has no rational root.  Each denominator gives up every rational
+    root (``rational_roots``), and what remains is split squarefree and into
+    a gcd-free basis (``_refine``).  So each point is listed once, with its
+    order in every coefficient.  The rational poles come first, in
+    increasing order, then the unresolved factors in the order of the basis.
     """
     n = len(coeffs)
     orders: dict[object, list[int]] = {}
-    leftovers = []
-    divisors = functools.cache(_divisors)
+    basis: list[tuple[MultiPoly, list[int]]] = []
     for i, p in enumerate(coeffs):
         if p.den.is_const():
             continue
-        roots, rest = _rational_roots(p.den.primitive_int_coeffs(name), divisors)
+        roots, rest = rational_roots(p.den.primitive_int_coeffs(name))
         for r, k in roots.items():
             orders.setdefault(r, [0] * n)[i] += k
         if len(rest) > 1:
-            leftovers.append((i, rest))
-    basis: list[tuple[MultiPoly, list[int]]] = []
-    for i, rest in leftovers:
-        for r, order in orders.items():
-            while (quot := _divide_linear(rest, r.denominator, r.numerator)) is not None:
-                order[i] += 1
-                rest = quot
-        if len(rest) > 1:
             for a, k in squarefree_decomposition(_univariate(rest, name), name):
                 basis = _refine(basis, a, [k if j == i else 0 for j in range(n)])
-    factors: dict[object, list[int]] = {}
-    for a, ks in basis:
-        roots, rest = _rational_roots(a.primitive_int_coeffs(name), divisors)
-        for r in roots:  # a simple root of a squarefree factor
-            orders[r] = ks
-        if len(rest) > 1:
-            factors[_univariate(rest, name)] = ks
-    return {r: orders[r] for r in sorted(orders)} | factors
+    return {r: orders[r] for r in sorted(orders)} | dict(basis)
 
 
 def _refine(basis: list[tuple[MultiPoly, list[int]]], f: MultiPoly,
@@ -323,9 +220,9 @@ def singular_points(ode: LinearODE2) -> list[SingularPoint]:
     """Singularities of the equation, classified regular/irregular.
 
     A finite point is regular-singular when p1 has a pole of order at most 1
-    and p2 of order at most 2 there.  Every pole is resolved exactly where
-    the denominator splits over Q; other factors come back unresolved.  The
-    points come in the order of :func:`finite_poles`, then infinity.
+    and p2 of order at most 2 there.  Every rational pole is found exactly;
+    a factor of a denominator with no rational root comes back unresolved.
+    The points come in the order of :func:`finite_poles`, then infinity.
 
     The point at infinity is read off the degree excess deg N - deg D of
     coefficients p = N/D, since p(1/w) has w-valuation deg D - deg N; a zero

@@ -261,6 +261,15 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "1/2" in out and "inf" in out
 
+    def test_singularities_large_t(self, capsys, tmp_path):
+        # t = 1000003 * 1000033: every pole is rational, and each is printed.
+        p = tmp_path / "large_t.params"
+        p.write_text("alpha = 1\nbeta = 2\ngamma = 1\ndelta = 1\nepsilon = 2\n"
+                     "q = 1\nt = 1000036000099\n")
+        assert main(["singularities", "--family", "general", "--params", str(p)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "0  [regular]", "1  [regular]", "1000036000099  [regular]", "inf  [regular]"]
+
     @pytest.mark.parametrize("kind, params, expected", [
         ("p2", "alpha2 = 1/2\n", ["3  [regular]", "inf  [irregular]"]),
         ("p3prime", "eta0 = 1/3\netainf = 1/5\ntheta0 = 1/7\nthetainf = 1/2\n",

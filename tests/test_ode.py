@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunlab import ode
-from heunlab.algebra import MultiPoly, RationalExpr, const, substitute, var
+from heunlab.algebra import MultiPoly, RationalExpr, const, rational_roots, substitute, var
 from heunlab.numeric import ode_singularities
 from heunlab.ode import (
     INFINITY,
@@ -171,38 +171,43 @@ class TestSingularPoints:
         assert all(abs(w - x) < 1e-12 for w, x in zip(got, want))
 
     def test_root_resolved_in_one_denominator_only(self):
-        # p1's denominator f yields the root 2/1000003; p2's f^3 has a
-        # leading coefficient past the trial-division limit.  The point is
-        # listed once, with its order 3 in p2.
-        f = 1000003 * z - 2
-        eq = LinearODE2(1 / f, 1 / f ** 3)
-        assert singular_points(eq) == [SingularPoint(Fraction(2, 1000003), "irregular"),
+        # f's root 2/1000003 has a denominator above 10^6 and is a pole of p1
+        # alone: it is listed with order 0 in p2, and z^2 - 2, a pole of
+        # both, once, with its order in each.
+        f, q = 1000003 * z - 2, (z * z - 2).num
+        eq = LinearODE2(1 / (f * (z * z - 2)), 1 / (z * z - 2) ** 3)
+        assert list(ode.finite_poles((eq.p1, eq.p2), "z").items()) == [
+            (Fraction(2, 1000003), [1, 0]), (q, [1, 3])]
+        assert singular_points(eq) == [SingularPoint(Fraction(2, 1000003), "regular"),
+                                       SingularPoint(q, "irregular"),
                                        SingularPoint(INFINITY, "regular")]
-        assert ode_singularities(eq) == [complex(Fraction(2, 1000003))]
 
     def test_root_resolved_through_the_other_denominator(self):
-        # Neither f g nor f^3 has a divisor list; the squarefree part f of
-        # f^3 yields 2/1000003, and dividing it out of f g leaves g.
+        # p1's f g and p2's f^3 share f, whose root has a denominator above
+        # 10^6.  Each denominator yields it, and it is listed once, with its
+        # order 1 in p1 and 3 in p2; g's root is a pole of p1 alone.
         f, g = 1000003 * z - 2, 1000033 * z - 3
         pts = singular_points(LinearODE2(1 / (f * g), 1 / f ** 3))
         assert pts == [SingularPoint(Fraction(2, 1000003), "irregular"),
                        SingularPoint(Fraction(3, 1000033), "regular"),
                        SingularPoint(INFINITY, "regular")]
+        assert ode_singularities(LinearODE2(1 / f, 1 / f ** 3)) == [complex(Fraction(2, 1000003))]
 
-    def test_root_divided_out_of_the_other_leftover(self):
-        # (z - 1)(z - 1000003^2) has no divisor list and is squarefree, so
-        # only the root 1, found in p1's denominator, splits it: 1 is listed
-        # once, and z - 1000003^2 stays unresolved.
-        big = (z - 1000003 ** 2).num
-        pts = singular_points(LinearODE2(1 / (z - 1), 1 / ((z - 1) * (z - 1000003 ** 2))))
-        assert pts == [SingularPoint(Fraction(1), "regular"), SingularPoint(big, "regular"),
-                       SingularPoint(INFINITY, "regular")]
+    def test_large_integer_root_resolved(self):
+        # The root 1000003^2 of p2's squarefree (z - 1)(z - 1000003^2) is
+        # found beside 1, which is listed once, with its order in each.
+        n2 = 1000003 ** 2
+        eq = LinearODE2(1 / (z - 1), 1 / ((z - 1) * (z - n2)))
+        assert list(ode.finite_poles((eq.p1, eq.p2), "z").items()) == [
+            (Fraction(1), [1, 1]), (Fraction(n2), [0, 1])]
+        assert singular_points(eq) == [SingularPoint(Fraction(1), "regular"),
+                                       SingularPoint(Fraction(n2), "regular"),
+                                       SingularPoint(INFINITY, "regular")]
 
     def test_finite_poles_key_order(self):
-        # p1 yields 3 and leaves z^2 - 2; p2's search is refused, and its
-        # squarefree factors z + 1, z^2 + 1 and f yield -1 and 2/1000003
-        # after p1's factor has joined the basis.  The keys come as the
-        # rational poles ascending, then the unresolved factors in basis order.
+        # p1 yields 3 and leaves z^2 - 2; p2 yields -1 and 2/1000003 and leaves
+        # (z^2 + 1)^2.  The keys come as the rational poles ascending, then
+        # the unresolved factors in basis order.
         f = 1000003 * z - 2
         p1 = 1 / ((z - 3) * (z * z - 2))
         p2 = 1 / ((z + 1) * (z * z + 1) ** 2 * f ** 3)
@@ -214,18 +219,17 @@ class TestSingularPoints:
         assert sorted(got[3:], key=lambda w: (w.real, w.imag)) == pytest.approx(
             [-math.sqrt(2), -1j, 1j, math.sqrt(2)], abs=1e-12)
 
-    def test_refused_search_runs_once(self, monkeypatch):
-        # Neither z - N^2 nor (z - N^2)^2 has a divisor list, and the squarefree
-        # factor of the second is the first: N^2 is searched once, and neither
-        # leading coefficient after a refused constant.
+    def test_each_denominator_searched_once(self, monkeypatch):
+        # The squarefree factor of p2's (z - N^2)^2 is p1's z - N^2: each
+        # denominator is searched once, and the root N^2 is listed once.
         n2 = 1000003 ** 2
         calls = []
-        divisors = ode._divisors
-        monkeypatch.setattr(ode, "_divisors", lambda n: calls.append(n) or divisors(n))
+        search = ode.rational_roots
+        monkeypatch.setattr(ode, "rational_roots", lambda c: calls.append(c) or search(c))
         pts = singular_points(LinearODE2(1 / (z - n2), 1 / (z - n2) ** 2))
-        assert pts == [SingularPoint((z - n2).num, "regular"),
+        assert pts == [SingularPoint(Fraction(n2), "regular"),
                        SingularPoint(INFINITY, "regular")]
-        assert calls == [n2, n2 ** 2]
+        assert calls == [[-n2, 1], [n2 ** 2, -2 * n2, 1]]
 
     def test_infinity_irregular_for_constant_p1(self):
         # v'' + v' = 0 has an irregular point at infinity (exponential growth).
@@ -274,9 +278,29 @@ class TestOdeEqual:
                       LinearODE2(const(0), const(1), var="t"))
 
 
+#: Every prime that divides a coefficient ``root_products`` draws.
+ROOT_PRIMES = [2, 3, 5, 7, 11, 13, 1000003, 1000033]
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, a product of powers of ROOT_PRIMES."""
+    n = abs(n)
+    divs = [1]
+    for p in ROOT_PRIMES:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        divs = [d * p ** j for d in divs for j in range(k + 1)]
+    assert n == 1
+    return divs
+
+
 def reference_rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], list[Fraction]]:
-    """Rational roots by Fraction synthetic division: the form that
-    ``ode._rational_roots`` replaced with exact integer division."""
+    """Rational roots by Fraction synthetic division over every candidate
+    p/q with p dividing the lowest and q the leading coefficient: the
+    rational root theorem, in place of the p-adic search of
+    ``rational_roots``."""
     work = list(coeffs)
     while len(work) > 1 and work[-1] == 0:
         work.pop()
@@ -294,12 +318,8 @@ def reference_rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int
     for c in iw:
         g = math.gcd(g, c)
     iw = [c // g for c in iw]
-    p_divs = ode._divisors(iw[0])
-    q_divs = ode._divisors(iw[-1])
-    if p_divs is None or q_divs is None:
-        return roots, work
-    candidates = sorted(
-        {Fraction(sp * p, q) for p in p_divs for q in q_divs for sp in (1, -1)})
+    candidates = sorted({Fraction(sp * p, q) for p in divisors(iw[0])
+                         for q in divisors(iw[-1]) for sp in (1, -1)})
     frac = [Fraction(c) for c in iw]
     for r in candidates:
         while len(frac) > 1:
@@ -331,8 +351,8 @@ def primitive(coeffs: list[Fraction]) -> list[int]:
 
 
 ZP = z.num
-# Two products of primes above the trial-division limit of ode._divisors.
-PAST_DIVISORS_LIMIT = [1000003 ** 2, 1000003 * 1000033]
+#: Two integers with prime factors above 10^6.
+LARGE = [1000003 ** 2, 1000003 * 1000033]
 IRREDUCIBLE_QUADRATICS = [ZP * ZP + 1, ZP * ZP - 2, ZP * ZP + ZP + 1,
                           ZP * ZP * 3 + ZP + 1, ZP * ZP * 5 - 7]
 
@@ -350,56 +370,110 @@ def root_products(draw):
         elif shape == "quadratic":
             factor = draw(st.sampled_from(IRREDUCIBLE_QUADRATICS))
         else:
-            num = draw(st.sampled_from(PAST_DIVISORS_LIMIT) if shape == "big"
+            num = draw(st.sampled_from(LARGE) if shape == "big"
                        else st.integers(-6, 6).filter(bool))
             factor = ZP * draw(st.integers(1, 6)) - MultiPoly.const(num)
         p = p * factor ** draw(st.integers(1, 3))
     return p
 
 
+#: Leading coefficients with many small prime factors: 720720 and 2^5 3^3 5 ... 23.
+SMOOTH = [720720, 2 ** 5 * 3 ** 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
+
+
+@st.composite
+def large_root_products(draw):
+    """An integer multiple of a product of (b z - a)^k and of irreducible
+    quadratics, as a primitive int list: |a| <= 2^200 and 0 < b <= 2^120,
+    or a and b drawn from LARGE."""
+    lin = st.tuples(st.integers(-2 ** 200, 2 ** 200) | st.sampled_from(LARGE),
+                    st.integers(1, 2 ** 120) | st.sampled_from([1, *LARGE]))
+    p = MultiPoly.const(draw(st.sampled_from([1, *SMOOTH])))
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            a, b = draw(lin)
+            factor = ZP * b - MultiPoly.const(a)
+        else:
+            factor = draw(st.sampled_from(IRREDUCIBLE_QUADRATICS))
+        p = p * factor ** draw(st.integers(1, 3))
+    return p.primitive_int_coeffs("z")
+
+
 class TestRationalRootsDifferential:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(root_products())
     def test_matches_fraction_reference(self, p):
-        roots, leftover = ode._rational_roots(p.primitive_int_coeffs("z"))
+        roots, leftover = rational_roots(p.primitive_int_coeffs("z"))
         ref_roots, ref_leftover = reference_rational_roots(dense_fractions(p))
         assert roots == ref_roots
         assert leftover == primitive(ref_leftover)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(large_root_products())
+    def test_matches_sympy_factor_list(self, coeffs):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("z")
+        _, factors = sympy.factor_list(sympy.Poly(coeffs[::-1], x))
+        want, rest = {}, sympy.Poly(1, x)
+        for f, k in factors:
+            if f.degree() == 1:
+                b, a = map(int, f.all_coeffs())
+                want[Fraction(-a, b)] = k
+            else:
+                rest *= f ** k
+        roots, leftover = rational_roots(coeffs)
+        assert roots == want
+        assert leftover == primitive([Fraction(int(c)) for c in rest.all_coeffs()[::-1]])
+
     def test_many_candidates(self):
         # The ends 720720 = 2^4 3^2 5 7 11 13 and 5040 = 2^4 3^2 5 7 have 240
-        # and 60 divisors, so 3,240 signed coprime pairs p/q are candidates.
+        # and 60 divisors, so 3,240 signed coprime pairs p/q are candidates
+        # of the reference.
         p = (ZP ** 2 * (ZP * 16 - MultiPoly.const(13))
              * (ZP * 9 + MultiPoly.const(11)) * (ZP * 5 - MultiPoly.const(7))
              * (ZP * ZP * 7 + ZP + MultiPoly.const(720)))
         coeffs = p.primitive_int_coeffs("z")
         assert (coeffs[2], coeffs[-1]) == (720720, 5040)
-        roots, leftover = ode._rational_roots(coeffs)
+        roots, leftover = rational_roots(coeffs)
         ref_roots, ref_leftover = reference_rational_roots(dense_fractions(p))
         assert roots == ref_roots == {
             Fraction(0): 2, Fraction(-11, 9): 1, Fraction(13, 16): 1,
             Fraction(7, 5): 1}
         assert leftover == primitive(ref_leftover) == [720, 1, 7]
 
-    def test_past_divisors_limit_keeps_the_polynomial(self):
-        # 1000003^2 has no divisor list, so only the root 0 is split off.
+    def test_large_repeated_root(self):
+        # The root 1000003 is found with its multiplicity 2, beside 0.
         p = (ZP * (ZP - MultiPoly.const(1000003)) ** 2)
-        roots, leftover = ode._rational_roots(p.primitive_int_coeffs("z"))
-        assert roots == {Fraction(0): 1}
-        assert leftover == [1000003 ** 2, -2 * 1000003, 1]
+        roots, leftover = rational_roots(p.primitive_int_coeffs("z"))
+        assert roots == {Fraction(0): 1, Fraction(1000003): 2}
+        assert leftover == [1]
 
     def test_splits_with_repeated_roots(self):
         p = (ZP * 3 - MultiPoly.const(2)) ** 2 * (ZP + MultiPoly.const(1)) * ZP ** 3
-        roots, leftover = ode._rational_roots(p.primitive_int_coeffs("z"))
+        roots, leftover = rational_roots(p.primitive_int_coeffs("z"))
         assert roots == {Fraction(0): 3, Fraction(-1): 1, Fraction(2, 3): 2}
         assert leftover == [1]
 
+    @pytest.mark.parametrize("roots", [
+        # 1 and 3 meet mod 2, and 1, 4 and 7 mod 3: the search runs mod 5.
+        [Fraction(1), Fraction(3), Fraction(4), Fraction(7)],
+        # Every prime up to 23 divides the leading coefficient: the search runs mod 29.
+        [Fraction(1, 2 ** 5 * 3 ** 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23), Fraction(-2)],
+        # 210 and 420 meet mod 2, 3, 5 and 7: the search runs mod 11.
+        [Fraction(210), Fraction(420)],
+    ], ids=["meet-mod-2-and-3", "smooth-lead", "meet-mod-small-primes"])
+    def test_primes_that_merge_roots_are_skipped(self, roots):
+        p = MultiPoly.const(1)
+        for r in roots:
+            p = p * (ZP * r.denominator - MultiPoly.const(r.numerator))
+        assert rational_roots(p.primitive_int_coeffs("z")) == ({r: 1 for r in roots}, [1])
+
 
 #: Denominator factors of the pole-search oracle test: z, small linear
-#: factors, irreducible quadratics, and linear factors with a coefficient past
-#: the trial-division limit, whose products the divisor search refuses.
+#: factors, irreducible quadratics, and linear factors with a coefficient
+#: whose prime factors are above 10^6.
 POLE_FACTORS = ([ZP, ZP - 1, ZP + 2, ZP * 2 - 3, ZP * 3 + 1] + IRREDUCIBLE_QUADRATICS
-                + [ZP - PAST_DIVISORS_LIMIT[0], ZP * PAST_DIVISORS_LIMIT[1] - 1])
+                + [ZP - LARGE[0], ZP * LARGE[1] - 1])
 
 
 @st.composite
@@ -419,9 +493,7 @@ class TestFinitePolesOracle:
     A key of ``finite_poles`` is a rational root or an unresolved squarefree
     factor; sympy splits each into irreducibles, which must all be distinct,
     and each must carry its orders, one per coefficient, from the
-    factorisations of every denominator over Q.  Each draw with a factor past
-    the trial-division limit costs tens of milliseconds of trial division,
-    hence few examples.
+    factorisations of every denominator over Q.
     """
 
     @staticmethod
@@ -451,17 +523,16 @@ class TestFinitePolesOracle:
                 got[f] = ks
         assert got == want
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(pole_coefficients(2))
-    # p2's denominator has no divisor list, and only the root that p1's
-    # reveals splits it.
+    # -2 is a pole of both, and p2's other root has a denominator above 10^6.
     @example((1 / (z + 2), 1 / ((z + 2) * (1000003 * 1000033 * z - 1))))
     def test_orders_match_sympy_factor_list(self, coeffs):
         self.check(coeffs)
 
-    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(pole_coefficients(3))
-    # The root -2 shows in the first denominator only, and splits the other two.
+    # -2 is a pole of all three, beside two roots with prime factors above 10^6.
     @example((1 / (z + 2), 1 / ((z + 2) * (1000003 * 1000033 * z - 1)),
               1 / ((z + 2) ** 2 * (z - 1000003 ** 2))))
     def test_three_coefficients(self, coeffs):
