@@ -867,8 +867,13 @@ def _heu_candidate_dense(a: list[int], b: list[int], xi: int) -> list[int]:
     """``_heu_candidate`` at the univariate level: int lists, low to high.
 
     The images are ints, taken by Horner's rule, and the candidate's
-    coefficients are the xi-adic digits of their gcd, made primitive with a
-    positive last entry.
+    coefficients are the xi-adic digits of their gcd, made primitive.  The
+    gcd is positive: the input whose largest coefficient N is the smaller
+    has every root below 1 + N in modulus (Cauchy's bound), and xi >= 2 N +
+    ``_XI_OFFSET`` lies above it, so that input's image is nonzero.  So the
+    last entry is positive too: the balanced digits below the top one, d_m,
+    sum to at most (xi/2)(xi^m - 1)/(xi - 1) < xi^m in modulus, so d_m has
+    the sign of the gcd.
     """
     va = vb = 0
     for c in reversed(a):
@@ -877,8 +882,6 @@ def _heu_candidate_dense(a: list[int], b: list[int], xi: int) -> list[int]:
         vb = vb * xi + c
     out = _xi_digits(math.gcd(va, vb), xi)
     g = math.gcd(*out)
-    if out[-1] < 0:
-        g = -g
     return [c // g for c in out]
 
 

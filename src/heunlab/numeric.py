@@ -48,7 +48,10 @@ of one integration are its tolerances, the distance the path keeps from every
 singular point and an optional step cap (:class:`IntegrationConfig`); the step
 budget and the modulus taken for a pole are module constants.  The singular
 points an integration keeps clear of are the poles of the expressions it
-integrates, read off their denominators by ``ode.finite_poles``.
+integrates, read off their denominators by ``ode.finite_poles``.  Each is an
+exact rational, rounded once to a complex; an expression with a pole that is
+not rational is refused there (``OdeError``), so no pole is approximated and
+the distance check cannot miss one.
 """
 
 from __future__ import annotations
@@ -578,52 +581,20 @@ def _hamiltonian_field(dh_dmu: RationalExpr, dh_dlam: RationalExpr):
 # ---------------------------------------------------------------------------
 
 
-def _roots_of_poly(mp, name: str) -> list[complex]:
-    """All complex roots of a univariate polynomial, Durand-Kerner iteration."""
-    deg = mp.degree_in(name)
-    coeffs = [complex(c) for c in mp.primitive_int_coeffs(name)]
-    lead = coeffs[-1]
-    coeffs = [c / lead for c in coeffs]
-    roots = [(0.4 + 0.9j) ** k for k in range(deg)]
-    for _ in range(200):
-        shift = 0.0
-        new = []
-        for i_r, r in enumerate(roots):
-            p = 0j
-            for c in reversed(coeffs):
-                p = p * r + c
-            q = 1.0 + 0j
-            for j_r, other in enumerate(roots):
-                if j_r != i_r:
-                    q *= (r - other)
-            step = p / q if q != 0 else 0j
-            new.append(r - step)
-            shift = max(shift, abs(step))
-        roots = new
-        if shift < 1e-13:
-            break
-    return roots
-
-
 def _poles(exprs: tuple[RationalExpr, ...], x: str) -> list[complex]:
-    """The poles in ``x`` of the expressions, in the order of ``finite_poles``:
-    each rational one, and the Durand-Kerner roots of each factor that does
-    not split.  A pole or coefficient past the float range is a
-    :class:`NumericError`."""
-    out = []
+    """The poles in ``x`` of the expressions, in the order of ``finite_poles``.
+
+    A pole past the float range is a :class:`NumericError`; ``finite_poles``
+    refuses a pole that is not rational (``OdeError``).
+    """
     try:
-        for p in finite_poles(exprs, x):
-            if isinstance(p, Fraction):
-                out.append(complex(p))
-            else:
-                out.extend(_roots_of_poly(p, x))
+        return [complex(p) for p in finite_poles(exprs, x)]
     except OverflowError as exc:
         raise NumericError(f"float overflow at a singular point: {exc}") from None
-    return out
 
 
 def ode_singularities(ode: LinearODE2) -> list[complex]:
-    """Finite singular points as complex numbers (resolved or approximated)."""
+    """Finite singular points as complex numbers, in increasing order."""
     return _poles((ode.p1, ode.p2), ode.var)
 
 

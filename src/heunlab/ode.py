@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (
-    MultiPoly,
     RationalExpr,
-    exact_div,
     identity_test,
-    poly_gcd,
     rational_roots,
     substitute,
     var,
@@ -132,97 +130,44 @@ INFINITY = "inf"
 class SingularPoint:
     """One singularity of a linear ODE.
 
-    ``location`` is an exact rational for a rational finite point, the
-    string ``"inf"`` for the point at infinity, or, for the points that are
-    not rational, a squarefree MultiPoly factor of a denominator that has no
-    rational root.
+    ``location`` is the exact rational finite point, or the string ``"inf"``
+    for the point at infinity.
     """
 
-    location: object
+    location: Fraction | str
     kind: str  # "regular" | "irregular"
 
 
-def squarefree_decomposition(p: MultiPoly, name: str) -> list[tuple[MultiPoly, int]]:
-    """Yun's algorithm: p = const * prod a_k^k with squarefree coprime a_k."""
-    out: list[tuple[MultiPoly, int]] = []
-    dp = p.derivative(name)
-    g = poly_gcd(p, dp)
-    c = exact_div(p, g)
-    d = exact_div(dp, g) - c.derivative(name)
-    k = 1
-    while c.degree_in(name) > 0:
-        a = poly_gcd(c, d)
-        if a.degree_in(name) > 0:
-            out.append((a, k))
-        c = exact_div(c, a)
-        d = exact_div(d, a) - c.derivative(name)
-        k += 1
-    return out
-
-
-def finite_poles(coeffs: tuple[RationalExpr, ...], name: str) -> dict[object, list[int]]:
+def finite_poles(coeffs: tuple[RationalExpr, ...], name: str) -> dict[Fraction, list[int]]:
     """The poles in ``name`` of the coefficients, with their order in each.
 
-    Keyed by the exact rational pole, or by a squarefree factor of a
-    denominator (a polynomial in ``name`` alone, integer-primitive with a
-    positive leading coefficient, as ``poly_gcd`` and ``exact_div`` leave
-    it) that has no rational root.  Each denominator gives up every rational
-    root (``rational_roots``), and what remains is split squarefree and into
-    a gcd-free basis (``_refine``).  So each point is listed once, with its
-    order in every coefficient.  The rational poles come first, in
-    increasing order, then the unresolved factors in the order of the basis.
+    Keyed by the exact rational pole, in increasing order.  Each denominator
+    gives up every rational root (``rational_roots``), so each point is
+    listed once, with its order in every coefficient.  A denominator with a
+    factor that has no rational root raises :class:`OdeError`: the equations
+    of the package have only rational singular points.
     """
     n = len(coeffs)
-    orders: dict[object, list[int]] = {}
-    basis: list[tuple[MultiPoly, list[int]]] = []
+    orders: dict[Fraction, list[int]] = {}
     for i, p in enumerate(coeffs):
         if p.den.is_const():
             continue
         roots, rest = rational_roots(p.den.primitive_int_coeffs(name))
+        if len(rest) > 1:
+            raise OdeError(f"the denominator {p.den} has a factor with no rational root")
         for r, k in roots.items():
             orders.setdefault(r, [0] * n)[i] += k
-        if len(rest) > 1:
-            for a, k in squarefree_decomposition(_univariate(rest, name), name):
-                basis = _refine(basis, a, [k if j == i else 0 for j in range(n)])
-    return {r: orders[r] for r in sorted(orders)} | dict(basis)
-
-
-def _refine(basis: list[tuple[MultiPoly, list[int]]], f: MultiPoly,
-            ks: list[int]) -> list[tuple[MultiPoly, list[int]]]:
-    """Add the squarefree factor f, with orders ``ks``, to a gcd-free basis.
-
-    The basis holds pairwise coprime squarefree factors with their orders,
-    one per coefficient.  An element b that shares g = gcd(f, b) with f
-    splits into g, which carries the orders of both, and b/g; what is left
-    of f, coprime to every element, joins at the end.
-    """
-    out = []
-    for b, kb in basis:
-        g = poly_gcd(f, b)
-        if g.is_const():
-            out.append((b, kb))
-            continue
-        out.append((g, [x + y for x, y in zip(kb, ks)]))
-        b = exact_div(b, g)
-        if not b.is_const():
-            out.append((b, kb))
-        f = exact_div(f, g)
-    if not f.is_const():
-        out.append((f, ks))
-    return out
-
-
-def _univariate(coeffs: list[int], name: str) -> MultiPoly:
-    return MultiPoly((name,), {(k,): c for k, c in enumerate(coeffs) if c})
+    return {r: orders[r] for r in sorted(orders)}
 
 
 def singular_points(ode: LinearODE2) -> list[SingularPoint]:
     """Singularities of the equation, classified regular/irregular.
 
     A finite point is regular-singular when p1 has a pole of order at most 1
-    and p2 of order at most 2 there.  Every rational pole is found exactly;
-    a factor of a denominator with no rational root comes back unresolved.
-    The points come in the order of :func:`finite_poles`, then infinity.
+    and p2 of order at most 2 there.  Every finite point is an exact
+    rational, in increasing order, then comes infinity; a denominator with a
+    factor that has no rational root raises :class:`OdeError`
+    (:func:`finite_poles`).
 
     The point at infinity is read off the degree excess deg N - deg D of
     coefficients p = N/D, since p(1/w) has w-valuation deg D - deg N; a zero

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import random
@@ -30,7 +31,7 @@ from heunlab.numeric import (
     painleve_residual,
     verify_derivative_numeric,
 )
-from heunlab.ode import LinearODE2
+from heunlab.ode import LinearODE2, OdeError
 from heunlab.painleve import (
     FLOW_T_SINGULARITIES,
     H2_LITERAL_T_SINGULARITIES,
@@ -211,9 +212,25 @@ class TestIntegrateLinear:
             integrate_linear(ode, ComplexPath.of(-0.5, 0.5), (1.0, 0.0))
 
     def test_singularity_enumeration_includes_unresolved(self):
-        ode = LinearODE2(1 / (z * z - 2), const(0))
-        pts = ode_singularities(ode)
-        assert any(abs(p - math.sqrt(2)) < 1e-9 for p in pts)
+        # The enumeration gives no approximate root of z^2 - 2 in place of
+        # an exact pole: the equation is refused.
+        with pytest.raises(OdeError, match="has a factor with no rational root$"):
+            ode_singularities(LinearODE2(1 / (z * z - 2), const(0)))
+
+    def test_path_near_a_cyclotomic_pole_refused(self):
+        # 1 + z + ... + z^40 has no rational root; a path 1e-3 above its
+        # root e^(2 pi i/41) is refused, not integrated past a pole.
+        phi41 = sum((z ** k for k in range(1, 41)), const(1))
+        w = cmath.exp(2j * math.pi / 41)
+        path = ComplexPath.of(w - 0.1 + 1e-3j, w + 0.1 + 1e-3j)
+        with pytest.raises(OdeError, match="has a factor with no rational root$"):
+            integrate_linear(LinearODE2(1 / phi41, const(0)), path, (1.0, 0.0))
+
+    def test_path_through_an_irrational_pole_refused(self):
+        # The path 0.5 -> 1.5 runs through the root 2^(1/60) of z^60 - 2.
+        with pytest.raises(OdeError, match="has a factor with no rational root$"):
+            integrate_linear(LinearODE2(1 / (z ** 60 - 2), const(0)),
+                             ComplexPath.of(0.5, 1.5), (1.0, 0.0))
 
 
 class TestDerivativeWitness:

@@ -136,50 +136,39 @@ class TestSingularPoints:
         assert at0 and at0[0].kind == "irregular"
 
     def test_unresolved_quadratic_factor(self):
-        pts = singular_points(LinearODE2(1 / (z * z - 2), const(0)))
-        assert any(isinstance(p.location, MultiPoly) for p in pts)
+        # z^2 - 2 has no rational root: its poles +-sqrt(2) are not listed
+        # unresolved, the equation is refused.
+        with pytest.raises(OdeError, match="has a factor with no rational root$"):
+            singular_points(LinearODE2(1 / (z * z - 2), const(0)))
 
-    def test_unresolved_factors_in_p2_only(self):
-        # z^2 - 2 and z^2 + 1 do not split over Q and are poles of p2 alone:
-        # of order 3 (irregular) and 2 (regular).  They follow the rational
-        # points, in the order of p2's squarefree decomposition.
-        q, r = (z * z - 2).num, (z * z + 1).num
-        pts = singular_points(LinearODE2(1 / z, 1 / ((z * z + 1) ** 2 * (z * z - 2) ** 3)))
-        assert pts == [SingularPoint(Fraction(0), "regular"),
-                       SingularPoint(r, "regular"),
-                       SingularPoint(q, "irregular"),
-                       SingularPoint(INFINITY, "regular")]
-
-    def test_unresolved_factor_in_both_coefficients(self):
-        q = (z * z - 2).num
-        pts = singular_points(LinearODE2(1 / (z * z - 2), 1 / (z * z - 2) ** 2))
-        assert pts == [SingularPoint(q, "regular"), SingularPoint(INFINITY, "regular")]
-        pts = singular_points(LinearODE2(1 / (z * z - 2) ** 2, 1 / (z * z - 2)))
-        assert pts[0] == SingularPoint(q, "irregular")
-
-    def test_unresolved_factors_that_differ_are_split(self):
-        # p1's squarefree z^4 - 5 z^2 + 6 and p2's z^2 - 2 share a factor:
-        # +-sqrt(2) is listed once, with order 1 in p1 and 3 in p2.
-        q, r = (z * z - 2).num, (z * z - 3).num
-        eq = LinearODE2(1 / ((z * z - 2) * (z * z - 3)), 1 / (z * z - 2) ** 3)
-        assert singular_points(eq) == [SingularPoint(q, "irregular"),
-                                       SingularPoint(r, "regular"),
-                                       SingularPoint(INFINITY, "regular")]
-        got = sorted(ode_singularities(eq), key=lambda w: w.real)
-        want = [-math.sqrt(3), -math.sqrt(2), math.sqrt(2), math.sqrt(3)]
-        assert len(got) == 4
-        assert all(abs(w - x) < 1e-12 for w, x in zip(got, want))
+    @pytest.mark.parametrize("p1, p2", [
+        (1 / z, 1 / ((z * z + 1) ** 2 * (z * z - 2) ** 3)),
+        (1 / (z * z - 2), 1 / (z * z - 2) ** 2),
+        (1 / (z * z - 2) ** 2, 1 / (z * z - 2)),
+        (1 / ((z * z - 2) * (z * z - 3)), 1 / (z * z - 2) ** 3),
+    ], ids=["in-p2-only", "in-both-coefficients",
+            "in-both-coefficients-swapped", "factors-that-differ"])
+    def test_irrational_poles_refused(self, p1, p2):
+        # z^2 - 2, z^2 + 1 and z^2 - 3 have no rational root: a denominator
+        # with such a factor is refused, beside a rational pole too, and the
+        # numeric lab gets no approximate pole in its place.
+        eq = LinearODE2(p1, p2)
+        with pytest.raises(OdeError, match="has a factor with no rational root$"):
+            singular_points(eq)
+        with pytest.raises(OdeError, match="has a factor with no rational root$"):
+            ode_singularities(eq)
 
     def test_root_resolved_in_one_denominator_only(self):
         # f's root 2/1000003 has a denominator above 10^6 and is a pole of p1
-        # alone: it is listed with order 0 in p2, and z^2 - 2, a pole of
-        # both, once, with its order in each.
-        f, q = 1000003 * z - 2, (z * z - 2).num
-        eq = LinearODE2(1 / (f * (z * z - 2)), 1 / (z * z - 2) ** 3)
+        # alone: it is listed with order 0 in p2, and each root of z^2 - 9, a
+        # pole of both, once, with its order in each.
+        f = 1000003 * z - 2
+        eq = LinearODE2(1 / (f * (z * z - 9)), 1 / (z * z - 9) ** 3)
         assert list(ode.finite_poles((eq.p1, eq.p2), "z").items()) == [
-            (Fraction(2, 1000003), [1, 0]), (q, [1, 3])]
-        assert singular_points(eq) == [SingularPoint(Fraction(2, 1000003), "regular"),
-                                       SingularPoint(q, "irregular"),
+            (Fraction(-3), [1, 3]), (Fraction(2, 1000003), [1, 0]), (Fraction(3), [1, 3])]
+        assert singular_points(eq) == [SingularPoint(Fraction(-3), "irregular"),
+                                       SingularPoint(Fraction(2, 1000003), "regular"),
+                                       SingularPoint(Fraction(3), "irregular"),
                                        SingularPoint(INFINITY, "regular")]
 
     def test_root_resolved_through_the_other_denominator(self):
@@ -205,19 +194,16 @@ class TestSingularPoints:
                                        SingularPoint(INFINITY, "regular")]
 
     def test_finite_poles_key_order(self):
-        # p1 yields 3 and leaves z^2 - 2; p2 yields -1 and 2/1000003 and leaves
-        # (z^2 + 1)^2.  The keys come as the rational poles ascending, then
-        # the unresolved factors in basis order.
+        # p1 yields 3 and +-1/2; p2 yields -1, 2/1000003 and +-2.  The keys
+        # are the poles of both, ascending, each with its order in each.
         f = 1000003 * z - 2
-        p1 = 1 / ((z - 3) * (z * z - 2))
-        p2 = 1 / ((z + 1) * (z * z + 1) ** 2 * f ** 3)
-        assert list(ode.finite_poles((p1, p2), "z").items()) == [
-            (Fraction(-1), [0, 1]), (Fraction(2, 1000003), [0, 3]), (Fraction(3), [1, 0]),
-            ((z * z - 2).num, [1, 0]), ((z * z + 1).num, [0, 2])]
-        got = ode_singularities(LinearODE2(p1, p2))
-        assert got[:3] == [-1, complex(Fraction(2, 1000003)), 3]
-        assert sorted(got[3:], key=lambda w: (w.real, w.imag)) == pytest.approx(
-            [-math.sqrt(2), -1j, 1j, math.sqrt(2)], abs=1e-12)
+        p1 = 1 / ((z - 3) * (4 * z * z - 1))
+        p2 = 1 / ((z + 1) * (z * z - 4) ** 2 * f ** 3)
+        want = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(2, 1000003),
+                Fraction(1, 2), Fraction(2), Fraction(3)]
+        assert list(ode.finite_poles((p1, p2), "z").items()) == list(zip(want, [
+            [0, 2], [0, 1], [1, 0], [0, 3], [1, 0], [0, 2], [1, 0]]))
+        assert ode_singularities(LinearODE2(p1, p2)) == [complex(w) for w in want]
 
     def test_each_denominator_searched_once(self, monkeypatch):
         # The squarefree factor of p2's (z - N^2)^2 is p1's z - N^2: each
@@ -490,10 +476,11 @@ def pole_coefficients(draw, n):
 class TestFinitePolesOracle:
     """The pole search behind ``singular_points``, against sympy's factor_list.
 
-    A key of ``finite_poles`` is a rational root or an unresolved squarefree
-    factor; sympy splits each into irreducibles, which must all be distinct,
-    and each must carry its orders, one per coefficient, from the
-    factorisations of every denominator over Q.
+    The search refuses the coefficients exactly when sympy finds an
+    irreducible factor of degree above 1 in some denominator over Q.
+    Otherwise a key of ``finite_poles`` is a rational root, each root is
+    a distinct linear factor of sympy's, and each carries its orders, one
+    per coefficient, from the factorisations of every denominator.
     """
 
     @staticmethod
@@ -512,15 +499,18 @@ class TestFinitePolesOracle:
             if not p.den.is_const():
                 for f, k in irreducibles(p.den.primitive_int_coeffs("z")):
                     want.setdefault(f, [0] * len(coeffs))[i] += k
+        if any(len(f) > 2 for f in want):
+            with pytest.raises(OdeError, match="has a factor with no rational root$"):
+                ode.finite_poles(coeffs, "z")
+            return
+        poles = ode.finite_poles(coeffs, "z")
+        assert list(poles) == sorted(poles)
         got: dict[tuple, list[int]] = {}
-        for key, ks in ode.finite_poles(coeffs, "z").items():
-            if isinstance(key, Fraction):
-                factor = [-key.numerator, key.denominator]
-            else:
-                factor = key.primitive_int_coeffs("z")
-            for f, k in irreducibles(factor):
-                assert k == 1 and f not in got
-                got[f] = ks
+        for key, ks in poles.items():
+            assert isinstance(key, Fraction)
+            [(f, k)] = irreducibles([-key.numerator, key.denominator])
+            assert k == 1 and f not in got
+            got[f] = ks
         assert got == want
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
