@@ -17,9 +17,8 @@ flag.  Building the table does no algebra: every check is a thunk.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .heun import HeunFamily, HeunSpec, verify_derivative
 from .matching import (
@@ -51,8 +50,7 @@ FLAGS = ("paper_literal_h2", "paper_literal_p5", "family_slip_check")
 Check = Callable[[tuple[int, ...], dict], list[CaseRecord]]
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     case: str
     claim: str
     check: Check
@@ -173,8 +171,8 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("matching/p3prime [bi-confluent slip]",
           "the p3prime reduction does not fit the bi-confluent family, "
           "confirming the double-confluent binding",
-          lambda _b, _s: [verify_matching(replace(matching_case(PainleveKind.P3P),
-                                                  heun_family=HeunFamily.BI_CONFLUENT))],
+          lambda _b, _s: [verify_matching(matching_case(PainleveKind.P3P)._replace(
+              heun_family=HeunFamily.BI_CONFLUENT))],
           flag="family_slip_check"),
 
     *(Claim(f"riccati/{kind.value}",
@@ -282,8 +280,8 @@ def run_claims(suite: str, *, case: str | None = None,
         start = time.perf_counter()
         outs = claim.check(chosen, shared)
         wall_time = time.perf_counter() - start
-        records.append(replace(
-            _fold(outs), case=claim.case, claim=claim.claim,
+        records.append(_fold(outs)._replace(
+            case=claim.case, claim=claim.claim,
             predicted_failure=claim.flag is not None, wall_time=wall_time))
     if not records:
         raise ValueError(f"no claim of suite {suite!r} matches the --case and "

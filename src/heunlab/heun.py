@@ -12,8 +12,8 @@ the equation for u' from scratch, so closed form and oracle stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .algebra import (
     Coercible,
@@ -68,8 +68,7 @@ FAMILY_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class HeunSpec:
+class HeunSpec(NamedTuple):
     """One member of a Heun family: the family tag plus its parameters."""
 
     family: HeunFamily
@@ -237,8 +236,7 @@ class DegenerationCase(Enum):
     AB_ZERO = "ab=0"
 
 
-@dataclass(frozen=True)
-class DegenerationResult:
+class DegenerationResult(NamedTuple):
     """Outcome of cancelling the extra singularity of the derivative equation."""
 
     ode: LinearODE2

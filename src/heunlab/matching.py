@@ -23,15 +23,17 @@ Three verifiers certify the claims exactly:
 ``matching_case`` keeps each case it builds for the life of the process
 (``painleve.symbolic_cache``): a repeat call returns the same
 :class:`MatchingCase`, shared by every caller.  It takes no numeric params,
-so every call reaches the cache.  The case is read-only: a frozen record
-whose ``param_map`` and ``classical_branches`` entries are read-only mappings.
+so every call reaches the cache.  The case is read-only: a ``NamedTuple``
+whose ``param_map`` and ``classical_branches`` entries are read-only
+mappings; ``_replace`` makes a changed copy and leaves the cached case as it
+is.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .algebra import (
     RationalExpr,
@@ -59,8 +61,7 @@ class UnknownCase(Exception):
     """No reduction is defined for the requested kind."""
 
 
-@dataclass(frozen=True)
-class MatchingCase:
+class MatchingCase(NamedTuple):
     """One reduction from a Heun derivative equation to Painleve linear data."""
 
     heun_family: HeunFamily

@@ -60,7 +60,6 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -91,8 +90,7 @@ class ConditionNotSatisfied(NumericError):
     """Numeric parameters do not satisfy the reduction's exact condition."""
 
 
-@dataclass(frozen=True)
-class ComplexPath:
+class ComplexPath(NamedTuple):
     """Polyline through the given waypoints in the complex plane."""
 
     waypoints: tuple[complex, ...]
@@ -107,6 +105,8 @@ class ComplexPath:
         for a, b in zip(pts, pts[1:]):
             if a == b:
                 raise ValueError("consecutive waypoints must be distinct")
+            if not cmath.isfinite(b - a):
+                raise ValueError(f"the segment {a} -> {b} spans more than the float range")
         return ComplexPath(pts)
 
     def segments(self) -> list[tuple[complex, complex]]:
@@ -133,14 +133,18 @@ _MAX_STEPS = 200_000
 _POLE_THRESHOLD = 1e8
 
 
-@dataclass(frozen=True)
-class IntegrationConfig:
+class _Tolerances(NamedTuple):
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     min_distance: float = 1e-2  # from the path to every singular point
     max_step: float | None = None  # in units of the independent variable
 
-    def __post_init__(self) -> None:
+
+class IntegrationConfig(_Tolerances):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "IntegrationConfig":
+        self = super().__new__(cls, *args, **kwargs)
         # Written as negated comparisons so that a NaN is refused too.
         if not 0 < self.abs_tol < math.inf:
             raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
@@ -152,6 +156,12 @@ class IntegrationConfig:
                 f"min_distance must be positive, got {self.min_distance}")
         if self.max_step is not None and not self.max_step > 0:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "IntegrationConfig":
+        # ``_replace`` builds through ``_make``: so it validates too.
+        return cls(*iterable)
 
 
 class Sample(NamedTuple):
@@ -160,15 +170,18 @@ class Sample(NamedTuple):
     y: tuple[complex, ...]        # state
 
 
-@dataclass
 class ODETrajectory:
-    samples: list[Sample]
-    pole_truncated: bool = False
-    max_error_estimate: float = 0.0
-    meta: dict = field(default_factory=dict)
-    #: Every imaginary part of the samples is +0.0: set by the float stepper
-    #: alone, and left out of ``repr`` and ``==``.
-    on_real_axis: bool = field(default=False, init=False, repr=False, compare=False)
+    __slots__ = ("samples", "pole_truncated", "max_error_estimate", "meta", "on_real_axis")
+
+    def __init__(self, samples: list[Sample], pole_truncated: bool = False,
+                 max_error_estimate: float = 0.0, meta: dict | None = None) -> None:
+        self.samples = samples
+        self.pole_truncated = pole_truncated
+        self.max_error_estimate = max_error_estimate
+        self.meta = {} if meta is None else meta
+        #: Every imaginary part of the samples is +0.0: set by the float
+        #: stepper alone.
+        self.on_real_axis = False
 
     def to_csv(self) -> str:
         """One row per sample, each part the ``repr`` of its float; every

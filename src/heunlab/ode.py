@@ -14,8 +14,8 @@ exact equality of equations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     RationalExpr,
@@ -34,8 +34,7 @@ class NoDerivativeEquation(OdeError):
     """The derivative of a solution satisfies a first-order equation only."""
 
 
-@dataclass(frozen=True)
-class LinearODE2:
+class LinearODE2(NamedTuple):
     """The equation v'' + p1 v' + p2 v = 0 in the variable ``var``."""
 
     p1: RationalExpr
@@ -70,8 +69,7 @@ def derivative_equation(ode: LinearODE2) -> LinearODE2:
     return LinearODE2(q1, q2, z)
 
 
-@dataclass(frozen=True)
-class GaugeSpec:
+class GaugeSpec(NamedTuple):
     """Change of unknown w(z) = phi(z)^sigma * v(m(z)).
 
     The change of variable m is a rational function of the equation's
@@ -126,8 +124,7 @@ def gauge_mobius_transform(ode: LinearODE2, g: GaugeSpec) -> LinearODE2:
 INFINITY = "inf"
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """One singularity of a linear ODE.
 
     ``location`` is the exact rational finite point, or the string ``"inf"``

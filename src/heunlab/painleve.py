@@ -24,7 +24,7 @@ The constructors ``hamiltonian``, ``painleve_rhs``, ``kappa_constant`` and
 ``build_painleve_linear`` keep what they build at symbolic parameters
 (``params is None``) for the life of the process, through
 :func:`symbolic_cache`: a repeat call returns the same object, shared by every
-caller and read-only (an immutable expression or a frozen record of them).
+caller and read-only (an immutable expression or a ``NamedTuple`` of them).
 A call with a params mapping never reaches a cache and builds afresh.
 ``painleve_rhs`` and ``bridge`` take no params: a caller binds them with
 ``substitute``.
@@ -33,10 +33,9 @@ A call with a params mapping never reaches a cache and builds afresh.
 from __future__ import annotations
 
 import functools
-import inspect
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     RationalExpr,
@@ -100,20 +99,30 @@ def symbolic_cache(build):
     """Keep ``build``'s results at symbolic parameters for the life of the process.
 
     A call without a ``params`` mapping is answered from a ``functools.cache``
-    keyed by every argument with its defaults filled in, so two spellings of
-    one call share an entry; a call with ``params`` runs ``build`` itself.
+    keyed by every argument, read off ``build``'s code object: the positional
+    ones by position and the keyword-only ones by keyword, in the order of
+    ``build``'s signature and with its defaults filled in.  So two spellings of
+    one call share an entry.  A call with ``params``, or one that does not
+    fit the signature, runs ``build`` itself (which raises the ``TypeError``).
     ``cache_info`` and ``cache_clear`` are those of the cache.
     """
-    signature = inspect.signature(build)
+    code = build.__code__
+    n_pos = code.co_argcount
+    names = code.co_varnames[:n_pos + code.co_kwonlyargcount]
+    positional, keyword, every = names[:n_pos], names[n_pos:], set(names)
+    defaults = dict(zip(positional[n_pos - len(build.__defaults__ or ()):],
+                        build.__defaults__ or ()))
+    defaults.update(build.__kwdefaults__ or {})
     cached = functools.cache(build)
 
     @functools.wraps(build)
     def constructor(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        if bound.arguments.get("params") is not None:
+        given = dict(zip(positional, args))
+        call = {**defaults, **given, **kwargs}
+        if (call.get("params") is not None or len(args) > n_pos
+                or given.keys() & kwargs.keys() or call.keys() != every):
             return build(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*bound.args, **bound.kwargs)
+        return cached(*(call[n] for n in positional), **{n: call[n] for n in keyword})
 
     constructor.cache_info = cached.cache_info
     constructor.cache_clear = cached.cache_clear
@@ -131,8 +140,7 @@ def _fill_params(kind: PainleveKind, params) -> dict[str, RationalExpr]:
     return out
 
 
-@dataclass(frozen=True)
-class HamiltonianSystem:
+class HamiltonianSystem(NamedTuple):
     """Hamiltonian with its flow fields dlam/dt = dH/dmu, dmu/dt = -dH/dlam."""
 
     H: RationalExpr

@@ -18,17 +18,19 @@ headed by the package name and ``__version__``, and nothing reads it back.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import __version__
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     passed: bool
     witness: dict | None = None
     residual: float | None = None
-    details: dict = field(default_factory=dict)
+    #: Read-only when left out, so that no two records share a mutable dict.
+    details: Mapping = MappingProxyType({})
     predicted_failure: bool = False
     case: str = ""
     claim: str = ""
@@ -48,10 +50,12 @@ class CaseRecord:
         return self.passed != self.predicted_failure
 
 
-@dataclass
 class Report:
-    suite: str
-    records: list[CaseRecord]
+    __slots__ = ("suite", "records")
+
+    def __init__(self, suite: str, records: list[CaseRecord]) -> None:
+        self.suite = suite
+        self.records = records
 
     def sorted_records(self) -> list[CaseRecord]:
         return sorted(self.records, key=lambda r: r.case)

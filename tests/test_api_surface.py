@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -86,6 +89,19 @@ STALE_IN_BENCH = {"algebra._gcd_by_interpolation", "algebra._gcd_prs",
                   "cli.run_derivative_suite", "ode.LinearODE2.substitute_params"}
 
 
+def _tracer_rows() -> list[tuple]:
+    """The rows of ``FUNCTIONS`` and ``METHODS`` in ``bench/tracing.py``, read
+    without importing it: both tables are pure expressions."""
+    rows = []
+    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tracing.body:
+        target = node.targets[0] if isinstance(node, ast.Assign) else None
+        if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "METHODS"):
+            rows += eval(compile(ast.Expression(node.value), "tracing.py", "eval"),
+                         {"__builtins__": {}})
+    return rows
+
+
 def _bench_names() -> set[str]:
     """Every package name the tracer wraps and the benchmark pass imports.
 
@@ -94,14 +110,7 @@ def _bench_names() -> set[str]:
     ``bench/pass_main.py`` names the rest in ``from heunlab... import``
     statements, or as attributes of a module it imports that way.
     """
-    names = set()
-    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
-    for node in tracing.body:
-        target = node.targets[0] if isinstance(node, ast.Assign) else None
-        if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "METHODS"):
-            table = eval(compile(ast.Expression(node.value), "tracing.py", "eval"),
-                         {"__builtins__": {}})
-            names.update(".".join(row[:-1]) for row in table)
+    names = {".".join(row[:-1]) for row in _tracer_rows()}
     pass_main = ast.parse((ROOT / "bench" / "pass_main.py").read_text(encoding="utf-8"))
     modules = set()  # the modules imported by name, as in ``from heunlab import numeric``
     for node in ast.walk(pass_main):
@@ -129,3 +138,15 @@ def test_bench_names_exist():
             missing.append(name)
     assert len(names) > 30
     assert set(missing) == STALE_IN_BENCH
+
+
+def test_cli_import_loads_every_traced_layer_and_no_dataclasses():
+    """``import heunlab.cli`` loads every module the tracer wraps, since its
+    ``install`` reaches only the loaded ones, and neither ``dataclasses`` nor
+    ``inspect``, which the records and caches do without."""
+    code = "import heunlab.cli, sys; print(*sorted(sys.modules))"
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    loaded = set(run.stdout.split())
+    assert {"dataclasses", "inspect"} & loaded == set()
+    assert {f"heunlab.{row[0]}" for row in _tracer_rows()} - loaded == set()

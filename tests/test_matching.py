@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from dataclasses import replace
-
 from heunlab.algebra import const, identity_test, substitute, var
 from heunlab.heun import HeunFamily, HeunSpec, build_heun_derivative
 from heunlab.matching import (
@@ -66,7 +64,7 @@ class TestCaseData:
         # A kind has one branch exactly when its minus-branch data is its
         # plus-branch data under another label.
         plus, minus = matching_case(kind, 1), matching_case(kind, -1)
-        relabelled = minus == replace(plus, sign_branch=-1)
+        relabelled = minus == plus._replace(sign_branch=-1)
         assert relabelled == (sign_branches(kind) == (1,))
         assert relabelled == (kind in (PainleveKind.P2, PainleveKind.P3P,
                                        PainleveKind.P4))
@@ -98,7 +96,7 @@ class TestVerifyMatching:
         if case.gauge is not None:
             built = gauge_mobius_transform(built, case.gauge)
             reference = gauge_mobius_transform(
-                reference, replace(case.gauge, sigma=var("sigma")))
+                reference, case.gauge._replace(sigma=var("sigma")))
             bind["sigma"] = case.gauge.sigma
         assert built.p1 == substitute(reference.p1, bind)
         assert built.p2 == substitute(reference.p2, bind)
@@ -127,7 +125,7 @@ class TestVerifyMatching:
         # double-confluent binding.
         case = matching_case(PainleveKind.P3P)
         good = verify_matching(case)
-        bad = verify_matching(replace(case, heun_family=HeunFamily.BI_CONFLUENT))
+        bad = verify_matching(case._replace(heun_family=HeunFamily.BI_CONFLUENT))
         assert good.passed and not bad.passed
 
     def test_alpha_renaming_safety(self):
@@ -229,7 +227,7 @@ class TestSharedCase:
     def test_replace_leaves_the_cached_case(self):
         case = matching_case(PainleveKind.P3P)
         before = dict(case.param_map)
-        slip = replace(case, heun_family=HeunFamily.BI_CONFLUENT)
+        slip = case._replace(heun_family=HeunFamily.BI_CONFLUENT)
         assert slip.heun_family is HeunFamily.BI_CONFLUENT
         again = matching_case(PainleveKind.P3P)
         assert again is case

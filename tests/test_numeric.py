@@ -95,6 +95,13 @@ class TestPath:
         with pytest.raises(ValueError, match="finite"):
             ComplexPath.of(0, waypoint, 1)
 
+    def test_segment_beyond_the_float_range_rejected(self):
+        # Both waypoints are finite, but their difference overflows, which
+        # made every distance to the segment NaN.
+        with pytest.raises(ValueError, match=r"^the segment \(-1e\+308\+0j\) -> "
+                                             r"\(1e\+308\+0j\) spans more than"):
+            ComplexPath.of(0, -1e308, 1e308)
+
 
 class TestIntegrationConfig:
     @pytest.mark.parametrize("kwargs, name", [
@@ -123,6 +130,10 @@ class TestIntegrationConfig:
         with pytest.raises(ValueError, match="abs_tol"):
             integrate_linear(LinearODE2(const(0), const(0)), ComplexPath.of(0, 1),
                              (0.0, 0.0), IntegrationConfig(abs_tol=0))
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError, match="^abs_tol must be"):
+            IntegrationConfig()._replace(abs_tol=0)
 
     def test_zero_rel_tol_accepted(self):
         traj = integrate_linear(LinearODE2(const(0), const(1)), ComplexPath.of(0, 1),
@@ -210,6 +221,15 @@ class TestIntegrateLinear:
         ode = build_heun(GENERAL)
         with pytest.raises(PathTooClose):
             integrate_linear(ode, ComplexPath.of(-0.5, 0.5), (1.0, 0.0))
+
+    def test_path_beyond_the_float_range_refused(self):
+        # The path runs through the poles 0, 1 and 2; it is refused before
+        # the guard, which read NaN distances, let the stepper underflow.
+        from heunlab.heun import build_heun
+        ode = build_heun(HeunSpec.of(HeunFamily.GENERAL, alpha=1, beta=1, gamma=1,
+                                     delta=1, epsilon=1, q=1, t=2))
+        with pytest.raises(ValueError, match="spans more than the float range$"):
+            integrate_linear(ode, ComplexPath.of(-1e308, 1e308), (1.0, 0.0))
 
     def test_singularity_enumeration_includes_unresolved(self):
         # The enumeration gives no approximate root of z^2 - 2 in place of
