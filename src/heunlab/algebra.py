@@ -34,8 +34,8 @@ polynomials in the same single name take the univariate level instead: the
 same rules on dense int coefficient lists, low to high.  Each rule has one
 home:
 
-* ``poly_gcd`` runs the heuristic gcd, with the primitive PRS as its
-  certified fallback: ``_strip`` removes
+* ``poly_cofactors`` runs the heuristic gcd, with the primitive PRS as its
+  certified fallback, and ``poly_gcd`` is its first value: ``_strip`` removes
   every integer content and monomial factor it sees, ``_eval_at`` takes
   every image, ``_heu_candidate`` reads every candidate off an image gcd's
   digits (``_xi_digits``), and ``_heu_gcd`` accepts a candidate only when
@@ -52,9 +52,11 @@ home:
   numerators into a dense list, and ``MultiPoly.primitive_int_coeffs``,
   built on it, is the one form in which a univariate polynomial leaves the
   kernel;
-* ``_cancel`` and ``_rescale`` make every canonical pair; a substitution
-  (``_subst_poly``) and a derivative build one numerator and one
-  denominator and canonicalise them once, by ``RationalExpr(num, den)``.
+* ``poly_cofactors`` and ``_rescale`` make every canonical pair, from the
+  quotients that certified the gcd; a substitution (``_subst_poly``),
+  which groups terms by their exponents in the bound names, and a
+  derivative build one numerator and one denominator and canonicalise them
+  once, by ``RationalExpr(num, den)``.
 
 The monomial order used everywhere is graded lexicographic over the sorted
 name tuple (``_grlex``): compare total degree first, then the exponent
@@ -558,8 +560,8 @@ def rational_roots(coeffs: list[int]) -> tuple[dict[Fraction, int], list[int]]:
     work = coeffs[zeros:]
     if len(work) == 1:
         return roots, work
-    g = _gcd_dense(work, [k * c for k, c in enumerate(work)][1:])
-    for a, b in _padic_candidates(_div_dense(work, g) if len(g) > 1 else work):
+    g, s, _ = _gcd_dense(work, [k * c for k, c in enumerate(work)][1:])
+    for a, b in _padic_candidates(s):
         # A root of multiplicity k in f is one of multiplicity k - 1 in g.
         k = 0
         while k < len(g) and (quot := _div_dense(work, [-a, b])) is not None:
@@ -638,12 +640,12 @@ def _int_coeffs(p: MultiPoly) -> list[int]:
     return out
 
 
-def _poly_of(names: tuple[str, ...], coeffs: list[int]) -> MultiPoly:
-    """The polynomial in the one name of ``names`` with int coefficients ``coeffs``.
+def _poly_of(names: tuple[str, ...], coeffs: list[int], den: int = 1) -> MultiPoly:
+    """The polynomial in the one name of ``names`` with coefficients ``coeffs`` / ``den``.
 
-    ``coeffs`` is a dense list, low to high, of degree at least 1.
+    ``coeffs`` is a nonzero dense int list, low to high.
     """
-    return _new(names, {(k,): c for k, c in enumerate(coeffs) if c}, 1)
+    return _make(names, {(k,): c for k, c in enumerate(coeffs)}, den)
 
 
 def _univar_view(p: MultiPoly, name: str) -> dict[int, MultiPoly]:
@@ -666,14 +668,16 @@ _XI_OFFSET = 29
 _XI_GROWTH = (73794, 27011)
 _XI_POINTS = 6
 
-IntPoly = Union[int, MultiPoly]
-
-
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Greatest common divisor over the rationals.
+    """Greatest common divisor over the rationals: ``poly_cofactors(a, b)[0]``."""
+    return poly_cofactors(a, b)[0]
 
-    Returned integer-primitive with positive leading coefficient; constants
-    count as units, so coprime inputs give 1.
+
+def poly_cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """``(g, a/g, b/g)`` for the greatest common divisor g over the rationals.
+
+    g is integer-primitive with a positive leading coefficient; constants
+    count as units, so coprime inputs give 1 and cofactors a and b.
 
     After the trivial cases the heuristic gcd (GCDHEU: Char, Geddes and
     Gonnet, J. Symbolic Comput. 7, 1989; Geddes, Czapor and Labahn,
@@ -681,16 +685,18 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     integer numerators.  It strips the integer content and the monomial
     factor x^m of each input, evaluates the first shared variable x at an
     integer xi and takes the gcd gamma of the two images recursively, down to
-    a gcd of ints.  The symmetric xi-adic digits of gamma are the
+    constants.  The symmetric xi-adic digits of gamma are the
     coefficients of a candidate in x.  By the CGG theorem, when
     xi >= 2 * min(|a|, |b|) + 2 in the max-norm of the stripped inputs, the
     candidate's primitive part is their gcd as soon as it divides both; the
     first point here is 2 * min(|a|, |b|) + 29, and every candidate is
-    checked by exact division, so each result is certified.  A candidate that
-    fails moves xi to xi * 73794 // 27011.  Six points can all fail, for
-    instance when the larger input vanishes at each of them; the primitive
-    PRS in x then decides (``_prs_gcd``).  So every result is the gcd, and
-    ``poly_gcd`` never raises ``AlgebraError``.
+    checked by exact division, so each result is certified; its quotients,
+    times the contents and monomial factors stripped, are the cofactors.  A
+    candidate that fails moves xi to xi * 73794 // 27011.  Six points can
+    all fail, for instance when the larger input vanishes at each of them;
+    the primitive PRS in x then decides (``_prs_gcd``), and exact division
+    gives the cofactors.  So every result is the gcd, and ``poly_cofactors``
+    never raises ``AlgebraError``.
 
     Two polynomials in the same single name, at the top or as the images at
     the last level of the recursion, run this algorithm on dense int lists
@@ -699,47 +705,34 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """
     a = _as_poly(a)
     b = _as_poly(b)
-    if a.is_zero():
-        return _canon_primitive(b)
-    if b.is_zero():
-        return _canon_primitive(a)
-    if a.is_const() or b.is_const() or not set(a.names) & set(b.names):
-        return _ONE
-    if a == b:
-        return _canon_primitive(a)
-    return _canon_primitive(_as_poly(_gcd_z(a, b)))
-
-
-def _gcd_z(a: IntPoly, b: IntPoly) -> IntPoly:
-    """gcd over the integers of two integer polynomials, an int for a constant.
-
-    A ``MultiPoly`` is read through its integer numerators (its denominator
-    is ignored); the gcd is an int when it is constant, else a
-    ``MultiPoly`` over denominator 1.
-    """
-    if isinstance(a, int) or isinstance(b, int):
-        if not b:
-            return a
-        if not a:
-            return b
-        return math.gcd(_int_content(a), _int_content(b))
+    zero = a.is_zero() or b.is_zero()
+    if not zero and (a.is_const() or b.is_const() or not set(a.names) & set(b.names)):
+        return _ONE, a, b
+    if zero or a == b:
+        g = _canon_primitive(b if a.is_zero() else a)
+        # Each input is zero or a constant multiple of g: compare one term.
+        e = next(iter(g.terms), None)
+        return g, *(q if q.is_zero() else _ONE._scaled(q.terms[e], q.den * g.terms[e])
+                    for q in (a, b))
     if len(a.names) == 1 and a.names == b.names:
-        g = _gcd_dense(_int_coeffs(a), _int_coeffs(b))
-        return g[0] if len(g) == 1 else _poly_of(a.names, g)
-    ca, ma, a = _strip(a)
-    cb, mb, b = _strip(b)
-    unit = math.gcd(ca, cb)
+        g, qa, qb = _gcd_dense(_int_coeffs(a), _int_coeffs(b))
+        if len(g) == 1:
+            return _ONE, a, b
+        return _poly_of(a.names, g), _poly_of(a.names, qa, a.den), _poly_of(a.names, qb, b.den)
+    ca, ma, sa = _strip(a)
+    cb, mb, sb = _strip(b)
     mono = {n: min(k, mb[n]) for n, k in ma.items() if n in mb}
-    shared = [n for n in a.names if n in b.names]
-    core = _heu_gcd(a, b, shared[0]) if shared else _ONE
+    shared = [n for n in sa.names if n in sb.names]
+    core, qa, qb = _heu_gcd(sa, sb, shared[0]) if shared else (_ONE, sa, sb)
     if not mono and core.is_const():
-        return unit
+        return _ONE, a, b
     names = tuple(sorted(mono))
-    return _new(names, {tuple(mono[n] for n in names): unit}, 1) * core
-
-
-def _int_content(p: IntPoly) -> int:
-    return abs(p) if isinstance(p, int) else math.gcd(*p.terms.values())
+    # Each cofactor takes back its content, its denominator and the part of
+    # its monomial factor that g does not take.
+    return (_new(names, {tuple(mono[n] for n in names): 1}, 1) * core if mono else core,
+            *(q._scaled(c, p.den) if m == mono else
+              q * _make(tuple(m), {tuple(k - mono.get(n, 0) for n, k in m.items()): c}, p.den)
+              for q, m, c, p in ((qa, ma, ca, a), (qb, mb, cb, b))))
 
 
 def _strip(p: MultiPoly) -> tuple[int, dict[str, int], MultiPoly]:
@@ -759,8 +752,8 @@ def _strip(p: MultiPoly) -> tuple[int, dict[str, int], MultiPoly]:
                                     for e, v in p.terms.items()}, 1)
 
 
-def _heu_gcd(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
-    """gcd of two primitive polynomials free of monomial factors, sharing ``x``.
+def _heu_gcd(a: MultiPoly, b: MultiPoly, x: str) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """gcd and cofactors of two primitive polynomials free of monomial factors, sharing ``x``.
 
     The heuristic gcd at up to six points, then the primitive PRS.
     """
@@ -768,17 +761,20 @@ def _heu_gcd(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
     xi = 2 * norm + _XI_OFFSET
     for _ in range(_XI_POINTS):
         g = _heu_candidate(a, b, x, xi)
-        if g.is_const() or (exact_div(a, g) is not None and exact_div(b, g) is not None):
-            return g
+        if g.is_const():
+            return g, a, b
+        if (qa := exact_div(a, g)) is not None and (qb := exact_div(b, g)) is not None:
+            return g, qa, qb
         xi = xi * _XI_GROWTH[0] // _XI_GROWTH[1]
-    return _prs_gcd(a, b, x)
+    g = _prs_gcd(a, b, x)
+    return g, exact_div(a, g), exact_div(b, g)
 
 
-def _gcd_dense(a: list[int], b: list[int]) -> list[int]:
-    """gcd over the integers of two nonzero int lists, a list itself.
+def _gcd_dense(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The primitive gcd of two nonzero int lists, and both cofactors over Z.
 
-    The univariate level of ``_gcd_z``, on dense lists, low to high: it
-    strips each integer content and power of the name, as ``_strip`` does,
+    The univariate level of ``poly_cofactors``, on dense lists, low to high:
+    it strips each integer content and power of the name, as ``_strip`` does,
     and runs the heuristic gcd at up to six points, as ``_heu_gcd`` does,
     then the primitive PRS.
     """
@@ -787,24 +783,25 @@ def _gcd_dense(a: list[int], b: list[int]) -> list[int]:
     mb = next(k for k, c in enumerate(b) if c)
     a = [c // ca for c in a[ma:]]
     b = [c // cb for c in b[mb:]]
-    unit = math.gcd(ca, cb)
-    core = [1]
-    if len(a) > 1 and len(b) > 1:
-        core = _heu_gcd_dense(a, b)
-    return [0] * min(ma, mb) + [unit * c for c in core]
+    core, qa, qb = _heu_gcd_dense(a, b) if len(a) > 1 and len(b) > 1 else ([1], a, b)
+    m = min(ma, mb)
+    return [0] * m + core, [0] * (ma - m) + [ca * c for c in qa], [0] * (mb - m) + [cb * c for c in qb]
 
 
-def _heu_gcd_dense(a: list[int], b: list[int]) -> list[int]:
+def _heu_gcd_dense(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
     """``_heu_gcd`` of two primitive int lists with nonzero constant terms."""
     norm = min(max(map(abs, a)), max(map(abs, b)))
     xi = 2 * norm + _XI_OFFSET
     for _ in range(_XI_POINTS):
         g = _heu_candidate_dense(a, b, xi)
-        if len(g) == 1 or (_div_dense(a, g) is not None and _div_dense(b, g) is not None):
-            return g
+        if len(g) == 1:
+            return g, a, b
+        if (qa := _div_dense(a, g)) is not None and (qb := _div_dense(b, g)) is not None:
+            return g, qa, qb
         xi = xi * _XI_GROWTH[0] // _XI_GROWTH[1]
     # The PRS runs on polynomials; which name they are in is immaterial.
-    return _int_coeffs(_prs_gcd(_poly_of(("x",), a), _poly_of(("x",), b), "x"))
+    g = _int_coeffs(_prs_gcd(_poly_of(("x",), a), _poly_of(("x",), b), "x"))
+    return g, _div_dense(a, g), _div_dense(b, g)
 
 
 def _prs_gcd(a: MultiPoly, b: MultiPoly, x: str) -> MultiPoly:
@@ -848,15 +845,16 @@ def _prem(f: MultiPoly, g: MultiPoly, x: str) -> MultiPoly:
 def _heu_candidate(a: MultiPoly, b: MultiPoly, x: str, xi: int) -> MultiPoly:
     """The primitive part of the polynomial in x whose xi-adic digits give gcd(a(xi), b(xi)).
 
-    Each coefficient of the image gcd, in the names other than x, is written
-    in base xi (``_xi_digits``); digit k is the coefficient of x^k.
+    The image gcd over Z, the primitive gcd times the gcd of the images'
+    contents, has each coefficient in the other names written in base xi
+    (``_xi_digits``); digit k is the coefficient of x^k.
     """
-    gamma = _gcd_z(_eval_at(a, x, xi), _eval_at(b, x, xi))
-    rest, terms = ((), {(): gamma}) if isinstance(gamma, int) else (gamma.names, gamma.terms)
-    names = tuple(sorted(rest + (x,)))
+    ia, ib = _eval_at(a, x, xi), _eval_at(b, x, xi)
+    gamma = poly_cofactors(ia, ib)[0]._scaled(math.gcd(*ia.terms.values(), *ib.terms.values()), 1)
+    names = tuple(sorted(gamma.names + (x,)))
     i = names.index(x)
     out: dict[Exponents, int] = {}
-    for e, c in terms.items():
+    for e, c in gamma.terms.items():
         for k, d in enumerate(_xi_digits(c, xi)):
             if d:
                 out[e[:i] + (k,) + e[i:]] = d
@@ -901,8 +899,8 @@ def _xi_digits(c: int, xi: int) -> list[int]:
     return out
 
 
-def _eval_at(p: MultiPoly, x: str, xi: int) -> IntPoly:
-    """p's integer numerators at x = xi: an int when no other name is left."""
+def _eval_at(p: MultiPoly, x: str, xi: int) -> MultiPoly:
+    """p's integer numerators at x = xi, over denominator 1."""
     i = p.names.index(x)
     powers = [1]
     for _ in range(max(e[i] for e in p.terms)):
@@ -911,8 +909,7 @@ def _eval_at(p: MultiPoly, x: str, xi: int) -> IntPoly:
     for e, c in p.terms.items():
         r = e[:i] + e[i + 1:]
         out[r] = out.get(r, 0) + c * powers[e[i]]
-    q = _make(p.names[:i] + p.names[i + 1:], out, 1)
-    return q if q.names else q.terms.get((), 0)
+    return _make(p.names[:i] + p.names[i + 1:], out, 1)
 
 
 def poly_sqrt(p: MultiPoly) -> MultiPoly | None:
@@ -976,7 +973,7 @@ class RationalExpr:
                 raise DivisionByZero("denominator is the zero polynomial")
             # A constant denominator shares no factor with the numerator.
             if not den.is_const():
-                num, den = _cancel(num, den)
+                _, num, den = poly_cofactors(num, den)
             num, den = _rescale(num, den)
         self.num, self.den = num, den
 
@@ -1023,19 +1020,10 @@ class RationalExpr:
             # The sum of the numerators can share a factor with the denominator.
             return RationalExpr(self.num + other.num, self.den)
         # Otherwise the pairs built below are already reduced: no factor of
-        # self.den/g or other.den/g divides the new numerator, and h removes
-        # what it shares with g.
-        g = poly_gcd(self.den, other.den)
-        if g.is_const():
-            num = self.num * other.den + other.num * self.den
-            return RationalExpr._monic(num, self.den * other.den)
-        db = exact_div(self.den, g)
-        dd = exact_div(other.den, g)
-        num = self.num * dd + other.num * db
-        h = poly_gcd(num, g)
-        if not h.is_const():
-            num = exact_div(num, h)
-            g = exact_div(g, h)
+        # self.den/g or other.den/g divides the new numerator, and the second
+        # gcd removes what it shares with g.
+        g, db, dd = poly_cofactors(self.den, other.den)
+        _, num, g = poly_cofactors(self.num * dd + other.num * db, g)
         return RationalExpr._monic(num, g * db * dd)
 
     __radd__ = __add__
@@ -1055,8 +1043,8 @@ class RationalExpr:
         if a and b:
             return _const_expr(a[0] * b[0], a[1] * b[1])
         # Cross-cancel so the product of reduced fractions is already reduced.
-        n1, d2 = _cancel(self.num, other.den)
-        n2, d1 = _cancel(other.num, self.den)
+        _, n1, d2 = poly_cofactors(self.num, other.den)
+        _, n2, d1 = poly_cofactors(other.num, self.den)
         return RationalExpr._monic(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
@@ -1171,51 +1159,41 @@ def _rescale(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     return num._scaled(den.den, lead), den._scaled(den.den, lead)
 
 
-def _cancel(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Divide out gcd(a, b); inputs arbitrary polynomials."""
-    if a.is_zero():
-        return _ZERO, _ONE if b.is_zero() else b
-    g = poly_gcd(a, b)
-    if g.is_const():
-        return a, b
-    return exact_div(a, g), exact_div(b, g)
-
-
 def _subst_poly(p: MultiPoly, bindings: Mapping[str, "RationalExpr"]) -> "RationalExpr":
     """Simultaneous substitution into a polynomial; result is rational.
 
     Common-denominator form: each bound variable x -> u/v of degree D in p
     contributes u^e * v^(D - e) to a numerator term and v^D to the one
     denominator, and ``RationalExpr(num, den)`` canonicalises the pair once.
+    Each group of terms with the same exponents in the bound names is
+    multiplied by those powers once.
     """
-    active = [n for n in p.names if n in bindings]
-    if not active:
+    bound = [i for i, n in enumerate(p.names) if n in bindings]
+    if not bound:
         return RationalExpr(p, _ONE, _canonical=True)
-    idx = {n: p.names.index(n) for n in active}
-    degs = {n: max(e[idx[n]] for e in p.terms) for n in active}
-    num_pows: dict[str, list[MultiPoly]] = {}
-    den_pows: dict[str, list[MultiPoly]] = {}
+    keep = [i for i, n in enumerate(p.names) if n not in bindings]
+    groups = {}
+    for e, c in p.terms.items():
+        groups.setdefault(tuple(e[i] for i in bound), {})[tuple(e[i] for i in keep)] = c
+    # For each bound name, u^k * v^(D - k) for k = 0..D.
+    pows = []
     den = _ONE
-    for n in active:
-        u, v = bindings[n].num, bindings[n].den
-        D = degs[n]
+    for j, i in enumerate(bound):
+        r = bindings[p.names[i]]
         nps = [_ONE]
         vps = [_ONE]
-        for _ in range(D):
-            nps.append(nps[-1] * u)
-            vps.append(vps[-1] * v)
-        num_pows[n] = nps
-        den_pows[n] = vps
-        den = den * vps[D]
+        for _ in range(max(ks[j] for ks in groups)):
+            nps.append(nps[-1] * r.num)
+            vps.append(vps[-1] * r.den)
+        pows.append([u * v for u, v in zip(nps, reversed(vps))])
+        den = den * vps[-1]
     total = _ZERO
-    keep = [i for i, n in enumerate(p.names) if n not in bindings]
     keep_names = tuple(p.names[i] for i in keep)
     # The sum is taken over p's integer numerators and divided by p.den once.
-    for e, c in p.terms.items():
-        term = _make(keep_names, {tuple(e[i] for i in keep): c}, 1)
-        for n in active:
-            k = e[idx[n]]
-            term = term * num_pows[n][k] * den_pows[n][degs[n] - k]
+    for ks, terms in groups.items():
+        term = _make(keep_names, terms, 1)
+        for pw, k in zip(pows, ks):
+            term = term * pw[k]
         total = total + term
     return RationalExpr(total._scaled(1, p.den), den)
 

@@ -615,7 +615,8 @@ def _check_path_distance(path: ComplexPath, points: list[complex],
                          min_dist: float) -> None:
     for p in points:
         d = path.min_distance_to(p)
-        if d < min_dist:
+        # Negated, so that a NaN distance is refused too.
+        if not d >= min_dist:
             raise PathTooClose(
                 f"path passes within {d:.3g} of the singular point {p}")
 
@@ -675,10 +676,10 @@ def _check_lambda0(kind: PainleveKind, lam0: complex, path: ComplexPath,
                    cfg: IntegrationConfig) -> None:
     for s in LAMBDA_LOCUS[kind]:
         if s == "t":
-            if path.min_distance_to(lam0) < cfg.min_distance:
+            if not path.min_distance_to(lam0) >= cfg.min_distance:
                 raise PathTooClose(
                     "initial position sits on the moving singular value t")
-        elif abs(lam0 - complex(Fraction(s))) < cfg.min_distance:
+        elif not abs(lam0 - complex(Fraction(s))) >= cfg.min_distance:
             raise PathTooClose(f"initial position too close to {s}")
 
 

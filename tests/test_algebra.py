@@ -313,31 +313,37 @@ class TestKernelWorkCounts:
     ``exact_div`` counts the certificates of nonconstant candidates with
     more than one name along with every other exact division;
     ``_div_dense`` counts the long divisions of the univariate level, its
-    certificates and the univariate ``exact_div`` calls alike.  Calls of
-    ``poly_gcd`` with a constant operand return at once, but they count too.
-    The constructor caches start empty (``cold_constructors``), so the
-    counts include building the cases and do not depend on the tests before.
+    certificates and the univariate ``exact_div`` calls alike; the
+    quotients of each certificate are the cofactors, so no canonical pair
+    divides again.  ``poly_cofactors`` counts every gcd, the image gcds of
+    the recursion among them; calls with a constant operand return at once,
+    but they count too.  ``MultiPoly.__mul__`` counts the products, where
+    the substitutions show: each group of terms with the same exponents in
+    the bound names is multiplied by its powers once.  The constructor
+    caches start empty (``cold_constructors``), so the counts include
+    building the cases and do not depend on the tests before.
     """
 
-    COUNTED = ("poly_gcd", "exact_div", "_heu_gcd", "_heu_candidate",
-               "_heu_gcd_dense", "_heu_candidate_dense", "_div_dense")
+    COUNTED = ("poly_cofactors", "exact_div", "_heu_gcd", "_heu_candidate",
+               "_heu_gcd_dense", "_heu_candidate_dense", "_div_dense",
+               "MultiPoly.__mul__")
     COUNTS = {
-        "matching/p5": {"poly_gcd": 428, "exact_div": 156,
+        "matching/p5": {"poly_cofactors": 542, "exact_div": 68,
                         "_heu_gcd": 84, "_heu_candidate": 88,
                         "_heu_gcd_dense": 22, "_heu_candidate_dense": 22,
-                        "_div_dense": 118},
-        "matching/p6": {"poly_gcd": 240, "exact_div": 70,
+                        "_div_dense": 60, "MultiPoly.__mul__": 728},
+        "matching/p6": {"poly_cofactors": 304, "exact_div": 52,
                         "_heu_gcd": 48, "_heu_candidate": 48,
                         "_heu_gcd_dense": 3, "_heu_candidate_dense": 3,
-                        "_div_dense": 9},
-        "riccati/p6": {"poly_gcd": 144, "exact_div": 40,
+                        "_div_dense": 7, "MultiPoly.__mul__": 317},
+        "riccati/p6": {"poly_cofactors": 193, "exact_div": 24,
                        "_heu_gcd": 43, "_heu_candidate": 43,
                        "_heu_gcd_dense": 2, "_heu_candidate_dense": 2,
-                       "_div_dense": 10},
-        "elimination/p3-substitution": {"poly_gcd": 103, "exact_div": 18,
+                       "_div_dense": 10, "MultiPoly.__mul__": 240},
+        "elimination/p3-substitution": {"poly_cofactors": 111, "exact_div": 0,
                                         "_heu_gcd": 0, "_heu_candidate": 0,
                                         "_heu_gcd_dense": 0, "_heu_candidate_dense": 0,
-                                        "_div_dense": 10},
+                                        "_div_dense": 0, "MultiPoly.__mul__": 345},
     }
 
     @pytest.mark.parametrize("case", sorted(COUNTS))
@@ -352,7 +358,9 @@ class TestKernelWorkCounts:
             return wrapper
 
         for name in self.COUNTED:
-            monkeypatch.setattr(algebra, name, spy(name, getattr(algebra, name)))
+            owner, _, attr = name.rpartition(".")
+            target = getattr(algebra, owner) if owner else algebra
+            monkeypatch.setattr(target, attr, spy(name, getattr(target, attr)))
         assert main(["verify", "--suite", "all", "--case", case]) == 0
         capsys.readouterr()
         assert counts == self.COUNTS[case]

@@ -15,7 +15,12 @@ satisfies the bound of the theorem that certifies the result.  ``exact_div`` mus
 ``sympy.div`` leaves a remainder, and sympy's quotient otherwise.  A
 ``RationalExpr`` built by ``+ - * /``, by ``derivative`` or by
 ``substitute`` must be sympy's value in lowest terms over a monic
-denominator.
+denominator.  ``poly_cofactors`` must return that gcd with both exact
+quotients, for zero, constant, equal and disjoint inputs, inputs with
+monomial factors, integer contents and rational denominators, and when the
+PRS decides.  ``substitute``, which multiplies each group of terms with the
+same exponents in the bound names once, must agree with a term-by-term
+substitution written here.
 """
 
 from __future__ import annotations
@@ -29,7 +34,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heunlab import algebra
-from heunlab.algebra import DegenerateSubstitution, MultiPoly, RationalExpr, exact_div, poly_gcd
+from heunlab.algebra import (
+    DegenerateSubstitution,
+    MultiPoly,
+    RationalExpr,
+    exact_div,
+    poly_cofactors,
+    poly_gcd,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -183,6 +195,13 @@ def unlucky_pairs(draw):
     return shared * a, shared * (a + spoiler)
 
 
+#: Pairs whose every candidate is forced to fail in
+#: ``test_failed_candidates_fall_back_to_prs``, so that the PRS decides.
+prs_pairs = st.one_of(multivariate_pairs(),
+                      st.tuples(univariate(), univariate(), univariate()).map(
+                          lambda t: (t[0] * t[1], t[0] * t[2])))
+
+
 def xi_points(n: int) -> list[int]:
     """The six evaluation points for stripped inputs whose smaller norm is n."""
     out = [2 * n + 29]
@@ -291,9 +310,7 @@ class TestGcdOracle:
         check_against_sympy(a * h, b * h, poly_gcd(a * h, b * h))
 
     @SETTINGS
-    @given(st.one_of(multivariate_pairs(),
-                     st.tuples(univariate(), univariate(), univariate()).map(
-                         lambda t: (t[0] * t[1], t[0] * t[2]))))
+    @given(prs_pairs)
     def test_failed_candidates_fall_back_to_prs(self, pair):
         # a * b has a higher degree than a in the shared variable, so this
         # candidate divides neither input at any point, at any level: every
@@ -346,6 +363,78 @@ class TestExactDivOracle:
     def test_arbitrary_pairs(self, p, d):
         self.check(p, d)
         self.check(p * 2 + d, d * 3)
+
+
+# ---------------------------------------------------------------------------
+# Cofactors
+# ---------------------------------------------------------------------------
+
+
+def check_cofactors(a: MultiPoly, b: MultiPoly) -> None:
+    """poly_cofactors(a, b) is (g, a/g, b/g) for poly_gcd's g, sympy's gcd up to a unit."""
+    g, qa, qb = poly_cofactors(a, b)
+    assert g * qa == a and g * qb == b
+    assert g == poly_gcd(a, b)
+    if a.is_zero() and b.is_zero():
+        assert g.is_zero()
+    else:
+        check_against_sympy(a, b, g)
+
+
+C = MultiPoly.const
+#: Rational scalars with and without an integer content or a denominator.
+SCALES = st.sampled_from([Fraction(1), Fraction(6), Fraction(-4), Fraction(1, 3),
+                          Fraction(-5, 12)])
+
+
+@st.composite
+def cofactor_pairs(draw):
+    """Multivariate or univariate pairs with a shared factor, each input
+    times its own monomial and rational scalar."""
+    if draw(st.booleans()):
+        a, b = draw(multivariate_pairs())
+        names = (X, Y)
+    else:
+        s, r1, r2 = draw(univariate(min_deg=0, max_deg=2)), draw(univariate()), draw(univariate())
+        a, b = s * r1, s * r2
+        names = (X,)
+
+    def scaled(p):
+        for v in names:
+            p = p * v ** draw(st.integers(0, 2))
+        return p * draw(SCALES)
+
+    return scaled(a), scaled(b)
+
+
+class TestCofactorOracle:
+    @pytest.mark.parametrize("a, b", [
+        (C(0), C(0)), (C(0), X * 2 + 4), (X * Y - 3, C(0)), (C(0), C(Fraction(-3, 2))),
+        (C(6), X + 1), (X * Y + 2, C(Fraction(1, 3))), (C(4), C(6)),
+        (X * 2 - 4, X * 2 - 4), (X * Y * Fraction(2, 3) - 1, X * Y * Fraction(2, 3) - 1),
+        (X * Y + 2, (X * Y + 2) * Fraction(1, 3)), (X - 5, (X - 5) * Fraction(-1, 2)),
+        (X + 1, Y * 2 - 3), (X * 4, Y * 6),
+        (X ** 3 * Y, X * Y ** 2 * 5), (X ** 2 * Y * (X + Y) * 6, X * Y ** 3 * (X - Y) * 4),
+        (X ** 3 * (X + 1), X ** 2 * (X + 1) ** 2 * 3),
+        ((X + 1) * 6, (X + 1) * (X - 2) * 4), ((X * Y + 1) * 10, (X * Y + 1) * (Y + 2) * 15),
+        ((X + 1) * Fraction(1, 2), (X + 1) * (X - 3) * Fraction(2, 9)),
+        ((X * Y - Z) * (X + Fraction(1, 3)), (X * Y - Z) * Fraction(5, 6)),
+    ])
+    def test_edge_cases(self, a, b):
+        check_cofactors(a, b)
+        check_cofactors(b, a)
+
+    @SETTINGS
+    @given(cofactor_pairs())
+    def test_scaled_pairs(self, pair):
+        check_cofactors(*pair)
+
+    @SETTINGS
+    @given(prs_pairs)
+    def test_prs_fallback(self, pair):
+        with candidates(lambda a, b, x, xi: a * b) as calls:
+            check_cofactors(*pair)
+        assert len(calls) % algebra._XI_POINTS == 0
 
 
 # ---------------------------------------------------------------------------
@@ -522,3 +611,69 @@ class TestCanonicalFormOracle:
                 expr.substitute(values)
         else:
             check_canonical(expr.substitute(values), num / den)
+
+
+# ---------------------------------------------------------------------------
+# Substitution against a term-by-term reference
+# ---------------------------------------------------------------------------
+
+
+def substitute_termwise(p: MultiPoly, values: dict[str, RationalExpr]) -> RationalExpr:
+    """p with ``values`` bound, one term at a time, by ``RationalExpr`` arithmetic."""
+    total = RationalExpr.const(0)
+    for e, c in p.terms.items():
+        term = RationalExpr.const(Fraction(c, p.den))
+        for n, k in zip(p.names, e):
+            term = term * values.get(n, RationalExpr.variable(n)) ** k
+        total = total + term
+    return total
+
+
+SWAP = {"x": RationalExpr(Y), "y": RationalExpr(X)}
+
+
+@st.composite
+def substitutions(draw):
+    """``bindings`` without their sympy forms, or the swap of x and y,
+    possibly with z bound too."""
+    if draw(st.booleans()):
+        return {n: e for n, (e, _) in draw(bindings()).items()}
+    out = dict(SWAP)
+    if draw(st.booleans()):
+        out["z"] = RationalExpr(draw(st.sampled_from(SHARED)), draw(st.sampled_from(SHARED)))
+    return out
+
+
+class TestSubstituteDifferential:
+    """``substitute`` groups the terms of a polynomial by their exponents in
+    the bound names; a term-by-term substitution must give the same value."""
+
+    @staticmethod
+    def check(expr: RationalExpr, values: dict[str, RationalExpr]) -> None:
+        num, den = (substitute_termwise(p, values) for p in (expr.num, expr.den))
+        if den.is_zero():
+            with pytest.raises(DegenerateSubstitution):
+                expr.substitute(values)
+        else:
+            assert expr.substitute(values) == num / den
+
+    @SETTINGS
+    @given(rationals(max_ops=2), SCALES, substitutions())
+    def test_matches_termwise(self, pair, scale, values):
+        self.check(pair[0] * RationalExpr.const(scale), values)
+
+    def test_swap_with_unbound_names_and_rational_coefficients(self):
+        p = (X ** 2 * Y * 3 + Y * Fraction(1, 2) - X * 5 + X * Z * Fraction(2, 7)
+             + C(Fraction(7, 3)))
+        expected = (Y ** 2 * X * 3 + X * Fraction(1, 2) - Y * 5 + Y * Z * Fraction(2, 7)
+                    + C(Fraction(7, 3)))
+        expr = RationalExpr(p, X * Y - Z)
+        self.check(expr, SWAP)
+        assert expr.substitute(SWAP) == RationalExpr(expected, X * Y - Z)
+
+    def test_binding_that_zeroes_a_denominator(self):
+        expr = RationalExpr(X + 1, X * Y - Y * Y + Z)
+        values = {"x": RationalExpr(Y), "z": RationalExpr.const(0)}
+        self.check(expr, values)
+        with pytest.raises(DegenerateSubstitution):
+            expr.substitute(values)

@@ -231,6 +231,18 @@ class TestIntegrateLinear:
         with pytest.raises(ValueError, match="spans more than the float range$"):
             integrate_linear(ode, ComplexPath.of(-1e308, 1e308), (1.0, 0.0))
 
+    def test_nan_distance_refused(self):
+        # Built directly, the same path skips the waypoint checks, and every
+        # distance to a pole is NaN: the guard refuses it rather than let the
+        # stepper underflow.
+        from heunlab.heun import build_heun
+        ode = build_heun(HeunSpec.of(HeunFamily.GENERAL, alpha=1, beta=1, gamma=1,
+                                     delta=1, epsilon=1, q=1, t=2))
+        path = ComplexPath((-1e308 + 0j, 1e308 + 0j))
+        assert all(math.isnan(path.min_distance_to(p)) for p in ode_singularities(ode))
+        with pytest.raises(PathTooClose):
+            integrate_linear(ode, path, (1.0, 1.0))
+
     def test_singularity_enumeration_includes_unresolved(self):
         # The enumeration gives no approximate root of z^2 - 2 in place of
         # an exact pole: the equation is refused.
@@ -379,6 +391,7 @@ class TestRiccati:
         (0.0, "^initial position too close to 0$"),
         (1.005, "^initial position too close to 1$"),
         (2.5, "^initial position sits on the moving singular value t$"),
+        (math.nan, "^initial position too close to 0$"),
     ])
     def test_lambda0_on_the_singular_locus_refused(self, lam0, message):
         # For p6 lambda must avoid 0, 1 and t; t runs over 2..3 here.
